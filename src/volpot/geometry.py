@@ -130,11 +130,7 @@ class Domain:
             if np.any(disc < 0):
                 raise DomainError("ray_exit requires an interior point")
             return -b + np.sqrt(disc)
-        return self._star_ray_exit(x, dirs)
-
-    def _star_ray_exit(self, x, dirs):
-        first, _ = self.ray_intervals(x, dirs)
-        return first
+        return self.ray_intervals(x, dirs)[0]
 
     def ray_intervals(self, x, dirs, n_scan: int = 256):
         """Boundary crossings along rays from an interior point.
@@ -284,9 +280,27 @@ class VolumeQuadrature:
         return np.sum(values * self.weights)
 
 
+# The Gauss-Legendre rules are cached because ``leggauss`` runs an
+# eigen-solve, and read-only because every caller shares the same arrays.
+
+@lru_cache(maxsize=256)
 def _gl01(p):
+    """Gauss-Legendre nodes and weights mapped to [0, 1]."""
     z, w = leggauss(p)
-    return 0.5 * (z + 1.0), 0.5 * w
+    u, wu = 0.5 * (z + 1.0), 0.5 * w
+    u.setflags(write=False)
+    wu.setflags(write=False)
+    return u, wu
+
+
+@lru_cache(maxsize=256)
+def _leggauss(p):
+    """Gauss-Legendre nodes and weights on [-1, 1] (polar angles on the
+    sphere)."""
+    z, w = leggauss(p)
+    z.setflags(write=False)
+    w.setflags(write=False)
+    return z, w
 
 
 def _radial_order(N):
@@ -348,7 +362,7 @@ def boundary_rule(domain: Domain, N: int) -> BoundaryQuadrature:
         return BoundaryQuadrature(nodes, weights, normals)
     R, c = domain.radius, domain.center
     nt = max(8, N)
-    mu, wmu = leggauss(nt)
+    mu, wmu = _leggauss(nt)
     nphi = 2 * nt
     phi = 2.0 * np.pi * np.arange(nphi) / nphi
     st = np.sqrt(1.0 - mu ** 2)
@@ -385,7 +399,7 @@ def volume_rule(domain: Domain, N: int) -> VolumeQuadrature:
     R, c = domain.radius, domain.center
     u, w = _gl01(N)
     nt = max(8, N // 2)
-    mu, wmu = leggauss(nt)
+    mu, wmu = _leggauss(nt)
     nphi = max(8, N)
     phi = 2.0 * np.pi * np.arange(nphi) / nphi
     st = np.sqrt(1.0 - mu ** 2)
@@ -470,7 +484,7 @@ def singular_volume_rule(domain: Domain, x, N: int,
         nt = max(nt, int(6.0 / np.sqrt(max(dist, 1e-12) / domain.bounding_radius)))
         nt = min(nt, 2000)
     nphi = max(8, N)
-    mu, wmu = leggauss(nt)
+    mu, wmu = _leggauss(nt)
     phi = 2.0 * np.pi * np.arange(nphi) / nphi
     st = np.sqrt(1.0 - mu ** 2)
     dirs = (mu[:, None, None] * axis[None, None, :]

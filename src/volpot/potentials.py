@@ -299,12 +299,17 @@ def volume_potential_negative(fs: FundamentalSolution, domain: Domain,
         int_Omega S(x-y) f0 dy
         + sum_j int_dOmega S(x-y) nu_j f_j dsigma
         + sum_j d/dx_j int_Omega S(x-y) f_j dy.
+
+    All volume terms share one rule and one kernel pass: the rule for x is
+    built once, S and grad S are evaluated once on its nodes, and f0 and
+    every f_j are reduced against those arrays.
     """
     x = np.asarray(x, dtype=float)
-    _classify_or_raise(domain, x)
     n = domain.dim
     comps = nd.components
-    total = volume_potential(fs, domain, comps[0], x, N)
+    vq = _volume_nodes_for(domain, x, N)
+    z = x[None, :] - vq.nodes
+    total = complex(np.sum(fs.eval(z) * comps[0](vq.nodes) * vq.weights))
 
     def moment(y, nu):
         out = np.zeros(y.shape[0], dtype=complex)
@@ -313,8 +318,13 @@ def volume_potential_negative(fs: FundamentalSolution, domain: Domain,
         return fs.eval(x[None, :] - y) * out
 
     total += _boundary_integral(domain, moment, x, N)
-    for j in range(n):
-        total += volume_potential_gradient(fs, domain, comps[j + 1], x, N)[j]
+    # grad before the weighted components exist, so they do not add to
+    # the peak memory of the kernel pass
+    g = fs.grad(z)
+    fw = np.stack([np.asarray(comps[j + 1](vq.nodes)) * vq.weights
+                   for j in range(n)], axis=1)
+    for gj in np.sum(g * fw, axis=0):
+        total += gj
     return complex(total)
 
 

@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import DomainError
 from .fundsol import FundamentalSolution, sphere_measure
-from .geometry import (Domain, cached_boundary_rule, singular_volume_rule)
+from .geometry import (Domain, cached_boundary_rule, singular_volume_rule,
+                       _leggauss)
 from .operators import OperatorCoefficients, apply_operator_fd
 from .potentials import (single_layer, volume_potential,
                          volume_potential_gradient, volume_potential_hessian,
@@ -244,8 +245,7 @@ def _unit_sphere_rule(n, m):
     if n == 2:
         t = 2.0 * np.pi * np.arange(m) / m
         return np.stack([np.cos(t), np.sin(t)], axis=1), np.full(m, 2.0 * np.pi / m)
-    from numpy.polynomial.legendre import leggauss
-    mu, wmu = leggauss(m)
+    mu, wmu = _leggauss(m)
     nphi = 2 * m
     phi = 2.0 * np.pi * np.arange(nphi) / nphi
     st = np.sqrt(1.0 - mu ** 2)

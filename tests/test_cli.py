@@ -1,9 +1,12 @@
 import csv
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import volpot
 from volpot.cli import main, provenance_text
 from volpot.config import parse_config, build_operator, build_modulus
 from volpot.errors import ConfigError
@@ -69,9 +72,14 @@ def test_version_contains_tolerances(capsys):
 
 
 def test_version_bytes_stable_when_piped():
+    # the child imports the same volpot as this process, installed or not
+    src = str(Path(volpot.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     cmd = [sys.executable, "-m", "volpot.cli", "--version"]
-    a = subprocess.run(cmd, capture_output=True).stdout
-    b = subprocess.run(cmd, capture_output=True).stdout
+    a = subprocess.run(cmd, capture_output=True, env=env).stdout
+    b = subprocess.run(cmd, capture_output=True, env=env).stdout
     assert a == b
     assert a.decode() == provenance_text()
 

@@ -6,7 +6,7 @@ from volpot import (SingularPointError, apply_operator_fd, gradient_split,
                     helmholtz_fundamental, laplace_fundamental, laplace_Sn,
                     modified_helmholtz, principal_anisotropic,
                     principal_fundamental)
-from volpot.fundsol import fundamental_solution
+from volpot.fundsol import _rowdot, fundamental_solution
 from volpot.operators import OperatorCoefficients, helmholtz_modified, laplacian
 
 
@@ -212,3 +212,41 @@ def test_eval_closed_form_relative_accuracy(all_kinds):
             else:
                 ref = -np.exp(-fs.kappa * r) / (4.0 * np.pi * r)
             assert v == pytest.approx(ref, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("a2", [
+    [[3.0, 0.7], [0.7, 1.2]],
+    [[2.0, 0.4, -0.3], [0.4, 1.5, 0.6], [-0.3, 0.6, 2.5]],
+])
+def test_anisotropic_matches_linear_solve_reference(a2):
+    # the kernels use |T^{-1} x| as sqrt(x . a2^{-1} x); the reference
+    # takes z = T^{-1} x by a linear solve, as the closed form reads
+    a2 = np.array(a2)
+    n = len(a2)
+    fs = principal_fundamental(OperatorCoefficients(n, a2, np.zeros(n), 0))
+    x = np.random.default_rng(3).standard_normal((500, n))
+    z = np.linalg.solve(fs.T, x.T).T
+    m = np.linalg.norm(z, axis=1)
+    u = np.linalg.solve(fs.T.T, z.T).T              # a2^{-1} x
+    c = 1.0 / (4.0 * np.pi if n == 3 else 2.0 * np.pi) / fs._sqrt_det
+    k1 = c * u / m[:, None] ** n
+    jac = c / m[:, None, None] ** n * (
+        np.linalg.inv(a2)[None] - n * u[:, :, None] * u[:, None, :]
+        / (m ** 2)[:, None, None])
+
+    def rel(got, ref):
+        err = np.abs(got - ref).reshape(len(x), -1).max(axis=1)
+        return np.max(err / np.abs(ref).reshape(len(x), -1).max(axis=1))
+
+    assert rel(fs.eval(x), laplace_Sn(n, z) / fs._sqrt_det) <= 1e-13
+    assert rel(fs.k1(x), k1) <= 1e-13
+    assert rel(fs.k1_jacobian(x), jac) <= 1e-13
+
+
+def test_rowdot_matches_norm_bitwise():
+    rng = np.random.default_rng(4)
+    for n in (2, 3):
+        x = rng.standard_normal((1000, n))
+        x *= np.geomspace(1e-6, 1e3, 1000)[:, None]
+        assert np.array_equal(np.sqrt(_rowdot(x, x)),
+                              np.linalg.norm(x, axis=-1))

@@ -5,7 +5,7 @@ import oracles
 from volpot import (DomainError, NearBoundaryError, boundary_rule,
                     cosine_star, disk, ellipse, make_ball, make_star2d,
                     singular_volume_rule, volume_rule)
-from volpot.geometry import exterior_chord_rule
+from volpot.geometry import _gl01, _leggauss, exterior_chord_rule
 
 
 def test_make_ball_validation():
@@ -194,3 +194,14 @@ def test_boundary_parametrization_consistency():
         theta = np.linspace(0, 2 * np.pi, 17)
         pts = dom.boundary_point(theta)
         assert np.max(np.abs(dom.radial_gap(pts))) <= 1e-12
+
+
+def test_gauss_legendre_nodes_cached_read_only():
+    for rule, total in ((_gl01, 1.0), (_leggauss, 2.0)):
+        u, w = rule(12)
+        again = rule(12)
+        assert again[0] is u and again[1] is w
+        assert w.sum() == pytest.approx(total, rel=1e-15)
+        for arr in (u, w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.5

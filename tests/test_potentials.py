@@ -3,13 +3,15 @@ import pytest
 
 import oracles
 from volpot import (DomainError, NearBoundaryError, PotentialField,
-                    boundary_kernel_K, disk, exterior_field, get_preset,
-                    helmholtz_fundamental, laplace_fundamental, make_ball,
-                    negative_density, principal_fundamental, radial_extension,
-                    single_layer, subtracted_integral_G, volume_potential,
-                    volume_potential_gradient, volume_potential_hessian,
-                    volume_potential_negative, volume_rule)
+                    boundary_kernel_K, disk, ellipse, exterior_field,
+                    get_preset, helmholtz_fundamental, laplace_fundamental,
+                    make_ball, negative_density, principal_fundamental,
+                    radial_extension, single_layer, subtracted_integral_G,
+                    volume_potential, volume_potential_gradient,
+                    volume_potential_hessian, volume_potential_negative,
+                    volume_rule)
 from volpot.operators import OperatorCoefficients
+from volpot.potentials import _boundary_integral
 
 FS2 = laplace_fundamental(2)
 FS3 = laplace_fundamental(3)
@@ -264,6 +266,39 @@ def test_negative_compact_component_integrates_by_parts():
     lhs = volume_potential_negative(FS2, DISK, nd, x, 64)
     rhs = volume_potential(FS2, DISK, d1f1, x, 64)
     assert lhs == pytest.approx(rhs, abs=1e-6)
+
+
+def _negative_by_composition(fs, domain, nd, x, N):
+    # reference: each term from its own public call, with its own rule
+    comps = nd.components
+    n = domain.dim
+
+    def moment(y, nu):
+        dens = sum(nu[:, j] * comps[j + 1](y) for j in range(n))
+        return fs.eval(x[None, :] - y) * dens
+
+    total = volume_potential(fs, domain, comps[0], x, N)
+    total += _boundary_integral(domain, moment, x, N)
+    for j in range(n):
+        total += volume_potential_gradient(fs, domain, comps[j + 1], x, N)[j]
+    return total
+
+
+@pytest.mark.parametrize("domain, N", [(DISK, 32), (ellipse(2.0, 1.0), 32),
+                                       (BALL, 8)])
+def test_negative_matches_composition(domain, N):
+    n = domain.dim
+    comps = (X1SQ, ONE, X1) + ((X1SQ,) if n == 3 else ())
+    nd = negative_density(domain, comps, 1.0)
+    e = np.zeros(n)
+    e[0], e[1] = np.cos(0.7), np.sin(0.7)
+    rb = 1.0 if domain.kind == "ball" else float(domain.rho(0.7))
+    fs = FS2 if n == 2 else FS3
+    for r in (rb - 1e-3, 0.3 * rb, rb + 1e-3, 3.0 * rb):
+        x = r * e
+        got = volume_potential_negative(fs, domain, nd, x, N)
+        ref = _negative_by_composition(fs, domain, nd, x, N)
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 # -- exterior field -----------------------------------------------------------
