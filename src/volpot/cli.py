@@ -119,6 +119,7 @@ def _verify_tasks(cfg, op, fs, domain):
 
     one = get_preset("one")
     x1 = get_preset("x1")
+    x1sq = get_preset("x1sq")
     bump = get_preset("bump")
 
     def interior_grid(k=3):
@@ -192,7 +193,7 @@ def _verify_tasks(cfg, op, fs, domain):
         x = np.zeros(n)
         x[0] = 0.2
         reports = [verify.check_integration_by_parts(
-            k_grad, dk_grad, domain, x1sq_value, x1sq_grad, x, 0, N=N,
+            k_grad, dk_grad, domain, x1sq, x1sq.grad, x, 0, N=N,
             tol=tol_for("integration_by_parts",
                         DEFAULT_TOLERANCES["integration_by_parts"]))]
         reports.append(verify.check_sphere_residue(
@@ -242,15 +243,6 @@ def _verify_tasks(cfg, op, fs, domain):
         reports.append(verify.convergence_study(
             "boundary_kernel", fs, domain, one, x=xfar))
         return reports
-
-    def x1sq_value(y):
-        return np.asarray(y)[:, 0] ** 2
-
-    def x1sq_grad(y):
-        y = np.asarray(y)
-        g = np.zeros_like(y)
-        g[:, 0] = 2.0 * y[:, 0]
-        return g
 
     table = {"closed_form": task_closed_form,
              "pde_identity": task_pde,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -205,3 +207,91 @@ def test_gauss_legendre_nodes_cached_read_only():
         for arr in (u, w):
             with pytest.raises(ValueError):
                 arr[0] = 0.5
+
+
+def _ray_intervals_reference(domain, x, dirs, n_scan=256):
+    """Dense scan of every ray, 60 bisection steps per bracket and per-ray
+    pairing: the loop ``Domain.ray_intervals`` must reproduce bit for
+    bit."""
+    tmax = 2.2 * domain.bounding_radius
+    ts = np.linspace(0.0, tmax, n_scan)
+    pts = x[None, None, :] + ts[None, :, None] * dirs[:, None, :]
+    inside = domain.radial_gap(pts) > 0.0
+    ray_idx, step_idx = np.nonzero(inside[:, :-1] != inside[:, 1:])
+    lo = ts[step_idx]
+    hi = ts[step_idx + 1]
+    state_lo = inside[ray_idx, step_idx]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        pm = x[None, :] + mid[:, None] * dirs[ray_idx]
+        take_lo = (domain.radial_gap(pm) > 0.0) == state_lo
+        lo = np.where(take_lo, mid, lo)
+        hi = np.where(take_lo, hi, mid)
+    cross = 0.5 * (lo + hi)
+    bounds = np.searchsorted(ray_idx, np.arange(len(dirs) + 1))
+    extras = []
+    for i in range(len(dirs)):
+        ci = cross[bounds[i] + 1:bounds[i + 1]]
+        for t_in, t_out in zip(ci[0::2], ci[1::2]):
+            extras.append((i, t_in, t_out))
+    extras = (np.asarray(extras, dtype=float) if extras
+              else np.empty((0, 3)))
+    return cross[bounds[:-1]], extras
+
+
+def _fan(m):
+    theta = 2.0 * np.pi * np.arange(m) / m
+    return np.stack([np.cos(theta), np.sin(theta)], axis=1)
+
+
+@pytest.mark.parametrize("dom, reenters",
+                         [(cosine_star([1, 0, 0, 0.2]), True),
+                          (cosine_star([1, 0, 0, 0.15]), True),
+                          (ellipse(2.0, 1.0), False)],
+                         ids=["star-0.2", "star-0.15", "ellipse"])
+def test_ray_intervals_match_dense_scan_bitwise(dom, reenters):
+    # centre, interior, and offsets 1e-4 and 1e-3 from the boundary; rays
+    # from the last two re-enter the neighbouring lobes of the stars
+    xb, nb = dom.boundary_point(0.98), dom.boundary_normal(0.98)
+    points = [np.zeros(2), np.array([0.1, 0.2]), xb - 1e-4 * nb,
+              xb - 1e-3 * nb]
+    reentered = 0
+    for x in points:
+        for m in (64, 400, 3000):
+            dirs = _fan(m)
+            first, extras = dom.ray_intervals(x, dirs)
+            ref_first, ref_extras = _ray_intervals_reference(dom, x, dirs)
+            assert np.array_equal(first, ref_first)
+            assert extras.shape == ref_extras.shape
+            assert np.array_equal(extras, ref_extras)
+            reentered += len(extras)
+    assert (reentered > 0) == reenters
+
+
+def test_star_bounding_radius_bounds_rho_between_samples():
+    # rho peaks at cos(theta) = 1/4, between the 256 check angles, where it
+    # exceeds their largest value by 2e-5; a scan point in that sliver
+    # must still count as inside
+    s = cosine_star([1.0, 0.2, -0.2])
+    theta = np.linspace(0.0, 2.0 * np.pi, 2_000_001)
+    assert s.bounding_radius > np.max(s.rho(theta))
+    t_peak = np.arccos(0.25)
+    d = np.array([np.cos(t_peak), np.sin(t_peak)])
+    ts = np.linspace(0.0, 2.2 * s.bounding_radius, 256)
+    x = (s.rho(t_peak) - 1e-5 - ts[120]) * d
+    dirs = np.stack([d, -d])
+    first, _ = s.ray_intervals(x, dirs)
+    assert np.array_equal(first, _ray_intervals_reference(s, x, dirs)[0])
+
+
+def test_ray_intervals_memory_bounded():
+    # 8000 rays is the _angular_count cap near the boundary
+    s = cosine_star([1, 0, 0, 0.2])
+    dirs = _fan(8000)
+    tracemalloc.start()
+    try:
+        s.ray_intervals(np.array([0.5, 0.1]), dirs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
