@@ -17,6 +17,23 @@ homogeneous part is
     k1_j(x) = |T^{-1} x|^{-n} (a2^{-1} x)_j / (s_n sqrt(det a2)),
 
 which is the whole gradient for the laplace and anisotropic-principal kinds.
+
+The Jacobians ``k1_jacobian`` and ``k2_jacobian`` also have a weighted
+form: given an (m,) weight vector w, real or complex, they return the
+(n, n) moment sum_m w_m d_l k_j(x_m) without forming the (m, n, n) array.
+With U = x a2^{-1} and c = 1/(s_n sqrt(det a2)), the k1 moment is
+
+    c [a2^{-1} sum w |T^{-1}x|^{-n} - n U^t diag(w |T^{-1}x|^{-n-2}) U],
+
+and the k2 moment of the screened kernel S = f(|x|) is
+
+    sum w (alpha x x^t + beta I),
+    alpha = (f'' - f'/r)/r^2 + n c r^{-n-2},   beta = f'/r - c r^{-n},
+
+with alpha and beta formed per point, so the cancellation of the two
+singular parts happens before any summation.  Real and imaginary parts of
+w are summed separately as real (n, m) @ (m, n) products; a part that is
+all zero costs nothing.
 """
 
 from __future__ import annotations
@@ -151,8 +168,11 @@ class FundamentalSolution:
     def grad(self, x):
         """Gradient of the fundamental solution (bitwise equal to the sum of
         the two parts returned by :meth:`split_gradient`)."""
-        k1, k2 = self.split_gradient(x)
-        return k1 + k2
+        pts, r, single = _as_points(x, self.dim)
+        out = self._k1(pts)
+        if self.kind == "modified-helmholtz":
+            out = out + (self._helmholtz_grad(pts, r) - out)
+        return out[0] if single else out
 
     def split_gradient(self, x):
         """Pair (k1, k2) with grad = k1 + k2; k2 = 0 unless the kind carries
@@ -186,29 +206,51 @@ class FundamentalSolution:
             out = self._k1_jacobian(pts)
         return out[0] if single else out
 
-    def _radial_hessian(self, pts, r):
-        # H = f''(r) xh xh^t + (f'(r)/r) (I - xh xh^t) for S = f(|x|).
+    def _radial_derivs(self, r):
+        """(f'(r), f''(r)) of the screened kernel S = f(|x|)."""
         kr = self.kappa * r
         if self.dim == 2:
-            fp = self.kappa * _bessel.k1(kr) / (2.0 * np.pi)
-            fpp = -(self.kappa ** 2) * (_bessel.k0(kr)
-                                        + _bessel.k1(kr) / kr) / (2.0 * np.pi)
+            k1 = _bessel.k1(kr)
+            fp = self.kappa * k1 / (2.0 * np.pi)
+            fpp = -(self.kappa ** 2) * (_bessel.k0(kr) + k1 / kr) / (2.0 * np.pi)
         else:
             e = np.exp(-kr)
             fp = e * (1.0 + kr) / (4.0 * np.pi * r ** 2)
             fpp = -e * (2.0 + 2.0 * kr + kr ** 2) / (4.0 * np.pi * r ** 3)
+        return fp, fpp
+
+    def _radial_hessian(self, pts, r):
+        # H = f''(r) xh xh^t + (f'(r)/r) (I - xh xh^t) for S = f(|x|).
+        fp, fpp = self._radial_derivs(r)
         xh = pts / r[:, None]
         proj = xh[:, :, None] * xh[:, None, :]
         eye = np.eye(self.dim)[None, :, :]
         return (fpp[:, None, None] * proj
                 + (fp / r)[:, None, None] * (eye - proj))
 
-    def k1_jacobian(self, x):
+    def k1_jacobian(self, x, weights=None):
         """Matrix of partial derivatives d_l k1_j; even, homogeneous of
-        degree -n, zero mean on the sphere."""
+        degree -n, zero mean on the sphere.
+
+        With an (m,) vector ``weights``, real or complex, returns the (n, n)
+        matrix sum_m weights[m] d_l k1_j(x[m]) instead of the (m, n, n)
+        array (see the module docstring)."""
         pts, _, single = _as_points(x, self.dim)
+        if weights is not None:
+            return _moment(self.dim, weights, len(pts),
+                           lambda: self._k1_moment_terms(pts))
         out = self._k1_jacobian(pts)
         return out[0] if single else out
+
+    def _k1_moment_terms(self, pts):
+        # per-point (scalar, vectors, outer weight) of d_l k1_j
+        # = c [a2^{-1} m^{-n} - n m^{-n-2} u u^t]
+        n = self.dim
+        u = pts @ self._a2_inv
+        m = self._ellip_radius(pts, u)
+        c = 1.0 / (sphere_measure(n) * self._sqrt_det)
+        scal = c * m ** (-n)
+        return self._a2_inv, scal, u, -n * scal / m ** 2
 
     def _k1_jacobian(self, pts):
         n = self.dim
@@ -219,14 +261,54 @@ class FundamentalSolution:
         return c * m[:, None, None] ** (-n) * (
             self._a2_inv[None, :, :] - n * outer / (m ** 2)[:, None, None])
 
-    def k2_jacobian(self, x):
-        """d_l k2_j = Hessian - d_l k1_j; integrable (degree -(n-1))."""
+    def k2_jacobian(self, x, weights=None):
+        """d_l k2_j = Hessian - d_l k1_j; integrable (degree -(n-1)).
+
+        With an (m,) vector ``weights``, real or complex, returns the (n, n)
+        matrix sum_m weights[m] d_l k2_j(x[m]), as :meth:`k1_jacobian`."""
         pts, r, single = _as_points(x, self.dim)
+        if weights is not None:
+            terms = (None if self.kind != "modified-helmholtz"
+                     else lambda: self._k2_moment_terms(pts, r))
+            return _moment(self.dim, weights, len(pts), terms)
         if self.kind == "modified-helmholtz":
             out = self._radial_hessian(pts, r) - self._k1_jacobian(pts)
         else:
             out = np.zeros((pts.shape[0], self.dim, self.dim))
         return out[0] if single else out
+
+    def _k2_moment_terms(self, pts, r):
+        # per-point (scalar, vectors, outer weight) of d_l k2_j
+        # = beta I + alpha z z^t; the two singular parts cancel in alpha
+        # and beta point by point, before any summation
+        n = self.dim
+        fp, fpp = self._radial_derivs(r)
+        c = 1.0 / (sphere_measure(n) * self._sqrt_det)
+        crn = c * r ** (-n)
+        fpr = fp / r
+        alpha = (fpp - fpr + n * crn) / (r * r)
+        return np.eye(n), fpr - crn, pts, alpha
+
+
+def _moment(n, weights, m, terms):
+    """sum_k w_k (E s_k + o_k v_k v_k^t) for the per-point terms
+    (E, s, v, o) = terms(), an (n, n) matrix, (m,) scalars, (m, n) vectors
+    and (m,) outer weights; terms None stands for a zero kernel.  A complex
+    w is summed as its real and imaginary parts, and parts that are all
+    zero are skipped, so terms() is not called when w = 0."""
+    w = np.asarray(weights)
+    if w.shape != (m,):
+        raise ValueError(f"weights must have shape ({m},), got {w.shape}")
+    cplx = np.iscomplexobj(w)
+    out = np.zeros((n, n), dtype=complex if cplx else float)
+    parts = [(1.0, w.real), (1j, w.imag)] if cplx else [(1.0, w)]
+    parts = [(unit, p) for unit, p in parts if np.any(p)]
+    if terms is None or not parts:
+        return out
+    E, s, v, o = terms()
+    for unit, p in parts:
+        out += unit * (E * (p @ s) + (v.T * (p * o)) @ v)
+    return out
 
 
 def gradient_split(fs: FundamentalSolution, j: int, x):

@@ -264,6 +264,9 @@ def volume_potential_hessian(fs: FundamentalSolution, domain: Domain, f, x,
 
     with the gradient-kernel split supplied by ``fs``; the remainder term is
     absolutely integrable and uses the same singularity-clustered rule.
+    Both volume terms are weighted kernel moments: ``fs.k1_jacobian`` and
+    ``fs.k2_jacobian`` receive the node weights (f(y) - Ef(x)) w and f(y) w
+    and return (n, n) matrices, so no (nodes, n, n) array is formed.
     ``extension`` defaults to ray transport from the star center (only its
     values on closure(Omega) enter for interior x).
     """
@@ -275,10 +278,8 @@ def volume_potential_hessian(fs: FundamentalSolution, domain: Domain, f, x,
 
     vq = singular_volume_rule(domain, x, N)
     z = x[None, :] - vq.nodes
-    j1 = fs.k1_jacobian(z)                       # (m, l, j) = d_l k1_j
     fvals = np.asarray(f(vq.nodes), dtype=complex)
-    diff = (fvals - fx) * vq.weights
-    H = np.einsum("mlj,m->lj", j1, diff)
+    H = fs.k1_jacobian(z, weights=(fvals - fx) * vq.weights)
 
     bq = cached_boundary_rule(domain, N)
     kb = fs.k1(x[None, :] - bq.nodes)            # (mb, j)
@@ -286,8 +287,7 @@ def volume_potential_hessian(fs: FundamentalSolution, domain: Domain, f, x,
     H = H - fx * K
 
     if fs.kind == "modified-helmholtz":
-        j2 = fs.k2_jacobian(z)
-        H = H + np.einsum("mlj,m->lj", j2, fvals * vq.weights)
+        H = H + fs.k2_jacobian(z, weights=fvals * vq.weights)
     return H if np.iscomplexobj(H) else H.astype(complex)
 
 

@@ -250,3 +250,46 @@ def test_rowdot_matches_norm_bitwise():
         x *= np.geomspace(1e-6, 1e3, 1000)[:, None]
         assert np.array_equal(np.sqrt(_rowdot(x, x)),
                               np.linalg.norm(x, axis=-1))
+
+
+WEIGHTED_KINDS = [
+    laplace_fundamental(2), laplace_fundamental(3),
+    principal_fundamental(OperatorCoefficients(
+        2, np.array([[3.0, 0.7], [0.7, 1.2]]), [0, 0], 0)),
+    principal_fundamental(OperatorCoefficients(
+        3, np.array([[2.0, 0.4, -0.3], [0.4, 1.5, 0.6], [-0.3, 0.6, 2.5]]),
+        [0, 0, 0], 0)),
+    helmholtz_fundamental(2, 1.0), helmholtz_fundamental(3, 1.0),
+]
+
+
+@pytest.mark.parametrize("fs", WEIGHTED_KINDS,
+                         ids=lambda fs: f"{fs.kind}-{fs.dim}d")
+def test_weighted_jacobians_match_dense_sum(fs):
+    # the weighted forms against the einsum of the dense (m, n, n) arrays;
+    # |z| spans 1e-6..3 and the weights carry the polar Jacobian |z|^n of a
+    # quadrature rule, as in volume_potential_hessian (closer to z = 0 the
+    # per-point cancellation in d k2 costs both forms the same digits)
+    rng = np.random.default_rng(11)
+    m, n = 3000, fs.dim
+    z = rng.standard_normal((m, n))
+    z *= (np.geomspace(1e-6, 3.0, m) / np.linalg.norm(z, axis=1))[:, None]
+    jac = np.linalg.norm(z, axis=1) ** n
+    real = rng.standard_normal(m) * jac
+    cplx = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * jac
+    for name in ("k1_jacobian", "k2_jacobian"):
+        dense = getattr(fs, name)(z)
+        for w in (real, cplx, real.astype(complex), 1j * real):
+            got = getattr(fs, name)(z, weights=w)
+            ref = np.einsum("mlj,m->lj", dense, w)
+            assert got.shape == (n, n) and got.dtype == ref.dtype
+            scale = np.max(np.abs(ref))
+            if name == "k2_jacobian" and fs.kind != "modified-helmholtz":
+                assert scale == 0.0 and np.all(got == 0.0)
+            else:
+                assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+        for w in (np.zeros(m), np.zeros(m, dtype=complex)):
+            got = getattr(fs, name)(z, weights=w)
+            assert got.dtype == w.dtype and np.all(got == 0.0)
+        with pytest.raises(ValueError):
+            getattr(fs, name)(z, weights=real[:-1])
