@@ -160,9 +160,12 @@ class FundamentalSolution:
         n = self.dim
         u = pts @ self._a2_inv
         m = self._ellip_radius(pts, u)
-        # scaled in place: one (m, n) array alive instead of three
+        # scaled in place, a column at a time: one (m, n) array alive
+        # instead of three, and no broadcast along the short axis
         u *= 1.0 / (sphere_measure(n) * self._sqrt_det)
-        u *= m[:, None] ** (-n)
+        s = m ** (-n)
+        for k in range(n):
+            u[:, k] *= s
         return u
 
     def grad(self, x):

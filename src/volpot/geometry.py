@@ -13,6 +13,13 @@ absorbed by the graded panels; accuracy degrades gracefully (and the
 angular resolution is raised automatically) as the point approaches the
 boundary.  A companion chord rule covers exterior points near the boundary
 of a ball.
+
+Every rule stores its nodes as a C-contiguous (m, n) array of points
+x + r d, built one coordinate at a time by ``_ray_nodes`` (and the 3D
+direction grids by ``_cone_dirs``): numpy broadcasts slowly along an
+innermost axis of length 2 or 3, running one short inner loop per node,
+while a coordinate at a time is one long loop per coordinate with the same
+per-element operations, so the same bits.
 """
 
 from __future__ import annotations
@@ -39,8 +46,10 @@ class Domain:
 
     ``kind`` is "ball" (any supported dim, arbitrary center) or "star2d"
     (planar, {r < rho(theta)} about the origin).  ``bounding_radius`` is an
-    r with closure(Omega) inside the ball B(0, r).  Instances are immutable
-    and shareable; node generation is deterministic given (domain, N, x).
+    r with closure(Omega) inside the ball B(0, r); ``inscribed_radius`` is
+    an r with B(0, r) inside Omega for star2d domains (the radius, about
+    the center, for balls).  Instances are immutable and shareable; node
+    generation is deterministic given (domain, N, x).
     """
 
     dim: int
@@ -50,6 +59,7 @@ class Domain:
     rho: object          # callable theta -> rho(theta), star2d only
     drho: object         # callable theta -> rho'(theta), star2d only
     bounding_radius: float
+    inscribed_radius: float
 
     # -- indicator ---------------------------------------------------------
 
@@ -145,12 +155,13 @@ class Domain:
         re-entered slivers thinner than the scan step go unseen, so coverage
         of strongly non-convex domains carries an O(n_scan^-2) floor.
 
-        Only scan points inside the bounding circle evaluate ``radial_gap``;
-        the rest are outside by the ``bounding_radius`` invariant.  Rays are
-        scanned in blocks of at most ``_SCAN_BLOCK`` points, so memory does
-        not grow with the ray count.  A bracket leaves the bisection once
-        its midpoint rounds onto an endpoint, after which no step can
-        change it.
+        Only scan points in the annulus between the inscribed and the
+        bounding circle evaluate ``radial_gap``; the rest are inside or
+        outside by the ``inscribed_radius`` and ``bounding_radius``
+        invariants.  Rays are scanned in blocks of at most ``_SCAN_BLOCK``
+        points, so memory does not grow with the ray count.  A bracket
+        leaves the bisection once its midpoint rounds onto an endpoint,
+        after which no step can change it.
         """
         x = np.asarray(x, dtype=float)
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
@@ -159,18 +170,19 @@ class Domain:
         tmax = 2.2 * self.bounding_radius
         ts = np.linspace(0.0, tmax, n_scan)
         r2_max = self.bounding_radius ** 2
+        r2_in = self.inscribed_radius ** 2
         xx = x @ x
         m = len(dirs)
         step = max(1, _SCAN_BLOCK // n_scan)
         ray_idx, step_idx, state_lo = [], [], []
         for start in range(0, m, step):
             d = dirs[start:start + step]
-            # |x + t d|^2 < R^2, without forming the points
-            near = xx + ts * (2.0 * (d @ x)[:, None] + ts) < r2_max
-            ri, si = np.nonzero(near)
-            inside = np.zeros(near.shape, dtype=bool)
+            # |x + t d|^2, without forming the points
+            q = xx + ts * (2.0 * (d @ x)[:, None] + ts)
+            inside = q < r2_in
+            ri, si = np.nonzero((q < r2_max) & ~inside)
             inside[ri, si] = self.radial_gap(
-                x[None, :] + ts[si, None] * d[ri]) > 0.0
+                _ray_nodes(x, ts[si, None], d[ri])) > 0.0
             if not np.all(inside[:, 0]):
                 raise DomainError("ray casting requires an interior point")
             # np.nonzero yields row-major order, so crossings are grouped
@@ -190,7 +202,7 @@ class Domain:
                 break
             lo_a, hi_a = lo[active], hi[active]
             mid = 0.5 * (lo_a + hi_a)
-            pm = x[None, :] + mid[:, None] * dirs[ray_idx[active]]
+            pm = _ray_nodes(x, mid[:, None], dirs[ray_idx[active]])
             take_lo = (self.radial_gap(pm) > 0.0) == state_lo[active]
             lo[active[take_lo]] = mid[take_lo]
             hi[active[~take_lo]] = mid[~take_lo]
@@ -216,7 +228,7 @@ def make_ball(n: int, center, R: float) -> Domain:
     center = np.array(np.asarray(center, dtype=float)).reshape(n)
     center.setflags(write=False)
     return Domain(n, "ball", center, float(R), None, None,
-                  float(R + np.linalg.norm(center)) * 1.0000001)
+                  float(R + np.linalg.norm(center)) * 1.0000001, float(R))
 
 
 def make_star2d(rho, drho=None, n_check: int = 256) -> Domain:
@@ -237,15 +249,16 @@ def make_star2d(rho, drho=None, n_check: int = 256) -> Domain:
         def drho(t, _rho=rho, _h=h):
             return (_rho(t + _h) - _rho(t - _h)) / (2.0 * _h)
 
-    # A maximum of rho between the check angles exceeds their largest value
-    # by about (dtheta / 2)^2 |rho''| / 2; on this 64x finer grid (which
-    # contains the check angles) that stays within the 1e-7 margin for
-    # |rho''| up to ~5 rho.
-    fine = np.linspace(0.0, 2.0 * np.pi, 64 * n_check, endpoint=False)
+    # An extremum of rho between the check angles passes their extreme
+    # value by about (dtheta / 2)^2 |rho''| / 2; on this 64x finer grid
+    # (which contains the check angles) that stays within the 1e-7 margins
+    # of both radii for |rho''| up to ~5 rho.
+    fine = rho(np.linspace(0.0, 2.0 * np.pi, 64 * n_check, endpoint=False))
     center = np.zeros(2)
     center.setflags(write=False)
     return Domain(2, "star2d", center, float("nan"), rho, drho,
-                  float(np.max(rho(fine))) * 1.0000001)
+                  float(np.max(fine)) * 1.0000001,
+                  float(np.min(fine)) * (1.0 - 1e-7))
 
 
 def disk(R: float = 1.0, center=(0.0, 0.0)) -> Domain:
@@ -305,6 +318,13 @@ class BoundaryQuadrature:
 
 @dataclass(frozen=True, eq=False)
 class VolumeQuadrature:
+    """Nodes and weights of a volume rule.
+
+    ``nodes`` is a C-contiguous (m, n) array built one coordinate at a time
+    (see ``_ray_nodes``): numpy is slow on innermost broadcast axes of
+    length 2-3, and kernels read the nodes a coordinate at a time too.
+    """
+
     nodes: np.ndarray     # (m, n) interior points
     weights: np.ndarray   # (m,) positive, summing to |Omega|
 
@@ -335,6 +355,36 @@ def _leggauss(p):
     return z, w
 
 
+def _ray_nodes(x, rn, dirs):
+    """Nodes x + rn[i, j] dirs[i] of an (M, P) radius array on M rays, as
+    a C-contiguous (M * P, n) array, ray-major.
+
+    Filled a coordinate at a time with the per-element operations of
+    ``x[None, None, :] + rn[:, :, None] * dirs[:, None, :]``, so bitwise
+    equal to it.  ``x`` None means no offset (adding 0.0 would turn -0.0
+    into 0.0)."""
+    n = dirs.shape[1]
+    out = np.empty(rn.shape + (n,))
+    for k in range(n):
+        np.multiply(rn, dirs[:, k, None], out=out[..., k])
+        if x is not None:
+            out[..., k] += x[k]
+    return out.reshape(-1, n)
+
+
+def _cone_dirs(ca, sa, axis, e1, e2, phi):
+    """Unit directions ca[i] axis + sa[i] (cos phi[j] e1 + sin phi[j] e2)
+    on the (polar, phi) grid, as a C-contiguous (len(ca) * len(phi), 3)
+    array; column by column, with the per-element operations of the
+    broadcast form."""
+    c, s = np.cos(phi), np.sin(phi)
+    out = np.empty((len(ca), len(phi), 3))
+    for k in range(3):
+        np.multiply(sa[:, None], c * e1[k] + s * e2[k], out=out[..., k])
+        out[..., k] += (ca * axis[k])[:, None]
+    return out.reshape(-1, 3)
+
+
 def _radial_order(N):
     return max(3, 2 + N // 8)
 
@@ -352,9 +402,9 @@ def _graded_radial(r_lo, r_hi, p, n_panels):
     bp = r_lo[:, None] + span * ks[None, :]
     bp = np.concatenate([bp, r_lo[:, None]], axis=1)
     a = bp[:, 1:]
-    b = bp[:, :-1]
-    nodes = a[:, :, None] + (b - a)[:, :, None] * u[None, None, :]
-    wts = (b - a)[:, :, None] * w[None, None, :]
+    h = bp[:, :-1] - a
+    nodes = a[:, :, None] + h[:, :, None] * u[None, None, :]
+    wts = h[:, :, None] * w[None, None, :]
     m = r_lo.shape[0]
     return nodes.reshape(m, -1), wts.reshape(m, -1)
 
@@ -425,9 +475,8 @@ def volume_rule(domain: Domain, N: int) -> VolumeQuadrature:
         rn = rmax[:, None] * u[None, :]
         rw = rmax[:, None] * w[None, :]
         e = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        nodes = center[None, None, :] + rn[:, :, None] * e[:, None, :]
         weights = rw * rn * (2.0 * np.pi / m)
-        return VolumeQuadrature(nodes.reshape(-1, 2), weights.reshape(-1))
+        return VolumeQuadrature(_ray_nodes(center, rn, e), weights.reshape(-1))
     R, c = domain.radius, domain.center
     u, w = _gl01(N)
     nt = max(8, N // 2)
@@ -443,9 +492,9 @@ def volume_rule(domain: Domain, N: int) -> VolumeQuadrature:
     wang = np.repeat(wmu, nphi) * (2.0 * np.pi / nphi)
     rn = R * u
     rw = R * w
-    nodes = c[None, None, :] + rn[None, :, None] * dirs[:, None, :]
+    nodes = _ray_nodes(c, np.broadcast_to(rn, (len(dirs), len(rn))), dirs)
     weights = wang[:, None] * rw[None, :] * rn[None, :] ** 2
-    return VolumeQuadrature(nodes.reshape(-1, 3), weights.reshape(-1))
+    return VolumeQuadrature(nodes, weights.reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -485,10 +534,8 @@ def singular_volume_rule(domain: Domain, x, N: int,
         rex, extras = domain.ray_intervals(x, dirs)
         lo = np.minimum(np.full(m, float(r_min)), rex)
         rn, rw = _graded_radial(lo, rex, p, n_panels)
-        nodes = x[None, None, :] + rn[:, :, None] * dirs[:, None, :]
-        weights = rw * rn * (2.0 * np.pi / m)
-        nodes = nodes.reshape(-1, 2)
-        weights = weights.reshape(-1)
+        nodes = _ray_nodes(x, rn, dirs)
+        weights = (rw * rn * (2.0 * np.pi / m)).reshape(-1)
         if len(extras):
             # re-entered intervals of rays through non-convex lobes; the
             # kernel is regular there, a few panels suffice.  The angular
@@ -499,10 +546,9 @@ def singular_volume_rule(domain: Domain, x, N: int,
             t_in = np.maximum(extras[:, 1], float(r_min))
             t_out = np.maximum(extras[:, 2], t_in)
             rn2, rw2 = _graded_radial(t_in, t_out, p, 6)
-            e2 = dirs[extras[:, 0].astype(int)]
-            nodes2 = x[None, None, :] + rn2[:, :, None] * e2[:, None, :]
+            nodes2 = _ray_nodes(x, rn2, dirs[extras[:, 0].astype(int)])
             weights2 = rw2 * rn2 * (2.0 * np.pi / m)
-            nodes = np.concatenate([nodes, nodes2.reshape(-1, 2)])
+            nodes = np.concatenate([nodes, nodes2])
             weights = np.concatenate([weights, weights2.reshape(-1)])
         return VolumeQuadrature(nodes, weights)
     # 3D ball: axisymmetric ray-length profile about the direction to the
@@ -518,18 +564,13 @@ def singular_volume_rule(domain: Domain, x, N: int,
     nphi = max(8, N)
     mu, wmu = _leggauss(nt)
     phi = 2.0 * np.pi * np.arange(nphi) / nphi
-    st = np.sqrt(1.0 - mu ** 2)
-    dirs = (mu[:, None, None] * axis[None, None, :]
-            + st[:, None, None] * (np.cos(phi)[None, :, None] * e1
-                                   + np.sin(phi)[None, :, None] * e2))
-    dirs = dirs.reshape(-1, 3)
+    dirs = _cone_dirs(mu, np.sqrt(1.0 - mu ** 2), axis, e1, e2, phi)
     wang = np.repeat(wmu, nphi) * (2.0 * np.pi / nphi)
     rex = domain.ray_exit(x, dirs)
     lo = np.minimum(np.full(len(rex), float(r_min)), rex)
     rn, rw = _graded_radial(lo, rex, p, n_panels)
-    nodes = x[None, None, :] + rn[:, :, None] * dirs[:, None, :]
     weights = rw * rn ** 2 * wang[:, None]
-    return VolumeQuadrature(nodes.reshape(-1, 3), weights.reshape(-1))
+    return VolumeQuadrature(_ray_nodes(x, rn, dirs), weights.reshape(-1))
 
 
 def exterior_chord_rule(domain: Domain, x, N: int) -> VolumeQuadrature:
@@ -566,26 +607,21 @@ def exterior_chord_rule(domain: Domain, x, N: int) -> VolumeQuadrature:
         t_in = b - np.sqrt(disc)
         t_out = b + np.sqrt(disc)
         rn, rw = _graded_radial(t_in, t_out, p, n_panels)
-        nodes = x[None, None, :] + rn[:, :, None] * dirs[:, None, :]
         weights = rw * rn * wphi[:, None]
-        return VolumeQuadrature(nodes.reshape(-1, 2), weights.reshape(-1))
+        return VolumeQuadrature(_ray_nodes(x, rn, dirs), weights.reshape(-1))
     e1, e2 = _axis_frame(axis)
     psi, wpsi = ang, wang1
     nphi = max(8, N)
     phi = 2.0 * np.pi * np.arange(nphi) / nphi
-    dirs = (np.cos(psi)[:, None, None] * axis[None, None, :]
-            + np.sin(psi)[:, None, None] * (np.cos(phi)[None, :, None] * e1
-                                            + np.sin(phi)[None, :, None] * e2))
-    dirs = dirs.reshape(-1, 3)
+    dirs = _cone_dirs(np.cos(psi), np.sin(psi), axis, e1, e2, phi)
     wang = np.repeat(wpsi * np.sin(psi), nphi) * (2.0 * np.pi / nphi)
     b = dirs @ d
     disc = np.maximum(b ** 2 - (rho0 ** 2 - R ** 2), 0.0)
     t_in = b - np.sqrt(disc)
     t_out = b + np.sqrt(disc)
     rn, rw = _graded_radial(t_in, t_out, p, n_panels)
-    nodes = x[None, None, :] + rn[:, :, None] * dirs[:, None, :]
     weights = rw * rn ** 2 * wang[:, None]
-    return VolumeQuadrature(nodes.reshape(-1, 3), weights.reshape(-1))
+    return VolumeQuadrature(_ray_nodes(x, rn, dirs), weights.reshape(-1))
 
 
 def near_exterior_star_rule(domain: Domain, x, N: int) -> VolumeQuadrature:
@@ -609,9 +645,8 @@ def near_exterior_star_rule(domain: Domain, x, N: int) -> VolumeQuadrature:
     rn, rw = _graded_radial(np.zeros(len(theta)), rho, p, n_panels)
     rn = rho[:, None] - rn
     e = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    nodes = rn[:, :, None] * e[:, None, :]
     weights = rw * rn * wtheta[:, None]
-    return VolumeQuadrature(nodes.reshape(-1, 2), weights.reshape(-1))
+    return VolumeQuadrature(_ray_nodes(None, rn, e), weights.reshape(-1))
 
 
 @lru_cache(maxsize=64)

@@ -34,7 +34,7 @@ from .errors import DomainError, NearBoundaryError
 from .fundsol import FundamentalSolution
 from .geometry import (Domain, cached_boundary_rule, cached_volume_rule,
                        exterior_chord_rule, near_exterior_star_rule,
-                       singular_volume_rule, _gl01, _axis_frame)
+                       singular_volume_rule, _axis_frame, _cone_dirs, _gl01)
 from .schauder import NegativeExponentDensity
 
 # Exterior points closer to the boundary than this fraction of the domain
@@ -49,6 +49,16 @@ def _classify_or_raise(domain, x):
             "point is within 1e-9 of the boundary; evaluate one-sided limits "
             "at finite offsets instead")
     return cls
+
+
+def _offsets(x, nodes):
+    """x - y for every node y, as a C-contiguous (m, n) array filled a
+    coordinate at a time: bitwise equal to ``x[None, :] - nodes``, without
+    numpy's slow broadcast along an innermost axis of length 2 or 3."""
+    z = np.empty(nodes.shape)
+    for k in range(nodes.shape[1]):
+        np.subtract(x[k], nodes[:, k], out=z[:, k])
+    return z
 
 
 def _volume_nodes_for(domain, x, N):
@@ -68,7 +78,7 @@ def volume_potential(fs: FundamentalSolution, domain: Domain, f, x,
     """int_Omega S(x - y) f(y) dy for bounded f on the closure."""
     x = np.asarray(x, dtype=float)
     vq = _volume_nodes_for(domain, x, N)
-    vals = fs.eval(x[None, :] - vq.nodes) * f(vq.nodes)
+    vals = fs.eval(_offsets(x, vq.nodes)) * f(vq.nodes)
     return complex(np.sum(vals * vq.weights))
 
 
@@ -77,7 +87,7 @@ def volume_potential_gradient(fs: FundamentalSolution, domain: Domain, f, x,
     """Gradient of the volume potential, int_Omega grad S(x - y) f(y) dy."""
     x = np.asarray(x, dtype=float)
     vq = _volume_nodes_for(domain, x, N)
-    g = fs.grad(x[None, :] - vq.nodes)
+    g = fs.grad(_offsets(x, vq.nodes))
     return np.sum(g * (f(vq.nodes) * vq.weights)[:, None], axis=0)
 
 
@@ -121,7 +131,7 @@ def subtracted_integral_G(k, psi, l: int, domain: Domain, x, N: int = 64,
         raise DomainError("x must lie in the closure of the bounding ball")
     _check_odd_homogeneous(k, domain.dim)
     vq = _volume_nodes_for(domain, x, N)
-    z = x[None, :] - vq.nodes
+    z = _offsets(x, vq.nodes)
     if dk is not None:
         dkl = np.asarray(dk(z))[:, l]
     else:
@@ -244,10 +254,7 @@ def _graded_sphere_integral(domain, integrand, x, N):
     wpsi = np.pi * GRADING_EXPONENT * u ** (GRADING_EXPONENT - 1) * w
     nphi = max(16, N)
     phi = 2.0 * np.pi * np.arange(nphi) / nphi
-    dirs = (np.cos(psi)[:, None, None] * axis[None, None, :]
-            + np.sin(psi)[:, None, None] * (np.cos(phi)[None, :, None] * e1
-                                            + np.sin(phi)[None, :, None] * e2))
-    dirs = dirs.reshape(-1, 3)
+    dirs = _cone_dirs(np.cos(psi), np.sin(psi), axis, e1, e2, phi)
     wts = np.repeat(wpsi * np.sin(psi), nphi) * (2.0 * np.pi / nphi) * R ** 2
     y = c[None, :] + R * dirs
     return complex(np.sum(integrand(y, dirs) * wts))
@@ -277,12 +284,12 @@ def volume_potential_hessian(fs: FundamentalSolution, domain: Domain, f, x,
     fx = complex(np.asarray(ef(x[None, :]))[0])
 
     vq = singular_volume_rule(domain, x, N)
-    z = x[None, :] - vq.nodes
+    z = _offsets(x, vq.nodes)
     fvals = np.asarray(f(vq.nodes), dtype=complex)
     H = fs.k1_jacobian(z, weights=(fvals - fx) * vq.weights)
 
     bq = cached_boundary_rule(domain, N)
-    kb = fs.k1(x[None, :] - bq.nodes)            # (mb, j)
+    kb = fs.k1(_offsets(x, bq.nodes))            # (mb, j)
     K = np.einsum("mj,ml,m->lj", kb, bq.normals, bq.weights)
     H = H - fx * K
 
@@ -308,7 +315,7 @@ def volume_potential_negative(fs: FundamentalSolution, domain: Domain,
     n = domain.dim
     comps = nd.components
     vq = _volume_nodes_for(domain, x, N)
-    z = x[None, :] - vq.nodes
+    z = _offsets(x, vq.nodes)
     total = complex(np.sum(fs.eval(z) * comps[0](vq.nodes) * vq.weights))
 
     def moment(y, nu):

@@ -25,7 +25,8 @@ from .geometry import (Domain, cached_boundary_rule, singular_volume_rule,
 from .operators import OperatorCoefficients, apply_operator_fd
 from .potentials import (single_layer, volume_potential,
                          volume_potential_gradient, volume_potential_hessian,
-                         volume_potential_negative, _boundary_integral)
+                         volume_potential_negative, _boundary_integral,
+                         _offsets)
 from .schauder import Modulus
 
 DEFAULT_TOLERANCES = {
@@ -311,7 +312,7 @@ def check_integration_by_parts(k, dk, domain: Domain, phi, dphi, x, j: int,
     lhs_seq = []
     for eps in eps_seq:
         vq = singular_volume_rule(domain, x, N, r_min=eps)
-        z = x[None, :] - vq.nodes
+        z = _offsets(x, vq.nodes)
         dkj = np.asarray(dk(z))[:, j]
         lhs_seq.append(np.sum(-dkj * np.asarray(phi(vq.nodes)) * vq.weights))
     steps = np.abs(np.diff(np.asarray(lhs_seq)))
@@ -321,7 +322,7 @@ def check_integration_by_parts(k, dk, domain: Domain, phi, dphi, x, j: int,
     psi, psi_seq = sphere_residue(k, j, n, eps_seq)
 
     vq = singular_volume_rule(domain, x, N)
-    kv = np.asarray(k(x[None, :] - vq.nodes))
+    kv = np.asarray(k(_offsets(x, vq.nodes)))
     rhs = -np.sum(kv * np.asarray(dphi(vq.nodes))[:, j] * vq.weights)
     rhs += _boundary_integral(
         domain,
@@ -359,7 +360,7 @@ def check_maximal_bound(k, domain: Domain, x_grid, rho_grid, N: int = 64,
         for jr, rho in enumerate(rho_grid):
             vq = singular_volume_rule(domain, x, N, r_min=rho)
             table[i, jr] = float(np.real(
-                np.sum(np.asarray(k(x[None, :] - vq.nodes)) * vq.weights)))
+                np.sum(np.asarray(k(_offsets(x, vq.nodes))) * vq.weights)))
     observed = []
     if expect == "bounded":
         worst = 0.0

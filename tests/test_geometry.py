@@ -5,9 +5,12 @@ import pytest
 
 import oracles
 from volpot import (DomainError, NearBoundaryError, boundary_rule,
-                    cosine_star, disk, ellipse, make_ball, make_star2d,
-                    singular_volume_rule, volume_rule)
-from volpot.geometry import _gl01, _leggauss, exterior_chord_rule
+                    cosine_star, disk, ellipse, laplace_fundamental,
+                    make_ball, make_star2d, singular_volume_rule,
+                    volume_rule)
+from volpot import geometry, potentials
+from volpot.geometry import (_gl01, _leggauss, exterior_chord_rule,
+                             near_exterior_star_rule)
 
 
 def test_make_ball_validation():
@@ -295,3 +298,120 @@ def test_ray_intervals_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 32e6
+
+
+def test_star_inscribed_radius_bounds_rho_between_samples():
+    # rho dips to its minimum at cos(theta) = 1/4, between the 256 check
+    # angles, where it falls 2e-5 below their smallest value; a scan point
+    # in that sliver is outside and must not be taken for inside the disk
+    s = cosine_star([1.0, -0.2, 0.2])
+    theta = np.linspace(0.0, 2.0 * np.pi, 2_000_001)
+    assert s.inscribed_radius < np.min(s.rho(theta))
+    t_dip = np.arccos(0.25)
+    d = np.array([np.cos(t_dip), np.sin(t_dip)])
+    ts = np.linspace(0.0, 2.2 * s.bounding_radius, 256)
+    x = (s.rho(t_dip) + 1e-5 - ts[120]) * d
+    dirs = np.stack([d, -d])
+    first, _ = s.ray_intervals(x, dirs)
+    assert np.array_equal(first, _ray_intervals_reference(s, x, dirs)[0])
+
+
+# The node and direction expressions the rule builders used before they
+# were built one coordinate at a time; a rule built with these must have
+# the same bits.
+
+def _ray_nodes_broadcast(x, rn, dirs):
+    n = dirs.shape[1]
+    if x is None:
+        return (rn[:, :, None] * dirs[:, None, :]).reshape(-1, n)
+    return (x[None, None, :] + rn[:, :, None] * dirs[:, None, :]).reshape(-1, n)
+
+
+def _cone_dirs_broadcast(ca, sa, axis, e1, e2, phi):
+    dirs = (ca[:, None, None] * axis[None, None, :]
+            + sa[:, None, None] * (np.cos(phi)[None, :, None] * e1
+                                   + np.sin(phi)[None, :, None] * e2))
+    return dirs.reshape(-1, 3)
+
+
+def _same_bits(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def _rule_cases(dom):
+    """(builder, args) for every volume-rule builder that applies to dom:
+    the regular rule; the singular rule at the centre and at interior
+    offsets 1e-4 and 1e-3 (also with an excised ball); the exterior rule
+    at offsets 1e-4 and 1e-3 and at a far point."""
+    c = dom.center
+    if dom.dim == 2:
+        xb, nb = dom.boundary_point(0.98), dom.boundary_normal(0.98)
+        N = 32
+    else:
+        nb = np.array([1.0, 2.0, -2.0]) / 3.0
+        xb = c + dom.radius * nb
+        N = 12
+    exterior = (exterior_chord_rule if dom.kind == "ball"
+                else near_exterior_star_rule)
+    cases = [(geometry.volume_rule, (dom, N))]
+    for x in (c, xb - 1e-4 * nb, xb - 1e-3 * nb):
+        cases.append((geometry.singular_volume_rule, (dom, x, N)))
+    cases.append((geometry.singular_volume_rule, (dom, xb - 1e-3 * nb, N,
+                                                  1e-2)))
+    for x in (xb + 1e-4 * nb, xb + 1e-3 * nb, c + 3.0 * dom.bounding_radius
+              * nb):
+        cases.append((exterior, (dom, x, N)))
+    return cases
+
+
+@pytest.mark.parametrize("dom", [disk(), ellipse(2.0, 1.0),
+                                 cosine_star([1, 0, 0, 0.2]),
+                                 make_ball(3, (0.0, 0.0, 0.0), 1.0)],
+                         ids=["disk", "ellipse", "star", "ball3d"])
+def test_rule_nodes_match_broadcast_bitwise(dom, monkeypatch):
+    cases = _rule_cases(dom)
+    with monkeypatch.context() as mp:
+        mp.setattr(geometry, "_ray_nodes", _ray_nodes_broadcast)
+        mp.setattr(geometry, "_cone_dirs", _cone_dirs_broadcast)
+        refs = [build(*args) for build, args in cases]
+    for (build, args), ref in zip(cases, refs):
+        vq = build(*args)
+        assert vq.nodes.flags.c_contiguous
+        assert vq.nodes.shape == (len(vq.weights), dom.dim)
+        assert _same_bits(vq.nodes, ref.nodes), (build.__name__, args[1:])
+        assert _same_bits(vq.weights, ref.weights), (build.__name__, args[1:])
+
+
+def test_sphere_graded_rule_matches_broadcast_bitwise(monkeypatch):
+    # the near-boundary single layer on the ball builds its cap directions
+    # with _cone_dirs
+    fs = laplace_fundamental(3)
+    dom = make_ball(3, (0.0, 0.0, 0.0), 1.0)
+    nb = np.array([1.0, 2.0, -2.0]) / 3.0
+
+    def phi(y):
+        return 1.0 + y[:, 0] * y[:, 2]
+
+    points = [(1.0 + s * h) * nb for s in (-1, 1) for h in (1e-4, 1e-3)]
+    with monkeypatch.context() as mp:
+        mp.setattr(potentials, "_cone_dirs", _cone_dirs_broadcast)
+        refs = [potentials.single_layer(fs, dom, phi, x, 12) for x in points]
+    for x, ref in zip(points, refs):
+        assert potentials.single_layer(fs, dom, phi, x, 12) == ref
+
+
+def test_offsets_match_broadcast_bitwise():
+    rng = np.random.default_rng(3)
+    for n in (2, 3):
+        x = rng.standard_normal(n)
+        nodes = np.concatenate([rng.standard_normal((1000, n)),
+                                np.zeros((2, n)), -np.zeros((2, n)),
+                                np.tile(x, (2, 1))])
+        z = potentials._offsets(x, nodes)
+        assert z.flags.c_contiguous and z.shape == nodes.shape
+        assert _same_bits(z, x[None, :] - nodes)
+    dom = disk()
+    x = np.array([1.0 + 1e-4, 0.0])
+    vq = exterior_chord_rule(dom, x, 32)
+    assert _same_bits(potentials._offsets(x, vq.nodes), x[None, :] - vq.nodes)
