@@ -34,23 +34,37 @@ _CHEB_DEGREE = 48
 _SERIES_TERMS = 14
 
 
+# The series run in place on a few (m,) buffers: potentials call them once
+# per node block, and every temporary is one more block-sized array that
+# the heap must grow for, page in and hand back on each call.
+
 def _k0_series(x):
-    q = x * x / 4.0
+    q = x * x
+    q /= 4.0
     term = np.ones_like(x)
     i0 = np.ones_like(x)
     s = np.zeros_like(x)
+    tmp = np.empty_like(x)
     h = 0.0
     for k in range(1, _SERIES_TERMS + 1):
         term *= q
         term /= k * k
         i0 += term
         h += 1.0 / k
-        s += term * h
-    return -(np.log(x / 2.0) + _EULER_GAMMA) * i0 + s
+        s += np.multiply(term, h, out=tmp)
+    # -(log(x / 2) + gamma) i0 + s
+    out = np.divide(x, 2.0, out=term)
+    np.log(out, out=out)
+    out += _EULER_GAMMA
+    np.negative(out, out=out)
+    out *= i0
+    out += s
+    return out
 
 
 def _k1_series(x):
-    q = x * x / 4.0
+    q = x * x
+    q /= 4.0
     term = x / 2.0
     i1 = term.copy()
     for k in range(1, _SERIES_TERMS + 1):
@@ -65,8 +79,15 @@ def _k1_series(x):
         c /= k * (k + 1)
         hk += 1.0 / k
         hk1 += 1.0 / (k + 1)
-        s += (-2.0 * _EULER_GAMMA + hk + hk1) * c
-    return 1.0 / x + np.log(x / 2.0) * i1 - (x / 4.0) * s
+        s += np.multiply(c, -2.0 * _EULER_GAMMA + hk + hk1, out=term)
+    # 1/x + log(x / 2) i1 - (x / 4) s
+    out = np.divide(x, 2.0, out=c)
+    np.log(out, out=out)
+    out *= i1
+    out += np.divide(1.0, x, out=term)
+    s *= np.divide(x, 4.0, out=term)
+    out -= s
+    return out
 
 
 def _scaled_integral(nu: int, x: float) -> float:
@@ -116,8 +137,11 @@ def _eval(x, series_fn, cheb_coeffs, nu):
     x = np.atleast_1d(x)
     if np.any(x <= 0.0):
         raise ValueError("K_nu requires a positive argument")
-    out = np.empty_like(x)
     small = x <= _SERIES_CUT
+    if small.all():
+        out = series_fn(x)
+        return out[0] if scalar else out
+    out = np.empty_like(x)
     large = x > _ASYMPTOTIC_CUT
     mid = ~small & ~large
     if np.any(small):

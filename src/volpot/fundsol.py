@@ -32,8 +32,8 @@ and the k2 moment of the screened kernel S = f(|x|) is
 
 with alpha and beta formed per point, so the cancellation of the two
 singular parts happens before any summation.  Real and imaginary parts of
-w are summed separately as real (n, m) @ (m, n) products; a part that is
-all zero costs nothing.
+w are summed separately, from contiguous copies, as real (n, m) @ (m, n)
+products; a part that is all zero costs nothing.
 """
 
 from __future__ import annotations
@@ -297,14 +297,17 @@ def _moment(n, weights, m, terms):
     """sum_k w_k (E s_k + o_k v_k v_k^t) for the per-point terms
     (E, s, v, o) = terms(), an (n, n) matrix, (m,) scalars, (m, n) vectors
     and (m,) outer weights; terms None stands for a zero kernel.  A complex
-    w is summed as its real and imaginary parts, and parts that are all
-    zero are skipped, so terms() is not called when w = 0."""
+    w is summed as contiguous copies of its real and imaginary parts, so
+    the real part of the result has the bits of the same weights passed as
+    real; parts that are all zero are skipped, so terms() is not called
+    when w = 0."""
     w = np.asarray(weights)
     if w.shape != (m,):
         raise ValueError(f"weights must have shape ({m},), got {w.shape}")
     cplx = np.iscomplexobj(w)
     out = np.zeros((n, n), dtype=complex if cplx else float)
-    parts = [(1.0, w.real), (1j, w.imag)] if cplx else [(1.0, w)]
+    parts = ([(1.0, np.ascontiguousarray(w.real)),
+              (1j, np.ascontiguousarray(w.imag))] if cplx else [(1.0, w)])
     parts = [(unit, p) for unit, p in parts if np.any(p)]
     if terms is None or not parts:
         return out

@@ -14,9 +14,18 @@ angular resolution is raised automatically) as the point approaches the
 boundary.  A companion chord rule covers exterior points near the boundary
 of a ball.
 
-Every rule stores its nodes as a C-contiguous (m, n) array of points
-x + r d, built one coordinate at a time by ``_ray_nodes`` (and the 3D
-direction grids by ``_cone_dirs``): numpy broadcasts slowly along an
+Every volume rule is a tuple of ray sets (``RaySet``): an origin, unit
+directions, a radial interval and an angular weight per ray, and the
+radial order, panel count and grading end shared by the rays.  Nodes and
+weights are built from it on demand, a block of rays at a time
+(``rule_blocks``), each block's (nodes, n) arrays below ``_BLOCK_BYTES``,
+so an evaluation never holds a whole 10^5-10^6 node rule.  The public
+builders (``volume_rule``, ``singular_volume_rule``,
+``exterior_chord_rule``, ``near_exterior_star_rule``) drain the same ray
+sets into a VolumeQuadrature for callers that want every node at once.
+
+Nodes x + r d are built one coordinate at a time by ``_ray_nodes`` (and the
+3D direction grids by ``_cone_dirs``): numpy broadcasts slowly along an
 innermost axis of length 2 or 3, running one short inner loop per node,
 while a coordinate at a time is one long loop per coordinate with the same
 per-element operations, so the same bits.
@@ -36,8 +45,12 @@ from .errors import DomainError, NearBoundaryError
 # rejected by interior/exterior-only operations.
 BOUNDARY_BAND = 1e-9
 
-# Domain.ray_intervals scans at most this many (ray, t) points at a time.
-_SCAN_BLOCK = 1 << 16
+# Volume rules are reduced, and star rays scanned, a block of rays at a
+# time, sized so that every (points, n) float array of a block stays below
+# this many bytes: glibc's default mmap threshold is 128 KiB, so block
+# temporaries are recycled on the heap instead of being mapped, faulted in
+# page by page and unmapped again for every evaluation.
+_BLOCK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,10 +171,11 @@ class Domain:
         Only scan points in the annulus between the inscribed and the
         bounding circle evaluate ``radial_gap``; the rest are inside or
         outside by the ``inscribed_radius`` and ``bounding_radius``
-        invariants.  Rays are scanned in blocks of at most ``_SCAN_BLOCK``
-        points, so memory does not grow with the ray count.  A bracket
-        leaves the bisection once its midpoint rounds onto an endpoint,
-        after which no step can change it.
+        invariants.  Rays are scanned in blocks whose scan points, as an
+        (points, 2) array, stay below ``_BLOCK_BYTES``, so memory does not
+        grow with the ray count.  A bracket leaves the bisection once its
+        midpoint rounds onto an endpoint, after which no step can change
+        it.
         """
         x = np.asarray(x, dtype=float)
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
@@ -173,7 +187,7 @@ class Domain:
         r2_in = self.inscribed_radius ** 2
         xx = x @ x
         m = len(dirs)
-        step = max(1, _SCAN_BLOCK // n_scan)
+        step = _rays_per_block(2 * n_scan)
         ray_idx, step_idx, state_lo = [], [], []
         for start in range(0, m, step):
             d = dirs[start:start + step]
@@ -318,18 +332,76 @@ class BoundaryQuadrature:
 
 @dataclass(frozen=True, eq=False)
 class VolumeQuadrature:
-    """Nodes and weights of a volume rule.
+    """Nodes and weights of a volume rule, all of them at once: a drained
+    tuple of ray sets (see ``RaySet``)."""
 
-    ``nodes`` is a C-contiguous (m, n) array built one coordinate at a time
-    (see ``_ray_nodes``): numpy is slow on innermost broadcast axes of
-    length 2-3, and kernels read the nodes a coordinate at a time too.
-    """
-
-    nodes: np.ndarray     # (m, n) interior points
+    nodes: np.ndarray     # (m, n) interior points, C-contiguous
     weights: np.ndarray   # (m,) positive, summing to |Omega|
 
     def integrate(self, values):
         return np.sum(values * self.weights)
+
+
+@dataclass(frozen=True, eq=False)
+class RaySet:
+    """Rays of a polar volume rule, from which nodes are built on demand.
+
+    Ray i carries the nodes ``center + r dirs[i]`` for r in
+    [lo[i], hi[i]] on n_panels + 1 Gauss-Legendre panels of order ``p``,
+    refined geometrically toward lo (toward hi when ``outer``): with
+    s = hi - lo, the panels [lo + s 2^-(k+1), lo + s 2^-k] for
+    k < n_panels and [lo, lo + s 2^-n_panels]; n_panels 0 is one plain
+    panel.  A node's weight is its radial weight times r^(n-1) times
+    ``wang[i]``.  ``center`` None means the origin, without adding zeros.
+    """
+
+    center: object        # (n,) origin of the rays, or None
+    dirs: np.ndarray      # (M, n) unit directions
+    lo: np.ndarray        # (M,) radial interval of each ray
+    hi: np.ndarray        # (M,)
+    wang: np.ndarray      # (M,) angular weights
+    p: int
+    n_panels: int
+    outer: bool = False
+
+    def block(self, i, j):
+        """Nodes (C-contiguous, ray-major) and weights of rays i .. j-1."""
+        if self.outer:
+            g, rw = _graded_radial(np.zeros(j - i),
+                                   self.hi[i:j] - self.lo[i:j], self.p,
+                                   self.n_panels)
+            rn = self.hi[i:j, None] - g
+        else:
+            rn, rw = _graded_radial(self.lo[i:j], self.hi[i:j], self.p,
+                                    self.n_panels)
+        jac = rn if self.dirs.shape[1] == 2 else rn ** 2
+        weights = rw * jac * self.wang[i:j, None]
+        return _ray_nodes(self.center, rn, self.dirs[i:j]), weights.reshape(-1)
+
+
+def _rays_per_block(floats_per_ray):
+    """Rays in one block when each ray holds floats_per_ray floats of the
+    block's largest array, which then stays below _BLOCK_BYTES."""
+    return max(1, (_BLOCK_BYTES - 1) // (8 * floats_per_ray))
+
+
+def rule_blocks(rule):
+    """(nodes, weights) of a tuple of ray sets, a block of rays at a time.
+    A block's (nodes, n) arrays stay below _BLOCK_BYTES; the blocks depend
+    on the rule alone, so sums over them are deterministic."""
+    for rs in rule:
+        m = len(rs.lo)
+        step = _rays_per_block(rs.dirs.shape[1] * rs.p * (rs.n_panels + 1))
+        for i in range(0, m, step):
+            yield rs.block(i, min(i + step, m))
+
+
+def _drain(rule):
+    """VolumeQuadrature of a tuple of ray sets, each built as one block."""
+    parts = [rs.block(0, len(rs.lo)) for rs in rule]
+    if len(parts) == 1:
+        return VolumeQuadrature(*parts[0])
+    return VolumeQuadrature(*(np.concatenate(a) for a in zip(*parts)))
 
 
 # The Gauss-Legendre rules are cached because ``leggauss`` runs an
@@ -366,9 +438,11 @@ def _ray_nodes(x, rn, dirs):
     n = dirs.shape[1]
     out = np.empty(rn.shape + (n,))
     for k in range(n):
-        np.multiply(rn, dirs[:, k, None], out=out[..., k])
-        if x is not None:
-            out[..., k] += x[k]
+        if x is None:
+            np.multiply(rn, dirs[:, k, None], out=out[..., k])
+        else:
+            # one strided write per coordinate instead of two
+            np.add(rn * dirs[:, k, None], x[k], out=out[..., k])
     return out.reshape(-1, n)
 
 
@@ -429,7 +503,11 @@ def _boundary_roughness(domain):
 
 
 # ---------------------------------------------------------------------------
-# regular rules
+# rules as ray sets
+#
+# Each factory returns a tuple of RaySets; the public builders validate
+# their input and drain that tuple into a VolumeQuadrature, while
+# potentials consume it a block at a time (``rule_blocks``).
 
 
 def boundary_rule(domain: Domain, N: int) -> BoundaryQuadrature:
@@ -446,59 +524,47 @@ def boundary_rule(domain: Domain, N: int) -> BoundaryQuadrature:
     nt = max(8, N)
     mu, wmu = _leggauss(nt)
     nphi = 2 * nt
-    phi = 2.0 * np.pi * np.arange(nphi) / nphi
-    st = np.sqrt(1.0 - mu ** 2)
-    dirs = np.empty((nt, nphi, 3))
-    dirs[..., 0] = st[:, None] * np.cos(phi)[None, :]
-    dirs[..., 1] = st[:, None] * np.sin(phi)[None, :]
-    dirs[..., 2] = mu[:, None]
-    dirs = dirs.reshape(-1, 3)
+    dirs = _sphere_dirs(mu, nphi)
     weights = np.repeat(wmu, nphi) * (2.0 * np.pi / nphi) * R ** 2
     return BoundaryQuadrature(c + R * dirs, weights, dirs)
 
 
-def volume_rule(domain: Domain, N: int) -> VolumeQuadrature:
-    """Polar-mapped product rule for smooth integrands (GL radial x
-    trapezoid angular in 2D; GL x GL x trapezoid for the 3D ball)."""
+def _sphere_dirs(mu, nphi):
+    """Directions on the (mu = cos polar angle, trapezoid phi) grid about
+    the z axis."""
+    ex, ey, ez = np.eye(3)
+    phi = 2.0 * np.pi * np.arange(nphi) / nphi
+    return _cone_dirs(mu, np.sqrt(1.0 - mu ** 2), ez, ex, ey, phi)
+
+
+def _regular_rays(domain, N):
+    """Polar product rule about the centre for smooth integrands: one plain
+    GL panel of order N per ray, trapezoid angles (2D) or GL x trapezoid
+    (3D ball)."""
     if N < 4:
         raise ValueError("N must be at least 4")
     if domain.dim == 2:
         m = max(16, 2 * N)
         theta = 2.0 * np.pi * np.arange(m) / m
-        if domain.kind == "ball":
-            rmax = np.full(m, domain.radius)
-            center = domain.center
-        else:
-            rmax = domain.rho(theta)
-            center = np.zeros(2)
-        u, w = _gl01(N)
-        rn = rmax[:, None] * u[None, :]
-        rw = rmax[:, None] * w[None, :]
-        e = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        weights = rw * rn * (2.0 * np.pi / m)
-        return VolumeQuadrature(_ray_nodes(center, rn, e), weights.reshape(-1))
-    R, c = domain.radius, domain.center
-    u, w = _gl01(N)
+        rmax = (np.full(m, domain.radius) if domain.kind == "ball"
+                else domain.rho(theta))
+        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        return (RaySet(domain.center, dirs, np.zeros(m), rmax,
+                       np.full(m, 2.0 * np.pi / m), N, 0),)
     nt = max(8, N // 2)
     mu, wmu = _leggauss(nt)
     nphi = max(8, N)
-    phi = 2.0 * np.pi * np.arange(nphi) / nphi
-    st = np.sqrt(1.0 - mu ** 2)
-    dirs = np.empty((nt, nphi, 3))
-    dirs[..., 0] = st[:, None] * np.cos(phi)[None, :]
-    dirs[..., 1] = st[:, None] * np.sin(phi)[None, :]
-    dirs[..., 2] = mu[:, None]
-    dirs = dirs.reshape(-1, 3)
+    dirs = _sphere_dirs(mu, nphi)
     wang = np.repeat(wmu, nphi) * (2.0 * np.pi / nphi)
-    rn = R * u
-    rw = R * w
-    nodes = _ray_nodes(c, np.broadcast_to(rn, (len(dirs), len(rn))), dirs)
-    weights = wang[:, None] * rw[None, :] * rn[None, :] ** 2
-    return VolumeQuadrature(nodes, weights.reshape(-1))
+    M = len(dirs)
+    return (RaySet(domain.center, dirs, np.zeros(M),
+                   np.full(M, domain.radius), wang, N, 0),)
 
 
-# ---------------------------------------------------------------------------
-# singularity-adapted rules
+def volume_rule(domain: Domain, N: int) -> VolumeQuadrature:
+    """Polar-mapped product rule for smooth integrands (GL radial x
+    trapezoid angular in 2D; GL x GL x trapezoid for the 3D ball)."""
+    return _drain(_regular_rays(domain, N))
 
 
 def _axis_frame(axis):
@@ -510,6 +576,54 @@ def _axis_frame(axis):
     return e1, e2
 
 
+def _singular_rays(domain, x, N, dist, r_min=0.0):
+    """Rays of the polar rule about the interior point x, at distance dist
+    from the boundary, graded toward x (toward the excised sphere of radius
+    r_min when r_min > 0)."""
+    p = _radial_order(N)
+    n_panels = _radial_panel_count(N)
+    r_min = float(r_min)
+    if domain.dim == 2:
+        m = _angular_count(N, dist, domain.bounding_radius,
+                           _boundary_roughness(domain))
+        theta = 2.0 * np.pi * np.arange(m) / m
+        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        rex, extras = domain.ray_intervals(x, dirs)
+        wang = np.full(m, 2.0 * np.pi / m)
+        rays = [RaySet(x, dirs, np.minimum(r_min, rex), rex, wang, p,
+                       n_panels)]
+        if len(extras):
+            # re-entered intervals of rays through non-convex lobes; the
+            # kernel is regular there, a few panels suffice.  The angular
+            # windows of these lobes have square-root edges that the
+            # uniform trapezoid resolves to ~M^{-3/2}, a ~1e-5 coverage
+            # floor for near-boundary points of strongly wavy domains
+            # (ample for the one-sided transmission limits they serve)
+            idx = extras[:, 0].astype(int)
+            t_in = np.maximum(extras[:, 1], r_min)
+            t_out = np.maximum(extras[:, 2], t_in)
+            rays.append(RaySet(x, dirs[idx], t_in, t_out, wang[idx], p, 6))
+        return tuple(rays)
+    # 3D ball: axisymmetric ray-length profile about the direction to the
+    # center, so align the polar axis with it.
+    d = x - domain.center
+    r0 = np.linalg.norm(d)
+    axis = d / r0 if r0 > 1e-14 else np.array([0.0, 0.0, 1.0])
+    e1, e2 = _axis_frame(axis)
+    nt = max(6, N // 2)
+    if dist < 0.05 * domain.bounding_radius:
+        nt = max(nt, int(6.0 / np.sqrt(max(dist, 1e-12)
+                                       / domain.bounding_radius)))
+        nt = min(nt, 2000)
+    nphi = max(8, N)
+    mu, wmu = _leggauss(nt)
+    phi = 2.0 * np.pi * np.arange(nphi) / nphi
+    dirs = _cone_dirs(mu, np.sqrt(1.0 - mu ** 2), axis, e1, e2, phi)
+    wang = np.repeat(wmu, nphi) * (2.0 * np.pi / nphi)
+    rex = domain.ray_exit(x, dirs)
+    return (RaySet(x, dirs, np.minimum(r_min, rex), rex, wang, p, n_panels),)
+
+
 def singular_volume_rule(domain: Domain, x, N: int,
                          r_min: float = 0.0) -> VolumeQuadrature:
     """Volume rule with nodes polar-clustered at the strictly interior
@@ -519,68 +633,18 @@ def singular_volume_rule(domain: Domain, x, N: int,
     principal-value and maximal-function experiments).
     """
     x = np.asarray(x, dtype=float)
-    cls = domain.classify(x)
-    if cls <= 0:
+    if domain.classify(x) <= 0:
         raise NearBoundaryError(
             "singular_volume_rule requires a strictly interior point")
-    dist = domain.distance_to_boundary(x)
-    p = _radial_order(N)
-    n_panels = _radial_panel_count(N)
-    if domain.dim == 2:
-        m = _angular_count(N, dist, domain.bounding_radius,
-                           _boundary_roughness(domain))
-        theta = 2.0 * np.pi * np.arange(m) / m
-        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        rex, extras = domain.ray_intervals(x, dirs)
-        lo = np.minimum(np.full(m, float(r_min)), rex)
-        rn, rw = _graded_radial(lo, rex, p, n_panels)
-        nodes = _ray_nodes(x, rn, dirs)
-        weights = (rw * rn * (2.0 * np.pi / m)).reshape(-1)
-        if len(extras):
-            # re-entered intervals of rays through non-convex lobes; the
-            # kernel is regular there, a few panels suffice.  The angular
-            # windows of these lobes have square-root edges that the
-            # uniform trapezoid resolves to ~M^{-3/2}, a ~1e-5 coverage
-            # floor for near-boundary points of strongly wavy domains
-            # (ample for the one-sided transmission limits they serve)
-            t_in = np.maximum(extras[:, 1], float(r_min))
-            t_out = np.maximum(extras[:, 2], t_in)
-            rn2, rw2 = _graded_radial(t_in, t_out, p, 6)
-            nodes2 = _ray_nodes(x, rn2, dirs[extras[:, 0].astype(int)])
-            weights2 = rw2 * rn2 * (2.0 * np.pi / m)
-            nodes = np.concatenate([nodes, nodes2])
-            weights = np.concatenate([weights, weights2.reshape(-1)])
-        return VolumeQuadrature(nodes, weights)
-    # 3D ball: axisymmetric ray-length profile about the direction to the
-    # center, so align the polar axis with it.
-    d = x - domain.center
-    r0 = np.linalg.norm(d)
-    axis = d / r0 if r0 > 1e-14 else np.array([0.0, 0.0, 1.0])
-    e1, e2 = _axis_frame(axis)
-    nt = max(6, N // 2)
-    if dist < 0.05 * domain.bounding_radius:
-        nt = max(nt, int(6.0 / np.sqrt(max(dist, 1e-12) / domain.bounding_radius)))
-        nt = min(nt, 2000)
-    nphi = max(8, N)
-    mu, wmu = _leggauss(nt)
-    phi = 2.0 * np.pi * np.arange(nphi) / nphi
-    dirs = _cone_dirs(mu, np.sqrt(1.0 - mu ** 2), axis, e1, e2, phi)
-    wang = np.repeat(wmu, nphi) * (2.0 * np.pi / nphi)
-    rex = domain.ray_exit(x, dirs)
-    lo = np.minimum(np.full(len(rex), float(r_min)), rex)
-    rn, rw = _graded_radial(lo, rex, p, n_panels)
-    weights = rw * rn ** 2 * wang[:, None]
-    return VolumeQuadrature(_ray_nodes(x, rn, dirs), weights.reshape(-1))
+    return _drain(_singular_rays(domain, x, N,
+                                 domain.distance_to_boundary(x), r_min))
 
 
-def exterior_chord_rule(domain: Domain, x, N: int) -> VolumeQuadrature:
-    """Volume rule for an exterior point near the boundary of a ball: rays
-    from x toward the ball, chords graded toward the entry points.  The
-    angular window is parametrized with endpoint clustering since the chord
-    length vanishes like a square root at the tangent rays."""
+def _chord_rays(domain, x, N):
+    """Rays from the exterior point x toward a ball, chords graded toward
+    the entry points, over an angular window graded toward both ends."""
     if domain.kind != "ball":
         raise DomainError("exterior chord rule is implemented for balls")
-    x = np.asarray(x, dtype=float)
     d = domain.center - x
     rho0 = np.linalg.norm(d)
     R = domain.radius
@@ -600,28 +664,45 @@ def exterior_chord_rule(domain: Domain, x, N: int) -> VolumeQuadrature:
     if domain.dim == 2:
         e1 = np.array([-axis[1], axis[0]])
         phi = np.concatenate([ang, -ang])
-        wphi = np.concatenate([wang1, wang1])
-        dirs = np.cos(phi)[:, None] * axis[None, :] + np.sin(phi)[:, None] * e1[None, :]
+        wang = np.concatenate([wang1, wang1])
+        dirs = (np.cos(phi)[:, None] * axis[None, :]
+                + np.sin(phi)[:, None] * e1[None, :])
         b = rho0 * np.cos(phi)
-        disc = np.maximum(b ** 2 - (rho0 ** 2 - R ** 2), 0.0)
-        t_in = b - np.sqrt(disc)
-        t_out = b + np.sqrt(disc)
-        rn, rw = _graded_radial(t_in, t_out, p, n_panels)
-        weights = rw * rn * wphi[:, None]
-        return VolumeQuadrature(_ray_nodes(x, rn, dirs), weights.reshape(-1))
-    e1, e2 = _axis_frame(axis)
-    psi, wpsi = ang, wang1
-    nphi = max(8, N)
-    phi = 2.0 * np.pi * np.arange(nphi) / nphi
-    dirs = _cone_dirs(np.cos(psi), np.sin(psi), axis, e1, e2, phi)
-    wang = np.repeat(wpsi * np.sin(psi), nphi) * (2.0 * np.pi / nphi)
-    b = dirs @ d
+    else:
+        e1, e2 = _axis_frame(axis)
+        nphi = max(8, N)
+        phi = 2.0 * np.pi * np.arange(nphi) / nphi
+        dirs = _cone_dirs(np.cos(ang), np.sin(ang), axis, e1, e2, phi)
+        wang = np.repeat(wang1 * np.sin(ang), nphi) * (2.0 * np.pi / nphi)
+        b = dirs @ d
     disc = np.maximum(b ** 2 - (rho0 ** 2 - R ** 2), 0.0)
-    t_in = b - np.sqrt(disc)
-    t_out = b + np.sqrt(disc)
-    rn, rw = _graded_radial(t_in, t_out, p, n_panels)
-    weights = rw * rn ** 2 * wang[:, None]
-    return VolumeQuadrature(_ray_nodes(x, rn, dirs), weights.reshape(-1))
+    return (RaySet(x, dirs, b - np.sqrt(disc), b + np.sqrt(disc), wang, p,
+                   n_panels),)
+
+
+def exterior_chord_rule(domain: Domain, x, N: int) -> VolumeQuadrature:
+    """Volume rule for an exterior point near the boundary of a ball: rays
+    from x toward the ball, chords graded toward the entry points.  The
+    angular window is parametrized with endpoint clustering since the chord
+    length vanishes like a square root at the tangent rays."""
+    return _drain(_chord_rays(domain, np.asarray(x, dtype=float), N))
+
+
+def _near_star_rays(domain, x, N):
+    """Rays of a star2d domain's own polar coordinates, angles graded toward
+    the direction of x, radii graded toward the boundary radius."""
+    if domain.kind != "star2d":
+        raise DomainError("near_exterior_star_rule requires a star2d domain")
+    theta0 = float(np.arctan2(x[1], x[0]))
+    p = _radial_order(N)
+    n_panels = _radial_panel_count(N)
+    half, whalf = _graded_radial(np.zeros(1), np.array([np.pi]), p, n_panels)
+    theta = theta0 + np.concatenate([half[0], -half[0]])
+    wtheta = np.concatenate([whalf[0], whalf[0]])
+    e = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    # grade toward the outer edge r = rho(theta), where the kernel peaks
+    return (RaySet(None, e, np.zeros(len(theta)), domain.rho(theta), wtheta,
+                   p, n_panels, outer=True),)
 
 
 def near_exterior_star_rule(domain: Domain, x, N: int) -> VolumeQuadrature:
@@ -631,22 +712,7 @@ def near_exterior_star_rule(domain: Domain, x, N: int) -> VolumeQuadrature:
     graded toward the direction of ``x`` and radial panels graded toward
     the boundary radius, so integrands peaked just outside the wall are
     resolved without ray-window geometry."""
-    if domain.kind != "star2d":
-        raise DomainError("near_exterior_star_rule requires a star2d domain")
-    x = np.asarray(x, dtype=float)
-    theta0 = float(np.arctan2(x[1], x[0]))
-    p = _radial_order(N)
-    n_panels = _radial_panel_count(N)
-    half, whalf = _graded_radial(np.zeros(1), np.array([np.pi]), p, n_panels)
-    theta = theta0 + np.concatenate([half[0], -half[0]])
-    wtheta = np.concatenate([whalf[0], whalf[0]])
-    rho = domain.rho(theta)
-    # grade toward the outer edge r = rho(theta), where the kernel peaks
-    rn, rw = _graded_radial(np.zeros(len(theta)), rho, p, n_panels)
-    rn = rho[:, None] - rn
-    e = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    weights = rw * rn * wtheta[:, None]
-    return VolumeQuadrature(_ray_nodes(None, rn, e), weights.reshape(-1))
+    return _drain(_near_star_rays(domain, np.asarray(x, dtype=float), N))
 
 
 @lru_cache(maxsize=64)

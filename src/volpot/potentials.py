@@ -16,12 +16,21 @@ odd homogeneous kernel) against densities on a domain or its boundary:
 
 Interior evaluation uses the polar rule centered at the point; exterior
 evaluation uses the regular rule far from the boundary and a chord rule
-close to it.  Points within 1e-9 of the boundary are rejected; transmission
-is tested through one-sided limits (see :mod:`volpot.verify`).
+(ball) or the domain's own polar rule (star) close to it.  Points within
+1e-9 of the boundary are rejected; transmission is tested through one-sided
+limits (see :mod:`volpot.verify`).
+
+Volume terms are reduced block by block: the rule for a point is a tuple
+of ray sets (see :mod:`volpot.geometry`), and each block of rays is built,
+turned into offsets, run through the kernel and the density and summed
+before the next one is built, so memory does not grow with the node count.
+The cached regular rule of far points is reduced as one block.
 
 Everything here is a pure function of immutable inputs: batch evaluation
-over point grids may run on several threads, and results are
-bit-reproducible at a fixed thread count of one (the golden-test mode).
+over point grids may run on several threads.  The blocks depend on the
+rule alone (their size is fixed by ``geometry._BLOCK_BYTES``), so results
+are deterministic; at a BLAS thread count of one they repeat bit for bit
+(the golden-test mode).
 """
 
 from __future__ import annotations
@@ -33,8 +42,8 @@ import numpy as np
 from .errors import DomainError, NearBoundaryError
 from .fundsol import FundamentalSolution
 from .geometry import (Domain, cached_boundary_rule, cached_volume_rule,
-                       exterior_chord_rule, near_exterior_star_rule,
-                       singular_volume_rule, _axis_frame, _cone_dirs, _gl01)
+                       rule_blocks, _axis_frame, _chord_rays, _cone_dirs,
+                       _gl01, _near_star_rays, _singular_rays)
 from .schauder import NegativeExponentDensity
 
 # Exterior points closer to the boundary than this fraction of the domain
@@ -61,34 +70,38 @@ def _offsets(x, nodes):
     return z
 
 
-def _volume_nodes_for(domain, x, N):
+def _volume_blocks(domain, x, N):
+    """(nodes, weights) blocks of the volume rule for the point x: the
+    polar rule about an interior x, the chord (ball) or star-near rule for
+    an exterior x near the boundary, each a block of rays at a time; far
+    from the boundary, the cached regular rule, built already, as one
+    block.  The point is classified, and its distance measured, once."""
     cls = _classify_or_raise(domain, x)
-    if cls > 0:
-        return singular_volume_rule(domain, x, N)
     dist = domain.distance_to_boundary(x)
-    if dist < NEAR_FRACTION * domain.bounding_radius:
-        if domain.kind == "ball":
-            return exterior_chord_rule(domain, x, N)
-        return near_exterior_star_rule(domain, x, N)
-    return cached_volume_rule(domain, N)
+    if cls > 0:
+        return rule_blocks(_singular_rays(domain, x, N, dist))
+    if dist >= NEAR_FRACTION * domain.bounding_radius:
+        vq = cached_volume_rule(domain, N)
+        return [(vq.nodes, vq.weights)]
+    if domain.kind == "ball":
+        return rule_blocks(_chord_rays(domain, x, N))
+    return rule_blocks(_near_star_rays(domain, x, N))
 
 
 def volume_potential(fs: FundamentalSolution, domain: Domain, f, x,
                      N: int = 64) -> complex:
     """int_Omega S(x - y) f(y) dy for bounded f on the closure."""
     x = np.asarray(x, dtype=float)
-    vq = _volume_nodes_for(domain, x, N)
-    vals = fs.eval(_offsets(x, vq.nodes)) * f(vq.nodes)
-    return complex(np.sum(vals * vq.weights))
+    return complex(sum(np.sum(fs.eval(_offsets(x, y)) * f(y) * w)
+                       for y, w in _volume_blocks(domain, x, N)))
 
 
 def volume_potential_gradient(fs: FundamentalSolution, domain: Domain, f, x,
                               N: int = 64) -> np.ndarray:
     """Gradient of the volume potential, int_Omega grad S(x - y) f(y) dy."""
     x = np.asarray(x, dtype=float)
-    vq = _volume_nodes_for(domain, x, N)
-    g = fs.grad(_offsets(x, vq.nodes))
-    return np.sum(g * (f(vq.nodes) * vq.weights)[:, None], axis=0)
+    return sum(np.sum(fs.grad(_offsets(x, y)) * (f(y) * w)[:, None], axis=0)
+               for y, w in _volume_blocks(domain, x, N))
 
 
 def radial_extension(domain: Domain, f):
@@ -130,17 +143,20 @@ def subtracted_integral_G(k, psi, l: int, domain: Domain, x, N: int = 64,
     if np.linalg.norm(x) > domain.bounding_radius * (1.0 + 1e-12):
         raise DomainError("x must lie in the closure of the bounding ball")
     _check_odd_homogeneous(k, domain.dim)
-    vq = _volume_nodes_for(domain, x, N)
-    z = _offsets(x, vq.nodes)
-    if dk is not None:
-        dkl = np.asarray(dk(z))[:, l]
-    else:
-        h = 1e-6 * np.linalg.norm(z, axis=-1)
-        step = np.zeros_like(z)
-        step[:, l] = h
-        dkl = (np.asarray(k(z + step)) - np.asarray(k(z - step))) / (2.0 * h)
-    diff = psi(vq.nodes) - psi(x)
-    return complex(np.sum(dkl * diff * vq.weights))
+    psi_x = psi(x)
+    total = 0.0
+    for y, w in _volume_blocks(domain, x, N):
+        z = _offsets(x, y)
+        if dk is not None:
+            dkl = np.asarray(dk(z))[:, l]
+        else:
+            h = 1e-6 * np.linalg.norm(z, axis=-1)
+            step = np.zeros_like(z)
+            step[:, l] = h
+            dkl = ((np.asarray(k(z + step)) - np.asarray(k(z - step)))
+                   / (2.0 * h))
+        total += np.sum(dkl * (psi(y) - psi_x) * w)
+    return complex(total)
 
 
 def _check_odd_homogeneous(k, n, tol=1e-8):
@@ -271,9 +287,11 @@ def volume_potential_hessian(fs: FundamentalSolution, domain: Domain, f, x,
 
     with the gradient-kernel split supplied by ``fs``; the remainder term is
     absolutely integrable and uses the same singularity-clustered rule.
-    Both volume terms are weighted kernel moments: ``fs.k1_jacobian`` and
-    ``fs.k2_jacobian`` receive the node weights (f(y) - Ef(x)) w and f(y) w
-    and return (n, n) matrices, so no (nodes, n, n) array is formed.
+    Both volume terms are weighted kernel moments, summed block by block:
+    ``fs.k1_jacobian`` and ``fs.k2_jacobian`` receive the node weights
+    (f(y) - Ef(x)) w and f(y) w and return (n, n) matrices, so no
+    (nodes, n, n) array is formed.  A real density stays real until the
+    result is cast to complex.
     ``extension`` defaults to ray transport from the star center (only its
     values on closure(Omega) enter for interior x).
     """
@@ -281,21 +299,25 @@ def volume_potential_hessian(fs: FundamentalSolution, domain: Domain, f, x,
     if domain.classify(x) <= 0:
         raise NearBoundaryError("Hessian evaluation requires an interior point")
     ef = extension if extension is not None else radial_extension(domain, f)
-    fx = complex(np.asarray(ef(x[None, :]))[0])
+    fx = np.asarray(ef(x[None, :]))[0]
 
-    vq = singular_volume_rule(domain, x, N)
-    z = _offsets(x, vq.nodes)
-    fvals = np.asarray(f(vq.nodes), dtype=complex)
-    H = fs.k1_jacobian(z, weights=(fvals - fx) * vq.weights)
+    rays = _singular_rays(domain, x, N, domain.distance_to_boundary(x))
+    screened = fs.kind == "modified-helmholtz"
+    H1 = H2 = 0.0
+    for y, w in rule_blocks(rays):
+        z = _offsets(x, y)
+        fvals = np.asarray(f(y))
+        H1 = H1 + fs.k1_jacobian(z, weights=(fvals - fx) * w)
+        if screened:
+            H2 = H2 + fs.k2_jacobian(z, weights=fvals * w)
 
     bq = cached_boundary_rule(domain, N)
     kb = fs.k1(_offsets(x, bq.nodes))            # (mb, j)
     K = np.einsum("mj,ml,m->lj", kb, bq.normals, bq.weights)
-    H = H - fx * K
-
-    if fs.kind == "modified-helmholtz":
-        H = H + fs.k2_jacobian(z, weights=fvals * vq.weights)
-    return H if np.iscomplexobj(H) else H.astype(complex)
+    H = H1 - fx * K
+    if screened:
+        H = H + H2
+    return np.asarray(H, dtype=complex)
 
 
 def volume_potential_negative(fs: FundamentalSolution, domain: Domain,
@@ -307,16 +329,21 @@ def volume_potential_negative(fs: FundamentalSolution, domain: Domain,
         + sum_j int_dOmega S(x-y) nu_j f_j dsigma
         + sum_j d/dx_j int_Omega S(x-y) f_j dy.
 
-    All volume terms share one rule and one kernel pass: the rule for x is
-    built once, S and grad S are evaluated once on its nodes, and f0 and
-    every f_j are reduced against those arrays.
+    All volume terms share one rule and one kernel pass: each block of the
+    rule for x is built once, S and grad S are evaluated once on its nodes,
+    and f0 and every f_j are reduced against those arrays.
     """
     x = np.asarray(x, dtype=float)
     n = domain.dim
     comps = nd.components
-    vq = _volume_nodes_for(domain, x, N)
-    z = _offsets(x, vq.nodes)
-    total = complex(np.sum(fs.eval(z) * comps[0](vq.nodes) * vq.weights))
+    value = grad = 0
+    for y, w in _volume_blocks(domain, x, N):
+        z = _offsets(x, y)
+        value = value + np.sum(fs.eval(z) * comps[0](y) * w)
+        fw = np.stack([np.asarray(comps[j + 1](y)) * w for j in range(n)],
+                      axis=1)
+        grad = grad + np.sum(fs.grad(z) * fw, axis=0)
+    total = complex(value)
 
     def moment(y, nu):
         out = np.zeros(y.shape[0], dtype=complex)
@@ -325,12 +352,7 @@ def volume_potential_negative(fs: FundamentalSolution, domain: Domain,
         return fs.eval(x[None, :] - y) * out
 
     total += _boundary_integral(domain, moment, x, N)
-    # grad before the weighted components exist, so they do not add to
-    # the peak memory of the kernel pass
-    g = fs.grad(z)
-    fw = np.stack([np.asarray(comps[j + 1](vq.nodes)) * vq.weights
-                   for j in range(n)], axis=1)
-    for gj in np.sum(g * fw, axis=0):
+    for gj in grad:
         total += gj
     return complex(total)
 

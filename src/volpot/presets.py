@@ -109,16 +109,35 @@ def get_preset(name: str, k: float = 1.0) -> DensityPreset:
                    f"available: {sorted(_FIXED) + ['cos_k', 'bump']}")
 
 
+# tabulated_from_csv scans its table in chunks of rows whose (points, rows,
+# n) difference array stays near this many bytes
+_LOOKUP_BYTES = 1 << 21
+
+
 def tabulated_from_csv(path) -> DensityPreset:
     """Density tabulated as rows y1,y2[,y3],value; evaluation is a
     nearest-node lookup (adequate when the table was produced on the same
-    quadrature nodes it is consumed on)."""
+    quadrature nodes it is consumed on).  The table is scanned in chunks of
+    rows with a running argmin, so memory does not grow with the table; of
+    equally near rows the first wins, as in one argmin over all rows."""
     pts, vals = read_samples_csv(path)
 
     def value(y):
         y = np.atleast_2d(np.asarray(y, dtype=float))
-        d = np.linalg.norm(y[:, None, :] - pts[None, :, :], axis=-1)
-        return vals[np.argmin(d, axis=1)]
+        m = len(y)
+        step = max(1, _LOOKUP_BYTES // (8 * m * y.shape[1]))
+        best = np.full(m, np.inf)
+        idx = np.zeros(m, dtype=np.intp)
+        rows = np.arange(m)
+        for i in range(0, len(pts), step):
+            d = np.linalg.norm(y[:, None, :] - pts[None, i:i + step, :],
+                               axis=-1)
+            j = np.argmin(d, axis=1)
+            dj = d[rows, j]
+            closer = dj < best
+            best[closer] = dj[closer]
+            idx[closer] = i + j[closer]
+        return vals[idx]
 
     return DensityPreset(f"csv:{path}", value, None)
 

@@ -13,6 +13,7 @@ and may run concurrently, but each one is single-threaded internally.
 from __future__ import annotations
 
 import csv
+import re
 import time
 from dataclasses import dataclass, field
 
@@ -97,8 +98,11 @@ def write_reports_csv(reports, path):
 
 def compare_reports_csv(path_a, path_b, rtol: float = 1e-9,
                         atol: float = 1e-12) -> bool:
-    """Golden-report comparison: the check/param/label/pass fields must
-    match exactly, the value and tolerance fields numerically."""
+    """Golden-report comparison: the check/label/pass fields must match
+    exactly, the value and tolerance fields numerically.  ``param`` is split
+    into tokens at ``; = [ ]`` and blanks: separators and non-numeric tokens
+    must match exactly, numeric tokens numerically (the header row holds no
+    numbers, so it must match exactly)."""
     with open(path_a, newline="") as fh:
         rows_a = list(csv.reader(fh))
     with open(path_b, newline="") as fh:
@@ -106,15 +110,27 @@ def compare_reports_csv(path_a, path_b, rtol: float = 1e-9,
     if len(rows_a) != len(rows_b):
         return False
     for ra, rb in zip(rows_a, rows_b):
-        if ra[:3] != rb[:3] or ra[5:] != rb[5:]:
+        if len(ra) != len(rb) or ra[0] != rb[0] or ra[2] != rb[2] \
+                or ra[5:] != rb[5:]:
             return False
-        if ra[3] == rb[3] == "value":      # header row
-            continue
-        for va, vb in zip(ra[3:5], rb[3:5]):
-            fa, fb = float(va), float(vb)
-            if not np.isclose(fa, fb, rtol=rtol, atol=atol, equal_nan=True):
-                return False
+        ta = _PARAM_SPLIT.split(ra[1]) + ra[3:5]
+        tb = _PARAM_SPLIT.split(rb[1]) + rb[3:5]
+        if len(ta) != len(tb) or not all(
+                _same_token(a, b, rtol, atol) for a, b in zip(ta, tb)):
+            return False
     return True
+
+
+# separators of a param string, kept as tokens by the capturing group
+_PARAM_SPLIT = re.compile(r"([;=\[\]\s])")
+
+
+def _same_token(a, b, rtol, atol):
+    try:
+        fa, fb = float(a), float(b)
+    except ValueError:
+        return a == b
+    return bool(np.isclose(fa, fb, rtol=rtol, atol=atol, equal_nan=True))
 
 
 def _timed(fn):

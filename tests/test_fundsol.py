@@ -293,3 +293,22 @@ def test_weighted_jacobians_match_dense_sum(fs):
             assert got.dtype == w.dtype and np.all(got == 0.0)
         with pytest.raises(ValueError):
             getattr(fs, name)(z, weights=real[:-1])
+
+
+@pytest.mark.parametrize("fs", WEIGHTED_KINDS,
+                         ids=lambda fs: f"{fs.kind}-{fs.dim}d")
+def test_weighted_jacobians_same_bits_real_or_complex(fs):
+    # one weight vector passed as real, as complex and as imaginary: each
+    # part of a complex moment has the bits of the real moment
+    rng = np.random.default_rng(12)
+    m, n = 3000, fs.dim
+    z = rng.standard_normal((m, n))
+    z *= (np.geomspace(1e-3, 3.0, m) / np.linalg.norm(z, axis=1))[:, None]
+    w = rng.standard_normal(m) * np.linalg.norm(z, axis=1) ** n
+    for name in ("k1_jacobian", "k2_jacobian"):
+        real = getattr(fs, name)(z, weights=w)
+        as_complex = getattr(fs, name)(z, weights=w.astype(complex))
+        as_imag = getattr(fs, name)(z, weights=1j * w)
+        assert np.array_equal(as_complex.real, real)
+        assert np.array_equal(as_imag.imag, real)
+        assert np.all(as_complex.imag == 0.0) and np.all(as_imag.real == 0.0)

@@ -1,0 +1,75 @@
+"""Golden reports: the CLI's default runs must keep reproducing the committed
+CSVs in tests/golden/ under verify.compare_reports_csv at rtol 1e-9.
+
+The goldens are the default ``volpot verify`` report and ``volpot converge``
+and ``volpot modulus`` at seed 0.  Regenerate them only for a change that is
+meant to move report values, and say so where the change is recorded.
+"""
+
+import csv
+from pathlib import Path
+
+import pytest
+
+from volpot.cli import main
+from volpot.verify import _PARAM_SPLIT, compare_reports_csv
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+RUNS = {"report.csv": "verify", "converge.csv": "converge",
+        "modulus.csv": "modulus"}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_cli_reproduces_golden_report(name, tmp_path):
+    # exit status 1 (a failed check) still writes the report, and the
+    # golden comparison covers the pass column
+    assert main([RUNS[name], "--out", str(tmp_path), "--seed", "0"]) in (0, 1)
+    assert compare_reports_csv(GOLDEN / name, tmp_path / name, rtol=1e-9)
+
+
+def _rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def _write(path, rows):
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def _mutated(rows, field, factor):
+    """Copy of rows with the first numeric token of magnitude >= 1e-3 in
+    ``field`` ("param", or "value" for the value and tolerance columns)
+    multiplied by factor, or None when there is no such token."""
+    for r, row in enumerate(rows[1:], 1):
+        cols = [1] if field == "param" else [3, 4]
+        for c in cols:
+            tokens = _PARAM_SPLIT.split(row[c])
+            for t, tok in enumerate(tokens):
+                try:
+                    v = float(tok)
+                except ValueError:
+                    continue
+                if abs(v) >= 1e-3:
+                    tokens[t] = f"{v * factor:.12g}"
+                    out = [list(x) for x in rows]
+                    out[r][c] = "".join(tokens)
+                    return out
+    return None
+
+
+# converge.csv's values and tolerances all lie below 1e-3
+@pytest.mark.parametrize("name, field", [
+    ("report.csv", "param"), ("report.csv", "value"),
+    ("converge.csv", "param"),
+    ("modulus.csv", "param"), ("modulus.csv", "value")])
+def test_golden_gate_has_teeth(name, field, tmp_path):
+    rows = _rows(GOLDEN / name)
+    bad = _mutated(rows, field, 1 + 1e-8)
+    _write(tmp_path / name, bad)
+    assert not compare_reports_csv(GOLDEN / name, tmp_path / name)
+    # the same token moved by 1e-10 relative is a rounding change and passes
+    ok = _mutated(rows, field, 1 + 1e-10)
+    assert ok != rows
+    _write(tmp_path / name, ok)
+    assert compare_reports_csv(GOLDEN / name, tmp_path / name)

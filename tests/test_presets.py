@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from volpot import presets
 from volpot import (disk, get_preset, laplace_fundamental, read_samples_csv,
                     tabulated_from_csv, volume_potential, volume_rule,
                     write_samples_csv)
@@ -45,3 +48,41 @@ def test_tabulated_density_on_quadrature_nodes(tmp_path):
     fs = laplace_fundamental(2)
     val = volume_potential(fs, dom, density, np.zeros(2), 32)
     assert val.real == pytest.approx(-0.25, abs=1e-7)
+
+
+def _dense_lookup(pts, vals, y):
+    d = np.linalg.norm(y[:, None, :] - pts[None, :, :], axis=-1)
+    return vals[np.argmin(d, axis=1)]
+
+
+def test_tabulated_lookup_matches_dense_argmin(tmp_path, monkeypatch):
+    # a table with repeated rows (ties keep the first) scanned in chunks of
+    # 7 rows, against one argmin over the whole table
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-1.0, 1.0, size=(200, 2))
+    pts = np.concatenate([pts, pts[::3], pts[:10]])
+    vals = np.arange(len(pts), dtype=float)
+    path = tmp_path / "table.csv"
+    write_samples_csv(path, pts, vals, header_prefix="y")
+    y = np.concatenate([rng.uniform(-1.2, 1.2, size=(300, 2)), pts[::5]])
+    monkeypatch.setattr(presets, "_LOOKUP_BYTES", 8 * len(y) * 2 * 7)
+    assert np.array_equal(tabulated_from_csv(path)(y),
+                          _dense_lookup(pts, vals, y))
+
+
+def test_tabulated_lookup_memory_bounded(tmp_path):
+    # an 8192-row table read at 2048 points: the dense (points, rows, 2)
+    # difference array alone would take 268 MB
+    rng = np.random.default_rng(6)
+    pts = rng.uniform(-1.0, 1.0, size=(8192, 2))
+    path = tmp_path / "big.csv"
+    write_samples_csv(path, pts, rng.standard_normal(8192), header_prefix="y")
+    density = tabulated_from_csv(path)
+    y = rng.uniform(-1.0, 1.0, size=(2048, 2))
+    tracemalloc.start()
+    try:
+        density(y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak

@@ -1,0 +1,135 @@
+"""Volume rules streamed a block of rays at a time.
+
+The potentials reduce every polar rule block by block; the public builders
+drain the same ray sets into one VolumeQuadrature.  Sums over the blocks
+must agree with np.sum over the drained rule to rounding (1e-13 relative),
+and the memory of an evaluation must not grow with the rule.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from volpot import (cosine_star, disk, get_preset, helmholtz_fundamental,
+                    laplace_fundamental, make_ball, volume_potential,
+                    volume_potential_gradient, volume_potential_hessian)
+from volpot import geometry
+from volpot.geometry import (_chord_rays, _drain, _near_star_rays,
+                             _singular_rays, cached_volume_rule,
+                             exterior_chord_rule, near_exterior_star_rule,
+                             rule_blocks, singular_volume_rule)
+from volpot.potentials import _offsets
+
+DISK = disk()
+BALL = make_ball(3, [0.0, 0.0, 0.0], 1.0)
+STAR = cosine_star([1.0, 0.0, 0.0, 0.2])
+FS2 = laplace_fundamental(2)
+FS3 = laplace_fundamental(3)
+BUMP = get_preset("bump", 2.0)
+NB3 = np.array([1.0, 2.0, -2.0]) / 3.0
+
+
+def _star_point(theta, offset):
+    r = float(STAR.rho(np.array(theta))) + offset
+    return r * np.array([np.cos(theta), np.sin(theta)])
+
+
+def _rel(a, b):
+    return abs(a - b) / abs(b)
+
+
+def _value_terms(fs, x, nodes, weights):
+    return fs.eval(_offsets(x, nodes)) * BUMP(nodes) * weights
+
+
+def _streamed_and_drained(fs, x, rule):
+    blocks = list(rule_blocks(rule))
+    streamed = sum(np.sum(_value_terms(fs, x, y, w)) for y, w in blocks)
+    vq = _drain(rule)
+    return len(blocks), streamed, np.sum(_value_terms(fs, x, vq.nodes,
+                                                      vq.weights))
+
+
+# (label, fs, x, ray-set factory): every factory, and the 2D rule whose
+# rays re-enter the domain (a second ray set of extras)
+RULES = [
+    ("disk interior", FS2, np.array([0.3, -0.2]),
+     lambda x: _singular_rays(DISK, x, 48, DISK.distance_to_boundary(x))),
+    ("star re-entry", FS2, _star_point(0.6, -1e-3),
+     lambda x: _singular_rays(STAR, x, 32, STAR.distance_to_boundary(x))),
+    ("disk r_min", FS2, np.array([0.2, 0.1]),
+     lambda x: _singular_rays(DISK, x, 48, DISK.distance_to_boundary(x),
+                              r_min=1e-3)),
+    ("ball interior 1e-4", FS3, (1.0 - 1e-4) * NB3,
+     lambda x: _singular_rays(BALL, x, 12, BALL.distance_to_boundary(x))),
+    ("disk chord", FS2, np.array([1.0 + 1e-3, 0.0]),
+     lambda x: _chord_rays(DISK, x, 48)),
+    ("ball chord", FS3, (1.0 + 1e-3) * NB3,
+     lambda x: _chord_rays(BALL, x, 12)),
+    ("star near exterior", FS2, _star_point(0.6, 1e-3),
+     lambda x: _near_star_rays(STAR, x, 32)),
+]
+
+
+@pytest.mark.parametrize("label, fs, x, factory", RULES,
+                         ids=[r[0] for r in RULES])
+def test_streamed_sum_matches_drained_rule(label, fs, x, factory):
+    rule = factory(x)
+    if label == "star re-entry":
+        assert len(rule) == 2 and len(rule[1].lo) > 0
+    n_blocks, streamed, drained = _streamed_and_drained(fs, x, rule)
+    assert n_blocks > 1
+    assert _rel(streamed, drained) <= 1e-13
+
+
+def test_block_arrays_stay_below_block_bytes():
+    x = (1.0 - 1e-4) * NB3
+    rule = _singular_rays(BALL, x, 20, BALL.distance_to_boundary(x))
+    sizes = [y.nbytes for y, _ in rule_blocks(rule)]
+    assert len(sizes) > 100
+    assert max(sizes) < geometry._BLOCK_BYTES
+
+
+@pytest.mark.parametrize("domain, fs, x, build", [
+    (DISK, FS2, np.array([0.3, -0.2]), singular_volume_rule),
+    (STAR, FS2, _star_point(0.6, -1e-3), singular_volume_rule),
+    (BALL, FS3, (1.0 - 1e-4) * NB3, singular_volume_rule),
+    (DISK, FS2, np.array([1.0 + 1e-3, 0.0]), exterior_chord_rule),
+    (BALL, FS3, (1.0 + 1e-3) * NB3, exterior_chord_rule),
+    (STAR, FS2, _star_point(0.6, 1e-3), near_exterior_star_rule),
+    (DISK, FS2, np.array([2.5, 0.5]), None),
+    (BALL, FS3, 3.0 * NB3, None),
+], ids=["disk", "star", "ball", "disk-chord", "ball-chord", "star-near",
+        "disk-far", "ball-far"])
+def test_potentials_match_drained_builders(domain, fs, x, build):
+    # the far rule is the cached regular rule, reduced as one array
+    N = 12 if domain.dim == 3 else 32
+    vq = (build(domain, x, N) if build is not None
+          else cached_volume_rule(domain, N))
+    z = _offsets(x, vq.nodes)
+    fw = BUMP(vq.nodes) * vq.weights
+    value = np.sum(fs.eval(z) * fw)
+    grad = np.sum(fs.grad(z) * fw[:, None], axis=0)
+    assert _rel(volume_potential(fs, domain, BUMP, x, N), value) <= 1e-13
+    g = volume_potential_gradient(fs, domain, BUMP, x, N)
+    assert np.max(np.abs(g - grad)) <= 1e-13 * np.max(np.abs(grad))
+
+
+@pytest.mark.parametrize("N", [20, 40])
+def test_ball_near_boundary_memory_does_not_grow_with_N(N):
+    # interior offset 1e-4: 720k nodes at N = 20 and 2.9M at N = 40, whose
+    # (nodes, 3) array alone would take 17 MB and 69 MB; the largest single
+    # allocation left is the 2.9 MB eigen-solve of the first leggauss(600)
+    x = (1.0 - 1e-4) * NB3
+    fs = helmholtz_fundamental(3, 1.0)
+    f = get_preset("x1sq")
+    for fn in (volume_potential, volume_potential_gradient,
+               volume_potential_hessian):
+        tracemalloc.start()
+        try:
+            fn(fs, BALL, f, x, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, (fn.__name__, peak)
