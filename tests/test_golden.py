@@ -2,8 +2,12 @@
 CSVs in tests/golden/ under verify.compare_reports_csv at rtol 1e-9.
 
 The goldens are the default ``volpot verify`` report and ``volpot converge``
-and ``volpot modulus`` at seed 0.  Regenerate them only for a change that is
-meant to move report values, and say so where the change is recorded.
+and ``volpot modulus`` at seed 0, and two ``volpot verify`` reports of the
+configs kept next to them: the Laplace kernel on the 3D unit ball
+(``ball3d.cfg``) and the screened kernel on a cosine star
+(``star_screened.cfg``); both include ``derivative_recursion``, the row that
+runs gradients.  Regenerate them only for a change that is meant to move
+report values, and say so where the change is recorded.
 """
 
 import csv
@@ -15,16 +19,24 @@ from volpot.cli import main
 from volpot.verify import _PARAM_SPLIT, compare_reports_csv
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-RUNS = {"report.csv": "verify", "converge.csv": "converge",
-        "modulus.csv": "modulus"}
+# golden file -> (CLI arguments, the file the run writes)
+RUNS = {"report.csv": (["verify"], "report.csv"),
+        "converge.csv": (["converge"], "converge.csv"),
+        "modulus.csv": (["modulus"], "modulus.csv"),
+        "ball3d_report.csv": (["verify", "--config",
+                               str(GOLDEN / "ball3d.cfg")], "report.csv"),
+        "star_screened_report.csv": (
+            ["verify", "--config", str(GOLDEN / "star_screened.cfg")],
+            "report.csv")}
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_cli_reproduces_golden_report(name, tmp_path):
+    argv, written = RUNS[name]
     # exit status 1 (a failed check) still writes the report, and the
     # golden comparison covers the pass column
-    assert main([RUNS[name], "--out", str(tmp_path), "--seed", "0"]) in (0, 1)
-    assert compare_reports_csv(GOLDEN / name, tmp_path / name, rtol=1e-9)
+    assert main(argv + ["--out", str(tmp_path), "--seed", "0"]) in (0, 1)
+    assert compare_reports_csv(GOLDEN / name, tmp_path / written, rtol=1e-9)
 
 
 def _rows(path):
@@ -62,7 +74,10 @@ def _mutated(rows, field, factor):
 @pytest.mark.parametrize("name, field", [
     ("report.csv", "param"), ("report.csv", "value"),
     ("converge.csv", "param"),
-    ("modulus.csv", "param"), ("modulus.csv", "value")])
+    ("modulus.csv", "param"), ("modulus.csv", "value"),
+    ("ball3d_report.csv", "param"), ("ball3d_report.csv", "value"),
+    ("star_screened_report.csv", "param"),
+    ("star_screened_report.csv", "value")])
 def test_golden_gate_has_teeth(name, field, tmp_path):
     rows = _rows(GOLDEN / name)
     bad = _mutated(rows, field, 1 + 1e-8)
