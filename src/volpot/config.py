@@ -18,7 +18,6 @@ from .fundsol import (fundamental_solution, helmholtz_fundamental,
                       laplace_fundamental, principal_fundamental)
 from .geometry import cosine_star, ellipse, make_ball
 from .operators import OperatorCoefficients
-from .schauder import Modulus
 
 DEFAULT_CONFIG = """\
 # default verification setup: Laplace operator on the unit disk
@@ -154,13 +153,3 @@ def build_density(cfg: dict, section: str = "density"):
     except KeyError as exc:
         raise ConfigError(str(exc))
 
-
-def build_modulus(text: str) -> Modulus:
-    """Parse `power:0.5` or `omega:1.0`."""
-    kind, _, param = str(text).partition(":")
-    if kind == "power":
-        return Modulus.power(float(param or 1.0))
-    if kind == "omega":
-        return Modulus.omega(float(param or 1.0))
-    raise ConfigError(f"unknown modulus {text!r} "
-                      "(power:<alpha> | omega:<theta>)")

@@ -18,6 +18,17 @@ homogeneous part is
 
 which is the whole gradient for the laplace and anisotropic-principal kinds.
 
+Along a ray x = -r d (r > 0, d a unit vector) the kernels factor into a
+power of r times a function of d, which lets the potentials call them
+once per direction instead of once per node:
+
+    k1(-r d) = -r^(1-n) k1(d)              (odd, degree -(n-1));
+    d_l k1_j(-r d) = r^(-n) d_l k1_j(d)    (even, degree -n);
+    grad S(-r d) = -f'(r) d                (screened S = f(|x|)).
+
+``radial_gradient`` and ``k2_radial`` give the screened kernel's radial
+factors for the last form and for the k2 Jacobian below.
+
 The Jacobians ``k1_jacobian`` and ``k2_jacobian`` also have a weighted
 form: given an (m,) weight vector w, real or complex, they return the
 (n, n) moment sum_m w_m d_l k_j(x_m) without forming the (m, n, n) array.
@@ -282,15 +293,30 @@ class FundamentalSolution:
 
     def _k2_moment_terms(self, pts, r):
         # per-point (scalar, vectors, outer weight) of d_l k2_j
-        # = beta I + alpha z z^t; the two singular parts cancel in alpha
-        # and beta point by point, before any summation
+        # = beta I + alpha z z^t
+        beta, alpha_r2 = self.k2_radial(r)
+        return np.eye(self.dim), beta, pts, alpha_r2 / (r * r)
+
+    # -- the screened kernel along a ray -----------------------------------
+
+    def radial_gradient(self, r):
+        """f'(r) of the screened kernel S = f(|x|), whose gradient at
+        x = -r d, for a unit vector d, is -f'(r) d."""
+        kr = self.kappa * r
+        if self.dim == 2:
+            return self.kappa * _bessel.k1(kr) / (2.0 * np.pi)
+        return np.exp(-kr) * (1.0 + kr) / (4.0 * np.pi * r ** 2)
+
+    def k2_radial(self, r):
+        """(beta, alpha r^2) of the screened kernel at |x| = r, so that
+        d_l k2_j(-r d) = beta I + alpha r^2 d d^t for a unit vector d; the
+        two singular parts cancel in each, point by point."""
         n = self.dim
         fp, fpp = self._radial_derivs(r)
         c = 1.0 / (sphere_measure(n) * self._sqrt_det)
         crn = c * r ** (-n)
         fpr = fp / r
-        alpha = (fpp - fpr + n * crn) / (r * r)
-        return np.eye(n), fpr - crn, pts, alpha
+        return fpr - crn, fpp - fpr + n * crn
 
 
 def _moment(n, weights, m, terms):

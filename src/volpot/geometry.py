@@ -364,8 +364,13 @@ class RaySet:
     n_panels: int
     outer: bool = False
 
-    def block(self, i, j):
-        """Nodes (C-contiguous, ray-major) and weights of rays i .. j-1."""
+    def block(self, i, j, polar=False):
+        """Nodes (C-contiguous, ray-major) and weights of rays i .. j-1.
+
+        With ``polar``, a third item (dirs, rn, rww) carries the block in
+        polar form: the rays' directions, the (rays, P) radii of their
+        nodes and rww = rw wang, the node weights without the r^(n-1)
+        Jacobian (the weights keep their own bits)."""
         if self.outer:
             g, rw = _graded_radial(np.zeros(j - i),
                                    self.hi[i:j] - self.lo[i:j], self.p,
@@ -374,9 +379,14 @@ class RaySet:
         else:
             rn, rw = _graded_radial(self.lo[i:j], self.hi[i:j], self.p,
                                     self.n_panels)
+        wang = self.wang[i:j, None]
         jac = rn if self.dirs.shape[1] == 2 else rn ** 2
-        weights = rw * jac * self.wang[i:j, None]
-        return _ray_nodes(self.center, rn, self.dirs[i:j]), weights.reshape(-1)
+        weights = rw * jac * wang
+        out = (_ray_nodes(self.center, rn, self.dirs[i:j]),
+               weights.reshape(-1))
+        if polar:
+            return out + ((self.dirs[i:j], rn, rw * wang),)
+        return out
 
 
 def _rays_per_block(floats_per_ray):
@@ -385,15 +395,17 @@ def _rays_per_block(floats_per_ray):
     return max(1, (_BLOCK_BYTES - 1) // (8 * floats_per_ray))
 
 
-def rule_blocks(rule):
-    """(nodes, weights) of a tuple of ray sets, a block of rays at a time.
-    A block's (nodes, n) arrays stay below _BLOCK_BYTES; the blocks depend
-    on the rule alone, so sums over them are deterministic."""
+def rule_blocks(rule, polar=False):
+    """(nodes, weights) of a tuple of ray sets, a block of rays at a time,
+    with each block's polar form appended when ``polar`` (see
+    ``RaySet.block``).  A block's (nodes, n) arrays stay below
+    _BLOCK_BYTES; the blocks depend on the rule alone, so sums over them
+    are deterministic."""
     for rs in rule:
         m = len(rs.lo)
         step = _rays_per_block(rs.dirs.shape[1] * rs.p * (rs.n_panels + 1))
         for i in range(0, m, step):
-            yield rs.block(i, min(i + step, m))
+            yield rs.block(i, min(i + step, m), polar)
 
 
 def _drain(rule):

@@ -26,6 +26,26 @@ turned into offsets, run through the kernel and the density and summed
 before the next one is built, so memory does not grow with the node count.
 The cached regular rule of far points is reduced as one block.
 
+Gradients and Hessians are reduced along the rays first where the rays
+start at x (the polar rule about an interior x and the chord rule): there
+x - y = -r d, the kernels factor into a power of r times a function of
+the direction d (see :mod:`volpot.fundsol`), and a node weight is
+w = rw r^(n-1) wang.  So
+
+* grad: -sum_i s_i k1(d_i) with s_i = wang_i sum_j rw_ij f_ij, the
+  r^(n-1) cancelling the singularity exactly; for the screened kernel
+  -sum_i d_i sum_j w_ij f_ij f'(r_ij);
+* Hessian, k1 part: the weighted k1 moment on the directions with weights
+  wang_i sum_j rw_ij (f_ij - Ef(x)) / r_ij (zero for f = 1, and skipped);
+  screened k2 part: I sum w f beta + sum_i d_i d_i^t sum_j w f alpha r^2.
+
+One kernel call per block of directions replaces one per node; the nodes
+are still built, for the density.  Far blocks and the star-near rule
+(rays from the origin) keep the Cartesian form.  Values stay Cartesian,
+bit for bit: a polar value sum agrees only to rounding, and the
+finite-difference rows of the reports (pde_identity) amplify such
+rounding a million-fold.
+
 Everything here is a pure function of immutable inputs: batch evaluation
 over point grids may run on several threads.  The blocks depend on the
 rule alone (their size is fixed by ``geometry._BLOCK_BYTES``), so results
@@ -70,22 +90,53 @@ def _offsets(x, nodes):
     return z
 
 
-def _volume_blocks(domain, x, N):
-    """(nodes, weights) blocks of the volume rule for the point x: the
-    polar rule about an interior x, the chord (ball) or star-near rule for
-    an exterior x near the boundary, each a block of rays at a time; far
-    from the boundary, the cached regular rule, built already, as one
-    block.  The point is classified, and its distance measured, once."""
+def _volume_blocks(domain, x, N, polar=False):
+    """(nodes, weights, rays) blocks of the volume rule for the point x:
+    the polar rule about an interior x, the chord (ball) or star-near rule
+    for an exterior x near the boundary, each a block of rays at a time;
+    far from the boundary, the cached regular rule, built already, as one
+    block.  With ``polar``, rays is the block's polar form (dirs, rn, rww)
+    when its rays start at x, so that x - y = -rn d (see
+    ``RaySet.block``); it is None otherwise.  The point is classified, and
+    its distance measured, once."""
     cls = _classify_or_raise(domain, x)
     dist = domain.distance_to_boundary(x)
     if cls > 0:
-        return rule_blocks(_singular_rays(domain, x, N, dist))
-    if dist >= NEAR_FRACTION * domain.bounding_radius:
+        rays = _singular_rays(domain, x, N, dist)
+    elif dist >= NEAR_FRACTION * domain.bounding_radius:
         vq = cached_volume_rule(domain, N)
-        return [(vq.nodes, vq.weights)]
-    if domain.kind == "ball":
-        return rule_blocks(_chord_rays(domain, x, N))
-    return rule_blocks(_near_star_rays(domain, x, N))
+        return [(vq.nodes, vq.weights, None)]
+    elif domain.kind == "ball":
+        rays = _chord_rays(domain, x, N)
+    else:
+        rays, polar = _near_star_rays(domain, x, N), False
+    if polar:
+        return rule_blocks(rays, polar=True)
+    return ((y, w, None) for y, w in rule_blocks(rays))
+
+
+def _gradient_sum(fs, x, y, w, rays, fvals, z=None):
+    """sum_m grad S(x - y_m) fvals_m w_m over one block, for fvals of shape
+    (m,) (one density) or (m, n) (column j weighting d_j S).
+
+    A block in polar form (``rays``, see ``_volume_blocks``) is reduced
+    along each ray before any kernel call: with s_i = sum_j rw_ij f_ij
+    wang_i, the k1 kinds give -sum_i s_i k1(d_i), and the screened kernel
+    -sum_i d_i sum_j w_ij f_ij f'(r_ij).  Other blocks run fs.grad on
+    their offsets z (computed unless given)."""
+    if rays is None:
+        fw = (fvals * w)[:, None] if fvals.ndim == 1 else fvals * w[:, None]
+        z = _offsets(x, y) if z is None else z
+        return np.sum(fs.grad(z) * fw, axis=0)
+    dirs, rn, rww = rays
+    if fs.kind == "modified-helmholtz":
+        g, k = w * fs.radial_gradient(rn.reshape(-1)), dirs
+    else:
+        g, k = rww.reshape(-1), fs.k1(dirs)
+    if fvals.ndim == 1:
+        return -(np.sum((g * fvals).reshape(rn.shape), axis=1) @ k)
+    s = np.sum((g[:, None] * fvals).reshape(rn.shape + (-1,)), axis=1)
+    return -np.sum(s * k, axis=0)
 
 
 def volume_potential(fs: FundamentalSolution, domain: Domain, f, x,
@@ -93,15 +144,15 @@ def volume_potential(fs: FundamentalSolution, domain: Domain, f, x,
     """int_Omega S(x - y) f(y) dy for bounded f on the closure."""
     x = np.asarray(x, dtype=float)
     return complex(sum(np.sum(fs.eval(_offsets(x, y)) * f(y) * w)
-                       for y, w in _volume_blocks(domain, x, N)))
+                       for y, w, _ in _volume_blocks(domain, x, N)))
 
 
 def volume_potential_gradient(fs: FundamentalSolution, domain: Domain, f, x,
                               N: int = 64) -> np.ndarray:
     """Gradient of the volume potential, int_Omega grad S(x - y) f(y) dy."""
     x = np.asarray(x, dtype=float)
-    return sum(np.sum(fs.grad(_offsets(x, y)) * (f(y) * w)[:, None], axis=0)
-               for y, w in _volume_blocks(domain, x, N))
+    return sum(_gradient_sum(fs, x, y, w, rays, np.asarray(f(y)))
+               for y, w, rays in _volume_blocks(domain, x, N, polar=True))
 
 
 def radial_extension(domain: Domain, f):
@@ -145,7 +196,7 @@ def subtracted_integral_G(k, psi, l: int, domain: Domain, x, N: int = 64,
     _check_odd_homogeneous(k, domain.dim)
     psi_x = psi(x)
     total = 0.0
-    for y, w in _volume_blocks(domain, x, N):
+    for y, w, _ in _volume_blocks(domain, x, N):
         z = _offsets(x, y)
         if dk is not None:
             dkl = np.asarray(dk(z))[:, l]
@@ -287,29 +338,35 @@ def volume_potential_hessian(fs: FundamentalSolution, domain: Domain, f, x,
 
     with the gradient-kernel split supplied by ``fs``; the remainder term is
     absolutely integrable and uses the same singularity-clustered rule.
-    Both volume terms are weighted kernel moments, summed block by block:
-    ``fs.k1_jacobian`` and ``fs.k2_jacobian`` receive the node weights
-    (f(y) - Ef(x)) w and f(y) w and return (n, n) matrices, so no
-    (nodes, n, n) array is formed.  A real density stays real until the
-    result is cast to complex.
+    Both volume terms are (n, n) kernel moments, summed block by block
+    after a reduction along each ray of the polar rule about x (see the
+    module docstring): ``fs.k1_jacobian`` receives the block's directions
+    with one weight per ray, and the screened k2 term is formed from
+    ``fs.k2_radial``, so no (nodes, n, n) array is formed.  A real density
+    stays real until the result is cast to complex.
     ``extension`` defaults to ray transport from the star center (only its
     values on closure(Omega) enter for interior x).
     """
     x = np.asarray(x, dtype=float)
     if domain.classify(x) <= 0:
         raise NearBoundaryError("Hessian evaluation requires an interior point")
+    n = domain.dim
     ef = extension if extension is not None else radial_extension(domain, f)
     fx = np.asarray(ef(x[None, :]))[0]
 
     rays = _singular_rays(domain, x, N, domain.distance_to_boundary(x))
     screened = fs.kind == "modified-helmholtz"
     H1 = H2 = 0.0
-    for y, w in rule_blocks(rays):
-        z = _offsets(x, y)
-        fvals = np.asarray(f(y))
-        H1 = H1 + fs.k1_jacobian(z, weights=(fvals - fx) * w)
+    for y, w, (dirs, rn, rww) in rule_blocks(rays, polar=True):
+        fvals = np.asarray(f(y)).reshape(rn.shape)
+        # d k1(-r d) = r^-n d k1(d), and w r^-n = rw wang / r
+        H1 = H1 + fs.k1_jacobian(
+            dirs, weights=np.sum(rww * (fvals - fx) / rn, axis=1))
         if screened:
-            H2 = H2 + fs.k2_jacobian(z, weights=fvals * w)
+            beta, alpha_r2 = fs.k2_radial(rn)
+            fw = fvals * w.reshape(rn.shape)
+            H2 = H2 + (np.eye(n) * np.sum(fw * beta)
+                       + (dirs.T * np.sum(fw * alpha_r2, axis=1)) @ dirs)
 
     bq = cached_boundary_rule(domain, N)
     kb = fs.k1(_offsets(x, bq.nodes))            # (mb, j)
@@ -329,20 +386,21 @@ def volume_potential_negative(fs: FundamentalSolution, domain: Domain,
         + sum_j int_dOmega S(x-y) nu_j f_j dsigma
         + sum_j d/dx_j int_Omega S(x-y) f_j dy.
 
-    All volume terms share one rule and one kernel pass: each block of the
-    rule for x is built once, S and grad S are evaluated once on its nodes,
-    and f0 and every f_j are reduced against those arrays.
+    All volume terms share one rule: each block of the rule for x is built
+    once, S is evaluated once on its nodes for f0, and the f_j are reduced
+    against grad S, along the rays where they start at x (see the module
+    docstring).
     """
     x = np.asarray(x, dtype=float)
     n = domain.dim
     comps = nd.components
     value = grad = 0
-    for y, w in _volume_blocks(domain, x, N):
+    for y, w, rays in _volume_blocks(domain, x, N, polar=True):
         z = _offsets(x, y)
         value = value + np.sum(fs.eval(z) * comps[0](y) * w)
-        fw = np.stack([np.asarray(comps[j + 1](y)) * w for j in range(n)],
-                      axis=1)
-        grad = grad + np.sum(fs.grad(z) * fw, axis=0)
+        fvals = np.stack([np.asarray(comps[j + 1](y)) for j in range(n)],
+                         axis=1)
+        grad = grad + _gradient_sum(fs, x, y, w, rays, fvals, z)
     total = complex(value)
 
     def moment(y, nu):

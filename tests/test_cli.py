@@ -8,7 +8,7 @@ import pytest
 
 import volpot
 from volpot.cli import main, provenance_text
-from volpot.config import parse_config, build_operator, build_modulus
+from volpot.config import parse_config, build_operator
 from volpot.errors import ConfigError
 from volpot.verify import DEFAULT_TOLERANCES
 
@@ -45,13 +45,6 @@ def test_config_parser_error_has_line_number():
     with pytest.raises(ConfigError) as err:
         parse_config("operator.a2 = [[1,0],[0,1]]\nbroken line\n")
     assert "line 2" in str(err.value)
-
-
-def test_build_modulus_specs():
-    assert build_modulus("power:0.5").kind == "power"
-    assert build_modulus("omega:1.0").kind == "omega_theta"
-    with pytest.raises(ConfigError):
-        build_modulus("weird:2")
 
 
 def test_help_lists_subcommands(capsys):
