@@ -115,17 +115,19 @@ def _volume_blocks(domain, x, N, polar=False):
     return ((y, w, None) for y, w in rule_blocks(rays))
 
 
-def _gradient_sum(fs, x, y, w, rays, fvals, z=None):
-    """sum_m grad S(x - y_m) fvals_m w_m over one block, for fvals of shape
-    (m,) (one density) or (m, n) (column j weighting d_j S).
+def _gradient_sum(fs, x, y, w, rays, f, z=None):
+    """sum_m grad S(x - y_m) f_m w_m over one block, for f the (m,) values
+    of one density or a list of n of them, the j-th weighting d_j S.
 
     A block in polar form (``rays``, see ``_volume_blocks``) is reduced
     along each ray before any kernel call: with s_i = sum_j rw_ij f_ij
     wang_i, the k1 kinds give -sum_i s_i k1(d_i), and the screened kernel
     -sum_i d_i sum_j w_ij f_ij f'(r_ij).  Other blocks run fs.grad on
     their offsets z (computed unless given)."""
+    one = isinstance(f, np.ndarray)
     if rays is None:
-        fw = (fvals * w)[:, None] if fvals.ndim == 1 else fvals * w[:, None]
+        fw = ((f * w)[:, None] if one
+              else np.stack([fj * w for fj in f], axis=1))
         z = _offsets(x, y) if z is None else z
         return np.sum(fs.grad(z) * fw, axis=0)
     dirs, rn, rww = rays
@@ -133,10 +135,12 @@ def _gradient_sum(fs, x, y, w, rays, fvals, z=None):
         g, k = w * fs.radial_gradient(rn.reshape(-1)), dirs
     else:
         g, k = rww.reshape(-1), fs.k1(dirs)
-    if fvals.ndim == 1:
-        return -(np.sum((g * fvals).reshape(rn.shape), axis=1) @ k)
-    s = np.sum((g[:, None] * fvals).reshape(rn.shape + (-1,)), axis=1)
-    return -np.sum(s * k, axis=0)
+    if one:
+        return -(np.sum((g * f).reshape(rn.shape), axis=1) @ k)
+    # a column at a time: summing (rays, P, n) over P is several times
+    # slower than n sums over a contiguous last axis
+    return -np.array([np.sum((g * fj).reshape(rn.shape), axis=1) @ k[:, j]
+                      for j, fj in enumerate(f)])
 
 
 def volume_potential(fs: FundamentalSolution, domain: Domain, f, x,
@@ -387,20 +391,21 @@ def volume_potential_negative(fs: FundamentalSolution, domain: Domain,
         + sum_j d/dx_j int_Omega S(x-y) f_j dy.
 
     All volume terms share one rule: each block of the rule for x is built
-    once, S is evaluated once on its nodes for f0, and the f_j are reduced
-    against grad S, along the rays where they start at x (see the module
-    docstring).
+    once, S is evaluated once on its nodes for f0 (not at all where f0 is
+    zero), and the f_j are reduced against grad S, along the rays where
+    they start at x (see the module docstring).
     """
     x = np.asarray(x, dtype=float)
     n = domain.dim
     comps = nd.components
     value = grad = 0
     for y, w, rays in _volume_blocks(domain, x, N, polar=True):
-        z = _offsets(x, y)
-        value = value + np.sum(fs.eval(z) * comps[0](y) * w)
-        fvals = np.stack([np.asarray(comps[j + 1](y)) for j in range(n)],
-                         axis=1)
-        grad = grad + _gradient_sum(fs, x, y, w, rays, fvals, z)
+        f0, z = comps[0](y), None
+        if np.any(f0):      # a zero f0 adds nothing; skip its kernel pass
+            z = _offsets(x, y)
+            value = value + np.sum(fs.eval(z) * f0 * w)
+        fj = [np.asarray(comps[j + 1](y)) for j in range(n)]
+        grad = grad + _gradient_sum(fs, x, y, w, rays, fj, z)
     total = complex(value)
 
     def moment(y, nu):
