@@ -157,6 +157,36 @@ def test_split_oddness_homogeneity_exact(all_kinds):
         assert np.array_equal(k1_scaled, k1 * 2.0 ** (-(fs.dim - 1)))
 
 
+def test_ray_factorization(all_kinds):
+    # at x = -r d: k1 = -r^(1-n) k1(d), d k1 = r^-n d k1(d), and for the
+    # screened kernel grad S = -f'(r) d, d k2 = beta I + alpha r^2 d d^t
+    rng = np.random.default_rng(8)
+    for fs in all_kinds:
+        n = fs.dim
+        d = rng.standard_normal((10, n))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        r = 10.0 ** rng.uniform(-4.0, 0.3, 10)
+        x = -r[:, None] * d
+        assert np.allclose(fs.k1(x), -r[:, None] ** (1 - n) * fs.k1(d),
+                           rtol=1e-13, atol=0.0)
+        assert np.allclose(fs.k1_jacobian(x),
+                           r[:, None, None] ** -n * fs.k1_jacobian(d),
+                           rtol=1e-13, atol=0.0)
+        if fs.kind != "modified-helmholtz":
+            continue
+        assert np.allclose(fs.grad(x), -fs.radial_gradient(r)[:, None] * d,
+                           rtol=1e-13, atol=0.0)
+        # beta and alpha r^2 cancel two r^-n terms, so they take |x| as
+        # the kernels compute it, and the reference is the weighted moment
+        # of each point (the dense k2 Jacobian cancels less accurately)
+        beta, alpha_r2 = fs.k2_radial(np.sqrt(_rowdot(x, x)))
+        ref = (beta[:, None, None] * np.eye(n)
+               + alpha_r2[:, None, None] * d[:, :, None] * d[:, None, :])
+        for xi, Ri in zip(x, ref):
+            Hi = fs.k2_jacobian(xi[None, :], weights=np.ones(1))
+            assert np.max(np.abs(Hi - Ri)) <= 1e-13 * np.max(np.abs(Ri))
+
+
 def test_split_sums_bitwise(all_kinds):
     rng = np.random.default_rng(6)
     for fs in all_kinds:
