@@ -24,11 +24,17 @@ builders (``volume_rule``, ``singular_volume_rule``,
 ``exterior_chord_rule``, ``near_exterior_star_rule``) drain the same ray
 sets into a VolumeQuadrature for callers that want every node at once.
 
-Nodes x + r d are built one coordinate at a time by ``_ray_nodes`` (and the
-3D direction grids by ``_cone_dirs``): numpy broadcasts slowly along an
-innermost axis of length 2 or 3, running one short inner loop per node,
-while a coordinate at a time is one long loop per coordinate with the same
-per-element operations, so the same bits.
+Streamed blocks are coordinate-major: ``_ray_nodes`` writes the nodes
+x + r d into an (n, m) C-contiguous buffer, one contiguous row per
+coordinate, and hands out its (m, n) view ``buf.T`` (the 3D direction
+grids of ``_cone_dirs`` are filled a column at a time).  numpy broadcasts
+and reduces slowly along an innermost axis of length 2 or 3, running one
+short inner loop per node; on the transposed view both writes and
+reductions such as ``np.sum(y * y, axis=-1)`` run one long loop per
+coordinate with the same per-element operations, in the same order, so
+the same bits.  The radial nodes come from per-(order, panel count) tables
+(``_radial_tables``) whose entries are exact power-of-two multiples of the
+Gauss-Legendre rule, so they too keep the bits of the per-panel form.
 """
 
 from __future__ import annotations
@@ -335,7 +341,8 @@ class VolumeQuadrature:
     """Nodes and weights of a volume rule, all of them at once: a drained
     tuple of ray sets (see ``RaySet``)."""
 
-    nodes: np.ndarray     # (m, n) interior points, C-contiguous
+    nodes: np.ndarray     # (m, n) interior points, C-contiguous (streamed
+                          # blocks are coordinate-major; ``_drain`` copies)
     weights: np.ndarray   # (m,) positive, summing to |Omega|
 
     def integrate(self, values):
@@ -365,7 +372,9 @@ class RaySet:
     outer: bool = False
 
     def block(self, i, j, polar=False):
-        """Nodes (C-contiguous, ray-major) and weights of rays i .. j-1.
+        """Nodes and weights of rays i .. j-1.  The (m, n) nodes are
+        ray-major and coordinate-major in memory: the transposed view of a
+        C-contiguous (n, m) buffer (see ``_ray_nodes``).
 
         With ``polar``, a third item (dirs, rn, rww) carries the block in
         polar form: the rays' directions, the (rays, P) radii of their
@@ -380,8 +389,13 @@ class RaySet:
             rn, rw = _graded_radial(self.lo[i:j], self.hi[i:j], self.p,
                                     self.n_panels)
         wang = self.wang[i:j, None]
-        jac = rn if self.dirs.shape[1] == 2 else rn ** 2
-        weights = rw * jac * wang
+        # rw * r^(n-1) * wang, in place, in that order
+        if self.dirs.shape[1] == 2:
+            weights = rw * rn
+        else:
+            weights = rn * rn
+            weights *= rw
+        weights *= wang
         out = (_ray_nodes(self.center, rn, self.dirs[i:j]),
                weights.reshape(-1))
         if polar:
@@ -409,11 +423,12 @@ def rule_blocks(rule, polar=False):
 
 
 def _drain(rule):
-    """VolumeQuadrature of a tuple of ray sets, each built as one block."""
+    """VolumeQuadrature of a tuple of ray sets, each built as one block,
+    with C-contiguous nodes."""
     parts = [rs.block(0, len(rs.lo)) for rs in rule]
-    if len(parts) == 1:
-        return VolumeQuadrature(*parts[0])
-    return VolumeQuadrature(*(np.concatenate(a) for a in zip(*parts)))
+    nodes, weights = (parts[0] if len(parts) == 1
+                      else (np.concatenate(a) for a in zip(*parts)))
+    return VolumeQuadrature(np.ascontiguousarray(nodes), weights)
 
 
 # The Gauss-Legendre rules are cached because ``leggauss`` runs an
@@ -441,21 +456,20 @@ def _leggauss(p):
 
 def _ray_nodes(x, rn, dirs):
     """Nodes x + rn[i, j] dirs[i] of an (M, P) radius array on M rays, as
-    a C-contiguous (M * P, n) array, ray-major.
+    an (M * P, n) array, ray-major: the transposed view of a C-contiguous
+    (n, M * P) buffer, one contiguous row per coordinate.
 
-    Filled a coordinate at a time with the per-element operations of
+    Each row is written with the per-element operations of
     ``x[None, None, :] + rn[:, :, None] * dirs[:, None, :]``, so bitwise
     equal to it.  ``x`` None means no offset (adding 0.0 would turn -0.0
     into 0.0)."""
     n = dirs.shape[1]
-    out = np.empty(rn.shape + (n,))
+    out = np.empty((n,) + rn.shape)
     for k in range(n):
-        if x is None:
-            np.multiply(rn, dirs[:, k, None], out=out[..., k])
-        else:
-            # one strided write per coordinate instead of two
-            np.add(rn * dirs[:, k, None], x[k], out=out[..., k])
-    return out.reshape(-1, n)
+        np.multiply(rn, dirs[:, k, None], out=out[k])
+        if x is not None:
+            out[k] += x[k]
+    return out.reshape(n, -1).T
 
 
 def _cone_dirs(ca, sa, axis, e1, e2, phi):
@@ -479,20 +493,51 @@ def _radial_panel_count(N):
     return max(12, min(26, 6 + 2 * int(np.log2(max(N, 2)))))
 
 
+@lru_cache(maxsize=256)
+def _radial_tables(p, n_panels):
+    """Flat (K p,) tables of the graded radial rule on [0, 1], K =
+    n_panels + 1, panel k's p entries in order: panel starts ``a``, nodes
+    past the start ``h u`` and weights ``h w``, with h = 2^-(k+1) (2^-k on
+    the last panel, whose start is 0), and the plain GL rule ``u``, ``w``
+    tiled K times.  Every entry is an exact power-of-two multiple of a GL
+    entry."""
+    u, w = _gl01(p)
+    K = n_panels + 1
+    h = 0.5 ** np.arange(1, K + 1)
+    h[-1] *= 2.0
+    a = h.copy()
+    a[-1] = 0.0
+    hp = np.repeat(h, p)
+    ut, wt = np.tile(u, K), np.tile(w, K)
+    tables = (np.repeat(a, p), hp * ut, hp * wt, ut, wt)
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
 def _graded_radial(r_lo, r_hi, p, n_panels):
     """Composite GL nodes/weights on [r_lo, r_hi] per ray, panels refined
-    geometrically toward r_lo.  Shapes (M,) -> (M, n_panels*p + p)."""
-    u, w = _gl01(p)
-    ks = 0.5 ** np.arange(n_panels + 1)
+    geometrically toward r_lo.  Shapes (M,) -> (M, n_panels*p + p).
+
+    Bitwise equal to forming, with s = r_hi - r_lo, the panel ends
+    bp_k = r_lo + s 2^-k (and r_lo), starts a = bp_(k+1), widths
+    h = bp_k - a, and a + h u and h w.  Where r_lo is all zero, s 2^-k and
+    its differences are exact, so s times the ``_radial_tables`` entries
+    gives the same bits in contiguous (M, K p) ops; otherwise a and h are
+    formed per panel and repeated against the tiled GL rule."""
+    atab, utab, wtab, ut, wt = _radial_tables(p, n_panels)
     span = (r_hi - r_lo)[:, None]
-    bp = r_lo[:, None] + span * ks[None, :]
+    if not np.count_nonzero(r_lo):
+        nodes = span * atab
+        nodes += span * utab
+        return nodes, span * wtab
+    bp = r_lo[:, None] + span * 0.5 ** np.arange(n_panels + 1)
     bp = np.concatenate([bp, r_lo[:, None]], axis=1)
     a = bp[:, 1:]
-    h = bp[:, :-1] - a
-    nodes = a[:, :, None] + h[:, :, None] * u[None, None, :]
-    wts = h[:, :, None] * w[None, None, :]
-    m = r_lo.shape[0]
-    return nodes.reshape(m, -1), wts.reshape(m, -1)
+    h = np.repeat(bp[:, :-1] - a, p, axis=1)
+    nodes = h * ut
+    nodes += np.repeat(a, p, axis=1)
+    return nodes, h * wt
 
 
 def _angular_count(N, dist, scale, roughness=1.0):

@@ -81,13 +81,15 @@ def _classify_or_raise(domain, x):
 
 
 def _offsets(x, nodes):
-    """x - y for every node y, as a C-contiguous (m, n) array filled a
-    coordinate at a time: bitwise equal to ``x[None, :] - nodes``, without
-    numpy's slow broadcast along an innermost axis of length 2 or 3."""
-    z = np.empty(nodes.shape)
+    """x - y for every node y, as an (m, n) array that is the transposed
+    view of a C-contiguous (n, m) buffer, coordinate-major like the nodes
+    of a streamed block: bitwise equal to ``x[None, :] - nodes``, one
+    contiguous row per coordinate instead of numpy's slow broadcast along
+    an innermost axis of length 2 or 3."""
+    z = np.empty(nodes.shape[::-1])
     for k in range(nodes.shape[1]):
-        np.subtract(x[k], nodes[:, k], out=z[:, k])
-    return z
+        np.subtract(x[k], nodes[:, k], out=z[k])
+    return z.T
 
 
 def _volume_blocks(domain, x, N, polar=False):

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DomainError
 from .fundsol import FundamentalSolution, sphere_measure
 from .geometry import (Domain, cached_boundary_rule, singular_volume_rule,
-                       _leggauss)
+                       _leggauss, _sphere_dirs)
 from .operators import OperatorCoefficients, apply_operator_fd
 from .potentials import (single_layer, volume_potential,
                          volume_potential_gradient, volume_potential_hessian,
@@ -264,14 +264,8 @@ def _unit_sphere_rule(n, m):
         return np.stack([np.cos(t), np.sin(t)], axis=1), np.full(m, 2.0 * np.pi / m)
     mu, wmu = _leggauss(m)
     nphi = 2 * m
-    phi = 2.0 * np.pi * np.arange(nphi) / nphi
-    st = np.sqrt(1.0 - mu ** 2)
-    dirs = np.empty((m, nphi, 3))
-    dirs[..., 0] = st[:, None] * np.cos(phi)[None, :]
-    dirs[..., 1] = st[:, None] * np.sin(phi)[None, :]
-    dirs[..., 2] = mu[:, None]
     w = np.repeat(wmu, nphi) * (2.0 * np.pi / nphi)
-    return dirs.reshape(-1, 3), w
+    return _sphere_dirs(mu, nphi), w
 
 
 def sphere_residue(k, j: int, n: int, eps_seq=(1e-1, 1e-2, 1e-3, 1e-4),

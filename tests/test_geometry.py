@@ -334,6 +334,20 @@ def _cone_dirs_broadcast(ca, sa, axis, e1, e2, phi):
     return dirs.reshape(-1, 3)
 
 
+def _graded_radial_broadcast(r_lo, r_hi, p, n_panels):
+    u, w = _gl01(p)
+    ks = 0.5 ** np.arange(n_panels + 1)
+    span = (r_hi - r_lo)[:, None]
+    bp = r_lo[:, None] + span * ks[None, :]
+    bp = np.concatenate([bp, r_lo[:, None]], axis=1)
+    a = bp[:, 1:]
+    h = bp[:, :-1] - a
+    nodes = a[:, :, None] + h[:, :, None] * u[None, None, :]
+    wts = h[:, :, None] * w[None, None, :]
+    m = r_lo.shape[0]
+    return nodes.reshape(m, -1), wts.reshape(m, -1)
+
+
 def _same_bits(a, b):
     return (a.shape == b.shape and np.array_equal(a, b)
             and np.array_equal(np.signbit(a), np.signbit(b)))
@@ -374,6 +388,7 @@ def test_rule_nodes_match_broadcast_bitwise(dom, monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(geometry, "_ray_nodes", _ray_nodes_broadcast)
         mp.setattr(geometry, "_cone_dirs", _cone_dirs_broadcast)
+        mp.setattr(geometry, "_graded_radial", _graded_radial_broadcast)
         refs = [build(*args) for build, args in cases]
     for (build, args), ref in zip(cases, refs):
         vq = build(*args)
@@ -409,9 +424,64 @@ def test_offsets_match_broadcast_bitwise():
                                 np.zeros((2, n)), -np.zeros((2, n)),
                                 np.tile(x, (2, 1))])
         z = potentials._offsets(x, nodes)
-        assert z.flags.c_contiguous and z.shape == nodes.shape
+        assert z.T.flags.c_contiguous and z.shape == nodes.shape
         assert _same_bits(z, x[None, :] - nodes)
     dom = disk()
     x = np.array([1.0 + 1e-4, 0.0])
     vq = exterior_chord_rule(dom, x, 32)
     assert _same_bits(potentials._offsets(x, vq.nodes), x[None, :] - vq.nodes)
+
+
+def _radial_spans(rng, m):
+    """Spans from 1e-12 up to a few units, with a zero one."""
+    s = 10.0 ** rng.uniform(-12.0, 0.5, m)
+    s[:3] = (1e-12, 1.0, 0.0)
+    return s
+
+
+@pytest.mark.parametrize("p", range(3, 11))
+def test_graded_radial_matches_broadcast_bitwise(p):
+    # lo = 0 and -0.0 take the cached tables, other lo the per-panel form
+    rng = np.random.default_rng(p)
+    m = 40
+    span = _radial_spans(rng, m)
+    lo_pos = rng.uniform(0.0, 2.0, m)
+    lo_pos[:2] = (1e-300, 5e-13)
+    lo_mixed = np.where(np.arange(m) % 2 == 0, 0.0, lo_pos)
+    for n_panels in [0, 6] + list(range(12, 27)):
+        for lo in (np.zeros(m), -np.zeros(m), lo_pos, lo_mixed):
+            got = geometry._graded_radial(lo, lo + span, p, n_panels)
+            ref = _graded_radial_broadcast(lo, lo + span, p, n_panels)
+            assert _same_bits(got[0], ref[0]), (n_panels, lo[:3])
+            assert _same_bits(got[1], ref[1]), (n_panels, lo[:3])
+
+
+@pytest.mark.parametrize("outer", [False, True])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_ray_set_blocks_match_broadcast_bitwise(dim, outer):
+    # a block of rays graded toward either end, with and without an
+    # origin, against the parent's radial, node and weight expressions;
+    # its nodes are the transposed view of a C-contiguous buffer
+    rng = np.random.default_rng(dim)
+    m, i, j = 50, 3, 40
+    dirs = rng.standard_normal((m, dim))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    lo = np.zeros(m) if outer else rng.uniform(0.0, 0.5, m)
+    hi = lo + _radial_spans(rng, m)
+    wang = rng.uniform(0.1, 1.0, m)
+    if outer:
+        g, rw = _graded_radial_broadcast(np.zeros(j - i), hi[i:j] - lo[i:j],
+                                         7, 14)
+        rn = hi[i:j, None] - g
+    else:
+        rn, rw = _graded_radial_broadcast(lo[i:j], hi[i:j], 7, 14)
+    jac = rn if dim == 2 else rn ** 2
+    weights = (rw * jac * wang[i:j, None]).reshape(-1)
+    for center in (None, rng.standard_normal(dim)):
+        rs = geometry.RaySet(center, dirs, lo, hi, wang, 7, 14, outer)
+        y, w, (d, r, rww) = rs.block(i, j, polar=True)
+        assert y.T.flags.c_contiguous
+        assert _same_bits(y, _ray_nodes_broadcast(center, rn, dirs[i:j]))
+        assert _same_bits(w, weights)
+        assert _same_bits(r, rn)
+        assert _same_bits(rww, rw * wang[i:j, None])
