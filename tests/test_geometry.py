@@ -479,7 +479,7 @@ def test_ray_set_blocks_match_broadcast_bitwise(dim, outer):
     weights = (rw * jac * wang[i:j, None]).reshape(-1)
     for center in (None, rng.standard_normal(dim)):
         rs = geometry.RaySet(center, dirs, lo, hi, wang, 7, 14, outer)
-        y, w, (d, r, rww) = rs.block(i, j, polar=True)
+        y, w, (_, r, rww) = rs.block(i, j, polar=True)
         assert y.T.flags.c_contiguous
         assert _same_bits(y, _ray_nodes_broadcast(center, rn, dirs[i:j]))
         assert _same_bits(w, weights)
