@@ -4,6 +4,11 @@ Subcommands: eval | verify | converge | modulus, each with --config,
 --out, --jobs, --seed.  Exit status 0 when every selected check passes,
 1 when any fails (the report is still written), 2 on configuration errors.
 Output is byte-deterministic for a fixed config in single-job mode.
+
+``verify`` runs the rows of the module-level check table ``CHECKS`` for the
+checks named in ``checks.list``, each row at ``checks.<key>_tol`` or its
+``verify.DEFAULT_TOLERANCES`` default.  Its convergence check and
+``converge`` build their reports in one function, ``_convergence_reports``.
 """
 
 from __future__ import annotations
@@ -12,7 +17,9 @@ import argparse
 import csv
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -92,182 +99,186 @@ def _run_eval(args) -> int:
     return 0
 
 
+# -- verify: kernels and sample points of the check table ------------------
+
+def k_grad(z):
+    """s_n-normalized gradient kernel z_1 / (s_n |z|^n); residue 1/n."""
+    z = np.asarray(z)
+    n = z.shape[-1]
+    r = np.linalg.norm(z, axis=-1)
+    return z[..., 0] / (verify.sphere_measure(n) * r ** n)
+
+
+def dk_grad(z):
+    """z-gradient of k_grad."""
+    z = np.asarray(z)
+    n = z.shape[-1]
+    r = np.linalg.norm(z, axis=-1)
+    out = -n * z * (z[..., 0] / r ** 2)[..., None]
+    out[..., 0] += 1.0
+    return out / (verify.sphere_measure(n) * r[..., None] ** n)
+
+
+def k_even(z):
+    """Even kernel (z_1^2 - z_2^2) / |z|^4 with zero sphere mean."""
+    z = np.asarray(z)
+    r2 = np.sum(z * z, axis=-1)
+    return (z[..., 0] ** 2 - z[..., 1] ** 2) / r2 ** 2
+
+
+def k_control(z):
+    """Control kernel |z|^-n, whose truncated integrals grow like log."""
+    z = np.asarray(z)
+    return 1.0 / np.sum(z * z, axis=-1) ** (z.shape[-1] / 2.0)
+
+
+def _interior_grid(domain, k=3):
+    inner = (domain.radius if domain.kind == "ball" else
+             float(np.min(domain.rho(np.linspace(0, 2 * np.pi, 256)))))
+    n = domain.dim
+    span = 0.45 * inner
+    axes = [np.linspace(-span, span, k)] * n
+    pts = domain.center + np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, n)
+    return pts[np.array([domain.classify(p) > 0 for p in pts])]
+
+
+def _exterior_grid(domain):
+    n = domain.dim
+    return domain.bounding_radius * np.array([[2.1] + [1.8] * (n - 1),
+                                              [-2.4] + [-1.7] * (n - 1)])
+
+
+def _maximal_grid(n):
+    # the center and an off-center point (the growth row takes the latter)
+    return np.pad([[0.0, 0.0], [0.4, 0.2]], ((0, 0), (0, n - 2)))
+
+
+MAXIMAL_RHO = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5]
+
+# config key -> DEFAULT_TOLERANCES key, where the two names differ
+TOLERANCE_ALIASES = {"ibp_psi": "ibp_psi_gradient_kernel",
+                     "ibp_psi_weak": "ibp_psi_weak_kernel",
+                     "maximal_bound": "maximal_bound_variation",
+                     "maximal_growth": "maximal_growth_deficit"}
+
+# CHECKS maps each check name to its report rows, in the default order.  A
+# row is (tolerance key, call); the call maps (run, tolerance) to a report
+# or a list of reports, and a None key leaves the check its own default.
+# Calls look verify's checks up when they run, so a wrapper later installed
+# on those module attributes sees every call.
+CHECKS = {
+    "closed_form": [
+        ("closed_form", lambda r, tol: verify.check_closed_form_disk(
+            r.fs, r.domain, r.N, tol))],
+    "pde_identity": [
+        ("pde_identity", lambda r, tol: verify.check_pde_identity(
+            r.fs, r.op, r.domain, get_preset("bump"),
+            _interior_grid(r.domain), N=r.N, tol=tol)),
+        ("pde_identity_exterior", lambda r, tol: verify.check_pde_identity(
+            r.fs, r.op, r.domain, get_preset("bump"),
+            _exterior_grid(r.domain), h=1e-3, N=r.N, side="exterior",
+            tol=tol))],
+    "transmission": [
+        ("transmission", lambda r, tol: verify.check_transmission(
+            r.fs, r.domain, ("volume", r.density), N=r.N, tol=tol)),
+        ("transmission", lambda r, tol: verify.check_transmission(
+            r.fs, r.domain, ("single_layer", get_preset("one")), N=r.N,
+            tol=tol))],
+    "derivative_recursion": [
+        ("derivative_recursion",
+         lambda r, tol: verify.check_derivative_recursion(
+             r.fs, r.domain, get_preset("x1"), get_preset("x1").grad,
+             np.concatenate([_interior_grid(r.domain, 2),
+                             _exterior_grid(r.domain)]), N=r.N, tol=tol))],
+    "integration_by_parts": [
+        ("integration_by_parts",
+         lambda r, tol: verify.check_integration_by_parts(
+             k_grad, dk_grad, r.domain, get_preset("x1sq"),
+             get_preset("x1sq").grad, 0.2 * np.eye(r.domain.dim)[0], 0,
+             N=r.N, tol=tol)),
+        ("ibp_psi", lambda r, tol: verify.check_sphere_residue(
+            k_grad, 0, r.domain.dim, 1.0 / r.domain.dim, tol=tol)),
+        ("ibp_psi_weak", lambda r, tol: verify.check_sphere_residue(
+            r.fs.eval, 0, r.domain.dim, 0.0, tol=tol))],
+    "maximal_bound": [
+        ("maximal_bound", lambda r, tol: verify.check_maximal_bound(
+            k_even, r.domain, _maximal_grid(r.domain.dim), MAXIMAL_RHO,
+            N=r.N, expect="bounded", tol=tol)),
+        ("maximal_growth", lambda r, tol: verify.check_maximal_bound(
+            k_control, r.domain, _maximal_grid(r.domain.dim)[1:],
+            MAXIMAL_RHO, N=r.N, expect="log-growth", tol=tol))],
+    "convergence": [
+        (None, lambda r, tol: _convergence_reports(r.fs, r.domain))],
+}
+
+
+def _laplace_unit_ball(fs, domain):
+    # where the f = 1 potential has a closed form
+    return (fs.kind == "laplace" and domain.kind == "ball"
+            and abs(domain.radius - 1.0) < 1e-14)
+
+
+def _tolerance(checks_cfg, key):
+    tol = float(checks_cfg.get(
+        f"{key}_tol", DEFAULT_TOLERANCES[TOLERANCE_ALIASES.get(key, key)]))
+    if tol <= 0:
+        raise VolpotError(f"tolerance for {key} must be positive")
+    return tol
+
+
+def _run_rows(run, rows):
+    reports = []
+    for tol, call in rows:
+        out = call(run, tol)
+        reports.extend(out if isinstance(out, list) else [out])
+    return reports
+
+
 def _verify_tasks(cfg, op, fs, domain):
-    """Closures for the selected checks; each returns a report list."""
+    """One task per selected check, each returning its report list; every
+    name, N and tolerance is validated before any task runs."""
     checks_cfg = cfg.get("checks", {})
     N = int(checks_cfg.get("N", 64))
-    closed_form_applies = (fs.kind == "laplace" and domain.kind == "ball"
-                           and domain.dim == 2
-                           and abs(domain.radius - 1.0) < 1e-14
-                           and not np.any(domain.center))
-    default_names = ["pde_identity", "transmission", "derivative_recursion",
-                     "integration_by_parts", "maximal_bound", "convergence"]
-    if closed_form_applies:
-        default_names.insert(0, "closed_form")
-    names = checks_cfg.get("list", default_names)
+    closed_form_applies = (_laplace_unit_ball(fs, domain)
+                           and domain.dim == 2 and not np.any(domain.center))
+    names = checks_cfg.get("list", [
+        name for name in CHECKS
+        if closed_form_applies or name != "closed_form"])
     density = build_density(cfg)
-    n = domain.dim
-
     if N < 4:
         raise VolpotError("checks.N must be at least 4")
-
-    def tol_for(key, fallback):
-        tol = float(checks_cfg.get(f"{key}_tol", fallback))
-        if tol <= 0:
-            raise VolpotError(f"tolerance for {key} must be positive")
-        return tol
-
-    one = get_preset("one")
-    x1 = get_preset("x1")
-    x1sq = get_preset("x1sq")
-    bump = get_preset("bump")
-
-    def interior_grid(k=3):
-        if domain.kind == "ball":
-            inner = domain.radius
-            center = domain.center
-        else:
-            inner = float(np.min(domain.rho(np.linspace(0, 2 * np.pi, 256))))
-            center = np.zeros(n)
-        span = 0.45 * inner
-        axes = [np.linspace(-span, span, k)] * n
-        pts = center + np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, n)
-        return pts[np.array([domain.classify(p) > 0 for p in pts])]
-
-    def exterior_grid():
-        base = domain.bounding_radius
-        pts = [np.full(n, base * 1.8), np.full(n, -base * 1.7)]
-        pts[0][0] = base * 2.1
-        pts[1][0] = -base * 2.4
-        return np.stack(pts)
-
-    def task_closed_form():
-        if not closed_form_applies:
-            raise VolpotError("the closed_form check requires the Laplace "
-                              "kernel on the centered unit disk")
-        return [verify.check_closed_form_disk(
-            fs, domain, N, tol_for("closed_form",
-                                   DEFAULT_TOLERANCES["closed_form"]))]
-
-    def task_pde():
-        reports = [verify.check_pde_identity(
-            fs, op, domain, bump, interior_grid(), N=N,
-            tol=tol_for("pde_identity", DEFAULT_TOLERANCES["pde_identity"]))]
-        reports.append(verify.check_pde_identity(
-            fs, op, domain, bump, exterior_grid(), h=1e-3, N=N,
-            side="exterior",
-            tol=tol_for("pde_identity_exterior",
-                        DEFAULT_TOLERANCES["pde_identity_exterior"])))
-        return reports
-
-    def task_transmission():
-        tol = tol_for("transmission", DEFAULT_TOLERANCES["transmission"])
-        reports = [verify.check_transmission(fs, domain, ("volume", density),
-                                             N=N, tol=tol)]
-        reports.append(verify.check_transmission(
-            fs, domain, ("single_layer", one), N=N, tol=tol))
-        return reports
-
-    def task_recursion():
-        return [verify.check_derivative_recursion(
-            fs, domain, x1, x1.grad,
-            np.concatenate([interior_grid(2), exterior_grid()]), N=N,
-            tol=tol_for("derivative_recursion",
-                        DEFAULT_TOLERANCES["derivative_recursion"]))]
-
-    def task_ibp():
-        sn = verify.sphere_measure(n)
-
-        def k_grad(z):
-            z = np.asarray(z)
-            r = np.linalg.norm(z, axis=-1)
-            return z[..., 0] / (sn * r ** n)
-
-        def dk_grad(z):
-            z = np.asarray(z)
-            r = np.linalg.norm(z, axis=-1)
-            out = -n * z * (z[..., 0] / r ** 2)[..., None]
-            out[..., 0] += 1.0
-            return out / (sn * r[..., None] ** n)
-
-        x = np.zeros(n)
-        x[0] = 0.2
-        reports = [verify.check_integration_by_parts(
-            k_grad, dk_grad, domain, x1sq, x1sq.grad, x, 0, N=N,
-            tol=tol_for("integration_by_parts",
-                        DEFAULT_TOLERANCES["integration_by_parts"]))]
-        reports.append(verify.check_sphere_residue(
-            k_grad, 0, n, 1.0 / n,
-            tol=tol_for("ibp_psi",
-                        DEFAULT_TOLERANCES["ibp_psi_gradient_kernel"])))
-        reports.append(verify.check_sphere_residue(
-            lambda z: fs.eval(z), 0, n, 0.0,
-            tol=tol_for("ibp_psi_weak",
-                        DEFAULT_TOLERANCES["ibp_psi_weak_kernel"])))
-        return reports
-
-    def task_maximal():
-        def k_even(z):
-            z = np.asarray(z)
-            r2 = np.sum(z * z, axis=-1)
-            return (z[..., 0] ** 2 - z[..., 1] ** 2) / r2 ** 2
-
-        def k_control(z):
-            z = np.asarray(z)
-            return 1.0 / np.sum(z * z, axis=-1) ** (n / 2.0)
-
-        x_grid = np.zeros((2, n))
-        x_grid[1, 0], x_grid[1, 1] = 0.4, 0.2
-        rho = np.array([1e-1, 1e-2, 1e-3, 1e-4, 1e-5])
-        reports = [verify.check_maximal_bound(
-            k_even, domain, x_grid, rho, N=N, expect="bounded",
-            tol=tol_for("maximal_bound",
-                        DEFAULT_TOLERANCES["maximal_bound_variation"]))]
-        reports.append(verify.check_maximal_bound(
-            k_control, domain, x_grid[1:], rho, N=N, expect="log-growth",
-            tol=tol_for("maximal_growth",
-                        DEFAULT_TOLERANCES["maximal_growth_deficit"])))
-        return reports
-
-    def task_convergence():
-        x0 = np.zeros(n)
-        reports = [verify.convergence_study(
-            "volume_potential", fs, domain, one,
-            x=x0, exact=_disk_center_value(fs, domain))]
-        xb = domain.boundary_point(0.3) if n == 2 else None
-        if xb is not None:
-            reports.append(verify.convergence_study(
-                "single_layer_onsurface", fs, domain, one, x=xb))
-        xfar = np.zeros(n)
-        xfar[0] = 3.0 * domain.bounding_radius
-        reports.append(verify.convergence_study(
-            "boundary_kernel", fs, domain, one, x=xfar))
-        return reports
-
-    table = {"closed_form": task_closed_form,
-             "pde_identity": task_pde,
-             "transmission": task_transmission,
-             "derivative_recursion": task_recursion,
-             "integration_by_parts": task_ibp,
-             "maximal_bound": task_maximal,
-             "convergence": task_convergence}
-    tasks = []
     for name in names:
-        if name not in table:
+        if name not in CHECKS:
             raise VolpotError(f"unknown check {name!r}; "
-                              f"available: {sorted(table)}")
-        tasks.append(table[name])
-    return tasks
+                              f"available: {sorted(CHECKS)}")
+    if "closed_form" in names and not closed_form_applies:
+        raise VolpotError("the closed_form check requires the Laplace "
+                          "kernel on the centered unit disk")
+    run = SimpleNamespace(fs=fs, op=op, domain=domain, density=density, N=N)
+    return [partial(_run_rows, run,
+                    [(key and _tolerance(checks_cfg, key), call)
+                     for key, call in CHECKS[name]])
+            for name in names]
 
 
-def _disk_center_value(fs, domain):
-    # exact center value of the f = 1 potential where a closed form exists
-    if fs.kind == "laplace" and domain.kind == "ball":
-        if domain.dim == 2 and abs(domain.radius - 1.0) < 1e-14:
-            return -0.25
-        if domain.dim == 3 and abs(domain.radius - 1.0) < 1e-14:
-            return -0.5
-    return None
+def _convergence_reports(fs, domain, N_list=(8, 16, 32, 64)):
+    """Convergence of the f = 1 volume potential at the domain's center
+    (against the closed form on Laplace unit balls), the on-surface single
+    layer (2D) and the boundary kernel at a far point."""
+    one = get_preset("one")
+    exact = ({2: -0.25, 3: -0.5}[domain.dim]
+             if _laplace_unit_ball(fs, domain) else None)
+    reports = [verify.convergence_study(
+        "volume_potential", fs, domain, one, N_list=N_list,
+        x=domain.center, exact=exact)]
+    if domain.dim == 2:
+        reports.append(verify.convergence_study(
+            "single_layer_onsurface", fs, domain, one, N_list=N_list,
+            x=domain.boundary_point(0.3)))
+    reports.append(verify.convergence_study(
+        "boundary_kernel", fs, domain, one, N_list=N_list,
+        x=3.0 * domain.bounding_radius * np.eye(domain.dim)[0]))
+    return reports
 
 
 def _run_verify(args) -> int:
@@ -291,21 +302,9 @@ def _run_verify(args) -> int:
 
 def _run_converge(args) -> int:
     cfg, op, fs, domain = _load(args)
-    sec = cfg.get("converge", {})
-    N_list = [int(v) for v in sec.get("N_list", [8, 16, 32, 64])]
-    one = get_preset("one")
-    x0 = np.zeros(domain.dim)
-    reports = [verify.convergence_study(
-        "volume_potential", fs, domain, one, N_list=N_list, x=x0,
-        exact=_disk_center_value(fs, domain))]
-    if domain.dim == 2:
-        reports.append(verify.convergence_study(
-            "single_layer_onsurface", fs, domain, one, N_list=N_list,
-            x=domain.boundary_point(0.3)))
-    xfar = np.zeros(domain.dim)
-    xfar[0] = 3.0 * domain.bounding_radius
-    reports.append(verify.convergence_study(
-        "boundary_kernel", fs, domain, one, N_list=N_list, x=xfar))
+    N_list = [int(v) for v in cfg.get("converge", {}).get(
+        "N_list", [8, 16, 32, 64])]
+    reports = _convergence_reports(fs, domain, N_list)
     out = args.out / "converge.csv"
     write_reports_csv(reports, out)
     ok = all(r.passed for r in reports)

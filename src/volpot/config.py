@@ -45,8 +45,6 @@ modulus.preset = abs_x1
 modulus.alpha = 1.0
 modulus.scales = [1e-1, 1e-2, 1e-3, 1e-4]
 modulus.N = 48
-
-output.dir = .
 """
 
 
@@ -143,8 +141,8 @@ def build_domain(cfg: dict):
     raise ConfigError(f"unknown domain.kind {kind!r} (ball | ellipse | star)")
 
 
-def build_density(cfg: dict, section: str = "density"):
-    sec = cfg.get(section, {})
+def build_density(cfg: dict):
+    sec = cfg.get("density", {})
     if "csv" in sec:
         return presets.tabulated_from_csv(sec["csv"])
     name = sec.get("preset", "one")

@@ -157,3 +157,92 @@ def test_modulus_subcommand(tmp_path):
     with open(tmp_path / "modulus_table.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert {"scale", "omega1_seminorm", "lipschitz_seminorm"} == set(rows[0])
+
+
+# -- the check table: config errors are caught before any check runs ---------
+
+def _verify_exit(tmp_path, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    return main(["verify", "--config", str(cfg), "--out", str(tmp_path)])
+
+
+def test_unknown_check_exits_2_and_lists_available(tmp_path, capsys):
+    code = _verify_exit(tmp_path, SMALL_CONFIG + "checks.list = [nope]\n")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'nope'" in err
+    for name in ("closed_form", "pde_identity", "transmission",
+                 "derivative_recursion", "integration_by_parts",
+                 "maximal_bound", "convergence"):
+        assert name in err
+
+
+def test_checks_N_below_4_exits_2(tmp_path, capsys):
+    assert _verify_exit(tmp_path, SMALL_CONFIG + "checks.N = 3\n") == 2
+    assert "checks.N" in capsys.readouterr().err
+
+
+def test_nonpositive_tolerance_exits_2(tmp_path, capsys):
+    code = _verify_exit(tmp_path, SMALL_CONFIG + "checks.list = [transmission]\n"
+                        "checks.transmission_tol = 0\n")
+    assert code == 2
+    assert "transmission must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_closed_form_on_ellipse_exits_2(tmp_path, capsys):
+    code = _verify_exit(tmp_path, "domain.kind = ellipse\n"
+                        "checks.list = [closed_form]\nchecks.N = 16\n")
+    assert code == 2
+    assert "closed_form" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
+
+
+# config key -> its own tolerance, one value per row kind of the report
+TOL_KEYS = {"closed_form": 2e-6, "pde_identity": 3e-3,
+            "pde_identity_exterior": 4e-6, "transmission": 5e-4,
+            "derivative_recursion": 6e-5, "integration_by_parts": 7e-4,
+            "ibp_psi": 8e-3, "ibp_psi_weak": 9e-6, "maximal_bound": 0.11,
+            "maximal_growth": 2.5e-6}
+
+
+def test_every_tolerance_key_reaches_its_rows(tmp_path):
+    text = ("checks.list = [closed_form, pde_identity, transmission, "
+            "derivative_recursion, integration_by_parts, maximal_bound]\n"
+            "checks.N = 8\n"
+            + "".join(f"checks.{k}_tol = {v!r}\n" for k, v in TOL_KEYS.items()))
+    assert _verify_exit(tmp_path, text) in (0, 1)
+    with open(tmp_path / "report.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    order = ["closed_form", "pde_identity", "pde_identity_exterior",
+             "transmission", "transmission", "derivative_recursion",
+             "integration_by_parts", "ibp_psi", "ibp_psi_weak",
+             "maximal_bound", "maximal_growth"]
+    assert [float(row["tolerance"]) for row in rows] == \
+        [TOL_KEYS[k] for k in order]
+
+
+# -- convergence on shifted unit balls: the closed form is the center value ---
+
+SHIFTED_BALLS = {
+    "2d": "domain.dim = 2\ndomain.center = [0.5, 0]\n",
+    "3d": "domain.dim = 3\ndomain.center = [0.5, 0, 0]\n"
+          "operator.a2 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]\n"
+          "operator.a1 = [0, 0, 0]\n"}
+
+
+@pytest.mark.parametrize("command,written", [("converge", "converge.csv"),
+                                             ("verify", "report.csv")])
+@pytest.mark.parametrize("ball", sorted(SHIFTED_BALLS))
+def test_convergence_on_shifted_unit_ball(tmp_path, ball, command, written):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("domain.kind = ball\ndomain.R = 1.0\n" + SHIFTED_BALLS[ball]
+                   + "checks.list = [convergence]\n"
+                   + "converge.N_list = [8, 16, 32]\n")
+    assert main([command, "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 0
+    with open(tmp_path / written) as fh:
+        row = next(csv.DictReader(fh))
+    assert "op=volume_potential" in row["param"]
+    assert row["pass"] == "true"
