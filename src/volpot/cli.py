@@ -148,9 +148,10 @@ def _exterior_grid(domain):
                                               [-2.4] + [-1.7] * (n - 1)])
 
 
-def _maximal_grid(n):
+def _maximal_grid(domain):
     # the center and an off-center point (the growth row takes the latter)
-    return np.pad([[0.0, 0.0], [0.4, 0.2]], ((0, 0), (0, n - 2)))
+    return domain.center + np.pad([[0.0, 0.0], [0.4, 0.2]],
+                                  ((0, 0), (0, domain.dim - 2)))
 
 
 MAXIMAL_RHO = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5]
@@ -194,7 +195,8 @@ CHECKS = {
         ("integration_by_parts",
          lambda r, tol: verify.check_integration_by_parts(
              k_grad, dk_grad, r.domain, get_preset("x1sq"),
-             get_preset("x1sq").grad, 0.2 * np.eye(r.domain.dim)[0], 0,
+             get_preset("x1sq").grad,
+             r.domain.center + 0.2 * np.eye(r.domain.dim)[0], 0,
              N=r.N, tol=tol)),
         ("ibp_psi", lambda r, tol: verify.check_sphere_residue(
             k_grad, 0, r.domain.dim, 1.0 / r.domain.dim, tol=tol)),
@@ -202,10 +204,10 @@ CHECKS = {
             r.fs.eval, 0, r.domain.dim, 0.0, tol=tol))],
     "maximal_bound": [
         ("maximal_bound", lambda r, tol: verify.check_maximal_bound(
-            k_even, r.domain, _maximal_grid(r.domain.dim), MAXIMAL_RHO,
+            k_even, r.domain, _maximal_grid(r.domain), MAXIMAL_RHO,
             N=r.N, expect="bounded", tol=tol)),
         ("maximal_growth", lambda r, tol: verify.check_maximal_bound(
-            k_control, r.domain, _maximal_grid(r.domain.dim)[1:],
+            k_control, r.domain, _maximal_grid(r.domain)[1:],
             MAXIMAL_RHO, N=r.N, expect="log-growth", tol=tol))],
     "convergence": [
         (None, lambda r, tol: _convergence_reports(r.fs, r.domain))],

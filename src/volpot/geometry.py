@@ -87,8 +87,12 @@ class Domain:
         x = np.asarray(x, dtype=float)
         if self.kind == "ball":
             return self.radius - np.linalg.norm(x - self.center, axis=-1)
-        theta = np.arctan2(x[..., 1], x[..., 0])
-        return self.rho(theta) - np.linalg.norm(x, axis=-1)
+        return self._gap_xy(x[..., 0], x[..., 1])
+
+    def _gap_xy(self, px, py):
+        # the star2d gap from separate coordinate arrays;
+        # np.linalg.norm over a length-2 axis is sqrt(x0 * x0 + x1 * x1)
+        return self.rho(np.arctan2(py, px)) - np.sqrt(px * px + py * py)
 
     def classify(self, x) -> int:
         """+1 interior, -1 exterior, 0 within the boundary band."""
@@ -175,13 +179,16 @@ class Domain:
         of strongly non-convex domains carries an O(n_scan^-2) floor.
 
         Only scan points in the annulus between the inscribed and the
-        bounding circle evaluate ``radial_gap``; the rest are inside or
+        bounding circle evaluate the radial gap; the rest are inside or
         outside by the ``inscribed_radius`` and ``bounding_radius``
         invariants.  Rays are scanned in blocks whose scan points, as an
         (points, 2) array, stay below ``_BLOCK_BYTES``, so memory does not
-        grow with the ray count.  A bracket leaves the bisection once its
-        midpoint rounds onto an endpoint, after which no step can change
-        it.
+        grow with the ray count.  Points are formed and tested on flat
+        coordinate arrays, t dx + x0 and t dy + x1, with the operations of
+        ``_ray_nodes`` and ``radial_gap`` and so their bits.  Bisection
+        steps every bracket at once; a bracket retires, its ends kept by
+        ``np.where``, once its midpoint rounds onto an endpoint, after
+        which no step could change it.
         """
         x = np.asarray(x, dtype=float)
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
@@ -192,6 +199,7 @@ class Domain:
         r2_max = self.bounding_radius ** 2
         r2_in = self.inscribed_radius ** 2
         xx = x @ x
+        dx, dy = np.ascontiguousarray(dirs.T)
         m = len(dirs)
         step = _rays_per_block(2 * n_scan)
         ray_idx, step_idx, state_lo = [], [], []
@@ -201,8 +209,9 @@ class Domain:
             q = xx + ts * (2.0 * (d @ x)[:, None] + ts)
             inside = q < r2_in
             ri, si = np.nonzero((q < r2_max) & ~inside)
-            inside[ri, si] = self.radial_gap(
-                _ray_nodes(x, ts[si, None], d[ri])) > 0.0
+            t, ri_all = ts[si], ri + start
+            inside[ri, si] = self._gap_xy(t * dx[ri_all] + x[0],
+                                          t * dy[ri_all] + x[1]) > 0.0
             if not np.all(inside[:, 0]):
                 raise DomainError("ray casting requires an interior point")
             # np.nonzero yields row-major order, so crossings are grouped
@@ -216,17 +225,18 @@ class Domain:
         state_lo = np.concatenate(state_lo)
         lo = ts[step_idx]
         hi = ts[step_idx + 1]
-        active = np.arange(len(lo))
+        dx, dy = dx[ray_idx], dy[ray_idx]
+        live = np.ones(len(lo), dtype=bool)
         for _ in range(60):
-            if not len(active):
+            if not live.any():
                 break
-            lo_a, hi_a = lo[active], hi[active]
-            mid = 0.5 * (lo_a + hi_a)
-            pm = _ray_nodes(x, mid[:, None], dirs[ray_idx[active]])
-            take_lo = (self.radial_gap(pm) > 0.0) == state_lo[active]
-            lo[active[take_lo]] = mid[take_lo]
-            hi[active[~take_lo]] = mid[~take_lo]
-            active = active[(mid != lo_a) & (mid != hi_a)]
+            mid = 0.5 * (lo + hi)
+            take_lo = (self._gap_xy(mid * dx + x[0], mid * dy + x[1])
+                       > 0.0) == state_lo
+            settled = (mid == lo) | (mid == hi)
+            lo = np.where(live & take_lo, mid, lo)
+            hi = np.where(live & ~take_lo, mid, hi)
+            live &= ~settled
         cross = 0.5 * (lo + hi)
         bounds = np.searchsorted(ray_idx, np.arange(m + 1))
         first = cross[bounds[:-1]]

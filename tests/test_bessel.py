@@ -1,3 +1,8 @@
+import sys
+import threading
+from fractions import Fraction
+from math import factorial
+
 import numpy as np
 from scipy import special
 
@@ -13,8 +18,9 @@ def test_k0_k1_accuracy_against_scipy():
 
 
 def test_branch_seam_agreement():
-    for seam, small, mid in ((2.0, _bessel._k0_series, _bessel._CHEB_K0),
-                             (2.0, _bessel._k1_series, _bessel._CHEB_K1)):
+    # k0 and k1 take the series branch at x = 2
+    for seam, small, mid in ((2.0, _bessel.k0, _bessel._CHEB_K0),
+                             (2.0, _bessel.k1, _bessel._CHEB_K1)):
         x = np.array([seam])
         gap = abs(small(x)[0] - _bessel._k_mid(x, mid)[0])
         assert gap < 1e-12 * special.k0(seam)
@@ -63,13 +69,89 @@ def _k1_series_31(x):
     return 1.0 / x + np.log(x / 2.0) * i1 - (x / 4.0) * s
 
 
+def _cutoff_holds(q, k, j_max=40):
+    """Every K0 term after the k-th is negligible at q <= 1 (the bound of
+    the _bessel docstring, in exact arithmetic); the terms fall with j, so
+    j_max = 40 covers every later one."""
+    h = sum(Fraction(1, j) for j in range(1, k + 1))
+    for j in range(k + 1, j_max):
+        h += Fraction(1, j)
+        f2 = factorial(j) ** 2
+        if not (q ** j / f2 < Fraction(1, 2 ** 56)
+                and h * q ** (j - 1) / f2 < Fraction(1, 2 ** 57)):
+            return False
+    return True
+
+
+def test_k0_cutoffs_follow_from_the_term_bound():
+    for k, cut in _bessel._K0_CUTOFFS.items():
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if _cutoff_holds(Fraction(mid), k) else (lo, mid)
+        # the literal keeps the bound and gives away under 1% of the range
+        assert _cutoff_holds(Fraction(cut), k)
+        assert 0.99 * lo < cut <= lo
+
+
 def test_series_truncation_is_bitwise_exact():
-    # the 31-term series is the reference; the K1 harmonic sum changes sign
-    # near x = 0.9307780097, so every float within 2e5 ulps of it is checked
+    # the 31-term series is the reference (every x <= 2 takes the series
+    # branch); the K1 harmonic sum changes sign near x = 0.9307780097, so
+    # every float within 2e5 ulps of it is checked, as are the floats
+    # within 1000 ulps of the x where each K0 cut-off stops the sum.  The
+    # shuffled copy mixes arguments that stop at different terms in one
+    # chunk, and the 2-D and scalar inputs go through the reshapes.
     root = 0.9307780096828530
+    cut_x = [2.0 * np.sqrt(c) for c in _bessel._K0_CUTOFFS.values()]
     x = np.concatenate([np.linspace(0.0, 2.0, 1_000_001)[1:],
                         np.geomspace(1e-300, 2.0, 100_001), [2.0],
                         root + np.arange(-200_000, 200_001)
-                        * np.spacing(root)])
-    assert np.array_equal(_bessel._k0_series(x), _k0_series_31(x))
-    assert np.array_equal(_bessel._k1_series(x), _k1_series_31(x))
+                        * np.spacing(root)]
+                       + [c + np.arange(-1000, 1001) * np.spacing(c)
+                          for c in cut_x])
+    shuffled = np.random.default_rng(0).permutation(x)
+    grid = x[:1_000_000].reshape(1000, 1000)
+    for fn, ref in ((_bessel.k0, _k0_series_31), (_bessel.k1, _k1_series_31)):
+        assert np.array_equal(fn(x), ref(x))
+        assert np.array_equal(fn(shuffled), ref(shuffled))
+        out = fn(grid)
+        assert out.shape == grid.shape
+        assert np.array_equal(out, ref(grid))
+        for c in cut_x:
+            assert fn(c) == ref(np.array([c]))[0]
+
+
+def test_series_workspace_threads_match_serial():
+    x = np.random.default_rng(1).uniform(1e-3, 2.5, 200_000)
+    serial = [_bessel.k0(x), _bessel.k1(x)]
+    results = [None] * 4
+
+    def work(i):
+        results[i] = [[_bessel.k0(x), _bessel.k1(x)] for _ in range(3)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for res in results:
+        for pair in res:
+            assert np.array_equal(pair[0], serial[0])
+            assert np.array_equal(pair[1], serial[1])
+
+
+def test_series_workspace_stays_one_chunk():
+    x = np.linspace(1e-3, 2.0, 1_000_000)
+    first = _bessel.k0(x)
+    kept = first.copy()
+    second = _bessel.k1(x[::-1].copy())
+    assert _bessel._workspace.bufs.shape == (5, _bessel._CHUNK)
+    for out in (first, second):
+        assert not np.shares_memory(out, _bessel._workspace.bufs)
+    assert np.array_equal(first, kept)

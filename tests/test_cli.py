@@ -246,3 +246,21 @@ def test_convergence_on_shifted_unit_ball(tmp_path, ball, command, written):
         row = next(csv.DictReader(fh))
     assert "op=volume_potential" in row["param"]
     assert row["pass"] == "true"
+
+
+def test_verify_points_move_with_an_off_origin_ball(tmp_path):
+    # the integration-by-parts and maximal-bound points sit at fixed
+    # offsets from the center, so a ball that leaves out the origin runs
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("domain.kind = ball\ndomain.dim = 2\ndomain.R = 1.0\n"
+                   "domain.center = [3, 0]\n"
+                   "checks.list = [integration_by_parts, maximal_bound]\n")
+    assert main(["verify", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "report.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["check"] for row in rows] == [
+        "integration_by_parts", "sphere_residue", "sphere_residue",
+        "maximal_bound", "maximal_bound"]
+    assert "x=[3.2 0]" in rows[0]["param"]
+    assert all(row["pass"] == "true" for row in rows)

@@ -212,6 +212,12 @@ def test_gauss_legendre_nodes_cached_read_only():
                 arr[0] = 0.5
 
 
+def _star_gap_norm(domain, x):
+    # the star radial gap as written before it took flat coordinates
+    theta = np.arctan2(x[..., 1], x[..., 0])
+    return domain.rho(theta) - np.linalg.norm(x, axis=-1)
+
+
 def _ray_intervals_reference(domain, x, dirs, n_scan=256):
     """Dense scan of every ray, 60 bisection steps per bracket and per-ray
     pairing: the loop ``Domain.ray_intervals`` must reproduce bit for
@@ -219,7 +225,7 @@ def _ray_intervals_reference(domain, x, dirs, n_scan=256):
     tmax = 2.2 * domain.bounding_radius
     ts = np.linspace(0.0, tmax, n_scan)
     pts = x[None, None, :] + ts[None, :, None] * dirs[:, None, :]
-    inside = domain.radial_gap(pts) > 0.0
+    inside = _star_gap_norm(domain, pts) > 0.0
     ray_idx, step_idx = np.nonzero(inside[:, :-1] != inside[:, 1:])
     lo = ts[step_idx]
     hi = ts[step_idx + 1]
@@ -227,7 +233,7 @@ def _ray_intervals_reference(domain, x, dirs, n_scan=256):
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         pm = x[None, :] + mid[:, None] * dirs[ray_idx]
-        take_lo = (domain.radial_gap(pm) > 0.0) == state_lo
+        take_lo = (_star_gap_norm(domain, pm) > 0.0) == state_lo
         lo = np.where(take_lo, mid, lo)
         hi = np.where(take_lo, hi, mid)
     cross = 0.5 * (lo + hi)
@@ -269,6 +275,81 @@ def test_ray_intervals_match_dense_scan_bitwise(dom, reenters):
             assert np.array_equal(extras, ref_extras)
             reentered += len(extras)
     assert (reentered > 0) == reenters
+
+
+def _ray_intervals_blocked(domain, x, dirs, n_scan=256):
+    """The blocked scan and shrinking-active-set bisection on (m, 2)
+    points that ``Domain.ray_intervals`` used before it stepped flat
+    coordinates: its bits are the ones to keep."""
+    tmax = 2.2 * domain.bounding_radius
+    ts = np.linspace(0.0, tmax, n_scan)
+    r2_max = domain.bounding_radius ** 2
+    r2_in = domain.inscribed_radius ** 2
+    xx = x @ x
+    m = len(dirs)
+    step = geometry._rays_per_block(2 * n_scan)
+    ray_idx, step_idx, state_lo = [], [], []
+    for start in range(0, m, step):
+        d = dirs[start:start + step]
+        q = xx + ts * (2.0 * (d @ x)[:, None] + ts)
+        inside = q < r2_in
+        ri, si = np.nonzero((q < r2_max) & ~inside)
+        inside[ri, si] = _star_gap_norm(
+            domain, geometry._ray_nodes(x, ts[si, None], d[ri])) > 0.0
+        r, s = np.nonzero(inside[:, :-1] != inside[:, 1:])
+        ray_idx.append(r + start)
+        step_idx.append(s)
+        state_lo.append(inside[r, s])
+    ray_idx = np.concatenate(ray_idx)
+    step_idx = np.concatenate(step_idx)
+    state_lo = np.concatenate(state_lo)
+    lo = ts[step_idx]
+    hi = ts[step_idx + 1]
+    active = np.arange(len(lo))
+    for _ in range(60):
+        if not len(active):
+            break
+        lo_a, hi_a = lo[active], hi[active]
+        mid = 0.5 * (lo_a + hi_a)
+        pm = geometry._ray_nodes(x, mid[:, None], dirs[ray_idx[active]])
+        take_lo = (_star_gap_norm(domain, pm) > 0.0) == state_lo[active]
+        lo[active[take_lo]] = mid[take_lo]
+        hi[active[~take_lo]] = mid[~take_lo]
+        active = active[(mid != lo_a) & (mid != hi_a)]
+    cross = 0.5 * (lo + hi)
+    bounds = np.searchsorted(ray_idx, np.arange(m + 1))
+    rank = np.arange(len(cross)) - bounds[ray_idx]
+    enter = np.nonzero(rank % 2 == 1)[0]
+    return cross[bounds[:-1]], np.column_stack(
+        [ray_idx[enter], cross[enter], cross[enter + 1]])
+
+
+@pytest.mark.parametrize("dom, theta, reenters",
+                         [(cosine_star([1, 0, 0, 0.2]), 0.98, True),
+                          (ellipse(2.0, 1.0), 0.98, False),
+                          (cosine_star([1, 0, 0.3]), 1.3, True)],
+                         ids=["star-0.2", "ellipse", "star-2-0.3"])
+def test_ray_intervals_match_blocked_bisection_bitwise(dom, theta, reenters):
+    xb, nb = dom.boundary_point(theta), dom.boundary_normal(theta)
+    reentered = 0
+    for offset in (1e-2, 1e-3, 1e-4):
+        x = xb - offset * nb
+        for m in (292, 924, 2924):
+            dirs = _fan(m)
+            first, extras = dom.ray_intervals(x, dirs)
+            ref_first, ref_extras = _ray_intervals_blocked(dom, x, dirs)
+            assert np.array_equal(first, ref_first)
+            assert extras.shape == ref_extras.shape
+            assert np.array_equal(extras, ref_extras)
+            reentered += len(extras)
+    assert (reentered > 0) == reenters
+
+
+def test_ray_intervals_rejects_non_interior():
+    s = cosine_star([1, 0, 0, 0.2])
+    for x in ([1.5, 0.0], [0.0, -3.0]):
+        with pytest.raises(DomainError, match="interior point"):
+            s.ray_intervals(np.array(x), _fan(16))
 
 
 def test_star_bounding_radius_bounds_rho_between_samples():
