@@ -8,7 +8,7 @@ from volpot import (DomainError, NearBoundaryError, boundary_rule,
                     cosine_star, disk, ellipse, laplace_fundamental,
                     make_ball, make_star2d, singular_volume_rule,
                     volume_rule)
-from volpot import geometry, potentials
+from volpot import geometry, potentials, verify
 from volpot.geometry import (_gl01, _leggauss, exterior_chord_rule,
                              near_exterior_star_rule)
 
@@ -477,6 +477,122 @@ def test_rule_nodes_match_broadcast_bitwise(dom, monkeypatch):
         assert vq.nodes.shape == (len(vq.weights), dom.dim)
         assert _same_bits(vq.nodes, ref.nodes), (build.__name__, args[1:])
         assert _same_bits(vq.weights, ref.weights), (build.__name__, args[1:])
+
+
+# The boundary and unit-sphere grids as each builder once wrote them out
+# for itself; the shared grid builders must give the same bits.
+
+_EX, _EY, _EZ = np.eye(3)
+
+
+def _circle_written_out(m):
+    t = 2.0 * np.pi * np.arange(m) / m
+    return t, np.stack([np.cos(t), np.sin(t)], axis=1), np.full(
+        m, 2.0 * np.pi / m)
+
+
+def _gl_sphere_written_out(nt, nphi):
+    mu, wmu = np.polynomial.legendre.leggauss(nt)
+    phi = 2.0 * np.pi * np.arange(nphi) / nphi
+    dirs = _cone_dirs_broadcast(mu, np.sqrt(1.0 - mu ** 2), _EZ, _EX, _EY,
+                                phi)
+    return dirs, np.repeat(wmu, nphi) * (2.0 * np.pi / nphi)
+
+
+def _boundary_rule_written_out(dom, N):
+    if dom.dim == 2:
+        m = max(16, 2 * N)
+        theta = 2.0 * np.pi * np.arange(m) / m
+        return (dom.boundary_point(theta),
+                dom.boundary_jacobian(theta) * (2.0 * np.pi / m),
+                dom.boundary_normal(theta))
+    R, c = dom.radius, dom.center
+    nt = max(8, N)
+    dirs, w = _gl_sphere_written_out(nt, 2 * nt)
+    return c + R * dirs, w * R ** 2, dirs
+
+
+def _graded_cap_written_out(dom, x, N):
+    R, c = dom.radius, dom.center
+    d = x - c
+    axis = d / np.linalg.norm(d)
+    tmp = np.array([1.0, 0.0, 0.0]) if abs(axis[0]) < 0.9 else np.array(
+        [0.0, 1.0, 0.0])
+    e1 = np.cross(axis, tmp)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(axis, e1)
+    z, w = np.polynomial.legendre.leggauss(max(24, 2 * N))
+    u, w = 0.5 * (z + 1.0), 0.5 * w
+    psi = np.pi * u ** 3
+    wpsi = np.pi * 3 * u ** 2 * w
+    nphi = max(16, N)
+    phi = 2.0 * np.pi * np.arange(nphi) / nphi
+    dirs = _cone_dirs_broadcast(np.cos(psi), np.sin(psi), axis, e1, e2, phi)
+    wts = np.repeat(wpsi * np.sin(psi), nphi) * (2.0 * np.pi / nphi) * R ** 2
+    return c[None, :] + R * dirs, wts, dirs
+
+
+BALL3 = make_ball(3, (0.0, 0.0, 0.0), 1.0)
+SHIFTED_BALL3 = make_ball(3, (0.3, -0.2, 0.5), 1.5)
+
+
+@pytest.mark.parametrize("N", [4, 12, 64])
+@pytest.mark.parametrize("dom", [disk(), cosine_star([1, 0, 0, 0.2]),
+                                 BALL3, SHIFTED_BALL3],
+                         ids=["disk", "star", "ball3d", "shifted-ball3d"])
+def test_boundary_rule_keeps_written_out_bits(dom, N):
+    bq = boundary_rule(dom, N)
+    nodes, weights, normals = _boundary_rule_written_out(dom, N)
+    assert _same_bits(bq.nodes, nodes)
+    assert _same_bits(bq.weights, weights)
+    assert _same_bits(bq.normals, normals)
+
+
+def _recording_kernel(seen):
+    def k(z):
+        seen.append(np.array(z))
+        return 1.0 + 3.0 * z[:, 0] - z[:, -1] ** 2
+    return k
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sphere_residue_keeps_written_out_bits(n):
+    # every kernel argument is eps xi on the unit-sphere grid, and each
+    # scaled sum is the written-out one
+    xi, w = (_circle_written_out(256)[1:] if n == 2
+             else _gl_sphere_written_out(48, 96))
+    eps_seq = (1e-1, 1e-2, 1e-3, 1e-4)
+    seen = []
+    _, vals = verify.sphere_residue(_recording_kernel(seen), n - 1, n,
+                                    eps_seq)
+    k = _recording_kernel([])
+    for eps, z, val in zip(eps_seq, seen, vals):
+        assert _same_bits(z, eps * xi)
+        ref = np.sum(k(eps * xi) * xi[:, n - 1] * w) * eps ** (n - 1)
+        assert val == ref
+
+
+@pytest.mark.parametrize("N", [4, 12])
+@pytest.mark.parametrize("dom", [BALL3, SHIFTED_BALL3],
+                         ids=["ball3d", "shifted-ball3d"])
+def test_graded_cap_keeps_written_out_bits(dom, N):
+    # the near-boundary layer rule on the sphere, seen through the
+    # (nodes, normals) it hands the integrand and the sum it returns
+    nb = np.array([1.0, 2.0, -2.0]) / 3.0
+    for s in (-1e-3, 1e-4):
+        x = dom.center + (dom.radius + s) * nb
+        seen = []
+
+        def integrand(y, nu):
+            seen.append((np.array(y), np.array(nu)))
+            return 1.0 + y[:, 0] * nu[:, 2] - y[:, 1] ** 2
+
+        got = potentials._boundary_integral(dom, integrand, x, N)
+        nodes, wts, normals = _graded_cap_written_out(dom, x, N)
+        assert len(seen) == 1
+        assert _same_bits(seen[0][0], nodes)
+        assert _same_bits(seen[0][1], normals)
+        assert got == complex(np.sum(integrand(nodes, normals) * wts))
 
 
 def test_sphere_graded_rule_matches_broadcast_bitwise(monkeypatch):
