@@ -61,13 +61,16 @@ from .operators import (OperatorCoefficients, factor_principal,
 KINDS = ("laplace", "anisotropic-principal", "modified-helmholtz")
 
 
+_DIM_ERROR = "only dimensions 2 and 3 are supported"
+
+
 def sphere_measure(n: int) -> float:
     """Surface measure of the unit sphere in R^n (n = 2 or 3)."""
     if n == 2:
         return 2.0 * np.pi
     if n == 3:
         return 4.0 * np.pi
-    raise ValueError("only dimensions 2 and 3 are supported")
+    raise ValueError(_DIM_ERROR)
 
 
 def _rowdot(a, b):
@@ -94,12 +97,7 @@ def _as_points(x, n):
 
 def laplace_Sn(n: int, x):
     """Fundamental solution of the Laplacian: log|x|/s_2 or |x|^{2-n}/((2-n) s_n)."""
-    pts, r, single = _as_points(x, n)
-    if n == 2:
-        out = np.log(r) / (2.0 * np.pi)
-    else:
-        out = -1.0 / (4.0 * np.pi * r)
-    return out[0] if single else out
+    return laplace_fundamental(n).eval(x)
 
 
 def principal_anisotropic(op: OperatorCoefficients, x):
@@ -350,6 +348,8 @@ def gradient_split(fs: FundamentalSolution, j: int, x):
 
 
 def _make(op, kind, kappa=0.0):
+    if op.dim not in (2, 3):
+        raise ValueError(_DIM_ERROR)
     T = factor_principal(op)
     a2_inv = np.linalg.inv(op.a2)
     a2_inv = 0.5 * (a2_inv + a2_inv.T)

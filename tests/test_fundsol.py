@@ -26,6 +26,35 @@ def test_laplace_Sn_values():
         -1.0 / (4.0 * np.pi), rel=1e-14)
 
 
+def test_laplace_Sn_keeps_written_out_bits():
+    rng = np.random.default_rng(4)
+    for n, ref in ((2, lambda r: np.log(r) / (2.0 * np.pi)),
+                   (3, lambda r: -1.0 / (4.0 * np.pi * r))):
+        x = rng.standard_normal((200, n)) * 10.0 ** rng.uniform(-8, 3, (200, 1))
+        r = np.sqrt(np.sum(x * x, axis=-1))
+        assert np.array_equal(laplace_Sn(n, x), ref(r))
+        assert laplace_Sn(n, x[0]) == ref(r[:1])[0]
+
+
+def test_dimension_four_rejected():
+    # every kernel is defined for n = 2 and 3 only; n = 4 must not fall
+    # through to the 3D formulas
+    aniso4 = OperatorCoefficients(4, np.diag([4.0, 1.0, 1.0, 2.0]),
+                                  np.zeros(4), 0)
+    x = np.ones(4)
+    calls = [lambda: laplace_fundamental(4),
+             lambda: helmholtz_fundamental(4, 1.0),
+             lambda: principal_fundamental(aniso4),
+             lambda: fundamental_solution(laplacian(4)),
+             lambda: fundamental_solution(helmholtz_modified(4, 1.0)),
+             lambda: laplace_Sn(4, x),
+             lambda: modified_helmholtz(4, 1.0, x),
+             lambda: principal_anisotropic(aniso4, x)]
+    for call in calls:
+        with pytest.raises(ValueError, match="dimensions 2 and 3"):
+            call()
+
+
 def test_singular_point_rejected():
     with pytest.raises(SingularPointError):
         laplace_Sn(2, np.zeros(2))
