@@ -5,6 +5,13 @@ Two domain kinds: balls in R^2/R^3 and planar star-shaped domains
 Boundary rules are trapezoid-based (spectral on smooth data) in 2D and
 Gauss-Legendre x trapezoid product rules on the sphere.
 
+Every angular grid comes from ``_circle_grid`` (the trapezoid circle) or
+``_sphere_grid`` (polar angles times the trapezoid azimuth, about z or a
+given direction; ``_gl_sphere`` for Gauss-Legendre polar angles).  Layer
+integrals on or near the boundary use ``_graded_boundary_rules``, a tuple
+of BoundaryQuadratures (the two halves of the 2D parameter window, or one
+polar cap on the sphere) that callers sum a rule at a time.
+
 The singularity-adapted volume rule integrates in polar coordinates about
 the (interior) evaluation point, with Gauss-Legendre panels geometrically
 graded toward the center along each ray.  The radial Jacobian r^{n-1}
@@ -495,6 +502,47 @@ def _cone_dirs(ca, sa, axis, e1, e2, phi):
     return out.reshape(-1, 3)
 
 
+def _axis_frame(axis):
+    tmp = np.array([1.0, 0.0, 0.0]) if abs(axis[0]) < 0.9 else np.array(
+        [0.0, 1.0, 0.0])
+    e1 = np.cross(axis, tmp)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(axis, e1)
+    return e1, e2
+
+
+def _circle_grid(m):
+    """Trapezoid rule on the unit circle: the angles 2 pi k / m, the
+    (m, 2) unit directions and the weights 2 pi / m."""
+    theta = 2.0 * np.pi * np.arange(m) / m
+    dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    return theta, dirs, np.full(m, 2.0 * np.pi / m)
+
+
+def _sphere_grid(ct, st, wt, nphi, toward=None):
+    """Directions, polar-major, and weights of a product rule on the unit
+    sphere: polar angles with cosines ct, sines st and weights wt (sine
+    Jacobian included) times the nphi-point trapezoid azimuth.  The polar
+    axis is z (azimuth 0 along x), or the direction of ``toward`` (z where
+    it vanishes) in the frame of ``_axis_frame``."""
+    ex, ey, ez = np.eye(3)
+    if toward is None:
+        axis, e1, e2 = ez, ex, ey
+    else:
+        r = np.linalg.norm(toward)
+        axis = toward / r if r > 1e-14 else ez
+        e1, e2 = _axis_frame(axis)
+    phi = 2.0 * np.pi * np.arange(nphi) / nphi
+    return (_cone_dirs(ct, st, axis, e1, e2, phi),
+            np.repeat(wt, nphi) * (2.0 * np.pi / nphi))
+
+
+def _gl_sphere(nt, nphi, toward=None):
+    """``_sphere_grid`` with nt Gauss-Legendre nodes in cos(polar angle)."""
+    mu, wmu = _leggauss(nt)
+    return _sphere_grid(mu, np.sqrt(1.0 - mu ** 2), wmu, nphi, toward)
+
+
 def _radial_order(N):
     return max(3, 2 + N // 8)
 
@@ -581,27 +629,59 @@ def boundary_rule(domain: Domain, N: int) -> BoundaryQuadrature:
     """Boundary quadrature: trapezoid in the curve parameter (2D), or a
     Gauss-Legendre x trapezoid product rule on the sphere."""
     if domain.dim == 2:
-        m = max(16, 2 * N)
-        theta = 2.0 * np.pi * np.arange(m) / m
-        nodes = domain.boundary_point(theta)
-        weights = domain.boundary_jacobian(theta) * (2.0 * np.pi / m)
-        normals = domain.boundary_normal(theta)
-        return BoundaryQuadrature(nodes, weights, normals)
+        theta, _, w = _circle_grid(max(16, 2 * N))
+        return BoundaryQuadrature(domain.boundary_point(theta),
+                                  domain.boundary_jacobian(theta) * w,
+                                  domain.boundary_normal(theta))
     R, c = domain.radius, domain.center
     nt = max(8, N)
-    mu, wmu = _leggauss(nt)
-    nphi = 2 * nt
-    dirs = _sphere_dirs(mu, nphi)
-    weights = np.repeat(wmu, nphi) * (2.0 * np.pi / nphi) * R ** 2
-    return BoundaryQuadrature(c + R * dirs, weights, dirs)
+    dirs, w = _gl_sphere(nt, 2 * nt)
+    return BoundaryQuadrature(c + R * dirs, w * R ** 2, dirs)
 
 
-def _sphere_dirs(mu, nphi):
-    """Directions on the (mu = cos polar angle, trapezoid phi) grid about
-    the z axis."""
-    ex, ey, ez = np.eye(3)
-    phi = 2.0 * np.pi * np.arange(nphi) / nphi
-    return _cone_dirs(mu, np.sqrt(1.0 - mu ** 2), ez, ex, ey, phi)
+# Grading exponent for the parameter-space substitution around the nearest
+# boundary parameter.
+GRADING_EXPONENT = 3
+
+
+def _graded_boundary_rules(domain, x, N):
+    """Boundary rules for a layer integral at x on or near the boundary,
+    graded with ``GRADING_EXPONENT`` toward the boundary point nearest x:
+    in 2D the two halves of the parameter window about the nearest
+    parameter, each a rule of its own (callers sum them one at a time);
+    on the sphere one polar cap about the axis through x.  A tuple of
+    BoundaryQuadratures."""
+    u, w = _gl01(max(24, 2 * N))
+    s = np.pi * u ** GRADING_EXPONENT
+    ws = np.pi * GRADING_EXPONENT * u ** (GRADING_EXPONENT - 1) * w
+    if domain.dim == 2:
+        theta0 = _nearest_boundary_parameter(domain, x)
+        return tuple(BoundaryQuadrature(domain.boundary_point(theta),
+                                        domain.boundary_jacobian(theta) * ws,
+                                        domain.boundary_normal(theta))
+                     for theta in (theta0 + s, theta0 - s))
+    R, c = domain.radius, domain.center
+    dirs, wts = _sphere_grid(np.cos(s), np.sin(s), ws * np.sin(s),
+                             max(16, N), toward=x - c)
+    return (BoundaryQuadrature(c[None, :] + R * dirs, wts * R ** 2, dirs),)
+
+
+def _nearest_boundary_parameter(domain, x):
+    if domain.kind == "ball":
+        d = x - domain.center
+        if np.linalg.norm(d) < 1e-14:
+            return 0.0
+        return float(np.arctan2(d[1], d[0]))
+    theta = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
+    b = domain.boundary_point(theta)
+    i = int(np.argmin(np.linalg.norm(b - x[None, :], axis=1)))
+    lo, hi = theta[i] - 2 * np.pi / 1024, theta[i] + 2 * np.pi / 1024
+    for _ in range(40):  # golden-section-free trisection refinement
+        t = np.linspace(lo, hi, 5)
+        b = domain.boundary_point(t)
+        j = int(np.argmin(np.linalg.norm(b - x[None, :], axis=1)))
+        lo, hi = t[max(j - 1, 0)], t[min(j + 1, 4)]
+    return float(0.5 * (lo + hi))
 
 
 def _regular_rays(domain, N):
@@ -611,36 +691,20 @@ def _regular_rays(domain, N):
     if N < 4:
         raise ValueError("N must be at least 4")
     if domain.dim == 2:
-        m = max(16, 2 * N)
-        theta = 2.0 * np.pi * np.arange(m) / m
-        rmax = (np.full(m, domain.radius) if domain.kind == "ball"
+        theta, dirs, wang = _circle_grid(max(16, 2 * N))
+        rmax = (np.full(len(theta), domain.radius) if domain.kind == "ball"
                 else domain.rho(theta))
-        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        return (RaySet(domain.center, dirs, np.zeros(m), rmax,
-                       np.full(m, 2.0 * np.pi / m), N, 0),)
-    nt = max(8, N // 2)
-    mu, wmu = _leggauss(nt)
-    nphi = max(8, N)
-    dirs = _sphere_dirs(mu, nphi)
-    wang = np.repeat(wmu, nphi) * (2.0 * np.pi / nphi)
-    M = len(dirs)
-    return (RaySet(domain.center, dirs, np.zeros(M),
-                   np.full(M, domain.radius), wang, N, 0),)
+    else:
+        dirs, wang = _gl_sphere(max(8, N // 2), max(8, N))
+        rmax = np.full(len(dirs), domain.radius)
+    return (RaySet(domain.center, dirs, np.zeros(len(dirs)), rmax, wang, N,
+                   0),)
 
 
 def volume_rule(domain: Domain, N: int) -> VolumeQuadrature:
     """Polar-mapped product rule for smooth integrands (GL radial x
     trapezoid angular in 2D; GL x GL x trapezoid for the 3D ball)."""
     return _drain(_regular_rays(domain, N))
-
-
-def _axis_frame(axis):
-    tmp = np.array([1.0, 0.0, 0.0]) if abs(axis[0]) < 0.9 else np.array(
-        [0.0, 1.0, 0.0])
-    e1 = np.cross(axis, tmp)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(axis, e1)
-    return e1, e2
 
 
 def _singular_rays(domain, x, N, dist, r_min=0.0):
@@ -651,12 +715,9 @@ def _singular_rays(domain, x, N, dist, r_min=0.0):
     n_panels = _radial_panel_count(N)
     r_min = float(r_min)
     if domain.dim == 2:
-        m = _angular_count(N, dist, domain.bounding_radius,
-                           _boundary_roughness(domain))
-        theta = 2.0 * np.pi * np.arange(m) / m
-        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        _, dirs, wang = _circle_grid(_angular_count(
+            N, dist, domain.bounding_radius, _boundary_roughness(domain)))
         rex, extras = domain.ray_intervals(x, dirs)
-        wang = np.full(m, 2.0 * np.pi / m)
         rays = [RaySet(x, dirs, np.minimum(r_min, rex), rex, wang, p,
                        n_panels)]
         if len(extras):
@@ -673,20 +734,12 @@ def _singular_rays(domain, x, N, dist, r_min=0.0):
         return tuple(rays)
     # 3D ball: axisymmetric ray-length profile about the direction to the
     # center, so align the polar axis with it.
-    d = x - domain.center
-    r0 = np.linalg.norm(d)
-    axis = d / r0 if r0 > 1e-14 else np.array([0.0, 0.0, 1.0])
-    e1, e2 = _axis_frame(axis)
     nt = max(6, N // 2)
     if dist < 0.05 * domain.bounding_radius:
         nt = max(nt, int(6.0 / np.sqrt(max(dist, 1e-12)
                                        / domain.bounding_radius)))
         nt = min(nt, 2000)
-    nphi = max(8, N)
-    mu, wmu = _leggauss(nt)
-    phi = 2.0 * np.pi * np.arange(nphi) / nphi
-    dirs = _cone_dirs(mu, np.sqrt(1.0 - mu ** 2), axis, e1, e2, phi)
-    wang = np.repeat(wmu, nphi) * (2.0 * np.pi / nphi)
+    dirs, wang = _gl_sphere(nt, max(8, N), toward=x - domain.center)
     rex = domain.ray_exit(x, dirs)
     return (RaySet(x, dirs, np.minimum(r_min, rex), rex, wang, p, n_panels),)
 
@@ -717,7 +770,6 @@ def _chord_rays(domain, x, N):
     R = domain.radius
     if rho0 <= R:
         raise DomainError("exterior rule requires an exterior point")
-    axis = d / rho0
     beta = np.arcsin(min(R / rho0, 1.0))
     p = _radial_order(N)
     n_panels = _radial_panel_count(N)
@@ -729,6 +781,7 @@ def _chord_rays(domain, x, N):
     ang = np.concatenate([half[0], beta - half[0]])
     wang1 = np.concatenate([whalf[0], whalf[0]])
     if domain.dim == 2:
+        axis = d / rho0
         e1 = np.array([-axis[1], axis[0]])
         phi = np.concatenate([ang, -ang])
         wang = np.concatenate([wang1, wang1])
@@ -736,11 +789,8 @@ def _chord_rays(domain, x, N):
                 + np.sin(phi)[:, None] * e1[None, :])
         b = rho0 * np.cos(phi)
     else:
-        e1, e2 = _axis_frame(axis)
-        nphi = max(8, N)
-        phi = 2.0 * np.pi * np.arange(nphi) / nphi
-        dirs = _cone_dirs(np.cos(ang), np.sin(ang), axis, e1, e2, phi)
-        wang = np.repeat(wang1 * np.sin(ang), nphi) * (2.0 * np.pi / nphi)
+        dirs, wang = _sphere_grid(np.cos(ang), np.sin(ang),
+                                  wang1 * np.sin(ang), max(8, N), toward=d)
         b = dirs @ d
     disc = np.maximum(b ** 2 - (rho0 ** 2 - R ** 2), 0.0)
     return (RaySet(x, dirs, b - np.sqrt(disc), b + np.sqrt(disc), wang, p,

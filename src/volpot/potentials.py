@@ -8,8 +8,9 @@ odd homogeneous kernel) against densities on a domain or its boundary:
   G_l[k, psi](x) = int_Omega d_l k(x - y) (psi(y) - psi(x)) dy, the boundary
   kernel operators K[k, mu]^{+/-}, and the integrable remainder of the
   gradient-kernel split;
-* the single layer potential, continuous across the boundary, with a graded
-  parametric rule for on-surface (and nearly on-surface) evaluation;
+* the single layer potential, continuous across the boundary, with the
+  graded parametric rules of :mod:`volpot.geometry` for on-surface (and
+  nearly on-surface) evaluation;
 * the volume potential of a density f0 + sum_j d_j f_j given through its
   components, which trades the distributional derivative for a boundary term
   plus differentiated volume terms.
@@ -20,10 +21,13 @@ evaluation uses the regular rule far from the boundary and a chord rule
 1e-9 of the boundary are rejected; transmission is tested through one-sided
 limits (see :mod:`volpot.verify`).
 
-Volume terms are reduced block by block: the rule for a point is a tuple
-of ray sets (see :mod:`volpot.geometry`), and each block of rays is built,
-turned into offsets, run through the kernel and the density and summed
-before the next one is built, so memory does not grow with the node count.
+Every grid and rule comes from :mod:`volpot.geometry`.  Boundary terms
+sum a tuple of BoundaryQuadratures a rule at a time: the cached boundary
+rule far from the boundary, the graded layer rules near it.  Volume terms
+are reduced block by block: the rule for a point is a tuple of ray sets,
+and each block of rays is built, turned into offsets, run through the
+kernel and the density and summed before the next one is built, so memory
+does not grow with the node count.
 The cached regular rule of far points is reduced as one block.
 
 Gradients and Hessians are reduced along the rays first where the rays
@@ -62,8 +66,8 @@ import numpy as np
 from .errors import DomainError, NearBoundaryError
 from .fundsol import FundamentalSolution
 from .geometry import (Domain, cached_boundary_rule, cached_volume_rule,
-                       rule_blocks, _axis_frame, _chord_rays, _cone_dirs,
-                       _gl01, _near_star_rays, _singular_rays)
+                       rule_blocks, _chord_rays, _graded_boundary_rules,
+                       _near_star_rays, _singular_rays)
 from .schauder import NegativeExponentDensity
 
 # Exterior points closer to the boundary than this fraction of the domain
@@ -263,74 +267,16 @@ def single_layer(fs: FundamentalSolution, domain: Domain, phi, x,
 
 def _boundary_integral(domain, integrand, x, N):
     """integrand(y, nu) is vectorized over boundary points y with outward
-    normals nu; x only steers the far/near/graded rule choice."""
-    dist = domain.distance_to_boundary(x)
-    scale = domain.bounding_radius
-    if dist > 0.1 * scale:
-        bq = cached_boundary_rule(domain, N)
-        return complex(np.sum(integrand(bq.nodes, bq.normals) * bq.weights))
-    if domain.dim == 2:
-        return _graded_curve_integral(domain, integrand, x, N)
-    return _graded_sphere_integral(domain, integrand, x, N)
-
-
-# Grading exponent for the parameter-space substitution around the singular
-# (or nearest) parameter.
-GRADING_EXPONENT = 3
-
-
-def _graded_curve_integral(domain, integrand, x, N):
-    theta0 = _nearest_boundary_parameter(domain, x)
-    np_half = max(24, 2 * N)
-    u, w = _gl01(np_half)
-    s = np.pi * u ** GRADING_EXPONENT
-    ws = np.pi * GRADING_EXPONENT * u ** (GRADING_EXPONENT - 1) * w
-    total = 0.0 + 0.0j
-    for sgn in (+1.0, -1.0):
-        theta = theta0 + sgn * s
-        y = domain.boundary_point(theta)
-        nu = domain.boundary_normal(theta)
-        jac = domain.boundary_jacobian(theta)
-        total += np.sum(integrand(y, nu) * jac * ws)
-    return complex(total)
-
-
-def _nearest_boundary_parameter(domain, x):
-    if domain.kind == "ball":
-        d = x - domain.center
-        if np.linalg.norm(d) < 1e-14:
-            return 0.0
-        return float(np.arctan2(d[1], d[0]))
-    theta = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
-    b = domain.boundary_point(theta)
-    i = int(np.argmin(np.linalg.norm(b - x[None, :], axis=1)))
-    lo, hi = theta[i] - 2 * np.pi / 1024, theta[i] + 2 * np.pi / 1024
-    for _ in range(40):  # golden-section-free trisection refinement
-        t = np.linspace(lo, hi, 5)
-        b = domain.boundary_point(t)
-        j = int(np.argmin(np.linalg.norm(b - x[None, :], axis=1)))
-        lo, hi = t[max(j - 1, 0)], t[min(j + 1, 4)]
-    return float(0.5 * (lo + hi))
-
-
-def _graded_sphere_integral(domain, integrand, x, N):
-    # Polar-cap coordinates about the axis through x: colatitude psi from
-    # the nearest pole, graded toward psi = 0.
-    R, c = domain.radius, domain.center
-    d = x - c
-    r0 = np.linalg.norm(d)
-    axis = d / r0 if r0 > 1e-14 else np.array([0.0, 0.0, 1.0])
-    e1, e2 = _axis_frame(axis)
-    npsi = max(24, 2 * N)
-    u, w = _gl01(npsi)
-    psi = np.pi * u ** GRADING_EXPONENT
-    wpsi = np.pi * GRADING_EXPONENT * u ** (GRADING_EXPONENT - 1) * w
-    nphi = max(16, N)
-    phi = 2.0 * np.pi * np.arange(nphi) / nphi
-    dirs = _cone_dirs(np.cos(psi), np.sin(psi), axis, e1, e2, phi)
-    wts = np.repeat(wpsi * np.sin(psi), nphi) * (2.0 * np.pi / nphi) * R ** 2
-    y = c[None, :] + R * dirs
-    return complex(np.sum(integrand(y, dirs) * wts))
+    normals nu; x only steers the rule choice: the cached boundary rule
+    far from the boundary, the graded rules of
+    ``geometry._graded_boundary_rules`` on or near it, summed a rule at a
+    time."""
+    if domain.distance_to_boundary(x) > 0.1 * domain.bounding_radius:
+        rules = (cached_boundary_rule(domain, N),)
+    else:
+        rules = _graded_boundary_rules(domain, x, N)
+    return complex(sum(np.sum(integrand(bq.nodes, bq.normals) * bq.weights)
+                       for bq in rules))
 
 
 def volume_potential_hessian(fs: FundamentalSolution, domain: Domain, f, x,

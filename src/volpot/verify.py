@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NearBoundaryError
 from .fundsol import FundamentalSolution, sphere_measure
-from .geometry import (Domain, cached_boundary_rule, singular_volume_rule,
-                       _leggauss, _sphere_dirs)
+from .geometry import (Domain, cached_boundary_rule, rule_blocks,
+                       _circle_grid, _gl_sphere, _singular_rays)
 from .operators import OperatorCoefficients, apply_operator_fd
 from .potentials import (single_layer, volume_potential,
                          volume_potential_gradient, volume_potential_hessian,
@@ -258,21 +258,10 @@ def check_transmission(fs: FundamentalSolution, domain: Domain, target,
 # integration by parts with the residue term
 
 
-def _unit_sphere_rule(n, m):
-    if n == 2:
-        t = 2.0 * np.pi * np.arange(m) / m
-        return np.stack([np.cos(t), np.sin(t)], axis=1), np.full(m, 2.0 * np.pi / m)
-    mu, wmu = _leggauss(m)
-    nphi = 2 * m
-    w = np.repeat(wmu, nphi) * (2.0 * np.pi / nphi)
-    return _sphere_dirs(mu, nphi), w
-
-
-def sphere_residue(k, j: int, n: int, eps_seq=(1e-1, 1e-2, 1e-3, 1e-4),
-                   m: int = 256):
+def sphere_residue(k, j: int, n: int, eps_seq=(1e-1, 1e-2, 1e-3, 1e-4)):
     """Extrapolated limit of eps^{n-1} int_{S} k(eps xi) xi_j dsigma,
     the delta contribution of the kernel in the parts formula."""
-    xi, w = _unit_sphere_rule(n, m if n == 2 else 48)
+    xi, w = _circle_grid(256)[1:] if n == 2 else _gl_sphere(48, 96)
     vals = []
     for eps in eps_seq:
         kv = np.asarray(k(eps * xi))
@@ -298,6 +287,17 @@ def check_sphere_residue(k, j: int, n: int, expected: float,
         [("psi_gap", abs(psi - expected))], tol)
 
 
+def _excised_sum(domain, x, N, r_min, integrand):
+    """sum of integrand(x - y, y) w over the polar rule about the strictly
+    interior point x with B(x, r_min) excised, a block of rays at a time."""
+    if domain.classify(x) <= 0:
+        raise NearBoundaryError(
+            "the excised polar rule requires a strictly interior point")
+    rays = _singular_rays(domain, x, N, domain.distance_to_boundary(x), r_min)
+    return sum(np.sum(integrand(_offsets(x, y), y) * w)
+               for y, w in rule_blocks(rays))
+
+
 @_timed
 def check_integration_by_parts(k, dk, domain: Domain, phi, dphi, x, j: int,
                                eps_seq=(1e-1, 1e-2, 1e-3, 1e-4), N: int = 64,
@@ -319,21 +319,17 @@ def check_integration_by_parts(k, dk, domain: Domain, phi, dphi, x, j: int,
     x = np.asarray(x, dtype=float)
     n = domain.dim
 
-    lhs_seq = []
-    for eps in eps_seq:
-        vq = singular_volume_rule(domain, x, N, r_min=eps)
-        z = _offsets(x, vq.nodes)
-        dkj = np.asarray(dk(z))[:, j]
-        lhs_seq.append(np.sum(-dkj * np.asarray(phi(vq.nodes)) * vq.weights))
+    lhs_seq = [_excised_sum(domain, x, N, eps, lambda z, y:
+                            -np.asarray(dk(z))[:, j] * np.asarray(phi(y)))
+               for eps in eps_seq]
     steps = np.abs(np.diff(np.asarray(lhs_seq)))
     divergent = len(steps) >= 2 and steps[-1] > 4.0 * steps[0] + 1e-12
     lhs = _extrapolate_to_zero(eps_seq, lhs_seq)
 
     psi, psi_seq = sphere_residue(k, j, n, eps_seq)
 
-    vq = singular_volume_rule(domain, x, N)
-    kv = np.asarray(k(_offsets(x, vq.nodes)))
-    rhs = -np.sum(kv * np.asarray(dphi(vq.nodes))[:, j] * vq.weights)
+    rhs = -_excised_sum(domain, x, N, 0.0, lambda z, y:
+                        np.asarray(k(z)) * np.asarray(dphi(y))[:, j])
     rhs += _boundary_integral(
         domain,
         lambda y, nu: np.asarray(k(x[None, :] - y)) * np.asarray(phi(y)) * nu[:, j],
@@ -368,9 +364,8 @@ def check_maximal_bound(k, domain: Domain, x_grid, rho_grid, N: int = 64,
     table = np.empty((len(x_grid), len(rho_grid)))
     for i, x in enumerate(x_grid):
         for jr, rho in enumerate(rho_grid):
-            vq = singular_volume_rule(domain, x, N, r_min=rho)
-            table[i, jr] = float(np.real(
-                np.sum(np.asarray(k(_offsets(x, vq.nodes))) * vq.weights)))
+            table[i, jr] = float(np.real(_excised_sum(
+                domain, x, N, rho, lambda z, y: np.asarray(k(z)))))
     observed = []
     if expect == "bounded":
         worst = 0.0

@@ -607,7 +607,7 @@ def test_sphere_graded_rule_matches_broadcast_bitwise(monkeypatch):
 
     points = [(1.0 + s * h) * nb for s in (-1, 1) for h in (1e-4, 1e-3)]
     with monkeypatch.context() as mp:
-        mp.setattr(potentials, "_cone_dirs", _cone_dirs_broadcast)
+        mp.setattr(geometry, "_cone_dirs", _cone_dirs_broadcast)
         refs = [potentials.single_layer(fs, dom, phi, x, 12) for x in points]
     for x, ref in zip(points, refs):
         assert potentials.single_layer(fs, dom, phi, x, 12) == ref

@@ -11,15 +11,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from volpot import (cosine_star, disk, get_preset, helmholtz_fundamental,
-                    laplace_fundamental, make_ball, volume_potential,
-                    volume_potential_gradient, volume_potential_hessian)
+from volpot import (NearBoundaryError, cosine_star, disk, get_preset,
+                    helmholtz_fundamental, laplace_fundamental, make_ball,
+                    volume_potential, volume_potential_gradient,
+                    volume_potential_hessian)
 from volpot import geometry
 from volpot.geometry import (_chord_rays, _drain, _near_star_rays,
                              _singular_rays, cached_volume_rule,
                              exterior_chord_rule, near_exterior_star_rule,
                              rule_blocks, singular_volume_rule)
 from volpot.potentials import _offsets
+from volpot.verify import check_integration_by_parts, check_maximal_bound
 
 DISK = disk()
 BALL = make_ball(3, [0.0, 0.0, 0.0], 1.0)
@@ -114,6 +116,31 @@ def test_potentials_match_drained_builders(domain, fs, x, build):
     assert _rel(volume_potential(fs, domain, BUMP, x, N), value) <= 1e-13
     g = volume_potential_gradient(fs, domain, BUMP, x, N)
     assert np.max(np.abs(g - grad)) <= 1e-13 * np.max(np.abs(grad))
+
+
+@pytest.mark.parametrize("domain, fs, x", [
+    (DISK, FS2, np.array([0.3, -0.2])),
+    (STAR, FS2, _star_point(0.6, -1e-3)),
+    (BALL, FS3, (1.0 - 1e-3) * NB3),
+], ids=["disk", "star", "ball"])
+def test_maximal_bound_matches_drained_rule(domain, fs, x):
+    # verify sums its excised polar rules a block of rays at a time
+    N = 12 if domain.dim == 3 else 32
+    rho = [1e-1, 1e-4]
+    rep = check_maximal_bound(fs.eval, domain, x[None, :], rho, N=N)
+    for r, got in zip(rho, rep.parameters["values"][0]):
+        vq = singular_volume_rule(domain, x, N, r_min=r)
+        ref = np.sum(fs.eval(_offsets(x, vq.nodes)) * vq.weights)
+        assert _rel(got, ref) <= 1e-13
+
+
+def test_excised_sums_reject_non_interior_points():
+    x = np.array([1.0 + 1e-3, 0.0])
+    with pytest.raises(NearBoundaryError):
+        check_maximal_bound(FS2.eval, DISK, x[None, :], [1e-2], N=16)
+    with pytest.raises(NearBoundaryError):
+        check_integration_by_parts(FS2.eval, FS2.grad, DISK, BUMP, BUMP, x,
+                                   0, N=16)
 
 
 @pytest.mark.parametrize("N", [20, 40])
