@@ -595,6 +595,38 @@ def test_graded_cap_keeps_written_out_bits(dom, N):
         assert got == complex(np.sum(integrand(nodes, normals) * wts))
 
 
+@pytest.mark.parametrize("dom", [disk(), cosine_star([1, 0, 0, 0.2]), BALL3,
+                                 SHIFTED_BALL3],
+                         ids=["disk", "star", "ball3d", "shifted-ball3d"])
+def test_graded_boundary_rules_keep_written_out_bits(dom):
+    # the rules themselves: the sphere cap as written out above, and in 2D
+    # the two halves theta0 +- pi u^3 with the arclength Jacobian times
+    # the graded weights
+    if dom.dim == 2:
+        xb, nb = dom.boundary_point(0.98), dom.boundary_normal(0.98)
+    else:
+        nb = np.array([1.0, 2.0, -2.0]) / 3.0
+        xb = dom.center + dom.radius * nb
+    for N, s in ((4, -1e-3), (12, 1e-4), (32, 0.0)):
+        x = xb + s * nb
+        rules = geometry._graded_boundary_rules(dom, x, N)
+        if dom.dim == 3:
+            want = [_graded_cap_written_out(dom, x, N)]
+        else:
+            z, w = np.polynomial.legendre.leggauss(max(24, 2 * N))
+            u, w = 0.5 * (z + 1.0), 0.5 * w
+            theta0 = geometry._nearest_boundary_parameter(dom, x)
+            want = [(dom.boundary_point(t), dom.boundary_jacobian(t)
+                     * (np.pi * 3 * u ** 2 * w), dom.boundary_normal(t))
+                    for t in (theta0 + np.pi * u ** 3,
+                              theta0 - np.pi * u ** 3)]
+        assert len(rules) == len(want)
+        for bq, (nodes, weights, normals) in zip(rules, want):
+            assert _same_bits(bq.nodes, nodes)
+            assert _same_bits(bq.weights, weights)
+            assert _same_bits(bq.normals, normals)
+
+
 def test_sphere_graded_rule_matches_broadcast_bitwise(monkeypatch):
     # the near-boundary single layer on the ball builds its cap directions
     # with _cone_dirs
