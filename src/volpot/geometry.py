@@ -5,9 +5,10 @@ Two domain kinds: balls in R^2/R^3 and planar star-shaped domains
 Boundary rules are trapezoid-based (spectral on smooth data) in 2D and
 Gauss-Legendre x trapezoid product rules on the sphere.
 
-Every angular grid comes from ``_circle_grid`` (the trapezoid circle) or
-``_sphere_grid`` (polar angles times the trapezoid azimuth, about z or a
-given direction; ``_gl_sphere`` for Gauss-Legendre polar angles).  Layer
+This module owns every angular grid: ``_circle_grid`` (the trapezoid
+circle) and ``_sphere_grid`` (polar angles times the trapezoid azimuth,
+about z or a given direction; ``_gl_sphere`` for Gauss-Legendre polar
+angles) build them for all rules and for ``verify``.  Layer
 integrals on or near the boundary use ``_graded_boundary_rules``, a tuple
 of BoundaryQuadratures (the two halves of the 2D parameter window, or one
 polar cap on the sphere) that callers sum a rule at a time.

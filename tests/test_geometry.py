@@ -487,8 +487,8 @@ _EX, _EY, _EZ = np.eye(3)
 
 def _circle_written_out(m):
     t = 2.0 * np.pi * np.arange(m) / m
-    return t, np.stack([np.cos(t), np.sin(t)], axis=1), np.full(
-        m, 2.0 * np.pi / m)
+    dirs = np.stack([np.cos(t), np.sin(t)], axis=1)
+    return dirs, np.full(m, 2.0 * np.pi / m)
 
 
 def _gl_sphere_written_out(nt, nphi):
@@ -559,7 +559,7 @@ def _recording_kernel(seen):
 def test_sphere_residue_keeps_written_out_bits(n):
     # every kernel argument is eps xi on the unit-sphere grid, and each
     # scaled sum is the written-out one
-    xi, w = (_circle_written_out(256)[1:] if n == 2
+    xi, w = (_circle_written_out(256) if n == 2
              else _gl_sphere_written_out(48, 96))
     eps_seq = (1e-1, 1e-2, 1e-3, 1e-4)
     seen = []
