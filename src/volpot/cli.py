@@ -144,8 +144,8 @@ def _interior_grid(domain, k=3):
 
 def _exterior_grid(domain):
     n = domain.dim
-    return domain.bounding_radius * np.array([[2.1] + [1.8] * (n - 1),
-                                              [-2.4] + [-1.7] * (n - 1)])
+    return domain.center + domain.bounding_radius * np.array(
+        [[2.1] + [1.8] * (n - 1), [-2.4] + [-1.7] * (n - 1)])
 
 
 def _maximal_grid(domain):

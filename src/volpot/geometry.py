@@ -20,7 +20,8 @@ tames every kernel of homogeneity down to -(n-1), and log factors are
 absorbed by the graded panels; accuracy degrades gracefully (and the
 angular resolution is raised automatically) as the point approaches the
 boundary.  A companion chord rule covers exterior points near the boundary
-of a ball.
+of a ball; its chords are graded toward their entry points only down to
+the point's distance from the ball (``_chord_levels``).
 
 Every volume rule is a tuple of ray sets (``RaySet``): an origin, unit
 directions, a radial interval and an angular weight per ray, and the
@@ -47,6 +48,7 @@ Gauss-Legendre rule, so they too keep the bits of the per-panel form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -712,37 +714,46 @@ def _singular_rays(domain, x, N, dist, r_min=0.0):
     """Rays of the polar rule about the interior point x, at distance dist
     from the boundary, graded toward x (toward the excised sphere of radius
     r_min when r_min > 0)."""
+    return _excised_rays(domain, x, N, dist, (r_min,))[0]
+
+
+def _excised_rays(domain, x, N, dist, radii):
+    """``_singular_rays`` for each excision radius in radii, from one ray
+    cast: the directions, exits and re-entered intervals do not depend on
+    the radius, only the radial starts do.  A list of ray-set tuples."""
     p = _radial_order(N)
     n_panels = _radial_panel_count(N)
-    r_min = float(r_min)
     if domain.dim == 2:
         _, dirs, wang = _circle_grid(_angular_count(
             N, dist, domain.bounding_radius, _boundary_roughness(domain)))
         rex, extras = domain.ray_intervals(x, dirs)
+    else:
+        # 3D ball: axisymmetric ray-length profile about the direction to
+        # the center, so align the polar axis with it.
+        nt = max(6, N // 2)
+        if dist < 0.05 * domain.bounding_radius:
+            nt = max(nt, int(6.0 / np.sqrt(max(dist, 1e-12)
+                                           / domain.bounding_radius)))
+            nt = min(nt, 2000)
+        dirs, wang = _gl_sphere(nt, max(8, N), toward=x - domain.center)
+        rex, extras = domain.ray_exit(x, dirs), np.empty((0, 3))
+    idx = extras[:, 0].astype(int)
+    out = []
+    for r_min in map(float, radii):
         rays = [RaySet(x, dirs, np.minimum(r_min, rex), rex, wang, p,
                        n_panels)]
-        if len(extras):
+        if len(idx):
             # re-entered intervals of rays through non-convex lobes; the
             # kernel is regular there, a few panels suffice.  The angular
             # windows of these lobes have square-root edges that the
             # uniform trapezoid resolves to ~M^{-3/2}, a ~1e-5 coverage
             # floor for near-boundary points of strongly wavy domains
             # (ample for the one-sided transmission limits they serve)
-            idx = extras[:, 0].astype(int)
             t_in = np.maximum(extras[:, 1], r_min)
             t_out = np.maximum(extras[:, 2], t_in)
             rays.append(RaySet(x, dirs[idx], t_in, t_out, wang[idx], p, 6))
-        return tuple(rays)
-    # 3D ball: axisymmetric ray-length profile about the direction to the
-    # center, so align the polar axis with it.
-    nt = max(6, N // 2)
-    if dist < 0.05 * domain.bounding_radius:
-        nt = max(nt, int(6.0 / np.sqrt(max(dist, 1e-12)
-                                       / domain.bounding_radius)))
-        nt = min(nt, 2000)
-    dirs, wang = _gl_sphere(nt, max(8, N), toward=x - domain.center)
-    rex = domain.ray_exit(x, dirs)
-    return (RaySet(x, dirs, np.minimum(r_min, rex), rex, wang, p, n_panels),)
+        out.append(tuple(rays))
+    return out
 
 
 def singular_volume_rule(domain: Domain, x, N: int,
@@ -761,9 +772,19 @@ def singular_volume_rule(domain: Domain, x, N: int,
                                  domain.distance_to_boundary(x), r_min))
 
 
+def _chord_levels(R, dist, p, n_panels):
+    """Grading levels of a chord rule at distance dist from a ball of
+    radius R: the levels that bring the innermost panel of the longest
+    chord, 2R, down to dist (none when dist >= 2R), plus ceil(14 / p) so
+    that order-p panels reach rounding there, and at most n_panels."""
+    return min(n_panels, max(0, math.ceil(math.log2(2.0 * R / dist)))
+               + math.ceil(14 / p))
+
+
 def _chord_rays(domain, x, N):
     """Rays from the exterior point x toward a ball, chords graded toward
-    the entry points, over an angular window graded toward both ends."""
+    the entry points down to the distance to the ball (``_chord_levels``),
+    over an angular window graded toward both ends."""
     if domain.kind != "ball":
         raise DomainError("exterior chord rule is implemented for balls")
     d = domain.center - x
@@ -794,8 +815,12 @@ def _chord_rays(domain, x, N):
                                   wang1 * np.sin(ang), max(8, N), toward=d)
         b = dirs @ d
     disc = np.maximum(b ** 2 - (rho0 ** 2 - R ** 2), 0.0)
+    # The kernel's near-singularity sits dist = rho0 - R before each entry
+    # point; a graded Gauss-Legendre panel stops gaining accuracy once its
+    # width is about that distance (Helsing & Ojala, J. Comput. Phys. 2008),
+    # so the chords are graded only that far.
     return (RaySet(x, dirs, b - np.sqrt(disc), b + np.sqrt(disc), wang, p,
-                   n_panels),)
+                   _chord_levels(R, rho0 - R, p, n_panels)),)
 
 
 def exterior_chord_rule(domain: Domain, x, N: int) -> VolumeQuadrature:

@@ -154,7 +154,9 @@ def apply_operator_fd(op: OperatorCoefficients, u, x, h: float,
                       return_scale: bool = False):
     """Apply the operator to a scalar field by second-order central differences.
 
-    ``u`` is called at the 2n + 1 + 4*C(n,2) stencil points around ``x``.
+    ``u`` is called at x, at x +- h e_j, and at the four points
+    x +- h e_l +- h e_j of each pair l < j with a2[l, j] != 0: a zero
+    coefficient's term is +-0, which leaves the sum and the scale unchanged.
     Exact for quadratic polynomials up to rounding.  With
     ``return_scale=True`` also returns the magnitude of the largest group of
     terms (principal / drift / zeroth order), used for relative residuals.
@@ -171,6 +173,8 @@ def apply_operator_fd(op: OperatorCoefficients, u, x, h: float,
         terms.append(op.a2[j, j] * (u(x + ej) - 2.0 * ux + u(x - ej)) / h ** 2)
     for l in range(n):
         for j in range(l + 1, n):
+            if op.a2[l, j] == 0:
+                continue
             el = np.zeros(n)
             el[l] = h
             ej = np.zeros(n)

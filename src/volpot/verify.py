@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DomainError, NearBoundaryError
 from .fundsol import FundamentalSolution, sphere_measure
 from .geometry import (Domain, cached_boundary_rule, rule_blocks,
-                       _circle_grid, _gl_sphere, _singular_rays)
+                       _circle_grid, _excised_rays, _gl_sphere)
 from .operators import OperatorCoefficients, apply_operator_fd
 from .potentials import (single_layer, volume_potential,
                          volume_potential_gradient, volume_potential_hessian,
@@ -287,13 +287,18 @@ def check_sphere_residue(k, j: int, n: int, expected: float,
         [("psi_gap", abs(psi - expected))], tol)
 
 
-def _excised_sum(domain, x, N, r_min, integrand):
-    """sum of integrand(x - y, y) w over the polar rule about the strictly
-    interior point x with B(x, r_min) excised, a block of rays at a time."""
+def _excised_rules(domain, x, N, radii):
+    """The polar rules about the strictly interior point x with B(x, r)
+    excised, for each r in radii, from one ray cast."""
     if domain.classify(x) <= 0:
         raise NearBoundaryError(
             "the excised polar rule requires a strictly interior point")
-    rays = _singular_rays(domain, x, N, domain.distance_to_boundary(x), r_min)
+    return _excised_rays(domain, x, N, domain.distance_to_boundary(x), radii)
+
+
+def _rule_sum(x, rays, integrand):
+    """sum of integrand(x - y, y) w over a polar rule about x, a block of
+    rays at a time."""
     return sum(np.sum(integrand(_offsets(x, y), y) * w)
                for y, w in rule_blocks(rays))
 
@@ -319,17 +324,18 @@ def check_integration_by_parts(k, dk, domain: Domain, phi, dphi, x, j: int,
     x = np.asarray(x, dtype=float)
     n = domain.dim
 
-    lhs_seq = [_excised_sum(domain, x, N, eps, lambda z, y:
-                            -np.asarray(dk(z))[:, j] * np.asarray(phi(y)))
-               for eps in eps_seq]
+    *excised, whole = _excised_rules(domain, x, N, list(eps_seq) + [0.0])
+    lhs_seq = [_rule_sum(x, rays, lambda z, y:
+                         -np.asarray(dk(z))[:, j] * np.asarray(phi(y)))
+               for rays in excised]
     steps = np.abs(np.diff(np.asarray(lhs_seq)))
     divergent = len(steps) >= 2 and steps[-1] > 4.0 * steps[0] + 1e-12
     lhs = _extrapolate_to_zero(eps_seq, lhs_seq)
 
     psi, psi_seq = sphere_residue(k, j, n, eps_seq)
 
-    rhs = -_excised_sum(domain, x, N, 0.0, lambda z, y:
-                        np.asarray(k(z)) * np.asarray(dphi(y))[:, j])
+    rhs = -_rule_sum(x, whole, lambda z, y:
+                     np.asarray(k(z)) * np.asarray(dphi(y))[:, j])
     rhs += _boundary_integral(
         domain,
         lambda y, nu: np.asarray(k(x[None, :] - y)) * np.asarray(phi(y)) * nu[:, j],
@@ -363,9 +369,9 @@ def check_maximal_bound(k, domain: Domain, x_grid, rho_grid, N: int = 64,
     rho_grid = np.asarray(rho_grid, dtype=float)
     table = np.empty((len(x_grid), len(rho_grid)))
     for i, x in enumerate(x_grid):
-        for jr, rho in enumerate(rho_grid):
-            table[i, jr] = float(np.real(_excised_sum(
-                domain, x, N, rho, lambda z, y: np.asarray(k(z)))))
+        for jr, rays in enumerate(_excised_rules(domain, x, N, rho_grid)):
+            table[i, jr] = float(np.real(_rule_sum(
+                x, rays, lambda z, y: np.asarray(k(z)))))
     observed = []
     if expect == "bounded":
         worst = 0.0

@@ -4,10 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import volpot
-from volpot.cli import main, provenance_text
+from volpot.cli import _exterior_grid, main, provenance_text
 from volpot.config import parse_config, build_operator
 from volpot.errors import ConfigError
 from volpot.verify import DEFAULT_TOLERANCES
@@ -264,3 +265,17 @@ def test_verify_points_move_with_an_off_origin_ball(tmp_path):
         "maximal_bound", "maximal_bound"]
     assert "x=[3.2 0]" in rows[0]["param"]
     assert all(row["pass"] == "true" for row in rows)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_exterior_points_move_with_an_off_origin_ball(dim):
+    # the exterior grid sits at the same multiples of the bounding radius
+    # from the center, and outside the ball, wherever the ball is
+    centred = volpot.make_ball(dim, np.zeros(dim), 1.0)
+    shifted = volpot.make_ball(dim, 3.0 * np.eye(dim)[0], 1.0)
+    rel = ((_exterior_grid(shifted) - shifted.center)
+           / shifted.bounding_radius)
+    np.testing.assert_allclose(
+        rel, _exterior_grid(centred) / centred.bounding_radius, rtol=1e-15)
+    assert all(shifted.distance_to_boundary(x) > 2.0 * shifted.radius
+               for x in _exterior_grid(shifted))

@@ -134,3 +134,49 @@ def test_fd_cross_terms():
     u = lambda p: p[0] * p[1]
     assert apply_operator_fd(op, u, np.array([0.5, 0.25]), 0.25) \
         == pytest.approx(1.0, abs=1e-12)
+
+
+def _full_stencil(op, u, x, h):
+    """apply_operator_fd with every cross pair evaluated, zero or not: the
+    reference the skipped stencil points must keep the bits of."""
+    n = op.dim
+    ux = u(x)
+    e = np.eye(n) * h
+    terms = [op.a2[j, j] * (u(x + e[j]) - 2.0 * ux + u(x - e[j])) / h ** 2
+             for j in range(n)]
+    for l in range(n):
+        for j in range(l + 1, n):
+            cross = (u(x + e[l] + e[j]) - u(x + e[l] - e[j])
+                     - u(x - e[l] + e[j]) + u(x - e[l] - e[j])) / (4.0 * h ** 2)
+            terms.append(2.0 * op.a2[l, j] * cross)
+    terms += [op.a1[j] * (u(x + e[j]) - u(x - e[j])) / (2.0 * h)
+              for j in range(n) if op.a1[j] != 0]
+    terms.append(op.a0 * ux)
+    return sum(terms), max(abs(t) for t in terms)
+
+
+@pytest.mark.parametrize("op, calls", [
+    (laplacian(2), 5),
+    (laplacian(3), 7),
+    (OperatorCoefficients(3, np.diag([4.0, 1.0, 2.0]), [0.5, 0.0, -1.0],
+                          -2.0), 11),
+    (OperatorCoefficients(3, [[2.0, 0.3, 0.0], [0.3, 1.0, 0.0],
+                              [0.0, 0.0, 1.5]], np.zeros(3), 0.0), 11),
+    (OperatorCoefficients(2, [[2.0, -0.4], [-0.4, 1.0]], [1.0, 0.0], 1.0),
+     11),
+], ids=["laplace-2d", "laplace-3d", "diagonal-3d", "one-pair-3d",
+        "full-2d"])
+def test_fd_skips_zero_cross_coefficients(op, calls):
+    # calls: 2n + 1 points, 4 per nonzero a2[l, j] (l < j) and 2 per
+    # nonzero a1[j]
+    def u(p):
+        count[0] += 1
+        return np.exp(0.7 * p[0]) * np.sin(p[1] + 0.2) + p[-1] * p[0] ** 3
+
+    x = np.array([0.3, -0.4, 0.15])[:op.dim]
+    count = [0]
+    value, scale = apply_operator_fd(op, u, x, 1e-2, return_scale=True)
+    assert count[0] == calls
+    ref_value, ref_scale = _full_stencil(op, u, x, 1e-2)
+    assert complex(value) == complex(ref_value)
+    assert scale == ref_scale

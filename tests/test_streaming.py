@@ -11,13 +11,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from volpot import (NearBoundaryError, cosine_star, disk, get_preset,
+from volpot import (NearBoundaryError, cosine_star, disk, ellipse, get_preset,
                     helmholtz_fundamental, laplace_fundamental, make_ball,
                     volume_potential, volume_potential_gradient,
                     volume_potential_hessian)
 from volpot import geometry
-from volpot.geometry import (_chord_rays, _drain, _near_star_rays,
-                             _singular_rays, cached_volume_rule,
+from volpot.geometry import (Domain, _chord_rays, _drain, _excised_rays,
+                             _near_star_rays, _singular_rays,
+                             cached_volume_rule,
                              exterior_chord_rule, near_exterior_star_rule,
                              rule_blocks, singular_volume_rule)
 from volpot.potentials import _offsets
@@ -132,6 +133,42 @@ def test_maximal_bound_matches_drained_rule(domain, fs, x):
         vq = singular_volume_rule(domain, x, N, r_min=r)
         ref = np.sum(fs.eval(_offsets(x, vq.nodes)) * vq.weights)
         assert _rel(got, ref) <= 1e-13
+
+
+@pytest.mark.parametrize("domain, x, reenters", [
+    (STAR, _star_point(0.6, -1e-3), True),
+    (ellipse(2.0, 1.0), np.array([1.2, 0.5]), False),
+    (cosine_star([1.0, 0.0, 0.3]), np.array([0.45, 0.72]), True),
+], ids=["star", "ellipse", "non-convex"])
+def test_excised_rules_cast_once_and_keep_their_bits(domain, x, reenters,
+                                                     monkeypatch):
+    # every excision radius of a point shares one ray cast, and its rays,
+    # and the sums over them, keep the bits of a cast per radius
+    radii = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5]
+    dist = domain.distance_to_boundary(x)
+    cast = Domain.ray_intervals
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return cast(self, *args, **kwargs)
+
+    monkeypatch.setattr(Domain, "ray_intervals", counted)
+    rules = _excised_rays(domain, x, 32, dist, radii)
+    assert len(calls) == 1
+    rep = check_maximal_bound(FS2.eval, domain, x[None, :], radii, N=32)
+    assert len(calls) == 2
+    for r, rule, got in zip(radii, rules, rep.parameters["values"][0]):
+        ref = _singular_rays(domain, x, 32, dist, r_min=r)
+        assert len(rule) == len(ref)
+        for a, b in zip(rule, ref):
+            for name in ("dirs", "lo", "hi", "wang"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+            assert (a.p, a.n_panels) == (b.p, b.n_panels)
+        total = sum(np.sum(FS2.eval(_offsets(x, y)) * w)
+                    for y, w in rule_blocks(ref))
+        assert got == float(np.real(total))
+    assert all(len(rule) == 1 + reenters for rule in rules)
 
 
 def test_excised_sums_reject_non_interior_points():
