@@ -164,17 +164,21 @@ def check_pde_identity(fs: FundamentalSolution, op: OperatorCoefficients,
                 raise DomainError(
                     "grid point closer than 5h to the boundary")
 
+    umax = [0.0]
+
     def u(p):
-        return volume_potential(fs, domain, f, p, N)
+        val = volume_potential(fs, domain, f, p, N)
+        umax[0] = max(umax[0], abs(val))
+        return val
 
     worst = 0.0
     if side == "interior":
         fscale = float(np.max(np.abs(f(grid))))
-        fscale = max(fscale, 1e-300)
+        norm = max(fscale, 1e-300)
         for x in grid:
             val = apply_operator_fd(op, u, x, h)
             fx = complex(np.asarray(f(x[None, :]))[0])
-            worst = max(worst, abs(val - fx) / fscale)
+            worst = max(worst, abs(val - fx) / norm)
     else:
         # normalize by the largest term across the whole grid: at symmetry
         # points every individual term of a harmonic field can vanish
@@ -183,11 +187,19 @@ def check_pde_identity(fs: FundamentalSolution, op: OperatorCoefficients,
             val, scale = apply_operator_fd(op, u, x, h, return_scale=True)
             vals.append(abs(val))
             scales.append(scale)
-        worst = max(vals) / max(max(scales), 1e-300)
+        norm = max(max(scales), 1e-300)
+        worst = max(vals) / norm
+    # what a rounding of 2^-52 |u| in every value of u can move the residual
+    # by: the stencil's coefficients are 1, -2, 1 times a2[j, j] / h^2,
+    # +-a2[l, j] / (2 h^2) on the cross points, +-a1[j] / (2 h) and a0
+    a2 = np.abs(op.a2)
+    coeffs = ((3.0 * np.trace(a2) + np.sum(a2)) / h ** 2
+              + np.sum(np.abs(op.a1)) / h + abs(op.a0))
     return VerificationReport(
         "pde_identity",
         {"side": side, "h": h, "N": N, "kind": fs.kind,
-         "points": len(grid)},
+         "points": len(grid),
+         "rounding_floor": float(coeffs * 2.0 ** -52 * umax[0] / norm)},
         [("max_relative_residual", worst)], tol)
 
 
@@ -530,7 +542,8 @@ def convergence_study(op_name: str, fs: FundamentalSolution, domain: Domain,
     deficit = max(0.0, required_order - observed_order)
     return VerificationReport(
         "convergence_study",
-        {"op": op_name, "N": N_list, "errors": [float(e) for e in errors],
+        {"op": op_name, "x": list(np.ravel(x)), "N": N_list,
+         "errors": [float(e) for e in errors],
          "observed_order": observed_order, "required_order": required_order},
         [("order_deficit", deficit)], tol)
 
