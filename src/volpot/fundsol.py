@@ -295,7 +295,25 @@ class FundamentalSolution:
         beta, alpha_r2 = self.k2_radial(r)
         return np.eye(self.dim), beta, pts, alpha_r2 / (r * r)
 
-    # -- the screened kernel along a ray -----------------------------------
+    # -- the kernels along a ray -------------------------------------------
+
+    def radial_value(self, dirs, rn, logs=None):
+        """S(r d) at the (rays, P) radii rn on rays with the unit directions
+        dirs, |T^{-1} d| taken once per direction; ``logs`` = (log a, log b)
+        with rn = a b lets the 2D log kernels add logs instead of taking
+        one per node."""
+        if self.kind == "modified-helmholtz":
+            return self._helmholtz_value(rn)
+        q = (None if self.kind == "laplace"
+             else self._ellip_radius(dirs)[:, None])
+        if self.dim == 3:     # S(r q) / sqrt(det a2) = S(r q sqrt(det a2))
+            return self._laplace_value(
+                rn if q is None else rn * (q * self._sqrt_det))
+        out = np.log(rn) if logs is None else logs[0] + logs[1]
+        if q is not None:
+            out += np.log(q)
+        out *= 1.0 / (2.0 * np.pi * self._sqrt_det)
+        return out
 
     def radial_gradient(self, r):
         """f'(r) of the screened kernel S = f(|x|), whose gradient at

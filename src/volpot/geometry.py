@@ -41,9 +41,8 @@ and reduces slowly along an innermost axis of length 2 or 3, running one
 short inner loop per node; on the transposed view both writes and
 reductions such as ``np.sum(y * y, axis=-1)`` run one long loop per
 coordinate with the same per-element operations, in the same order, so
-the same bits.  The radial nodes come from per-(order, panel count) tables
-(``_radial_tables``) whose entries are exact power-of-two multiples of the
-Gauss-Legendre rule, so they too keep the bits of the per-panel form.
+the same bits.  The radial nodes and weights are the per-(order, panel
+count) tables of ``_radial_tables`` scaled by each ray's span.
 """
 
 from __future__ import annotations
@@ -396,18 +395,21 @@ class RaySet:
         ray-major and coordinate-major in memory: the transposed view of a
         C-contiguous (n, m) buffer (see ``_ray_nodes``).
 
-        With ``polar``, a third item (dirs, rn, rww) carries the block in
-        polar form: the rays' directions, the (rays, P) radii of their
-        nodes and rww = rw wang, the node weights without the r^(n-1)
-        Jacobian (the weights keep their own bits)."""
+        With ``polar``, a third item (dirs, rn, rww, logs) carries the
+        block in polar form: the rays' directions, the (rays, P) radii of
+        their nodes, rww = rw wang (the node weights without the r^(n-1)
+        Jacobian) and, on rays that start at 0, logs = (log s, log t) for
+        the spans s and ``_radial_tables``' t, rn = s t (None otherwise)."""
+        lo, hi, logs = self.lo[i:j], self.hi[i:j], None
         if self.outer:
-            g, rw = _graded_radial(np.zeros(j - i),
-                                   self.hi[i:j] - self.lo[i:j], self.p,
+            g, rw = _graded_radial(np.zeros(j - i), hi - lo, self.p,
                                    self.n_panels)
-            rn = self.hi[i:j, None] - g
+            rn = hi[:, None] - g
         else:
-            rn, rw = _graded_radial(self.lo[i:j], self.hi[i:j], self.p,
-                                    self.n_panels)
+            rn, rw = _graded_radial(lo, hi, self.p, self.n_panels)
+            if polar and not np.count_nonzero(lo):
+                logs = (np.log(hi - lo)[:, None],
+                        _radial_tables(self.p, self.n_panels)[2])
         wang = self.wang[i:j, None]
         # rw * r^(n-1) * wang, in place, in that order
         if self.dirs.shape[1] == 2:
@@ -419,7 +421,7 @@ class RaySet:
         out = (_ray_nodes(self.center, rn, self.dirs[i:j]),
                weights.reshape(-1))
         if polar:
-            return out + ((self.dirs[i:j], rn, rw * wang),)
+            return out + ((self.dirs[i:j], rn, rw * wang, logs),)
         return out
 
 
@@ -557,22 +559,18 @@ def _radial_panel_count(N):
 @lru_cache(maxsize=256)
 def _radial_tables(p, n_panels):
     """Flat (K p,) tables of the graded radial rule on [0, 1], K =
-    n_panels + 1, panel k's p entries in order: panel starts ``a``, nodes
-    past the start ``h u`` and weights ``h w``, with h = 2^-(k+1) (2^-k on
-    the last panel, whose start is 0), and the plain GL rule ``u``, ``w``
-    tiled K times.  Every entry is an exact power-of-two multiple of a GL
-    entry."""
+    n_panels + 1, panel k's p entries in order: the nodes t = a + h u, the
+    weights h w and log t, with h = 2^-(k+1) and start a = h (h = 2^-k and
+    a = 0 on the last panel) for the GL rule u, w on [0, 1]."""
     u, w = _gl01(p)
     K = n_panels + 1
     h = 0.5 ** np.arange(1, K + 1)
     h[-1] *= 2.0
-    a = h.copy()
-    a[-1] = 0.0
     hp = np.repeat(h, p)
-    ut, wt = np.tile(u, K), np.tile(w, K)
-    tables = (np.repeat(a, p), hp * ut, hp * wt, ut, wt)
-    for t in tables:
-        t.setflags(write=False)
+    t = np.repeat(np.append(h[:-1], 0.0), p) + hp * np.tile(u, K)
+    tables = (t, hp * np.tile(w, K), np.log(t))
+    for tab in tables:
+        tab.setflags(write=False)
     return tables
 
 
@@ -580,25 +578,15 @@ def _graded_radial(r_lo, r_hi, p, n_panels):
     """Composite GL nodes/weights on [r_lo, r_hi] per ray, panels refined
     geometrically toward r_lo.  Shapes (M,) -> (M, n_panels*p + p).
 
-    Bitwise equal to forming, with s = r_hi - r_lo, the panel ends
-    bp_k = r_lo + s 2^-k (and r_lo), starts a = bp_(k+1), widths
-    h = bp_k - a, and a + h u and h w.  Where r_lo is all zero, s 2^-k and
-    its differences are exact, so s times the ``_radial_tables`` entries
-    gives the same bits in contiguous (M, K p) ops; otherwise a and h are
-    formed per panel and repeated against the tiled GL rule."""
-    atab, utab, wtab, ut, wt = _radial_tables(p, n_panels)
+    With s = r_hi - r_lo and the ``_radial_tables`` t and h w: the nodes
+    s t (+ r_lo, where some r_lo is nonzero) and the weights s h w, each a
+    contiguous (M, K p) op."""
+    t, wt, _ = _radial_tables(p, n_panels)
     span = (r_hi - r_lo)[:, None]
-    if not np.count_nonzero(r_lo):
-        nodes = span * atab
-        nodes += span * utab
-        return nodes, span * wtab
-    bp = r_lo[:, None] + span * 0.5 ** np.arange(n_panels + 1)
-    bp = np.concatenate([bp, r_lo[:, None]], axis=1)
-    a = bp[:, 1:]
-    h = np.repeat(bp[:, :-1] - a, p, axis=1)
-    nodes = h * ut
-    nodes += np.repeat(a, p, axis=1)
-    return nodes, h * wt
+    nodes = span * t
+    if np.count_nonzero(r_lo):
+        nodes += r_lo[:, None]
+    return nodes, span * wt
 
 
 def _angular_count(N, dist, scale, roughness=1.0):

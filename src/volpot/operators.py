@@ -154,9 +154,10 @@ def apply_operator_fd(op: OperatorCoefficients, u, x, h: float,
                       return_scale: bool = False):
     """Apply the operator to a scalar field by second-order central differences.
 
-    ``u`` is called at x, at x +- h e_j, and at the four points
-    x +- h e_l +- h e_j of each pair l < j with a2[l, j] != 0: a zero
-    coefficient's term is +-0, which leaves the sum and the scale unchanged.
+    ``u`` is called at x, at x +- h e_j (once each: the drift terms reuse
+    those values), and at the four points x +- h e_l +- h e_j of each pair
+    l < j with a2[l, j] != 0: a zero coefficient's term is +-0, which
+    leaves the sum and the scale unchanged.
     Exact for quadratic polynomials up to rounding.  With
     ``return_scale=True`` also returns the magnitude of the largest group of
     terms (principal / drift / zeroth order), used for relative residuals.
@@ -165,28 +166,20 @@ def apply_operator_fd(op: OperatorCoefficients, u, x, h: float,
         raise ValueError("step h must be positive")
     x = np.asarray(x, dtype=float)
     n = op.dim
+    e = np.eye(n) * h
     ux = u(x)
-    terms = []
-    for j in range(n):
-        ej = np.zeros(n)
-        ej[j] = h
-        terms.append(op.a2[j, j] * (u(x + ej) - 2.0 * ux + u(x - ej)) / h ** 2)
+    axis = [(u(x + e[j]), u(x - e[j])) for j in range(n)]
+    terms = [op.a2[j, j] * (up - 2.0 * ux + um) / h ** 2
+             for j, (up, um) in enumerate(axis)]
     for l in range(n):
         for j in range(l + 1, n):
-            if op.a2[l, j] == 0:
-                continue
-            el = np.zeros(n)
-            el[l] = h
-            ej = np.zeros(n)
-            ej[j] = h
-            cross = (u(x + el + ej) - u(x + el - ej)
-                     - u(x - el + ej) + u(x - el - ej)) / (4.0 * h ** 2)
-            terms.append(2.0 * op.a2[l, j] * cross)
-    for j in range(n):
-        if op.a1[j] != 0:
-            ej = np.zeros(n)
-            ej[j] = h
-            terms.append(op.a1[j] * (u(x + ej) - u(x - ej)) / (2.0 * h))
+            if op.a2[l, j] != 0:
+                el, ej = e[l], e[j]
+                cross = (u(x + el + ej) - u(x + el - ej)
+                         - u(x - el + ej) + u(x - el - ej)) / (4.0 * h ** 2)
+                terms.append(2.0 * op.a2[l, j] * cross)
+    terms += [op.a1[j] * (up - um) / (2.0 * h)
+              for j, (up, um) in enumerate(axis) if op.a1[j] != 0]
     terms.append(op.a0 * ux)
     value = sum(terms)
     if return_scale:

@@ -30,12 +30,13 @@ kernel and the density and summed before the next one is built, so memory
 does not grow with the node count.
 The cached regular rule of far points is reduced as one block.
 
-Gradients and Hessians are reduced along the rays first where the rays
-start at x (the polar rule about an interior x and the chord rule): there
-x - y = -r d, the kernels factor into a power of r times a function of
-the direction d (see :mod:`volpot.fundsol`), and a node weight is
-w = rw r^(n-1) wang.  So
+Where the rays start at x (the polar rule about an interior x and the
+chord rule), x - y = -r d, a node weight is w = rw r^(n-1) wang, and the
+kernels are evaluated in polar form (see :mod:`volpot.fundsol`):
 
+* value: S(r d) from the radii alone (``fs.radial_value``); on rays that
+  start at 0, r = s t for the ray's span s and the cached radial table t,
+  so the 2D log kernels take log r = log s + log t, one log per ray;
 * grad: -sum_i s_i k1(d_i) with s_i = wang_i sum_j rw_ij f_ij, the
   r^(n-1) cancelling the singularity exactly; for the screened kernel
   -sum_i d_i sum_j w_ij f_ij f'(r_ij);
@@ -43,12 +44,9 @@ w = rw r^(n-1) wang.  So
   wang_i sum_j rw_ij (f_ij - Ef(x)) / r_ij (zero for f = 1, and skipped);
   screened k2 part: I sum w f beta + sum_i d_i d_i^t sum_j w f alpha r^2.
 
-One kernel call per block of directions replaces one per node; the nodes
-are still built, for the density.  Far blocks and the star-near rule
-(rays from the origin) keep the Cartesian form.  Values stay Cartesian,
-bit for bit: a polar value sum agrees only to rounding, and the
-finite-difference rows of the reports (pde_identity) amplify such
-rounding a million-fold.
+The nodes are still built, for the density.  Far blocks and the star-near
+rule (rays from the origin) keep the Cartesian form, one kernel call per
+node on the offsets.  Polar and Cartesian sums agree to rounding.
 
 Everything here is a pure function of immutable inputs: batch evaluation
 over point grids may run on several threads.  The blocks depend on the
@@ -70,8 +68,8 @@ from .geometry import (Domain, cached_boundary_rule, cached_volume_rule,
                        _near_star_rays, _singular_rays)
 from .schauder import NegativeExponentDensity
 
-# Exterior points closer to the boundary than this fraction of the domain
-# scale are handled by the chord rule instead of the regular volume rule.
+# Exterior points closer to the boundary than this fraction of a ball's
+# radius (a star domain's bounding radius) take the chord (star-near) rule.
 NEAR_FRACTION = 0.1
 
 
@@ -101,15 +99,16 @@ def _volume_blocks(domain, x, N, polar=False):
     the polar rule about an interior x, the chord (ball) or star-near rule
     for an exterior x near the boundary, each a block of rays at a time;
     far from the boundary, the cached regular rule, built already, as one
-    block.  With ``polar``, rays is the block's polar form (dirs, rn, rww)
-    when its rays start at x, so that x - y = -rn d (see
+    block.  With ``polar``, rays is the block's polar form (dirs, rn, rww,
+    logs) when its rays start at x, so that x - y = -rn d (see
     ``RaySet.block``); it is None otherwise.  The point is classified, and
     its distance measured, once."""
     cls = _classify_or_raise(domain, x)
     dist = domain.distance_to_boundary(x)
     if cls > 0:
         rays = _singular_rays(domain, x, N, dist)
-    elif dist >= NEAR_FRACTION * domain.bounding_radius:
+    elif dist >= NEAR_FRACTION * (domain.radius if domain.kind == "ball"
+                                  else domain.bounding_radius):
         vq = cached_volume_rule(domain, N)
         return [(vq.nodes, vq.weights, None)]
     elif domain.kind == "ball":
@@ -119,6 +118,14 @@ def _volume_blocks(domain, x, N, polar=False):
     if polar:
         return rule_blocks(rays, polar=True)
     return ((y, w, None) for y, w in rule_blocks(rays))
+
+
+def _value_sum(fs, x, y, w, rays, f, z=None):
+    """sum_m S(x - y_m) f_m w_m over one block: from the radii alone on a
+    block in polar form, else from the offsets z (computed unless given)."""
+    s = (fs.eval(_offsets(x, y) if z is None else z) if rays is None
+         else fs.radial_value(rays[0], rays[1], rays[3]).reshape(-1))
+    return np.sum(s * f * w)
 
 
 def _gradient_sum(fs, x, y, w, rays, f, z=None):
@@ -136,7 +143,7 @@ def _gradient_sum(fs, x, y, w, rays, f, z=None):
               else np.stack([fj * w for fj in f], axis=1))
         z = _offsets(x, y) if z is None else z
         return np.sum(fs.grad(z) * fw, axis=0)
-    dirs, rn, rww = rays
+    dirs, rn, rww, _ = rays
     if fs.kind == "modified-helmholtz":
         g, k = w * fs.radial_gradient(rn.reshape(-1)), dirs
     else:
@@ -153,8 +160,8 @@ def volume_potential(fs: FundamentalSolution, domain: Domain, f, x,
                      N: int = 64) -> complex:
     """int_Omega S(x - y) f(y) dy for bounded f on the closure."""
     x = np.asarray(x, dtype=float)
-    return complex(sum(np.sum(fs.eval(_offsets(x, y)) * f(y) * w)
-                       for y, w, _ in _volume_blocks(domain, x, N)))
+    return complex(sum(_value_sum(fs, x, y, w, rays, f(y)) for y, w, rays
+                       in _volume_blocks(domain, x, N, polar=True)))
 
 
 def volume_potential_gradient(fs: FundamentalSolution, domain: Domain, f, x,
@@ -309,7 +316,7 @@ def volume_potential_hessian(fs: FundamentalSolution, domain: Domain, f, x,
     rays = _singular_rays(domain, x, N, domain.distance_to_boundary(x))
     screened = fs.kind == "modified-helmholtz"
     H1 = H2 = 0.0
-    for y, w, (dirs, rn, rww) in rule_blocks(rays, polar=True):
+    for y, w, (dirs, rn, rww, _) in rule_blocks(rays, polar=True):
         fvals = np.asarray(f(y)).reshape(rn.shape)
         # d k1(-r d) = r^-n d k1(d), and w r^-n = rw wang / r
         H1 = H1 + fs.k1_jacobian(
@@ -339,19 +346,18 @@ def volume_potential_negative(fs: FundamentalSolution, domain: Domain,
         + sum_j d/dx_j int_Omega S(x-y) f_j dy.
 
     All volume terms share one rule: each block of the rule for x is built
-    once, S is evaluated once on its nodes for f0 (not at all where f0 is
-    zero), and the f_j are reduced against grad S, along the rays where
-    they start at x (see the module docstring).
+    once, S is evaluated once on it for f0 (not at all where f0 is zero),
+    and the f_j are reduced against grad S, both along the rays where they
+    start at x (see the module docstring).
     """
     x = np.asarray(x, dtype=float)
     n = domain.dim
     comps = nd.components
     value = grad = 0
     for y, w, rays in _volume_blocks(domain, x, N, polar=True):
-        f0, z = comps[0](y), None
+        f0, z = comps[0](y), None if rays else _offsets(x, y)
         if np.any(f0):      # a zero f0 adds nothing; skip its kernel pass
-            z = _offsets(x, y)
-            value = value + np.sum(fs.eval(z) * f0 * w)
+            value = value + _value_sum(fs, x, y, w, rays, f0, z)
         fj = [np.asarray(comps[j + 1](y)) for j in range(n)]
         grad = grad + _gradient_sum(fs, x, y, w, rays, fj, z)
     total = complex(value)

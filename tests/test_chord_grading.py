@@ -32,10 +32,9 @@ from volpot import (anisotropic, exterior_chord_rule, get_preset,
                     helmholtz_fundamental, laplace_fundamental, make_ball,
                     principal_fundamental, volume_potential,
                     volume_potential_gradient)
-from volpot import geometry
+from volpot import geometry, potentials
 from volpot.geometry import (_chord_levels, _chord_rays, _radial_order,
                              _radial_panel_count)
-from volpot.potentials import NEAR_FRACTION
 
 ONE = get_preset("one")
 ABS_X1 = get_preset("abs_x1")
@@ -63,23 +62,24 @@ def _both(y):
 
 def _graded(fs, domain, x, N, levels=None):
     """Value and gradient of the volume potentials of ``one`` (real part)
-    and ``abs_x1`` (imaginary part) at x, the chords graded through
-    ``levels`` levels: ``_chord_levels``' when None."""
-    if levels is None:
+    and ``abs_x1`` (imaginary part) at x on the chord rule, the chords
+    graded through ``levels`` levels: ``_chord_levels``' when None.  The
+    chord rule serves every point here, also those that ``volume_potential``
+    hands to the regular rule (0.1 radii out and beyond)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(potentials, "NEAR_FRACTION", np.inf)
+        if levels is not None:
+            mp.setattr(geometry, "_chord_levels",
+                       lambda R, dist, p, n_panels: levels)
         return np.concatenate([[volume_potential(fs, domain, _both, x, N)],
                                volume_potential_gradient(fs, domain, _both,
                                                          x, N)])
-    saved = geometry._chord_levels
-    geometry._chord_levels = lambda R, dist, p, n_panels: levels
-    try:
-        return _graded(fs, domain, x, N)
-    finally:
-        geometry._chord_levels = saved
 
 
 def _case(n, N, shift, dist_key):
     domain = make_ball(n, shift * np.eye(n)[0], 1.0)
-    # "far": just inside the chord rule's reach, 0.1 bounding radii
+    # "far": 0.099 bounding radii, just inside the chord rule's reach in
+    # ``volume_potential`` for the centred ball
     dist = 0.099 * domain.bounding_radius if dist_key == "far" else dist_key
     return domain, _point(domain, dist)
 
@@ -126,14 +126,14 @@ def test_chord_levels_stop_at_two_radii():
 @pytest.mark.parametrize("n, N", [(2, 64), (2, 128), (3, 24)])
 @pytest.mark.parametrize("dist", [3.0, 10.0])
 def test_far_exterior_points_keep_the_accuracy(n, N, dist):
-    # A ball centred 100 radii from the origin hands points up to 10.1
-    # radii out to the chord rule.  Outside the ball the Laplace kernel is
-    # harmonic, so the potential of ``one`` is |B| S(x - c) and its
-    # gradient |B| grad S(x - c); the graded rule stays within twice the
-    # full-depth rule's error against them
+    # Points 3 and 10 radii from a ball centred 100 radii from the origin,
+    # on the chord rule (``volume_potential`` gives them the regular rule).
+    # Outside the ball the Laplace kernel is harmonic, so the potential of
+    # ``one`` is |B| S(x - c) and its gradient |B| grad S(x - c); the
+    # graded rule stays within twice the full-depth rule's error against
+    # them
     center = 100.0 * np.eye(n)[0]
     ball = make_ball(n, center, 1.0)
-    assert dist < NEAR_FRACTION * ball.bounding_radius
     x = _point(ball, dist)
     p = _radial_order(N)
     assert _chord_rays(ball, x, N)[0].n_panels == -(-14 // p)

@@ -398,8 +398,8 @@ def test_star_inscribed_radius_bounds_rho_between_samples():
 
 
 # The node and direction expressions the rule builders used before they
-# were built one coordinate at a time; a rule built with these must have
-# the same bits.
+# were built one coordinate at a time, and the graded radial rule's table
+# form written out; a rule built with these must have the same bits.
 
 def _ray_nodes_broadcast(x, rn, dirs):
     n = dirs.shape[1]
@@ -415,18 +415,21 @@ def _cone_dirs_broadcast(ca, sa, axis, e1, e2, phi):
     return dirs.reshape(-1, 3)
 
 
-def _graded_radial_broadcast(r_lo, r_hi, p, n_panels):
+def _graded_radial_written_out(r_lo, r_hi, p, n_panels):
+    # the table form written out: panel k of [0, 1] starts at a = h =
+    # 2^-(k+1) (the last at a = 0, with h = 2^-n_panels), t = a + h u;
+    # the nodes s t (+ r_lo where some r_lo is nonzero), the weights s h w
     u, w = _gl01(p)
-    ks = 0.5 ** np.arange(n_panels + 1)
+    h = 0.5 ** np.arange(1, n_panels + 2)
+    h[-1] *= 2.0
+    a = np.concatenate([h[:-1], [0.0]])
+    t = (a[:, None] + h[:, None] * u[None, :]).reshape(-1)
+    hw = (h[:, None] * w[None, :]).reshape(-1)
     span = (r_hi - r_lo)[:, None]
-    bp = r_lo[:, None] + span * ks[None, :]
-    bp = np.concatenate([bp, r_lo[:, None]], axis=1)
-    a = bp[:, 1:]
-    h = bp[:, :-1] - a
-    nodes = a[:, :, None] + h[:, :, None] * u[None, None, :]
-    wts = h[:, :, None] * w[None, None, :]
-    m = r_lo.shape[0]
-    return nodes.reshape(m, -1), wts.reshape(m, -1)
+    nodes = span * t[None, :]
+    if np.any(r_lo):
+        nodes = nodes + r_lo[:, None]
+    return nodes, span * hw[None, :]
 
 
 def _same_bits(a, b):
@@ -469,7 +472,7 @@ def test_rule_nodes_match_broadcast_bitwise(dom, monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(geometry, "_ray_nodes", _ray_nodes_broadcast)
         mp.setattr(geometry, "_cone_dirs", _cone_dirs_broadcast)
-        mp.setattr(geometry, "_graded_radial", _graded_radial_broadcast)
+        mp.setattr(geometry, "_graded_radial", _graded_radial_written_out)
         refs = [build(*args) for build, args in cases]
     for (build, args), ref in zip(cases, refs):
         vq = build(*args)
@@ -670,7 +673,7 @@ def _radial_spans(rng, m):
 
 @pytest.mark.parametrize("p", range(3, 11))
 def test_graded_radial_matches_broadcast_bitwise(p):
-    # lo = 0 and -0.0 take the cached tables, other lo the per-panel form
+    # lo = 0 and -0.0 add nothing to the scaled table, other lo add lo
     rng = np.random.default_rng(p)
     m = 40
     span = _radial_spans(rng, m)
@@ -680,7 +683,7 @@ def test_graded_radial_matches_broadcast_bitwise(p):
     for n_panels in [0, 6] + list(range(12, 27)):
         for lo in (np.zeros(m), -np.zeros(m), lo_pos, lo_mixed):
             got = geometry._graded_radial(lo, lo + span, p, n_panels)
-            ref = _graded_radial_broadcast(lo, lo + span, p, n_panels)
+            ref = _graded_radial_written_out(lo, lo + span, p, n_panels)
             assert _same_bits(got[0], ref[0]), (n_panels, lo[:3])
             assert _same_bits(got[1], ref[1]), (n_panels, lo[:3])
 
@@ -699,18 +702,26 @@ def test_ray_set_blocks_match_broadcast_bitwise(dim, outer):
     hi = lo + _radial_spans(rng, m)
     wang = rng.uniform(0.1, 1.0, m)
     if outer:
-        g, rw = _graded_radial_broadcast(np.zeros(j - i), hi[i:j] - lo[i:j],
+        g, rw = _graded_radial_written_out(np.zeros(j - i), hi[i:j] - lo[i:j],
                                          7, 14)
         rn = hi[i:j, None] - g
     else:
-        rn, rw = _graded_radial_broadcast(lo[i:j], hi[i:j], 7, 14)
+        rn, rw = _graded_radial_written_out(lo[i:j], hi[i:j], 7, 14)
     jac = rn if dim == 2 else rn ** 2
     weights = (rw * jac * wang[i:j, None]).reshape(-1)
     for center in (None, rng.standard_normal(dim)):
         rs = geometry.RaySet(center, dirs, lo, hi, wang, 7, 14, outer)
-        y, w, (_, r, rww) = rs.block(i, j, polar=True)
+        y, w, (_, r, rww, logs) = rs.block(i, j, polar=True)
         assert y.T.flags.c_contiguous
         assert _same_bits(y, _ray_nodes_broadcast(center, rn, dirs[i:j]))
         assert _same_bits(w, weights)
         assert _same_bits(r, rn)
         assert _same_bits(rww, rw * wang[i:j, None])
+        # a log of the radii only on rays that start at 0
+        assert logs is None
+    if not outer:
+        rs = geometry.RaySet(None, dirs, np.zeros(m), hi - lo, wang, 7, 14)
+        _, _, (_, r, _, (log_s, log_t)) = rs.block(i, j, polar=True)
+        assert _same_bits(log_s, np.log(hi[i:j] - lo[i:j])[:, None])
+        assert np.all(np.abs(log_s + log_t - np.log(r))
+                      <= 4e-16 * (1.0 + np.abs(log_s) + np.abs(log_t)))

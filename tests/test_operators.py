@@ -137,8 +137,10 @@ def test_fd_cross_terms():
 
 
 def _full_stencil(op, u, x, h):
-    """apply_operator_fd with every cross pair evaluated, zero or not: the
-    reference the skipped stencil points must keep the bits of."""
+    """apply_operator_fd with every cross pair evaluated, zero or not, and
+    the axis points evaluated again for the drift: the reference the
+    skipped stencil points and the reused axis values must keep the bits
+    of."""
     n = op.dim
     ux = u(x)
     e = np.eye(n) * h
@@ -159,16 +161,16 @@ def _full_stencil(op, u, x, h):
     (laplacian(2), 5),
     (laplacian(3), 7),
     (OperatorCoefficients(3, np.diag([4.0, 1.0, 2.0]), [0.5, 0.0, -1.0],
-                          -2.0), 11),
+                          -2.0), 7),
     (OperatorCoefficients(3, [[2.0, 0.3, 0.0], [0.3, 1.0, 0.0],
                               [0.0, 0.0, 1.5]], np.zeros(3), 0.0), 11),
     (OperatorCoefficients(2, [[2.0, -0.4], [-0.4, 1.0]], [1.0, 0.0], 1.0),
-     11),
+     9),
 ], ids=["laplace-2d", "laplace-3d", "diagonal-3d", "one-pair-3d",
         "full-2d"])
 def test_fd_skips_zero_cross_coefficients(op, calls):
-    # calls: 2n + 1 points, 4 per nonzero a2[l, j] (l < j) and 2 per
-    # nonzero a1[j]
+    # calls: 2n + 1 points and 4 per nonzero a2[l, j] (l < j); the drift
+    # terms reuse the values at x +- h e_j
     def u(p):
         count[0] += 1
         return np.exp(0.7 * p[0]) * np.sin(p[1] + 0.2) + p[-1] * p[0] ** 3

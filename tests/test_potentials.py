@@ -15,6 +15,7 @@ from volpot import (DomainError, NearBoundaryError, PotentialField,
                     volume_rule)
 from volpot.geometry import cached_boundary_rule, singular_volume_rule
 from volpot.operators import OperatorCoefficients
+from volpot import potentials
 from volpot.potentials import _boundary_integral
 
 FS2 = laplace_fundamental(2)
@@ -50,6 +51,23 @@ def test_disk_volume_potential_interior():
 def test_disk_volume_potential_exterior():
     val = volume_potential(FS2, DISK, ONE, np.array([2.0, 0.0]), 64)
     assert val == pytest.approx(np.log(2.0) / 2.0, abs=1e-10)
+
+
+def test_shifted_ball_switches_rule_by_its_radius(monkeypatch):
+    # exterior points switch from the chord rule to the cached regular rule
+    # at 0.1 radii from the ball, wherever it sits: 5 radii from a unit
+    # disk centred at 100 e1 the regular rule serves, as it would at the
+    # origin, and gives the closed form (R^2 / 2) log|x - c|
+    c = np.array([100.0, 0.0])
+    shifted, calls = disk(1.0, c), []
+    chord = potentials._chord_rays
+    monkeypatch.setattr(potentials, "_chord_rays",
+                        lambda *a: calls.append(a) or chord(*a))
+    val = volume_potential(FS2, shifted, ONE, c + [5.0, 0.0], 64)
+    assert not calls
+    assert abs(val - 0.5 * np.log(5.0)) <= 1e-12
+    volume_potential(FS2, shifted, ONE, c + [1.05, 0.0], 64)
+    assert len(calls) == 1
 
 
 def test_ball_volume_potential_center():

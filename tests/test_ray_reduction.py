@@ -6,8 +6,9 @@ potentials sum each ray first and call the kernel once per direction.
 The Cartesian reductions they replaced (one kernel call per node on the
 offsets x - y) are kept here as references: the two must agree to 1e-12
 of the potential's scale for every kernel, domain, point and density, and
-agree as well with the closed forms.  Values never take the polar form;
-they must keep the bits they had before the ray reduction.
+agree as well with the closed forms.  Values are summed in polar form
+too, from the radii alone: they must agree with the Cartesian sum to
+rounding, and keep the bits stored for them.
 """
 
 import importlib.util
@@ -160,6 +161,43 @@ def test_ray_reduction_matches_cartesian(domain, N, kname):
                     ("hessian", x, dname, err)
 
 
+def _cartesian_value(fs, domain, f, x, N):
+    """The value summed node by node on the offsets x - y, and the sum of
+    |S f w| that bounds its rounding."""
+    value = size = 0.0
+    for y, w, _ in _volume_blocks(domain, x, N):
+        sfw = fs.eval(_offsets(x, y)) * f(y) * w
+        value, size = value + np.sum(sfw), size + np.sum(np.abs(sfw))
+    return value, size
+
+
+VALUE_KERNELS = {"laplace": laplace_fundamental,
+                 "anisotropic": lambda n: principal_fundamental(
+                     anisotropic(np.diag([4.0, 1.0, 2.0][:n]))),
+                 "screened": lambda n: helmholtz_fundamental(n, 1.0)}
+
+
+@pytest.mark.parametrize("domain, N", [(DISK, 32), (STAR, 32), (BALL, 12)],
+                         ids=["disk", "cosine_star", "ball3d"])
+@pytest.mark.parametrize("kname", sorted(VALUE_KERNELS))
+def test_values_along_rays_match_cartesian(domain, N, kname):
+    # interior offsets 1e-2 and 1e-4 (the polar rule about x), 1e-3 outside
+    # (the chord rule on the disk and the ball, the star-near rule on the
+    # star) and a far point (the cached regular rule)
+    fs = VALUE_KERNELS[kname](domain.dim)
+    if domain is STAR:
+        points = [_star_point(0.6, s) for s in (-1e-2, -1e-4, 1e-3, 1.5)]
+    else:
+        d = NB3 if domain.dim == 3 else np.array([np.cos(0.7), np.sin(0.7)])
+        points = [r * d for r in (1 - 1e-2, 1 - 1e-4, 1 + 1e-3, 3.0)]
+    for x in points:
+        for dname in ("one", "bump", "abs_x1"):
+            f = get_preset(dname)
+            ref, size = _cartesian_value(fs, domain, f, x, N)
+            got = volume_potential(fs, domain, f, x, N)
+            assert abs(got - ref) <= 1e-14 * size, (x, dname, got - ref)
+
+
 # -- closed forms ---------------------------------------------------------------
 
 @pytest.mark.parametrize("r", [0.0, 0.5, 1 - 1e-3, 1 - 1e-4, 1 + 1e-4,
@@ -202,17 +240,18 @@ def test_ball_matches_oracle(kname):
 
 # -- values keep their bits, and real densities stay real -----------------------
 
-# volume_potential of the code before the ray reduction, as float.hex;
-# "disk chord" is the chord rule graded down to its distance 1e-3 (14
-# levels instead of 16 at N = 32), one ulp from the value before
+# volume_potential as float.hex, the values on rays from x summed in polar
+# form and every radial rule built from its table (s t + lo): within
+# 4.5e-16 relative of the Cartesian sums of the per-panel radial form
+# before, and four of the seven with the same bits
 STORED_VALUES = {
     "disk interior": "-0x1.1342719ee8f28p-3",
-    "disk chord": "-0x1.529ace739d1b2p-6",
+    "disk chord": "-0x1.529ace739d1b0p-6",
     "disk far": "0x1.9e54ca58f0eb2p-3",
     "star interior": "-0x1.a4427bf47ce71p-4",
-    "star near exterior": "-0x1.59360847e8ed5p-4",
+    "star near exterior": "-0x1.59360847e8ed4p-4",
     "ball interior": "-0x1.d37b019ed6672p-6",
-    "ball chord": "-0x1.774d5d515a4bap-5",
+    "ball chord": "-0x1.774d5d515a4b7p-5",
 }
 
 VALUE_CASES = {
