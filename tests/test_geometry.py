@@ -702,8 +702,8 @@ def test_ray_set_blocks_match_broadcast_bitwise(dim, outer):
     hi = lo + _radial_spans(rng, m)
     wang = rng.uniform(0.1, 1.0, m)
     if outer:
-        g, rw = _graded_radial_written_out(np.zeros(j - i), hi[i:j] - lo[i:j],
-                                         7, 14)
+        g, rw = _graded_radial_written_out(np.zeros(j - i),
+                                           hi[i:j] - lo[i:j], 7, 14)
         rn = hi[i:j, None] - g
     else:
         rn, rw = _graded_radial_written_out(lo[i:j], hi[i:j], 7, 14)
