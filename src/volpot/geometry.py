@@ -42,7 +42,9 @@ short inner loop per node; on the transposed view both writes and
 reductions such as ``np.sum(y * y, axis=-1)`` run one long loop per
 coordinate with the same per-element operations, in the same order, so
 the same bits.  The radial nodes and weights are the per-(order, panel
-count) tables of ``_radial_tables`` scaled by each ray's span.
+count) tables of ``_radial_tables`` scaled by each ray's span; on rays
+that start at the point, the weights can stay factored into one number
+per ray and the table (``RaySet.block``'s polar form).
 """
 
 from __future__ import annotations
@@ -152,15 +154,6 @@ class Domain:
         dr = self.drho(theta)
         nrm = r[..., None] * e - dr[..., None] * eperp
         return nrm / np.linalg.norm(nrm, axis=-1, keepdims=True)
-
-    def outward_normal_at(self, y):
-        """Outward unit normal at a boundary point given in coordinates."""
-        y = np.asarray(y, dtype=float)
-        if self.kind == "ball":
-            d = y - self.center
-            return d / np.linalg.norm(d, axis=-1, keepdims=True)
-        theta = np.arctan2(y[..., 1], y[..., 0])
-        return self.boundary_normal(theta)
 
     # -- ray casting --------------------------------------------------------
 
@@ -395,34 +388,36 @@ class RaySet:
         ray-major and coordinate-major in memory: the transposed view of a
         C-contiguous (n, m) buffer (see ``_ray_nodes``).
 
-        With ``polar``, a third item (dirs, rn, rww, logs) carries the
-        block in polar form: the rays' directions, the (rays, P) radii of
-        their nodes, rww = rw wang (the node weights without the r^(n-1)
-        Jacobian) and, on rays that start at 0, logs = (log s, log t) for
-        the spans s and ``_radial_tables``' t, rn = s t (None otherwise)."""
-        lo, hi, logs = self.lo[i:j], self.hi[i:j], None
+        With ``polar``, a third item carries the block in polar form where
+        its rays start at ``center`` (every set but an ``outer`` one), and
+        the weights are not built: it is (dirs, rn, c, wt, logs), the rays'
+        directions, the (rays, P) radii of their nodes, c = s wang one
+        factor per ray for the spans s, wt the ``_radial_tables`` weights
+        h w, so that a node weight is c_i wt_j rn_ij^(n-1), and, on rays
+        that start at 0, logs = (log s, log t) for ``_radial_tables``' t,
+        rn = s t (None otherwise).  An ``outer`` block comes as (nodes,
+        weights, None)."""
+        lo, hi = self.lo[i:j], self.hi[i:j]
+        span = (hi - lo)[:, None]
+        t, wt, log_t = _radial_tables(self.p, self.n_panels)
         if self.outer:
-            g, rw = _graded_radial(np.zeros(j - i), hi - lo, self.p,
-                                   self.n_panels)
-            rn = hi[:, None] - g
+            rn = hi[:, None] - span * t
         else:
-            rn, rw = _graded_radial(lo, hi, self.p, self.n_panels)
-            if polar and not np.count_nonzero(lo):
-                logs = (np.log(hi - lo)[:, None],
-                        _radial_tables(self.p, self.n_panels)[2])
-        wang = self.wang[i:j, None]
+            rn = _graded_nodes(lo, span, t)
+        nodes = _ray_nodes(self.center, rn, self.dirs[i:j])
+        if polar and not self.outer:
+            logs = None if np.count_nonzero(lo) else (np.log(span), log_t)
+            return nodes, None, (self.dirs[i:j], rn,
+                                 span[:, 0] * self.wang[i:j], wt, logs)
+        rw = span * wt
         # rw * r^(n-1) * wang, in place, in that order
         if self.dirs.shape[1] == 2:
             weights = rw * rn
         else:
             weights = rn * rn
             weights *= rw
-        weights *= wang
-        out = (_ray_nodes(self.center, rn, self.dirs[i:j]),
-               weights.reshape(-1))
-        if polar:
-            return out + ((self.dirs[i:j], rn, rw * wang, logs),)
-        return out
+        weights *= self.wang[i:j, None]
+        return (nodes, weights.reshape(-1)) + ((None,) if polar else ())
 
 
 def _rays_per_block(floats_per_ray):
@@ -433,7 +428,7 @@ def _rays_per_block(floats_per_ray):
 
 def rule_blocks(rule, polar=False):
     """(nodes, weights) of a tuple of ray sets, a block of rays at a time,
-    with each block's polar form appended when ``polar`` (see
+    with each block's polar form (or None) appended when ``polar`` (see
     ``RaySet.block``).  A block's (nodes, n) arrays stay below
     _BLOCK_BYTES; the blocks depend on the rule alone, so sums over them
     are deterministic."""
@@ -583,10 +578,16 @@ def _graded_radial(r_lo, r_hi, p, n_panels):
     contiguous (M, K p) op."""
     t, wt, _ = _radial_tables(p, n_panels)
     span = (r_hi - r_lo)[:, None]
+    return _graded_nodes(r_lo, span, t), span * wt
+
+
+def _graded_nodes(r_lo, span, t):
+    """The nodes span t (+ r_lo, where some r_lo is nonzero) of
+    ``_graded_radial`` for the (M, 1) spans and the table t."""
     nodes = span * t
     if np.count_nonzero(r_lo):
         nodes += r_lo[:, None]
-    return nodes, span * wt
+    return nodes
 
 
 def _angular_count(N, dist, scale, roughness=1.0):

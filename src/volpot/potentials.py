@@ -31,20 +31,24 @@ does not grow with the node count.
 The cached regular rule of far points is reduced as one block.
 
 Where the rays start at x (the polar rule about an interior x and the
-chord rule), x - y = -r d, a node weight is w = rw r^(n-1) wang, and the
-kernels are evaluated in polar form (see :mod:`volpot.fundsol`):
+chord rule), x - y = -r d and a node weight factors as w_ij = c_i wt_j
+r_ij^(n-1): one number per ray times the cached radial table (see
+``RaySet.block``).  No per-node weight is built; every sum over a block
+is c @ ((v r^(n-1)) @ wt), one BLAS matrix-vector product and one dot
+(``_ray_sums``).  The kernels are evaluated in polar form (see
+:mod:`volpot.fundsol`):
 
-* value: S(r d) from the radii alone (``fs.radial_value``); on rays that
-  start at 0, r = s t for the ray's span s and the cached radial table t,
-  so the 2D log kernels take log r = log s + log t, one log per ray;
-* grad: -sum_i s_i k1(d_i) with s_i = wang_i sum_j rw_ij f_ij, the
-  r^(n-1) cancelling the singularity exactly; for the screened kernel
-  -sum_i d_i sum_j w_ij f_ij f'(r_ij);
+* value: v = S f with S(r d) from the radii alone (``fs.radial_value``);
+  on rays that start at 0, r = s t for the cached radial table t, so the
+  2D log kernels take log r = log s + log t, one log per ray;
+* grad: -sum_i c_i (sum_j f_ij wt_j) k1(d_i), the r^(n-1) cancelling the
+  singularity exactly; for the screened kernel v = f f'(r) and
+  -sum_i d_i c_i sum_j v_ij wt_j r_ij^(n-1);
 * Hessian, k1 part: the weighted k1 moment on the directions with weights
-  wang_i sum_j rw_ij (f_ij - Ef(x)) / r_ij (zero for f = 1, and skipped);
+  c_i sum_j wt_j (f_ij - Ef(x)) / r_ij (zero for f = 1, and skipped);
   screened k2 part: I sum w f beta + sum_i d_i d_i^t sum_j w f alpha r^2.
 
-The nodes are still built, for the density.  Far blocks and the star-near
+The nodes are built for the density only.  Far blocks and the star-near
 rule (rays from the origin) keep the Cartesian form, one kernel call per
 node on the offsets.  Polar and Cartesian sums agree to rounding.
 
@@ -99,10 +103,10 @@ def _volume_blocks(domain, x, N, polar=False):
     the polar rule about an interior x, the chord (ball) or star-near rule
     for an exterior x near the boundary, each a block of rays at a time;
     far from the boundary, the cached regular rule, built already, as one
-    block.  With ``polar``, rays is the block's polar form (dirs, rn, rww,
-    logs) when its rays start at x, so that x - y = -rn d (see
-    ``RaySet.block``); it is None otherwise.  The point is classified, and
-    its distance measured, once."""
+    block.  With ``polar``, rays is the block's polar form (dirs, rn, c,
+    wt, logs) when its rays start at x, so that x - y = -rn d, and the
+    weights are None (see ``RaySet.block``); rays is None otherwise.  The
+    point is classified, and its distance measured, once."""
     cls = _classify_or_raise(domain, x)
     dist = domain.distance_to_boundary(x)
     if cls > 0:
@@ -114,18 +118,34 @@ def _volume_blocks(domain, x, N, polar=False):
     elif domain.kind == "ball":
         rays = _chord_rays(domain, x, N)
     else:
-        rays, polar = _near_star_rays(domain, x, N), False
+        rays = _near_star_rays(domain, x, N)
     if polar:
         return rule_blocks(rays, polar=True)
     return ((y, w, None) for y, w in rule_blocks(rays))
 
 
+def _ray_sums(rays, v, jacobian=True):
+    """sum_j v_ij wt_j r_ij^(n-1) along each ray i of a block in polar form
+    (dirs, rn, c, wt, logs), without the r^(n-1) unless ``jacobian``, for
+    the node values v, (m,) or (rays, P): one BLAS matrix-vector product.
+    Times c, they are the sums of v w along the rays."""
+    dirs, rn, _, wt, _ = rays
+    v = np.reshape(v, rn.shape)
+    if jacobian:
+        v = v * rn
+        if dirs.shape[1] == 3:
+            v *= rn
+    return v @ wt
+
+
 def _value_sum(fs, x, y, w, rays, f, z=None):
     """sum_m S(x - y_m) f_m w_m over one block: from the radii alone on a
     block in polar form, else from the offsets z (computed unless given)."""
-    s = (fs.eval(_offsets(x, y) if z is None else z) if rays is None
-         else fs.radial_value(rays[0], rays[1], rays[3]).reshape(-1))
-    return np.sum(s * f * w)
+    if rays is None:
+        return np.sum(fs.eval(_offsets(x, y) if z is None else z) * f * w)
+    dirs, rn, c, _, logs = rays
+    return c @ _ray_sums(rays, fs.radial_value(dirs, rn, logs).reshape(-1)
+                         * f)
 
 
 def _gradient_sum(fs, x, y, w, rays, f, z=None):
@@ -133,26 +153,26 @@ def _gradient_sum(fs, x, y, w, rays, f, z=None):
     of one density or a list of n of them, the j-th weighting d_j S.
 
     A block in polar form (``rays``, see ``_volume_blocks``) is reduced
-    along each ray before any kernel call: with s_i = sum_j rw_ij f_ij
-    wang_i, the k1 kinds give -sum_i s_i k1(d_i), and the screened kernel
-    -sum_i d_i sum_j w_ij f_ij f'(r_ij).  Other blocks run fs.grad on
-    their offsets z (computed unless given)."""
+    along each ray before any kernel call (``_ray_sums``): with
+    s_i = c_i sum_j f_ij wt_j, the k1 kinds give -sum_i s_i k1(d_i), and
+    the screened kernel -sum_i d_i c_i sum_j f_ij f'(r_ij) wt_j
+    r_ij^(n-1).  Other blocks run fs.grad on their offsets z (computed
+    unless given)."""
     one = isinstance(f, np.ndarray)
     if rays is None:
         fw = ((f * w)[:, None] if one
               else np.stack([fj * w for fj in f], axis=1))
         z = _offsets(x, y) if z is None else z
         return np.sum(fs.grad(z) * fw, axis=0)
-    dirs, rn, rww, _ = rays
-    if fs.kind == "modified-helmholtz":
-        g, k = w * fs.radial_gradient(rn.reshape(-1)), dirs
-    else:
-        g, k = rww.reshape(-1), fs.k1(dirs)
+    dirs, rn, c, _, _ = rays
+    screened = fs.kind == "modified-helmholtz"
+    k = dirs if screened else fs.k1(dirs)
+    if screened:
+        g = fs.radial_gradient(rn).reshape(-1)
+        f = g * f if one else [g * fj for fj in f]
     if one:
-        return -(np.sum((g * f).reshape(rn.shape), axis=1) @ k)
-    # a column at a time: summing (rays, P, n) over P is several times
-    # slower than n sums over a contiguous last axis
-    return -np.array([np.sum((g * fj).reshape(rn.shape), axis=1) @ k[:, j]
+        return -((c * _ray_sums(rays, f, screened)) @ k)
+    return -np.array([(c * _ray_sums(rays, fj, screened)) @ k[:, j]
                       for j, fj in enumerate(f)])
 
 
@@ -313,19 +333,20 @@ def volume_potential_hessian(fs: FundamentalSolution, domain: Domain, f, x,
     ef = extension if extension is not None else radial_extension(domain, f)
     fx = np.asarray(ef(x[None, :]))[0]
 
-    rays = _singular_rays(domain, x, N, domain.distance_to_boundary(x))
+    rule = _singular_rays(domain, x, N, domain.distance_to_boundary(x))
     screened = fs.kind == "modified-helmholtz"
     H1 = H2 = 0.0
-    for y, w, (dirs, rn, rww, _) in rule_blocks(rays, polar=True):
+    for y, _, rays in rule_blocks(rule, polar=True):
+        dirs, rn, c, _, _ = rays
         fvals = np.asarray(f(y)).reshape(rn.shape)
-        # d k1(-r d) = r^-n d k1(d), and w r^-n = rw wang / r
+        # d k1(-r d) = r^-n d k1(d), and w r^-n = c wt / r
         H1 = H1 + fs.k1_jacobian(
-            dirs, weights=np.sum(rww * (fvals - fx) / rn, axis=1))
+            dirs, weights=c * _ray_sums(rays, (fvals - fx) / rn, False))
         if screened:
             beta, alpha_r2 = fs.k2_radial(rn)
-            fw = fvals * w.reshape(rn.shape)
-            H2 = H2 + (np.eye(n) * np.sum(fw * beta)
-                       + (dirs.T * np.sum(fw * alpha_r2, axis=1)) @ dirs)
+            H2 = H2 + (np.eye(n) * (c @ _ray_sums(rays, fvals * beta))
+                       + (dirs.T * (c * _ray_sums(rays, fvals * alpha_r2)))
+                       @ dirs)
 
     bq = cached_boundary_rule(domain, N)
     kb = fs.k1(_offsets(x, bq.nodes))            # (mb, j)

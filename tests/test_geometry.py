@@ -693,7 +693,10 @@ def test_graded_radial_matches_broadcast_bitwise(p):
 def test_ray_set_blocks_match_broadcast_bitwise(dim, outer):
     # a block of rays graded toward either end, with and without an
     # origin, against the parent's radial, node and weight expressions;
-    # its nodes are the transposed view of a C-contiguous buffer
+    # its nodes are the transposed view of a C-contiguous buffer.  In
+    # polar form, rays that start at the origin of the set carry their
+    # weights factored, c = span wang per ray and the radial table wt,
+    # and no per-node weight; ``outer`` rays keep their weights
     rng = np.random.default_rng(dim)
     m, i, j = 50, 3, 40
     dirs = rng.standard_normal((m, dim))
@@ -709,19 +712,30 @@ def test_ray_set_blocks_match_broadcast_bitwise(dim, outer):
         rn, rw = _graded_radial_written_out(lo[i:j], hi[i:j], 7, 14)
     jac = rn if dim == 2 else rn ** 2
     weights = (rw * jac * wang[i:j, None]).reshape(-1)
+    hw = _graded_radial_written_out(np.zeros(1), np.ones(1), 7, 14)[1][0]
     for center in (None, rng.standard_normal(dim)):
         rs = geometry.RaySet(center, dirs, lo, hi, wang, 7, 14, outer)
-        y, w, (_, r, rww, logs) = rs.block(i, j, polar=True)
+        y, w = rs.block(i, j)
         assert y.T.flags.c_contiguous
         assert _same_bits(y, _ray_nodes_broadcast(center, rn, dirs[i:j]))
         assert _same_bits(w, weights)
-        assert _same_bits(r, rn)
-        assert _same_bits(rww, rw * wang[i:j, None])
+        y, w, polar = rs.block(i, j, polar=True)
+        assert y.T.flags.c_contiguous
+        assert _same_bits(y, _ray_nodes_broadcast(center, rn, dirs[i:j]))
+        if outer:
+            assert polar is None and _same_bits(w, weights)
+            continue
+        d, r, c, wt, logs = polar
+        assert w is None
+        assert _same_bits(d, dirs[i:j]) and _same_bits(r, rn)
+        assert _same_bits(c, (hi[i:j] - lo[i:j]) * wang[i:j])
+        assert wt is geometry._radial_tables(7, 14)[1]
+        assert _same_bits(wt, hw)
         # a log of the radii only on rays that start at 0
         assert logs is None
     if not outer:
         rs = geometry.RaySet(None, dirs, np.zeros(m), hi - lo, wang, 7, 14)
-        _, _, (_, r, _, (log_s, log_t)) = rs.block(i, j, polar=True)
+        _, _, (_, r, _, _, (log_s, log_t)) = rs.block(i, j, polar=True)
         assert _same_bits(log_s, np.log(hi[i:j] - lo[i:j])[:, None])
         assert np.all(np.abs(log_s + log_t - np.log(r))
                       <= 4e-16 * (1.0 + np.abs(log_s) + np.abs(log_t)))

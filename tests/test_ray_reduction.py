@@ -22,9 +22,10 @@ from volpot import (anisotropic, cosine_star, disk, get_preset,
                     principal_fundamental, radial_extension, volume_potential,
                     volume_potential_gradient, volume_potential_hessian,
                     volume_potential_negative)
-from volpot.geometry import (_singular_rays, cached_boundary_rule,
+from volpot.geometry import (RaySet, _singular_rays, cached_boundary_rule,
                              rule_blocks)
-from volpot.potentials import _boundary_integral, _offsets, _volume_blocks
+from volpot.potentials import (_boundary_integral, _offsets, _ray_sums,
+                               _volume_blocks)
 from volpot.schauder import NegativeExponentDensity
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -198,6 +199,43 @@ def test_values_along_rays_match_cartesian(domain, N, kname):
             assert abs(got - ref) <= 1e-14 * size, (x, dname, got - ref)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_factored_weights_sum_like_node_weights(dim):
+    # random ray sets, lo zero and nonzero, with and without a centre: on
+    # the polar block, c @ ((v rn^(n-1)) @ wt) is the sum of v w over the
+    # same rays' node weights, and c @ (v @ wt) that of v w / rn^(n-1),
+    # to 1e-14 of the sum of the magnitudes; the polar block holds one
+    # factor per ray and one per radial node, no weight per node
+    rng = np.random.default_rng(dim)
+    m = 60
+    for center in (None, rng.standard_normal(dim)):
+        for lo_zero in (True, False):
+            dirs = rng.standard_normal((m, dim))
+            dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+            lo = np.zeros(m) if lo_zero else rng.uniform(0.0, 0.5, m)
+            hi = lo + 10.0 ** rng.uniform(-6.0, 0.5, m)
+            wang = rng.uniform(0.1, 1.0, m)
+            for p, n_panels in ((7, 14), (4, 0)):
+                rs = RaySet(center, dirs, lo, hi, wang, p, n_panels)
+                _, w = rs.block(0, m)
+                _, none, rays = rs.block(0, m, polar=True)
+                _, rn, c, wt, _ = rays
+                assert none is None
+                assert c.shape == (m,) and wt.shape == (rn.shape[1],)
+                v = (rng.standard_normal(w.shape)
+                     + 1j * rng.standard_normal(w.shape))
+                jac = (rn if dim == 2 else rn * rn).reshape(-1)
+                for got, vw in (
+                        (c @ ((v.reshape(rn.shape) * rn ** (dim - 1)) @ wt),
+                         v * w),
+                        (c @ _ray_sums(rays, v), v * w),
+                        (c @ _ray_sums(rays, v.real), v.real * w),
+                        (c @ _ray_sums(rays, v, False), v * w / jac)):
+                    err = abs(got - np.sum(vw))
+                    assert err <= 1e-14 * np.sum(np.abs(vw)), \
+                        (center is None, lo_zero, p, err)
+
+
 # -- closed forms ---------------------------------------------------------------
 
 @pytest.mark.parametrize("r", [0.0, 0.5, 1 - 1e-3, 1 - 1e-4, 1 + 1e-4,
@@ -241,17 +279,18 @@ def test_ball_matches_oracle(kname):
 # -- values keep their bits, and real densities stay real -----------------------
 
 # volume_potential as float.hex, the values on rays from x summed in polar
-# form and every radial rule built from its table (s t + lo): within
-# 4.5e-16 relative of the Cartesian sums of the per-panel radial form
-# before, and four of the seven with the same bits
+# form with factored weights, c_i sum_j v_ij wt_j (one matrix-vector
+# product per block), and every radial rule built from its table
+# (s t + lo): within 6.1e-16 relative of the Cartesian sums on the same
+# nodes, and six of the seven with their bits
 STORED_VALUES = {
     "disk interior": "-0x1.1342719ee8f28p-3",
-    "disk chord": "-0x1.529ace739d1b0p-6",
+    "disk chord": "-0x1.529ace739d1b1p-6",
     "disk far": "0x1.9e54ca58f0eb2p-3",
     "star interior": "-0x1.a4427bf47ce71p-4",
     "star near exterior": "-0x1.59360847e8ed4p-4",
     "ball interior": "-0x1.d37b019ed6672p-6",
-    "ball chord": "-0x1.774d5d515a4b7p-5",
+    "ball chord": "-0x1.774d5d515a4b6p-5",
 }
 
 VALUE_CASES = {
