@@ -25,13 +25,15 @@ the point's distance from the ball (``_chord_levels``).
 
 Every volume rule is a tuple of ray sets (``RaySet``): an origin, unit
 directions, a radial interval and an angular weight per ray, and the
-radial order, panel count and grading end shared by the rays.  Nodes and
-weights are built from it on demand, a block of rays at a time
-(``rule_blocks``), each block's (nodes, n) arrays below ``_BLOCK_BYTES``,
-so an evaluation never holds a whole 10^5-10^6 node rule.  The public
-builders (``volume_rule``, ``singular_volume_rule``,
-``exterior_chord_rule``, ``near_exterior_star_rule``) drain the same ray
-sets into a VolumeQuadrature for callers that want every node at once.
+radial order, panel count and grading end shared by the rays.  Nodes are
+built from it on demand, a block of rays at a time (``rule_blocks``), each
+block's (nodes, n) arrays below ``_BLOCK_BYTES``, so an evaluation never
+holds a whole 10^5-10^6 node rule.  Every block carries its weights in one
+factored form, one number per ray times the cached radial table times
+r^(n-1) (``RaySet.block``); only ``_drain`` multiplies them out, for the
+public builders (``volume_rule``, ``singular_volume_rule``,
+``exterior_chord_rule``, ``near_exterior_star_rule``) that hand callers
+every node at once in a VolumeQuadrature.
 
 Streamed blocks are coordinate-major: ``_ray_nodes`` writes the nodes
 x + r d into an (n, m) C-contiguous buffer, one contiguous row per
@@ -42,9 +44,7 @@ short inner loop per node; on the transposed view both writes and
 reductions such as ``np.sum(y * y, axis=-1)`` run one long loop per
 coordinate with the same per-element operations, in the same order, so
 the same bits.  The radial nodes and weights are the per-(order, panel
-count) tables of ``_radial_tables`` scaled by each ray's span; on rays
-that start at the point, the weights can stay factored into one number
-per ray and the table (``RaySet.block``'s polar form).
+count) tables of ``_radial_tables`` scaled by each ray's span.
 """
 
 from __future__ import annotations
@@ -383,41 +383,27 @@ class RaySet:
     n_panels: int
     outer: bool = False
 
-    def block(self, i, j, polar=False):
-        """Nodes and weights of rays i .. j-1.  The (m, n) nodes are
-        ray-major and coordinate-major in memory: the transposed view of a
-        C-contiguous (n, m) buffer (see ``_ray_nodes``).
-
-        With ``polar``, a third item carries the block in polar form where
-        its rays start at ``center`` (every set but an ``outer`` one), and
-        the weights are not built: it is (dirs, rn, c, wt, logs), the rays'
-        directions, the (rays, P) radii of their nodes, c = s wang one
-        factor per ray for the spans s, wt the ``_radial_tables`` weights
-        h w, so that a node weight is c_i wt_j rn_ij^(n-1), and, on rays
-        that start at 0, logs = (log s, log t) for ``_radial_tables``' t,
-        rn = s t (None otherwise).  An ``outer`` block comes as (nodes,
-        weights, None)."""
+    def block(self, i, j):
+        """Nodes of rays i .. j-1 and the block's factored form (dirs, rn,
+        c, wt, logs).  The (m, n) nodes are ray-major and coordinate-major
+        in memory: the transposed view of a C-contiguous (n, m) buffer (see
+        ``_ray_nodes``).  The form holds the rays' directions, the (rays,
+        P) distances rn of their nodes from ``center``, c = s wang one
+        factor per ray for the spans s, and wt the ``_radial_tables``
+        weights h w, so that a node weight is c_i wt_j rn_ij^(n-1); no
+        weight per node is built (``_drain`` multiplies them out).  On rays
+        that start at 0 of a set that is not ``outer``, logs = (log s,
+        log t) for ``_radial_tables``' t, rn = s t (None otherwise)."""
         lo, hi = self.lo[i:j], self.hi[i:j]
         span = (hi - lo)[:, None]
         t, wt, log_t = _radial_tables(self.p, self.n_panels)
         if self.outer:
-            rn = hi[:, None] - span * t
+            rn, logs = hi[:, None] - span * t, None
         else:
             rn = _graded_nodes(lo, span, t)
-        nodes = _ray_nodes(self.center, rn, self.dirs[i:j])
-        if polar and not self.outer:
             logs = None if np.count_nonzero(lo) else (np.log(span), log_t)
-            return nodes, None, (self.dirs[i:j], rn,
-                                 span[:, 0] * self.wang[i:j], wt, logs)
-        rw = span * wt
-        # rw * r^(n-1) * wang, in place, in that order
-        if self.dirs.shape[1] == 2:
-            weights = rw * rn
-        else:
-            weights = rn * rn
-            weights *= rw
-        weights *= self.wang[i:j, None]
-        return (nodes, weights.reshape(-1)) + ((None,) if polar else ())
+        return (_ray_nodes(self.center, rn, self.dirs[i:j]),
+                (self.dirs[i:j], rn, span[:, 0] * self.wang[i:j], wt, logs))
 
 
 def _rays_per_block(floats_per_ray):
@@ -426,26 +412,31 @@ def _rays_per_block(floats_per_ray):
     return max(1, (_BLOCK_BYTES - 1) // (8 * floats_per_ray))
 
 
-def rule_blocks(rule, polar=False):
-    """(nodes, weights) of a tuple of ray sets, a block of rays at a time,
-    with each block's polar form (or None) appended when ``polar`` (see
-    ``RaySet.block``).  A block's (nodes, n) arrays stay below
+def rule_blocks(rule):
+    """(nodes, factored form) of a tuple of ray sets, a block of rays at a
+    time (see ``RaySet.block``).  A block's (nodes, n) arrays stay below
     _BLOCK_BYTES; the blocks depend on the rule alone, so sums over them
     are deterministic."""
     for rs in rule:
         m = len(rs.lo)
         step = _rays_per_block(rs.dirs.shape[1] * rs.p * (rs.n_panels + 1))
         for i in range(0, m, step):
-            yield rs.block(i, min(i + step, m), polar)
+            yield rs.block(i, min(i + step, m))
 
 
 def _drain(rule):
     """VolumeQuadrature of a tuple of ray sets, each built as one block,
-    with C-contiguous nodes."""
-    parts = [rs.block(0, len(rs.lo)) for rs in rule]
-    nodes, weights = (parts[0] if len(parts) == 1
-                      else (np.concatenate(a) for a in zip(*parts)))
-    return VolumeQuadrature(np.ascontiguousarray(nodes), weights)
+    with C-contiguous nodes.  The one place where node weights are
+    multiplied out: (s wt) r^(n-1) wang for the spans s."""
+    nodes, weights = [], []
+    for rs in rule:
+        y, (_, rn, _, wt, _) = rs.block(0, len(rs.lo))
+        rw = (rs.hi - rs.lo)[:, None] * wt
+        nodes.append(y)
+        weights.append((rw * rn ** (rs.dirs.shape[1] - 1)
+                        * rs.wang[:, None]).reshape(-1))
+    return VolumeQuadrature(np.ascontiguousarray(np.concatenate(nodes)),
+                            np.concatenate(weights))
 
 
 # The Gauss-Legendre rules are cached because ``leggauss`` runs an
@@ -680,8 +671,6 @@ def _regular_rays(domain, N):
     """Polar product rule about the centre for smooth integrands: one plain
     GL panel of order N per ray, trapezoid angles (2D) or GL x trapezoid
     (3D ball)."""
-    if N < 4:
-        raise ValueError("N must be at least 4")
     if domain.dim == 2:
         theta, dirs, wang = _circle_grid(max(16, 2 * N))
         rmax = (np.full(len(theta), domain.radius) if domain.kind == "ball"

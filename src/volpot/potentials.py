@@ -23,20 +23,19 @@ limits (see :mod:`volpot.verify`).
 
 Every grid and rule comes from :mod:`volpot.geometry`.  Boundary terms
 sum a tuple of BoundaryQuadratures a rule at a time: the cached boundary
-rule far from the boundary, the graded layer rules near it.  Volume terms
-are reduced block by block: the rule for a point is a tuple of ray sets,
-and each block of rays is built, turned into offsets, run through the
-kernel and the density and summed before the next one is built, so memory
-does not grow with the node count.
-The cached regular rule of far points is reduced as one block.
+rule far from the boundary, the graded layer rules near it (``_far``
+decides near and far for volume rules too).  Volume terms are reduced
+block by block: the rule for a point is a tuple of ray sets, and each
+block of rays is built, run through the kernel and the density and summed
+before the next one is built, so memory does not grow with the node count.
 
-Where the rays start at x (the polar rule about an interior x and the
-chord rule), x - y = -r d and a node weight factors as w_ij = c_i wt_j
-r_ij^(n-1): one number per ray times the cached radial table (see
-``RaySet.block``).  No per-node weight is built; every sum over a block
-is c @ ((v r^(n-1)) @ wt), one BLAS matrix-vector product and one dot
-(``_ray_sums``).  The kernels are evaluated in polar form (see
-:mod:`volpot.fundsol`):
+Every block carries its weights factored, w_ij = c_i wt_j r_ij^(n-1): one
+number per ray times the cached radial table (see ``RaySet.block``).  No
+per-node weight is built; every sum over a block is c @ ((v r^(n-1)) @
+wt), one BLAS matrix-vector product and one dot (``_ray_sums``).  Only the
+kernel evaluation forks.  Where the rays start at x (the polar rule about
+an interior x and the chord rule), x - y = -r d and the kernels are
+evaluated in polar form (see :mod:`volpot.fundsol`):
 
 * value: v = S f with S(r d) from the radii alone (``fs.radial_value``);
   on rays that start at 0, r = s t for the cached radial table t, so the
@@ -48,9 +47,8 @@ is c @ ((v r^(n-1)) @ wt), one BLAS matrix-vector product and one dot
   c_i sum_j wt_j (f_ij - Ef(x)) / r_ij (zero for f = 1, and skipped);
   screened k2 part: I sum w f beta + sum_i d_i d_i^t sum_j w f alpha r^2.
 
-The nodes are built for the density only.  Far blocks and the star-near
-rule (rays from the origin) keep the Cartesian form, one kernel call per
-node on the offsets.  Polar and Cartesian sums agree to rounding.
+The nodes are built for the density only.  The far and star-near rules
+(rays from the centre) run the kernel on the offsets, a call per node.
 
 Everything here is a pure function of immutable inputs: batch evaluation
 over point grids may run on several threads.  The blocks depend on the
@@ -65,16 +63,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NearBoundaryError
+from .errors import DomainError, NearBoundaryError, VolpotError
 from .fundsol import FundamentalSolution
-from .geometry import (Domain, cached_boundary_rule, cached_volume_rule,
-                       rule_blocks, _chord_rays, _graded_boundary_rules,
-                       _near_star_rays, _singular_rays)
+from .geometry import (Domain, cached_boundary_rule, rule_blocks, _chord_rays,
+                       _graded_boundary_rules, _near_star_rays, _regular_rays,
+                       _singular_rays)
 from .schauder import NegativeExponentDensity
 
-# Exterior points closer to the boundary than this fraction of a ball's
-# radius (a star domain's bounding radius) take the chord (star-near) rule.
+# Points closer to the boundary than this fraction of a ball's radius (a
+# star domain's bounding radius) take the graded layer and the chord (star-
+# near) volume rules.
 NEAR_FRACTION = 0.1
+
+
+def _far(domain, dist):
+    """Whether a point at distance dist from the boundary is far from it."""
+    return dist >= NEAR_FRACTION * (domain.radius if domain.kind == "ball"
+                                    else domain.bounding_radius)
 
 
 def _classify_or_raise(domain, x):
@@ -98,37 +103,34 @@ def _offsets(x, nodes):
     return z.T
 
 
-def _volume_blocks(domain, x, N, polar=False):
-    """(nodes, weights, rays) blocks of the volume rule for the point x:
-    the polar rule about an interior x, the chord (ball) or star-near rule
-    for an exterior x near the boundary, each a block of rays at a time;
-    far from the boundary, the cached regular rule, built already, as one
-    block.  With ``polar``, rays is the block's polar form (dirs, rn, c,
-    wt, logs) when its rays start at x, so that x - y = -rn d, and the
-    weights are None (see ``RaySet.block``); rays is None otherwise.  The
-    point is classified, and its distance measured, once."""
+def _volume_blocks(domain, x, N):
+    """(nodes, rays, z) blocks of the volume rule for the point x: the polar
+    rule about an interior x; for an exterior x, the chord (ball) or
+    star-near rule near the boundary, the regular rule far from it.  rays
+    is the block's factored form (see ``RaySet.block``), z None where the
+    rays start at x (x - y = -rn d) and the offsets x - y elsewhere.  N is
+    checked, the point classified and its distance measured once."""
+    if N < 4:
+        raise VolpotError(f"N must be at least 4, got {N}")
     cls = _classify_or_raise(domain, x)
     dist = domain.distance_to_boundary(x)
     if cls > 0:
-        rays = _singular_rays(domain, x, N, dist)
-    elif dist >= NEAR_FRACTION * (domain.radius if domain.kind == "ball"
-                                  else domain.bounding_radius):
-        vq = cached_volume_rule(domain, N)
-        return [(vq.nodes, vq.weights, None)]
+        rule, at_x = _singular_rays(domain, x, N, dist), True
+    elif _far(domain, dist):
+        rule, at_x = _regular_rays(domain, N), False
     elif domain.kind == "ball":
-        rays = _chord_rays(domain, x, N)
+        rule, at_x = _chord_rays(domain, x, N), True
     else:
-        rays = _near_star_rays(domain, x, N)
-    if polar:
-        return rule_blocks(rays, polar=True)
-    return ((y, w, None) for y, w in rule_blocks(rays))
+        rule, at_x = _near_star_rays(domain, x, N), False
+    return ((y, rays, None if at_x else _offsets(x, y))
+            for y, rays in rule_blocks(rule))
 
 
 def _ray_sums(rays, v, jacobian=True):
-    """sum_j v_ij wt_j r_ij^(n-1) along each ray i of a block in polar form
-    (dirs, rn, c, wt, logs), without the r^(n-1) unless ``jacobian``, for
-    the node values v, (m,) or (rays, P): one BLAS matrix-vector product.
-    Times c, they are the sums of v w along the rays."""
+    """sum_j v_ij wt_j r_ij^(n-1) along each ray i of a block in factored
+    form (dirs, rn, c, wt, logs), without the r^(n-1) unless ``jacobian``,
+    for the node values v, (m,) or (rays, P): one BLAS matrix-vector
+    product.  Times c, they are the sums of v w along the rays."""
     dirs, rn, _, wt, _ = rays
     v = np.reshape(v, rn.shape)
     if jacobian:
@@ -138,33 +140,31 @@ def _ray_sums(rays, v, jacobian=True):
     return v @ wt
 
 
-def _value_sum(fs, x, y, w, rays, f, z=None):
-    """sum_m S(x - y_m) f_m w_m over one block: from the radii alone on a
-    block in polar form, else from the offsets z (computed unless given)."""
-    if rays is None:
-        return np.sum(fs.eval(_offsets(x, y) if z is None else z) * f * w)
+def _value_sum(fs, rays, f, z):
+    """sum_m S(x - y_m) f_m w_m over one block: S from the radii alone
+    where the rays start at x (z None), else from the offsets z."""
     dirs, rn, c, _, logs = rays
-    return c @ _ray_sums(rays, fs.radial_value(dirs, rn, logs).reshape(-1)
-                         * f)
+    s = (fs.radial_value(dirs, rn, logs).reshape(-1) if z is None
+         else fs.eval(z))
+    return c @ _ray_sums(rays, s * f)
 
 
-def _gradient_sum(fs, x, y, w, rays, f, z=None):
+def _gradient_sum(fs, rays, f, z):
     """sum_m grad S(x - y_m) f_m w_m over one block, for f the (m,) values
     of one density or a list of n of them, the j-th weighting d_j S.
 
-    A block in polar form (``rays``, see ``_volume_blocks``) is reduced
-    along each ray before any kernel call (``_ray_sums``): with
-    s_i = c_i sum_j f_ij wt_j, the k1 kinds give -sum_i s_i k1(d_i), and
-    the screened kernel -sum_i d_i c_i sum_j f_ij f'(r_ij) wt_j
-    r_ij^(n-1).  Other blocks run fs.grad on their offsets z (computed
-    unless given)."""
-    one = isinstance(f, np.ndarray)
-    if rays is None:
-        fw = ((f * w)[:, None] if one
-              else np.stack([fj * w for fj in f], axis=1))
-        z = _offsets(x, y) if z is None else z
-        return np.sum(fs.grad(z) * fw, axis=0)
+    Where the rays start at x (z None) each ray is reduced before any
+    kernel call (``_ray_sums``): with s_i = c_i sum_j f_ij wt_j, the k1
+    kinds give -sum_i s_i k1(d_i), and the screened kernel -sum_i d_i c_i
+    sum_j f_ij f'(r_ij) wt_j r_ij^(n-1).  Elsewhere fs.grad runs on the
+    offsets z, and each component is summed like a value."""
     dirs, rn, c, _, _ = rays
+    one = isinstance(f, np.ndarray)
+    if z is not None:
+        g = fs.grad(z)
+        f = [f] * g.shape[1] if one else f
+        return np.array([c @ _ray_sums(rays, g[:, j] * fj)
+                         for j, fj in enumerate(f)])
     screened = fs.kind == "modified-helmholtz"
     k = dirs if screened else fs.k1(dirs)
     if screened:
@@ -180,16 +180,16 @@ def volume_potential(fs: FundamentalSolution, domain: Domain, f, x,
                      N: int = 64) -> complex:
     """int_Omega S(x - y) f(y) dy for bounded f on the closure."""
     x = np.asarray(x, dtype=float)
-    return complex(sum(_value_sum(fs, x, y, w, rays, f(y)) for y, w, rays
-                       in _volume_blocks(domain, x, N, polar=True)))
+    return complex(sum(_value_sum(fs, rays, f(y), z)
+                       for y, rays, z in _volume_blocks(domain, x, N)))
 
 
 def volume_potential_gradient(fs: FundamentalSolution, domain: Domain, f, x,
                               N: int = 64) -> np.ndarray:
     """Gradient of the volume potential, int_Omega grad S(x - y) f(y) dy."""
     x = np.asarray(x, dtype=float)
-    return sum(_gradient_sum(fs, x, y, w, rays, np.asarray(f(y)))
-               for y, w, rays in _volume_blocks(domain, x, N, polar=True))
+    return sum(_gradient_sum(fs, rays, np.asarray(f(y)), z)
+               for y, rays, z in _volume_blocks(domain, x, N))
 
 
 def radial_extension(domain: Domain, f):
@@ -233,8 +233,8 @@ def subtracted_integral_G(k, psi, l: int, domain: Domain, x, N: int = 64,
     _check_odd_homogeneous(k, domain.dim)
     psi_x = psi(x)
     total = 0.0
-    for y, w, _ in _volume_blocks(domain, x, N):
-        z = _offsets(x, y)
+    for y, rays, z in _volume_blocks(domain, x, N):
+        z = _offsets(x, y) if z is None else z
         if dk is not None:
             dkl = np.asarray(dk(z))[:, l]
         else:
@@ -243,7 +243,7 @@ def subtracted_integral_G(k, psi, l: int, domain: Domain, x, N: int = 64,
             step[:, l] = h
             dkl = ((np.asarray(k(z + step)) - np.asarray(k(z - step)))
                    / (2.0 * h))
-        total += np.sum(dkl * (psi(y) - psi_x) * w)
+        total += rays[2] @ _ray_sums(rays, dkl * (psi(y) - psi_x))
     return complex(total)
 
 
@@ -298,7 +298,7 @@ def _boundary_integral(domain, integrand, x, N):
     far from the boundary, the graded rules of
     ``geometry._graded_boundary_rules`` on or near it, summed a rule at a
     time."""
-    if domain.distance_to_boundary(x) > 0.1 * domain.bounding_radius:
+    if _far(domain, domain.distance_to_boundary(x)):
         rules = (cached_boundary_rule(domain, N),)
     else:
         rules = _graded_boundary_rules(domain, x, N)
@@ -333,10 +333,9 @@ def volume_potential_hessian(fs: FundamentalSolution, domain: Domain, f, x,
     ef = extension if extension is not None else radial_extension(domain, f)
     fx = np.asarray(ef(x[None, :]))[0]
 
-    rule = _singular_rays(domain, x, N, domain.distance_to_boundary(x))
     screened = fs.kind == "modified-helmholtz"
     H1 = H2 = 0.0
-    for y, _, rays in rule_blocks(rule, polar=True):
+    for y, rays, _ in _volume_blocks(domain, x, N):
         dirs, rn, c, _, _ = rays
         fvals = np.asarray(f(y)).reshape(rn.shape)
         # d k1(-r d) = r^-n d k1(d), and w r^-n = c wt / r
@@ -375,12 +374,12 @@ def volume_potential_negative(fs: FundamentalSolution, domain: Domain,
     n = domain.dim
     comps = nd.components
     value = grad = 0
-    for y, w, rays in _volume_blocks(domain, x, N, polar=True):
-        f0, z = comps[0](y), None if rays else _offsets(x, y)
+    for y, rays, z in _volume_blocks(domain, x, N):
+        f0 = comps[0](y)
         if np.any(f0):      # a zero f0 adds nothing; skip its kernel pass
-            value = value + _value_sum(fs, x, y, w, rays, f0, z)
+            value = value + _value_sum(fs, rays, f0, z)
         fj = [np.asarray(comps[j + 1](y)) for j in range(n)]
-        grad = grad + _gradient_sum(fs, x, y, w, rays, fj, z)
+        grad = grad + _gradient_sum(fs, rays, fj, z)
     total = complex(value)
 
     def moment(y, nu):

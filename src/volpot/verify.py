@@ -27,7 +27,7 @@ from .operators import OperatorCoefficients, apply_operator_fd
 from .potentials import (single_layer, volume_potential,
                          volume_potential_gradient, volume_potential_hessian,
                          volume_potential_negative, _boundary_integral,
-                         _offsets)
+                         _offsets, _ray_sums)
 from .schauder import Modulus
 
 DEFAULT_TOLERANCES = {
@@ -102,7 +102,9 @@ def compare_reports_csv(path_a, path_b, rtol: float = 1e-9,
     exactly, the value and tolerance fields numerically.  ``param`` is split
     into tokens at ``; = [ ]`` and blanks: separators and non-numeric tokens
     must match exactly, numeric tokens numerically (the header row holds no
-    numbers, so it must match exactly)."""
+    numbers, so it must match exactly).  The value of a finite-difference
+    row takes the first file's ``rounding_floor`` (its move for a rounding
+    of each potential) as atol, where that is larger."""
     with open(path_a, newline="") as fh:
         rows_a = list(csv.reader(fh))
     with open(path_b, newline="") as fh:
@@ -113,10 +115,13 @@ def compare_reports_csv(path_a, path_b, rtol: float = 1e-9,
         if len(ra) != len(rb) or ra[0] != rb[0] or ra[2] != rb[2] \
                 or ra[5:] != rb[5:]:
             return False
-        ta = _PARAM_SPLIT.split(ra[1]) + ra[3:5]
-        tb = _PARAM_SPLIT.split(rb[1]) + rb[3:5]
-        if len(ta) != len(tb) or not all(
-                _same_token(a, b, rtol, atol) for a, b in zip(ta, tb)):
+        pa, pb = _PARAM_SPLIT.split(ra[1]), _PARAM_SPLIT.split(rb[1])
+        floor = (float(pa[pa.index("rounding_floor") + 2])
+                 if "rounding_floor" in pa else 0.0)
+        if len(pa) != len(pb) or not all(
+                _same_token(a, b, rtol, atol)
+                for a, b in zip(pa + ra[4:5], pb + rb[4:5])) \
+                or not _same_token(ra[3], rb[3], rtol, max(atol, floor)):
             return False
     return True
 
@@ -307,8 +312,8 @@ def _excised_rules(domain, x, N, radii):
 def _rule_sum(x, rays, integrand):
     """sum of integrand(x - y, y) w over a polar rule about x, a block of
     rays at a time."""
-    return sum(np.sum(integrand(_offsets(x, y), y) * w)
-               for y, w in rule_blocks(rays))
+    return sum(form[2] @ _ray_sums(form, integrand(_offsets(x, y), y))
+               for y, form in rule_blocks(rays))
 
 
 @_timed

@@ -692,11 +692,11 @@ def test_graded_radial_matches_broadcast_bitwise(p):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_ray_set_blocks_match_broadcast_bitwise(dim, outer):
     # a block of rays graded toward either end, with and without an
-    # origin, against the parent's radial, node and weight expressions;
-    # its nodes are the transposed view of a C-contiguous buffer.  In
-    # polar form, rays that start at the origin of the set carry their
-    # weights factored, c = span wang per ray and the radial table wt,
-    # and no per-node weight; ``outer`` rays keep their weights
+    # origin, against the parent's radial and node expressions; its nodes
+    # are the transposed view of a C-contiguous buffer.  Every block
+    # carries its weights factored, c = span wang per ray and the radial
+    # table wt, and no per-node weight; ``_drain`` multiplies them out
+    # with the bits of the parent's weight expression
     rng = np.random.default_rng(dim)
     m, i, j = 50, 3, 40
     dirs = rng.standard_normal((m, dim))
@@ -715,27 +715,22 @@ def test_ray_set_blocks_match_broadcast_bitwise(dim, outer):
     hw = _graded_radial_written_out(np.zeros(1), np.ones(1), 7, 14)[1][0]
     for center in (None, rng.standard_normal(dim)):
         rs = geometry.RaySet(center, dirs, lo, hi, wang, 7, 14, outer)
-        y, w = rs.block(i, j)
+        y, (d, r, c, wt, logs) = rs.block(i, j)
         assert y.T.flags.c_contiguous
         assert _same_bits(y, _ray_nodes_broadcast(center, rn, dirs[i:j]))
-        assert _same_bits(w, weights)
-        y, w, polar = rs.block(i, j, polar=True)
-        assert y.T.flags.c_contiguous
-        assert _same_bits(y, _ray_nodes_broadcast(center, rn, dirs[i:j]))
-        if outer:
-            assert polar is None and _same_bits(w, weights)
-            continue
-        d, r, c, wt, logs = polar
-        assert w is None
         assert _same_bits(d, dirs[i:j]) and _same_bits(r, rn)
         assert _same_bits(c, (hi[i:j] - lo[i:j]) * wang[i:j])
         assert wt is geometry._radial_tables(7, 14)[1]
         assert _same_bits(wt, hw)
-        # a log of the radii only on rays that start at 0
+        # a log of the radii only on rays that start at 0, and never on
+        # ``outer`` ones
         assert logs is None
+        vq = geometry._drain((geometry.RaySet(
+            center, dirs[i:j], lo[i:j], hi[i:j], wang[i:j], 7, 14, outer),))
+        assert _same_bits(vq.nodes, y) and _same_bits(vq.weights, weights)
     if not outer:
         rs = geometry.RaySet(None, dirs, np.zeros(m), hi - lo, wang, 7, 14)
-        _, _, (_, r, _, _, (log_s, log_t)) = rs.block(i, j, polar=True)
+        _, (_, r, _, _, (log_s, log_t)) = rs.block(i, j)
         assert _same_bits(log_s, np.log(hi[i:j] - lo[i:j])[:, None])
         assert np.all(np.abs(log_s + log_t - np.log(r))
                       <= 4e-16 * (1.0 + np.abs(log_s) + np.abs(log_t)))

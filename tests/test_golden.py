@@ -88,3 +88,37 @@ def test_golden_gate_has_teeth(name, field, tmp_path):
     assert ok != rows
     _write(tmp_path / name, ok)
     assert compare_reports_csv(GOLDEN / name, tmp_path / name)
+
+
+def _floor_rows(name):
+    """(row index, floor) of every finite-difference row of a golden: the
+    rows that record their ``rounding_floor`` in ``param``."""
+    out = []
+    for r, row in enumerate(_rows(GOLDEN / name)[1:], 1):
+        tokens = _PARAM_SPLIT.split(row[1])
+        if "rounding_floor" in tokens:
+            out.append((r, float(tokens[tokens.index("rounding_floor")
+                                        + 2])))
+    return out
+
+
+FLOOR_ROWS = [(name, r, floor) for name in sorted(RUNS)
+              for r, floor in _floor_rows(name)]
+
+
+def test_every_golden_with_a_stencil_has_floor_rows():
+    assert {name for name, _, _ in FLOOR_ROWS} == {
+        "report.csv", "ball3d_report.csv", "star_screened_report.csv"}
+
+
+@pytest.mark.parametrize("name, r, floor", FLOOR_ROWS,
+                         ids=[f"{n}-{r}" for n, r, _ in FLOOR_ROWS])
+def test_golden_gate_reads_the_rounding_floor(name, r, floor, tmp_path):
+    # a finite-difference value moved by half its committed floor passes,
+    # one moved by ten times its floor fails
+    rows = _rows(GOLDEN / name)
+    for factor, same in ((0.5, True), (10.0, False)):
+        moved = [list(x) for x in rows]
+        moved[r][3] = f"{float(rows[r][3]) + factor * floor:.12g}"
+        _write(tmp_path / name, moved)
+        assert compare_reports_csv(GOLDEN / name, tmp_path / name) is same

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from volpot import (DomainError, NearBoundaryError, PotentialField,
+                    VolpotError,
                     boundary_kernel_K, cosine_star, disk, ellipse,
                     exterior_field, get_preset, helmholtz_fundamental,
                     laplace_fundamental, make_ball, negative_density,
@@ -54,7 +55,7 @@ def test_disk_volume_potential_exterior():
 
 
 def test_shifted_ball_switches_rule_by_its_radius(monkeypatch):
-    # exterior points switch from the chord rule to the cached regular rule
+    # exterior points switch from the chord rule to the regular rule
     # at 0.1 radii from the ball, wherever it sits: 5 radii from a unit
     # disk centred at 100 e1 the regular rule serves, as it would at the
     # origin, and gives the closed form (R^2 / 2) log|x - c|
@@ -68,6 +69,29 @@ def test_shifted_ball_switches_rule_by_its_radius(monkeypatch):
     assert abs(val - 0.5 * np.log(5.0)) <= 1e-12
     volume_potential(FS2, shifted, ONE, c + [1.05, 0.0], 64)
     assert len(calls) == 1
+
+
+def test_layer_and_volume_rules_share_the_near_far_switch(monkeypatch):
+    # a unit disk centred 100 radii out: the point 4 radii from its
+    # boundary is far for the volume rule, and so for the boundary rules,
+    # whose switch reads the same NEAR_FRACTION of the radius; a single
+    # layer of 1 there is 2 pi R S(5) = log 5
+    dom = disk(1.0, (100.0, 0.0))
+    x = np.array([105.0, 0.0])
+    calls = []
+    graded = potentials._graded_boundary_rules
+
+    def counted(*args):
+        calls.append(1)
+        return graded(*args)
+
+    monkeypatch.setattr(potentials, "_graded_boundary_rules", counted)
+    val = single_layer(FS2, dom, ONE, x, 64)
+    assert calls == []
+    assert abs(val - np.log(5.0)) <= 1e-12
+    assert potentials._far(dom, dom.distance_to_boundary(x))
+    single_layer(FS2, dom, ONE, np.array([101.05, 0.0]), 64)
+    assert calls == [1]
 
 
 def test_ball_volume_potential_center():
@@ -491,3 +515,16 @@ def test_hessian_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 200e6
+
+
+@pytest.mark.parametrize("N", [3, 0, -5])
+@pytest.mark.parametrize("x", [(0.3, -0.2), (1.0 + 1e-3, 0.0), (2.5, 0.5)],
+                         ids=["interior", "chord", "far"])
+def test_volume_rules_reject_N_below_4(N, x):
+    x = np.array(x)
+    for fn in (volume_potential, volume_potential_gradient):
+        with pytest.raises(VolpotError, match="N must be at least 4"):
+            fn(FS2, DISK, X1SQ, x, N)
+    if x[0] < 1.0:
+        with pytest.raises(VolpotError, match="N must be at least 4"):
+            volume_potential_hessian(FS2, DISK, X1SQ, x, N)

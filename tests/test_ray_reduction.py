@@ -4,11 +4,12 @@ On a ray set centred at the evaluation point x every node is x + r d, so
 the kernels factor into a power of r times a function of d; the
 potentials sum each ray first and call the kernel once per direction.
 The Cartesian reductions they replaced (one kernel call per node on the
-offsets x - y) are kept here as references: the two must agree to 1e-12
-of the potential's scale for every kernel, domain, point and density, and
-agree as well with the closed forms.  Values are summed in polar form
-too, from the radii alone: they must agree with the Cartesian sum to
-rounding, and keep the bits stored for them.
+offsets x - y, over the rule drained by the public builders) are kept
+here as references: the two must agree to 1e-12 of the potential's scale
+for every kernel, domain, point and density, and agree as well with the
+closed forms.  Values are summed in polar form too, from the radii alone:
+they must agree with the Cartesian sum to rounding, and keep the bits
+stored for them.
 """
 
 import importlib.util
@@ -22,10 +23,10 @@ from volpot import (anisotropic, cosine_star, disk, get_preset,
                     principal_fundamental, radial_extension, volume_potential,
                     volume_potential_gradient, volume_potential_hessian,
                     volume_potential_negative)
-from volpot.geometry import (RaySet, _singular_rays, cached_boundary_rule,
-                             rule_blocks)
-from volpot.potentials import (_boundary_integral, _offsets, _ray_sums,
-                               _volume_blocks)
+from volpot.geometry import (RaySet, _drain, cached_boundary_rule,
+                             exterior_chord_rule, near_exterior_star_rule,
+                             singular_volume_rule, volume_rule)
+from volpot.potentials import _boundary_integral, _offsets, _ray_sums
 from volpot.schauder import NegativeExponentDensity
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -85,21 +86,39 @@ def _points(domain):
 
 # -- the Cartesian reductions, one kernel call per node ---------------------
 
+def _drained(domain, x, N):
+    """The volume rule the potentials use at x, drained: the polar rule
+    about an interior x, the chord (ball) or star-near rule just outside,
+    the regular rule far out (every far point here is a radius away)."""
+    if domain.classify(x) > 0:
+        return singular_volume_rule(domain, x, N)
+    if domain.distance_to_boundary(x) > 0.5:
+        return volume_rule(domain, N)
+    if domain.kind == "ball":
+        return exterior_chord_rule(domain, x, N)
+    return near_exterior_star_rule(domain, x, N)
+
+
+def _column_sums(a):
+    """Sums of the columns of an (m, n) array, each pairwise over a
+    contiguous row (numpy sums an axis-0 reduction one row at a time)."""
+    return np.sum(np.ascontiguousarray(a.T), axis=1)
+
+
 def _cartesian_gradient(fs, domain, f, x, N):
-    return sum(np.sum(fs.grad(_offsets(x, y)) * (f(y) * w)[:, None], axis=0)
-               for y, w, _ in _volume_blocks(domain, x, N))
+    vq = _drained(domain, x, N)
+    return _column_sums(fs.grad(_offsets(x, vq.nodes))
+                        * (f(vq.nodes) * vq.weights)[:, None])
 
 
 def _cartesian_hessian(fs, domain, f, x, N):
     fx = np.asarray(radial_extension(domain, f)(x[None, :]))[0]
-    rays = _singular_rays(domain, x, N, domain.distance_to_boundary(x))
-    H = 0.0
-    for y, w in rule_blocks(rays):
-        z = _offsets(x, y)
-        fvals = np.asarray(f(y))
-        H = H + fs.k1_jacobian(z, weights=(fvals - fx) * w)
-        if fs.kind == "modified-helmholtz":
-            H = H + fs.k2_jacobian(z, weights=fvals * w)
+    vq = singular_volume_rule(domain, x, N)
+    z = _offsets(x, vq.nodes)
+    fvals = np.asarray(f(vq.nodes))
+    H = fs.k1_jacobian(z, weights=(fvals - fx) * vq.weights)
+    if fs.kind == "modified-helmholtz":
+        H = H + fs.k2_jacobian(z, weights=fvals * vq.weights)
     bq = cached_boundary_rule(domain, N)
     kb = fs.k1(_offsets(x, bq.nodes))
     return H - fx * np.einsum("mj,ml,m->lj", kb, bq.normals, bq.weights)
@@ -107,13 +126,12 @@ def _cartesian_hessian(fs, domain, f, x, N):
 
 def _cartesian_negative(fs, domain, nd, x, N):
     comps, n = nd.components, domain.dim
-    value = grad = 0
-    for y, w, _ in _volume_blocks(domain, x, N):
-        z = _offsets(x, y)
-        value = value + np.sum(fs.eval(z) * comps[0](y) * w)
-        fw = np.stack([np.asarray(comps[j + 1](y)) * w for j in range(n)],
-                      axis=1)
-        grad = grad + np.sum(fs.grad(z) * fw, axis=0)
+    vq = _drained(domain, x, N)
+    y, w = vq.nodes, vq.weights
+    z = _offsets(x, y)
+    value = np.sum(fs.eval(z) * comps[0](y) * w)
+    fw = np.stack([np.asarray(comps[j + 1](y)) * w for j in range(n)], axis=1)
+    grad = _column_sums(fs.grad(z) * fw)
 
     def moment(y, nu):
         return fs.eval(x[None, :] - y) * sum(
@@ -165,11 +183,9 @@ def test_ray_reduction_matches_cartesian(domain, N, kname):
 def _cartesian_value(fs, domain, f, x, N):
     """The value summed node by node on the offsets x - y, and the sum of
     |S f w| that bounds its rounding."""
-    value = size = 0.0
-    for y, w, _ in _volume_blocks(domain, x, N):
-        sfw = fs.eval(_offsets(x, y)) * f(y) * w
-        value, size = value + np.sum(sfw), size + np.sum(np.abs(sfw))
-    return value, size
+    vq = _drained(domain, x, N)
+    sfw = fs.eval(_offsets(x, vq.nodes)) * f(vq.nodes) * vq.weights
+    return np.sum(sfw), np.sum(np.abs(sfw))
 
 
 VALUE_KERNELS = {"laplace": laplace_fundamental,
@@ -202,10 +218,10 @@ def test_values_along_rays_match_cartesian(domain, N, kname):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_factored_weights_sum_like_node_weights(dim):
     # random ray sets, lo zero and nonzero, with and without a centre: on
-    # the polar block, c @ ((v rn^(n-1)) @ wt) is the sum of v w over the
-    # same rays' node weights, and c @ (v @ wt) that of v w / rn^(n-1),
-    # to 1e-14 of the sum of the magnitudes; the polar block holds one
-    # factor per ray and one per radial node, no weight per node
+    # a block, c @ ((v rn^(n-1)) @ wt) is the sum of v w over the same
+    # rays' drained node weights, and c @ (v @ wt) that of v w / rn^(n-1),
+    # to 1e-14 of the sum of the magnitudes; the block holds one factor
+    # per ray and one per radial node, no weight per node
     rng = np.random.default_rng(dim)
     m = 60
     for center in (None, rng.standard_normal(dim)):
@@ -217,10 +233,9 @@ def test_factored_weights_sum_like_node_weights(dim):
             wang = rng.uniform(0.1, 1.0, m)
             for p, n_panels in ((7, 14), (4, 0)):
                 rs = RaySet(center, dirs, lo, hi, wang, p, n_panels)
-                _, w = rs.block(0, m)
-                _, none, rays = rs.block(0, m, polar=True)
+                w = _drain((rs,)).weights
+                _, rays = rs.block(0, m)
                 _, rn, c, wt, _ = rays
-                assert none is None
                 assert c.shape == (m,) and wt.shape == (rn.shape[1],)
                 v = (rng.standard_normal(w.shape)
                      + 1j * rng.standard_normal(w.shape))
