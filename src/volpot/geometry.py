@@ -25,15 +25,17 @@ the point's distance from the ball (``_chord_levels``).
 
 Every volume rule is a tuple of ray sets (``RaySet``): an origin, unit
 directions, a radial interval and an angular weight per ray, and the
-radial order, panel count and grading end shared by the rays.  Nodes are
-built from it on demand, a block of rays at a time (``rule_blocks``), each
-block's (nodes, n) arrays below ``_BLOCK_BYTES``, so an evaluation never
-holds a whole 10^5-10^6 node rule.  Every block carries its weights in one
+radial order, panel count and grading end shared by the rays.  It is
+read a block of rays at a time (``rule_forms``), each block's (nodes, n)
+arrays below ``_BLOCK_BYTES``, so an evaluation never holds a whole
+10^5-10^6 node rule.  Every block carries its radii and its weights in one
 factored form, one number per ray times the cached radial table times
-r^(n-1) (``RaySet.block``); only ``_drain`` multiplies them out, for the
-public builders (``volume_rule``, ``singular_volume_rule``,
-``exterior_chord_rule``, ``near_exterior_star_rule``) that hand callers
-every node at once in a VolumeQuadrature.
+r^(n-1) (``RaySet.form``); its nodes are built only where a caller reads
+them (``RaySet.nodes``, ``rule_blocks``).  Only ``_drain`` multiplies the
+weights out, for the public builders (``volume_rule``,
+``singular_volume_rule``, ``exterior_chord_rule``,
+``near_exterior_star_rule``) that hand callers every node at once in a
+VolumeQuadrature.
 
 Streamed blocks are coordinate-major: ``_ray_nodes`` writes the nodes
 x + r d into an (n, m) C-contiguous buffer, one contiguous row per
@@ -384,16 +386,20 @@ class RaySet:
     outer: bool = False
 
     def block(self, i, j):
-        """Nodes of rays i .. j-1 and the block's factored form (dirs, rn,
-        c, wt, logs).  The (m, n) nodes are ray-major and coordinate-major
-        in memory: the transposed view of a C-contiguous (n, m) buffer (see
-        ``_ray_nodes``).  The form holds the rays' directions, the (rays,
-        P) distances rn of their nodes from ``center``, c = s wang one
-        factor per ray for the spans s, and wt the ``_radial_tables``
-        weights h w, so that a node weight is c_i wt_j rn_ij^(n-1); no
-        weight per node is built (``_drain`` multiplies them out).  On rays
-        that start at 0 of a set that is not ``outer``, logs = (log s,
-        log t) for ``_radial_tables``' t, rn = s t (None otherwise)."""
+        """Nodes of rays i .. j-1 and the block's factored form (see
+        ``form`` and ``nodes``)."""
+        form = self.form(i, j)
+        return self.nodes(form), form
+
+    def form(self, i, j):
+        """Factored form (dirs, rn, c, wt, logs) of rays i .. j-1: the rays'
+        directions, the (rays, P) distances rn of their nodes from
+        ``center``, c = s wang one factor per ray for the spans s, and wt
+        the ``_radial_tables`` weights h w, so that a node weight is
+        c_i wt_j rn_ij^(n-1); no weight per node is built (``_drain``
+        multiplies them out).  On rays that start at 0 of a set that is
+        not ``outer``, logs = (log s, log t) for ``_radial_tables``' t,
+        rn = s t (None otherwise).  No node is built."""
         lo, hi = self.lo[i:j], self.hi[i:j]
         span = (hi - lo)[:, None]
         t, wt, log_t = _radial_tables(self.p, self.n_panels)
@@ -402,8 +408,13 @@ class RaySet:
         else:
             rn = _graded_nodes(lo, span, t)
             logs = None if np.count_nonzero(lo) else (np.log(span), log_t)
-        return (_ray_nodes(self.center, rn, self.dirs[i:j]),
-                (self.dirs[i:j], rn, span[:, 0] * self.wang[i:j], wt, logs))
+        return self.dirs[i:j], rn, span[:, 0] * self.wang[i:j], wt, logs
+
+    def nodes(self, form):
+        """The (m, n) nodes of a block in factored form, ray-major and
+        coordinate-major in memory: the transposed view of a C-contiguous
+        (n, m) buffer (see ``_ray_nodes``)."""
+        return _ray_nodes(self.center, form[1], form[0])
 
 
 def _rays_per_block(floats_per_ray):
@@ -412,16 +423,23 @@ def _rays_per_block(floats_per_ray):
     return max(1, (_BLOCK_BYTES - 1) // (8 * floats_per_ray))
 
 
-def rule_blocks(rule):
-    """(nodes, factored form) of a tuple of ray sets, a block of rays at a
-    time (see ``RaySet.block``).  A block's (nodes, n) arrays stay below
+def rule_forms(rule):
+    """(ray set, factored form) of a tuple of ray sets, a block of rays at
+    a time (see ``RaySet.form``); ``RaySet.nodes`` builds a block's nodes
+    where a caller reads them.  A block's (nodes, n) arrays stay below
     _BLOCK_BYTES; the blocks depend on the rule alone, so sums over them
     are deterministic."""
     for rs in rule:
         m = len(rs.lo)
         step = _rays_per_block(rs.dirs.shape[1] * rs.p * (rs.n_panels + 1))
         for i in range(0, m, step):
-            yield rs.block(i, min(i + step, m))
+            yield rs, rs.form(i, min(i + step, m))
+
+
+def rule_blocks(rule):
+    """(nodes, factored form) of a tuple of ray sets, a block of rays at a
+    time (see ``rule_forms``)."""
+    return ((rs.nodes(form), form) for rs, form in rule_forms(rule))
 
 
 def _drain(rule):
@@ -605,7 +623,7 @@ def _boundary_roughness(domain):
 #
 # Each factory returns a tuple of RaySets; the public builders validate
 # their input and drain that tuple into a VolumeQuadrature, while
-# potentials consume it a block at a time (``rule_blocks``).
+# potentials consume it a block at a time (``rule_forms``).
 
 
 def boundary_rule(domain: Domain, N: int) -> BoundaryQuadrature:

@@ -44,11 +44,15 @@ evaluated in polar form (see :mod:`volpot.fundsol`):
   singularity exactly; for the screened kernel v = f f'(r) and
   -sum_i d_i c_i sum_j v_ij wt_j r_ij^(n-1);
 * Hessian, k1 part: the weighted k1 moment on the directions with weights
-  c_i sum_j wt_j (f_ij - Ef(x)) / r_ij (zero for f = 1, and skipped);
-  screened k2 part: I sum w f beta + sum_i d_i d_i^t sum_j w f alpha r^2.
+  c_i sum_j wt_j (f_ij - Ef(x)) / r_ij; screened k2 part:
+  I sum w f beta + sum_i d_i d_i^t sum_j w f alpha r^2.
 
-The nodes are built for the density only.  The far and star-near rules
-(rays from the centre) run the kernel on the offsets, a call per node.
+The far and star-near rules (rays from the centre) run the kernel on the
+offsets, a call per node.  A block's nodes are built only for those
+offsets and for a density that is not constant (``_Block``): a density
+that declares itself constant (``DensityPreset.constant``) is filled
+without them (``_density``), and the Hessian of a density constant at
+Ef(x) skips its k1 moment, whose weights are then all exactly 0.
 
 Everything here is a pure function of immutable inputs: batch evaluation
 over point grids may run on several threads.  The blocks depend on the
@@ -60,12 +64,13 @@ are deterministic; at a BLAS thread count of one they repeat bit for bit
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, NearBoundaryError, VolpotError
 from .fundsol import FundamentalSolution
-from .geometry import (Domain, cached_boundary_rule, rule_blocks, _chord_rays,
+from .geometry import (Domain, cached_boundary_rule, rule_forms, _chord_rays,
                        _graded_boundary_rules, _near_star_rays, _regular_rays,
                        _singular_rays)
 from .schauder import NegativeExponentDensity
@@ -103,27 +108,57 @@ def _offsets(x, nodes):
     return z.T
 
 
+class _Block:
+    """One block of the volume rule for a point x: its factored form
+    ``rays`` (see ``RaySet.form``), the offsets z = x - y where the rays do
+    not start at x (None where they do, x - y = -rn d), and the nodes y,
+    built on first read: a block whose rays start at x builds none unless
+    a density that is not constant reads them."""
+
+    def __init__(self, rs, rays, x):
+        self._rs, self.rays = rs, rays
+        self.z = None if x is None else _offsets(x, self.nodes)
+
+    @cached_property
+    def nodes(self):
+        return self._rs.nodes(self.rays)
+
+
+def _density(f, block):
+    """The values of the density f on a block's nodes: np.full for a
+    density that declares itself constant (``DensityPreset.constant``),
+    without building the nodes, and f(nodes) for any other."""
+    c = getattr(f, "constant", None)
+    if c is None:
+        return np.asarray(f(block.nodes))
+    return np.full(block.rays[1].size, c)
+
+
 def _volume_blocks(domain, x, N):
-    """(nodes, rays, z) blocks of the volume rule for the point x: the polar
-    rule about an interior x; for an exterior x, the chord (ball) or
-    star-near rule near the boundary, the regular rule far from it.  rays
-    is the block's factored form (see ``RaySet.block``), z None where the
-    rays start at x (x - y = -rn d) and the offsets x - y elsewhere.  N is
-    checked, the point classified and its distance measured once."""
+    """The class of the point x (see ``Domain.classify``) and the blocks
+    (``_Block``) of its volume rule: the polar rule about an interior x;
+    for an exterior x, the chord (ball) or star-near rule near the
+    boundary, the regular rule far from it.  N is checked and the point
+    classified here, once; its distance is measured and the rule built
+    when the first block is read."""
     if N < 4:
         raise VolpotError(f"N must be at least 4, got {N}")
     cls = _classify_or_raise(domain, x)
-    dist = domain.distance_to_boundary(x)
-    if cls > 0:
-        rule, at_x = _singular_rays(domain, x, N, dist), True
-    elif _far(domain, dist):
-        rule, at_x = _regular_rays(domain, N), False
-    elif domain.kind == "ball":
-        rule, at_x = _chord_rays(domain, x, N), True
-    else:
-        rule, at_x = _near_star_rays(domain, x, N), False
-    return ((y, rays, None if at_x else _offsets(x, y))
-            for y, rays in rule_blocks(rule))
+
+    def blocks():
+        dist = domain.distance_to_boundary(x)
+        if cls > 0:
+            rule, at_x = _singular_rays(domain, x, N, dist), True
+        elif _far(domain, dist):
+            rule, at_x = _regular_rays(domain, N), False
+        elif domain.kind == "ball":
+            rule, at_x = _chord_rays(domain, x, N), True
+        else:
+            rule, at_x = _near_star_rays(domain, x, N), False
+        for rs, rays in rule_forms(rule):
+            yield _Block(rs, rays, None if at_x else x)
+
+    return cls, blocks()
 
 
 def _ray_sums(rays, v, jacobian=True):
@@ -180,16 +215,18 @@ def volume_potential(fs: FundamentalSolution, domain: Domain, f, x,
                      N: int = 64) -> complex:
     """int_Omega S(x - y) f(y) dy for bounded f on the closure."""
     x = np.asarray(x, dtype=float)
-    return complex(sum(_value_sum(fs, rays, f(y), z)
-                       for y, rays, z in _volume_blocks(domain, x, N)))
+    _, blocks = _volume_blocks(domain, x, N)
+    return complex(sum(_value_sum(fs, b.rays, _density(f, b), b.z)
+                       for b in blocks))
 
 
 def volume_potential_gradient(fs: FundamentalSolution, domain: Domain, f, x,
                               N: int = 64) -> np.ndarray:
     """Gradient of the volume potential, int_Omega grad S(x - y) f(y) dy."""
     x = np.asarray(x, dtype=float)
-    return sum(_gradient_sum(fs, rays, np.asarray(f(y)), z)
-               for y, rays, z in _volume_blocks(domain, x, N))
+    _, blocks = _volume_blocks(domain, x, N)
+    return sum(_gradient_sum(fs, b.rays, _density(f, b), b.z)
+               for b in blocks)
 
 
 def radial_extension(domain: Domain, f):
@@ -233,8 +270,9 @@ def subtracted_integral_G(k, psi, l: int, domain: Domain, x, N: int = 64,
     _check_odd_homogeneous(k, domain.dim)
     psi_x = psi(x)
     total = 0.0
-    for y, rays, z in _volume_blocks(domain, x, N):
-        z = _offsets(x, y) if z is None else z
+    for b in _volume_blocks(domain, x, N)[1]:
+        y, rays = b.nodes, b.rays
+        z = _offsets(x, y) if b.z is None else b.z
         if dk is not None:
             dkl = np.asarray(dk(z))[:, l]
         else:
@@ -327,20 +365,26 @@ def volume_potential_hessian(fs: FundamentalSolution, domain: Domain, f, x,
     values on closure(Omega) enter for interior x).
     """
     x = np.asarray(x, dtype=float)
-    if domain.classify(x) <= 0:
+    cls, blocks = _volume_blocks(domain, x, N)
+    if cls < 0:
         raise NearBoundaryError("Hessian evaluation requires an interior point")
     n = domain.dim
     ef = extension if extension is not None else radial_extension(domain, f)
     fx = np.asarray(ef(x[None, :]))[0]
 
     screened = fs.kind == "modified-helmholtz"
+    # a density constant at Ef(x) makes every k1 weight (f - Ef(x)) / r
+    # exactly 0: no k1 moment, and no block at all without a k2 part
+    c0 = getattr(f, "constant", None)
+    k1_part = c0 is None or fx != c0
     H1 = H2 = 0.0
-    for y, rays, _ in _volume_blocks(domain, x, N):
-        dirs, rn, c, _, _ = rays
-        fvals = np.asarray(f(y)).reshape(rn.shape)
+    for b in (blocks if k1_part or screened else ()):
+        dirs, rn, c, _, _ = rays = b.rays
+        fvals = _density(f, b).reshape(rn.shape)
         # d k1(-r d) = r^-n d k1(d), and w r^-n = c wt / r
-        H1 = H1 + fs.k1_jacobian(
-            dirs, weights=c * _ray_sums(rays, (fvals - fx) / rn, False))
+        if k1_part:
+            H1 = H1 + fs.k1_jacobian(
+                dirs, weights=c * _ray_sums(rays, (fvals - fx) / rn, False))
         if screened:
             beta, alpha_r2 = fs.k2_radial(rn)
             H2 = H2 + (np.eye(n) * (c @ _ray_sums(rays, fvals * beta))
@@ -374,12 +418,12 @@ def volume_potential_negative(fs: FundamentalSolution, domain: Domain,
     n = domain.dim
     comps = nd.components
     value = grad = 0
-    for y, rays, z in _volume_blocks(domain, x, N):
-        f0 = comps[0](y)
+    for b in _volume_blocks(domain, x, N)[1]:
+        f0 = _density(comps[0], b)
         if np.any(f0):      # a zero f0 adds nothing; skip its kernel pass
-            value = value + _value_sum(fs, rays, f0, z)
-        fj = [np.asarray(comps[j + 1](y)) for j in range(n)]
-        grad = grad + _gradient_sum(fs, rays, fj, z)
+            value = value + _value_sum(fs, b.rays, f0, b.z)
+        fj = [_density(comps[j + 1], b) for j in range(n)]
+        grad = grad + _gradient_sum(fs, b.rays, fj, b.z)
     total = complex(value)
 
     def moment(y, nu):

@@ -18,6 +18,9 @@ class DensityPreset:
     name: str
     value: object          # callable (m, n) -> (m,)
     grad: object           # callable (m, n) -> (m, n), or None
+    # the value of a constant density, None otherwise: the potentials then
+    # fill its values without building the nodes it would be called on
+    constant: object = None
 
     def __call__(self, y):
         return self.value(y)
@@ -91,7 +94,7 @@ def bump(sharpness: float = 2.0) -> DensityPreset:
 
 
 _FIXED = {
-    "one": DensityPreset("one", _one, _zero_grad),
+    "one": DensityPreset("one", _one, _zero_grad, 1.0),
     "x1": DensityPreset("x1", _x1, _x1_grad),
     "x1sq": DensityPreset("x1sq", _x1sq, _x1sq_grad),
     "abs_x1": DensityPreset("abs_x1", _abs_x1, _abs_x1_grad),

@@ -28,6 +28,7 @@ from .potentials import (single_layer, volume_potential,
                          volume_potential_gradient, volume_potential_hessian,
                          volume_potential_negative, _boundary_integral,
                          _offsets, _ray_sums)
+from .presets import get_preset
 from .schauder import Modulus
 
 DEFAULT_TOLERANCES = {
@@ -560,7 +561,7 @@ def check_closed_form_disk(fs: FundamentalSolution, domain: Domain,
     and log|x|/2 outside, on a fixed 21-point probe set."""
     if tol is None:
         tol = DEFAULT_TOLERANCES["closed_form"]
-    one = lambda y: np.ones(len(y))
+    one = get_preset("one")
     rng = np.random.default_rng(3)
     probes = [np.zeros(2)]
     for r in (0.2, 0.45, 0.7, 0.9):

@@ -200,7 +200,7 @@ VALUE_KERNELS = {"laplace": laplace_fundamental,
 def test_values_along_rays_match_cartesian(domain, N, kname):
     # interior offsets 1e-2 and 1e-4 (the polar rule about x), 1e-3 outside
     # (the chord rule on the disk and the ball, the star-near rule on the
-    # star) and a far point (the cached regular rule)
+    # star) and a far point (the regular rule, streamed a block at a time)
     fs = VALUE_KERNELS[kname](domain.dim)
     if domain is STAR:
         points = [_star_point(0.6, s) for s in (-1e-2, -1e-4, 1e-3, 1.5)]

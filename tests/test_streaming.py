@@ -107,7 +107,8 @@ def test_block_arrays_stay_below_block_bytes():
 ], ids=["disk", "star", "ball", "disk-chord", "ball-chord", "star-near",
         "disk-far", "ball-far"])
 def test_potentials_match_drained_builders(domain, fs, x, build):
-    # the far rule is the cached regular rule, reduced as one array
+    # the potentials stream the far (regular) rule a block at a time; the
+    # reference is that rule drained by cached_volume_rule, one array
     N = 12 if domain.dim == 3 else 32
     vq = (build(domain, x, N) if build is not None
           else cached_volume_rule(domain, N))
