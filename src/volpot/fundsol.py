@@ -27,7 +27,10 @@ once per direction instead of once per node:
     grad S(-r d) = -f'(r) d                (screened S = f(|x|)).
 
 ``radial_gradient`` and ``k2_radial`` give the screened kernel's radial
-factors for the last form and for the k2 Jacobian below.
+factors for the last form and for the k2 Jacobian below.  The Laplace and
+anisotropic kernels are homogeneous along a ray, S(r d) = k (log r +
+log q(d)) (n = 2) or a(d)/r (n = 3), so on rays with radii r = s t their
+sum against a radial table needs only two moments of it (``ray_value``).
 
 The Jacobians ``k1_jacobian`` and ``k2_jacobian`` also have a weighted
 form: given an (m,) weight vector w, real or complex, they return the
@@ -314,6 +317,26 @@ class FundamentalSolution:
             out += np.log(q)
         out *= 1.0 / (2.0 * np.pi * self._sqrt_det)
         return out
+
+    def ray_value(self, dirs, s, m1, ml):
+        """sum_j S(r_ij d_i) r_ij^(n-1) wt_j along each ray i with the unit
+        direction dirs[i] and the radii r_ij = s_i t_j, for a radial table
+        (t, wt) with the moments m1 = sum t wt and ml = sum t log t wt.
+        For the homogeneous kinds only: with q = |T^{-1} d|, S(r d) =
+        k (log r + log q) in 2D, so the sum is k s ((log s + log q) m1 +
+        ml), k = 1/(2 pi sqrt(det a2)); S(r d) = -k / (q r) in 3D, so it
+        is -k s m1 / q, k = 1/(4 pi sqrt(det a2)).  One number per ray, no
+        radius."""
+        if self.kind == "modified-helmholtz":
+            raise ValueError("the screened kernel is not homogeneous")
+        q = None if self.kind == "laplace" else self._ellip_radius(dirs)
+        if self.dim == 3:
+            out = s * (-m1 / (4.0 * np.pi * self._sqrt_det))
+            return out if q is None else out / q
+        log_sq = np.log(s)
+        if q is not None:
+            log_sq += np.log(q)
+        return (log_sq * m1 + ml) * s * (1.0 / (2.0 * np.pi * self._sqrt_det))
 
     def radial_gradient(self, r):
         """f'(r) of the screened kernel S = f(|x|), whose gradient at

@@ -28,14 +28,15 @@ directions, a radial interval and an angular weight per ray, and the
 radial order, panel count and grading end shared by the rays.  It is
 read a block of rays at a time (``rule_forms``), each block's (nodes, n)
 arrays below ``_BLOCK_BYTES``, so an evaluation never holds a whole
-10^5-10^6 node rule.  Every block carries its radii and its weights in one
-factored form, one number per ray times the cached radial table times
-r^(n-1) (``RaySet.form``); its nodes are built only where a caller reads
-them (``RaySet.nodes``, ``rule_blocks``).  Only ``_drain`` multiplies the
-weights out, for the public builders (``volume_rule``,
-``singular_volume_rule``, ``exterior_chord_rule``,
-``near_exterior_star_rule``) that hand callers every node at once in a
-VolumeQuadrature.
+10^5-10^6 node rule.  Every block carries its weights in one factored
+form, one number per ray times the cached radial table times r^(n-1)
+(``RayForm``); its radii and its nodes are built only where a caller
+reads them (``RayForm.rn``, ``RayForm.nodes``, ``rule_blocks``), and the
+table's moments let a caller sum a constant along a ray without
+either.  Only ``_drain`` multiplies the weights out, for the public
+builders (``volume_rule``, ``singular_volume_rule``,
+``exterior_chord_rule``, ``near_exterior_star_rule``) that hand callers
+every node at once in a VolumeQuadrature.
 
 Streamed blocks are coordinate-major: ``_ray_nodes`` writes the nodes
 x + r d into an (n, m) C-contiguous buffer, one contiguous row per
@@ -387,34 +388,69 @@ class RaySet:
 
     def block(self, i, j):
         """Nodes of rays i .. j-1 and the block's factored form (see
-        ``form`` and ``nodes``)."""
-        form = self.form(i, j)
-        return self.nodes(form), form
+        ``RayForm``)."""
+        form = RayForm(self, i, j)
+        return form.nodes, form
 
-    def form(self, i, j):
-        """Factored form (dirs, rn, c, wt, logs) of rays i .. j-1: the rays'
-        directions, the (rays, P) distances rn of their nodes from
-        ``center``, c = s wang one factor per ray for the spans s, and wt
-        the ``_radial_tables`` weights h w, so that a node weight is
-        c_i wt_j rn_ij^(n-1); no weight per node is built (``_drain``
-        multiplies them out).  On rays that start at 0 of a set that is
-        not ``outer``, logs = (log s, log t) for ``_radial_tables``' t,
-        rn = s t (None otherwise).  No node is built."""
-        lo, hi = self.lo[i:j], self.hi[i:j]
-        span = (hi - lo)[:, None]
-        t, wt, log_t = _radial_tables(self.p, self.n_panels)
-        if self.outer:
-            rn, logs = hi[:, None] - span * t, None
-        else:
-            rn = _graded_nodes(lo, span, t)
-            logs = None if np.count_nonzero(lo) else (np.log(span), log_t)
-        return self.dirs[i:j], rn, span[:, 0] * self.wang[i:j], wt, logs
 
-    def nodes(self, form):
-        """The (m, n) nodes of a block in factored form, ray-major and
-        coordinate-major in memory: the transposed view of a C-contiguous
-        (n, m) buffer (see ``_ray_nodes``)."""
-        return _ray_nodes(self.center, form[1], form[0])
+class RayForm:
+    """Factored form of the block of rays i .. j-1 of a RaySet: a node
+    weight is c_i wt_j rn_ij^(n-1), with c = s wang one factor per ray for
+    the spans s = hi - lo and wt the ``_radial_tables`` weights h w; no
+    weight per node is built (``_drain`` multiplies them out).
+
+    ``dirs``, ``span``, ``c``, ``wt`` and the table's ``moments`` are per
+    ray or per table.  Everything per node is built on first read: the
+    (rays, P) distances ``rn`` of the nodes from the rays' origin, the
+    nodes themselves (``nodes``) and, on the zero-start rays of a 2D set
+    (``zero_start``, rn = s t for the table's t), ``logs`` = (log s,
+    log t) for the 2D log kernels.  A reader that needs only per-ray
+    numbers (a constant density summed from the table moments, see
+    ``potentials``) builds none of them."""
+
+    __slots__ = ("_rs", "_lo", "_hi", "_t", "_log_t", "_rn", "_nodes",
+                 "dirs", "span", "c", "wt", "moments", "zero_start")
+
+    def __init__(self, rs, i, j):
+        self._rs = rs
+        self._lo, self._hi = rs.lo[i:j], rs.hi[i:j]
+        self.dirs = rs.dirs[i:j]
+        self.span = self._hi - self._lo
+        self.c = self.span * rs.wang[i:j]
+        self._t, self.wt, self._log_t, self.moments = _radial_tables(
+            rs.p, rs.n_panels)
+        # whether the rays start at 0 and are graded toward it: rn = s t
+        self.zero_start = not rs.outer and not np.count_nonzero(self._lo)
+        self._rn = self._nodes = None
+
+    # plain properties that fill a slot on first read: functools'
+    # cached_property takes a lock on every read (Python < 3.12)
+
+    @property
+    def rn(self):
+        if self._rn is None:
+            span = self.span[:, None]
+            self._rn = (self._hi[:, None] - span * self._t if self._rs.outer
+                        else _graded_nodes(self._lo, span, self._t))
+        return self._rn
+
+    @property
+    def logs(self):
+        """(log s, log t), (rays, 1) and (P,), on the zero-start rays of a
+        2D set; None elsewhere, where no kernel reads them.  Computed on
+        every read."""
+        if self.dirs.shape[1] != 2 or not self.zero_start:
+            return None
+        return np.log(self.span)[:, None], self._log_t
+
+    @property
+    def nodes(self):
+        """The (m, n) nodes, ray-major and coordinate-major in memory: the
+        transposed view of a C-contiguous (n, m) buffer (see
+        ``_ray_nodes``)."""
+        if self._nodes is None:
+            self._nodes = _ray_nodes(self._rs.center, self.rn, self.dirs)
+        return self._nodes
 
 
 def _rays_per_block(floats_per_ray):
@@ -424,22 +460,21 @@ def _rays_per_block(floats_per_ray):
 
 
 def rule_forms(rule):
-    """(ray set, factored form) of a tuple of ray sets, a block of rays at
-    a time (see ``RaySet.form``); ``RaySet.nodes`` builds a block's nodes
-    where a caller reads them.  A block's (nodes, n) arrays stay below
-    _BLOCK_BYTES; the blocks depend on the rule alone, so sums over them
-    are deterministic."""
+    """Factored forms (``RayForm``) of a tuple of ray sets, a block of rays
+    at a time; a block's nodes are built where a caller reads them.  A
+    block's (nodes, n) arrays stay below _BLOCK_BYTES; the blocks depend on
+    the rule alone, so sums over them are deterministic."""
     for rs in rule:
         m = len(rs.lo)
         step = _rays_per_block(rs.dirs.shape[1] * rs.p * (rs.n_panels + 1))
         for i in range(0, m, step):
-            yield rs, rs.form(i, min(i + step, m))
+            yield RayForm(rs, i, min(i + step, m))
 
 
 def rule_blocks(rule):
     """(nodes, factored form) of a tuple of ray sets, a block of rays at a
     time (see ``rule_forms``)."""
-    return ((rs.nodes(form), form) for rs, form in rule_forms(rule))
+    return ((form.nodes, form) for form in rule_forms(rule))
 
 
 def _drain(rule):
@@ -448,10 +483,10 @@ def _drain(rule):
     multiplied out: (s wt) r^(n-1) wang for the spans s."""
     nodes, weights = [], []
     for rs in rule:
-        y, (_, rn, _, wt, _) = rs.block(0, len(rs.lo))
-        rw = (rs.hi - rs.lo)[:, None] * wt
+        y, form = rs.block(0, len(rs.lo))
+        rw = form.span[:, None] * form.wt
         nodes.append(y)
-        weights.append((rw * rn ** (rs.dirs.shape[1] - 1)
+        weights.append((rw * form.rn ** (rs.dirs.shape[1] - 1)
                         * rs.wang[:, None]).reshape(-1))
     return VolumeQuadrature(np.ascontiguousarray(np.concatenate(nodes)),
                             np.concatenate(weights))
@@ -565,7 +600,8 @@ def _radial_tables(p, n_panels):
     """Flat (K p,) tables of the graded radial rule on [0, 1], K =
     n_panels + 1, panel k's p entries in order: the nodes t = a + h u, the
     weights h w and log t, with h = 2^-(k+1) and start a = h (h = 2^-k and
-    a = 0 on the last panel) for the GL rule u, w on [0, 1]."""
+    a = 0 on the last panel) for the GL rule u, w on [0, 1]; and the
+    rule's moments (sum wt, sum t wt, sum t log t wt) for wt = h w."""
     u, w = _gl01(p)
     K = n_panels + 1
     h = 0.5 ** np.arange(1, K + 1)
@@ -575,7 +611,9 @@ def _radial_tables(p, n_panels):
     tables = (t, hp * np.tile(w, K), np.log(t))
     for tab in tables:
         tab.setflags(write=False)
-    return tables
+    t, wt, log_t = tables
+    moments = (np.sum(wt), np.sum(t * wt), np.sum(t * log_t * wt))
+    return tables + (moments,)
 
 
 def _graded_radial(r_lo, r_hi, p, n_panels):
@@ -585,14 +623,18 @@ def _graded_radial(r_lo, r_hi, p, n_panels):
     With s = r_hi - r_lo and the ``_radial_tables`` t and h w: the nodes
     s t (+ r_lo, where some r_lo is nonzero) and the weights s h w, each a
     contiguous (M, K p) op."""
-    t, wt, _ = _radial_tables(p, n_panels)
+    t, wt, _, _ = _radial_tables(p, n_panels)
     span = (r_hi - r_lo)[:, None]
-    return _graded_nodes(r_lo, span, t), span * wt
+    nodes = span * t
+    if np.count_nonzero(r_lo):
+        nodes += r_lo[:, None]
+    return nodes, span * wt
 
 
 def _graded_nodes(r_lo, span, t):
-    """The nodes span t (+ r_lo, where some r_lo is nonzero) of
-    ``_graded_radial`` for the (M, 1) spans and the table t."""
+    """The radii span t (+ r_lo, where some r_lo is nonzero) of a block
+    of rays (``RayForm.rn``) for the (M, 1) spans and the table t, as
+    ``_graded_radial`` builds them."""
     nodes = span * t
     if np.count_nonzero(r_lo):
         nodes += r_lo[:, None]

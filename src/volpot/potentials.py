@@ -30,29 +30,41 @@ block of rays is built, run through the kernel and the density and summed
 before the next one is built, so memory does not grow with the node count.
 
 Every block carries its weights factored, w_ij = c_i wt_j r_ij^(n-1): one
-number per ray times the cached radial table (see ``RaySet.block``).  No
-per-node weight is built; every sum over a block is c @ ((v r^(n-1)) @
-wt), one BLAS matrix-vector product and one dot (``_ray_sums``).  Only the
-kernel evaluation forks.  Where the rays start at x (the polar rule about
-an interior x and the chord rule), x - y = -r d and the kernels are
-evaluated in polar form (see :mod:`volpot.fundsol`):
+number per ray times the cached radial table (see ``geometry.RayForm``).
+No per-node weight is built; a sum over a block is c @ ((v r^(n-1)) @
+wt), one BLAS matrix-vector product and one dot (``_ray_sums``), unless
+it needs no per-node value at all.  Three paths, picked per block:
 
-* value: v = S f with S(r d) from the radii alone (``fs.radial_value``);
-  on rays that start at 0, r = s t for the cached radial table t, so the
-  2D log kernels take log r = log s + log t, one log per ray;
-* grad: -sum_i c_i (sum_j f_ij wt_j) k1(d_i), the r^(n-1) cancelling the
-  singularity exactly; for the screened kernel v = f f'(r) and
-  -sum_i d_i c_i sum_j v_ij wt_j r_ij^(n-1);
-* Hessian, k1 part: the weighted k1 moment on the directions with weights
-  c_i sum_j wt_j (f_ij - Ef(x)) / r_ij; screened k2 part:
-  I sum w f beta + sum_i d_i d_i^t sum_j w f alpha r^2.
+* per ray, from the table moments (``_per_ray``): a constant density
+  (``DensityPreset.constant``, passed as the number itself, see
+  ``_density``), a homogeneous kernel (laplace, anisotropic-principal)
+  and rays that start at x.  Along such a ray S(r d) = k (log r +
+  log q(d)) in 2D and a(d)/r in 3D, so the value on rays that also start
+  at r = 0 (the polar rule about an interior x; r = s t for the table t)
+  is c @ ``fs.ray_value``, from M1 = sum t wt and ML = sum t log t wt,
+  and the gradient on any such rays (the chord rule too) is
+  -f W (c @ k1(d)), W = sum wt.  No radius, no node, no kernel call per
+  node: O(rays) per block.
+* per node in polar form, where the rays start at x otherwise (other
+  densities or kernels, and chord values, whose log(lo + s t) does not
+  separate): x - y = -r d (see :mod:`volpot.fundsol`).
+  - value: v = S f with S(r d) from the radii alone
+    (``fs.radial_value``); on rays that start at 0 the 2D log kernels
+    take log r = log s + log t, one log per ray;
+  - grad: -sum_i c_i (sum_j f_ij wt_j) k1(d_i), the r^(n-1) cancelling
+    the singularity exactly; for the screened kernel v = f f'(r) and
+    -sum_i d_i c_i sum_j v_ij wt_j r_ij^(n-1);
+  - Hessian, k1 part: the weighted k1 moment on the directions with
+    weights c_i sum_j wt_j (f_ij - Ef(x)) / r_ij; screened k2 part:
+    I sum w f beta + sum_i d_i d_i^t sum_j w f alpha r^2.
+* per node on the offsets: the far and star-near rules (rays from the
+  centre) run the kernel on x - y, a call per node.
 
-The far and star-near rules (rays from the centre) run the kernel on the
-offsets, a call per node.  A block's nodes are built only for those
-offsets and for a density that is not constant (``_Block``): a density
-that declares itself constant (``DensityPreset.constant``) is filled
-without them (``_density``), and the Hessian of a density constant at
-Ef(x) skips its k1 moment, whose weights are then all exactly 0.
+A block's radii are built only where a path reads them, and its nodes
+only for those offsets and for a density that is not constant: a
+constant density broadcasts as a number with the bits of a full array.
+The Hessian of a density constant at Ef(x) skips its k1 moment, whose
+weights are then all exactly 0.
 
 Everything here is a pure function of immutable inputs: batch evaluation
 over point grids may run on several threads.  The blocks depend on the
@@ -64,7 +76,6 @@ are deterministic; at a BLAS thread count of one they repeat bit for bit
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -108,39 +119,25 @@ def _offsets(x, nodes):
     return z.T
 
 
-class _Block:
-    """One block of the volume rule for a point x: its factored form
-    ``rays`` (see ``RaySet.form``), the offsets z = x - y where the rays do
-    not start at x (None where they do, x - y = -rn d), and the nodes y,
-    built on first read: a block whose rays start at x builds none unless
-    a density that is not constant reads them."""
-
-    def __init__(self, rs, rays, x):
-        self._rs, self.rays = rs, rays
-        self.z = None if x is None else _offsets(x, self.nodes)
-
-    @cached_property
-    def nodes(self):
-        return self._rs.nodes(self.rays)
-
-
-def _density(f, block):
-    """The values of the density f on a block's nodes: np.full for a
-    density that declares itself constant (``DensityPreset.constant``),
-    without building the nodes, and f(nodes) for any other."""
+def _density(f, form):
+    """The values of the density f on a block's nodes: the number itself
+    for a density that declares itself constant (``DensityPreset.constant``),
+    without building the nodes (every per-node product broadcasts it with
+    the bits of a full array), and f(nodes) for any other."""
     c = getattr(f, "constant", None)
-    if c is None:
-        return np.asarray(f(block.nodes))
-    return np.full(block.rays[1].size, c)
+    return np.asarray(f(form.nodes)) if c is None else c
 
 
 def _volume_blocks(domain, x, N):
-    """The class of the point x (see ``Domain.classify``) and the blocks
-    (``_Block``) of its volume rule: the polar rule about an interior x;
-    for an exterior x, the chord (ball) or star-near rule near the
-    boundary, the regular rule far from it.  N is checked and the point
-    classified here, once; its distance is measured and the rule built
-    when the first block is read."""
+    """The class of the point x (see ``Domain.classify``) and the blocks of
+    its volume rule: the polar rule about an interior x; for an exterior x,
+    the chord (ball) or star-near rule near the boundary, the regular rule
+    far from it.  Each block is a pair (form, z): its factored form
+    (``geometry.RayForm``) and the offsets z = x - y where the rays do not
+    start at x, None where they do (there x - y = -rn d, and nothing per
+    node is built unless a reader asks for it).  N is checked and the
+    point classified here, once; its distance is measured and the rule
+    built when the first block is read."""
     if N < 4:
         raise VolpotError(f"N must be at least 4, got {N}")
     cls = _classify_or_raise(domain, x)
@@ -155,60 +152,81 @@ def _volume_blocks(domain, x, N):
             rule, at_x = _chord_rays(domain, x, N), True
         else:
             rule, at_x = _near_star_rays(domain, x, N), False
-        for rs, rays in rule_forms(rule):
-            yield _Block(rs, rays, None if at_x else x)
+        for form in rule_forms(rule):
+            yield form, None if at_x else _offsets(x, form.nodes)
 
     return cls, blocks()
 
 
-def _ray_sums(rays, v, jacobian=True):
+def _ray_sums(form, v, jacobian=True):
     """sum_j v_ij wt_j r_ij^(n-1) along each ray i of a block in factored
-    form (dirs, rn, c, wt, logs), without the r^(n-1) unless ``jacobian``,
+    form (``geometry.RayForm``), without the r^(n-1) unless ``jacobian``,
     for the node values v, (m,) or (rays, P): one BLAS matrix-vector
     product.  Times c, they are the sums of v w along the rays."""
-    dirs, rn, _, wt, _ = rays
+    rn = form.rn
     v = np.reshape(v, rn.shape)
     if jacobian:
         v = v * rn
-        if dirs.shape[1] == 3:
+        if form.dirs.shape[1] == 3:
             v *= rn
-    return v @ wt
+    return v @ form.wt
 
 
-def _value_sum(fs, rays, f, z):
-    """sum_m S(x - y_m) f_m w_m over one block: S from the radii alone
+def _per_ray(fs, z, f):
+    """Whether a block with offsets z (None where its rays start at x) is
+    summed against the density values f from the radial table's moments,
+    one number per ray and nothing per node: f is a constant (see
+    ``_density``), the kernel homogeneous (laplace, anisotropic-principal)
+    and the rays start at x."""
+    return (z is None and not isinstance(f, np.ndarray)
+            and fs.kind != "modified-helmholtz")
+
+
+def _value_sum(fs, form, z, f):
+    """sum_m S(x - y_m) f_m w_m over one block: for a constant f on rays
+    from x that start at r = 0 (``_per_ray``, ``RayForm.zero_start``), c @
+    the per-ray sums of ``fs.ray_value``; elsewhere S from the radii alone
     where the rays start at x (z None), else from the offsets z."""
-    dirs, rn, c, _, logs = rays
-    s = (fs.radial_value(dirs, rn, logs).reshape(-1) if z is None
-         else fs.eval(z))
-    return c @ _ray_sums(rays, s * f)
+    if _per_ray(fs, z, f) and form.zero_start:
+        _, m1, ml = form.moments
+        return f * (form.c @ fs.ray_value(form.dirs, form.span, m1, ml))
+    s = (fs.radial_value(form.dirs, form.rn, form.logs).reshape(-1)
+         if z is None else fs.eval(z))
+    return form.c @ _ray_sums(form, s * f)
 
 
-def _gradient_sum(fs, rays, f, z):
-    """sum_m grad S(x - y_m) f_m w_m over one block, for f the (m,) values
-    of one density or a list of n of them, the j-th weighting d_j S.
+def _gradient_sum(fs, form, z, f):
+    """sum_m grad S(x - y_m) f_m w_m over one block, for f the values of
+    one density (see ``_density``) or a list of n of them, the j-th
+    weighting d_j S.
 
     Where the rays start at x (z None) each ray is reduced before any
     kernel call (``_ray_sums``): with s_i = c_i sum_j f_ij wt_j, the k1
-    kinds give -sum_i s_i k1(d_i), and the screened kernel -sum_i d_i c_i
-    sum_j f_ij f'(r_ij) wt_j r_ij^(n-1).  Elsewhere fs.grad runs on the
-    offsets z, and each component is summed like a value."""
-    dirs, rn, c, _, _ = rays
-    one = isinstance(f, np.ndarray)
+    kinds give -sum_i s_i k1(d_i), for a constant f -f W (c @ k1(d)) with
+    the table's W = sum wt (``_per_ray``); the screened kernel gives
+    -sum_i d_i c_i sum_j f_ij f'(r_ij) wt_j r_ij^(n-1).  Elsewhere fs.grad
+    runs on the offsets z, and each component is summed like a value."""
+    dirs, c = form.dirs, form.c
+    one = not isinstance(f, list)
     if z is not None:
         g = fs.grad(z)
         f = [f] * g.shape[1] if one else f
-        return np.array([c @ _ray_sums(rays, g[:, j] * fj)
+        return np.array([c @ _ray_sums(form, g[:, j] * fj)
                          for j, fj in enumerate(f)])
     screened = fs.kind == "modified-helmholtz"
     k = dirs if screened else fs.k1(dirs)
     if screened:
-        g = fs.radial_gradient(rn).reshape(-1)
+        g = fs.radial_gradient(form.rn).reshape(-1)
         f = g * f if one else [g * fj for fj in f]
+
+    def ray_sum(fj, kj):
+        if _per_ray(fs, z, fj):
+            return fj * form.moments[0] * (c @ kj)
+        return (c * _ray_sums(form, fj, screened)) @ kj
+
     if one:
-        return -((c * _ray_sums(rays, f, screened)) @ k)
-    return -np.array([(c * _ray_sums(rays, fj, screened)) @ k[:, j]
-                      for j, fj in enumerate(f)])
+        return -ray_sum(f, k)
+    return -np.array([ray_sum(fj, k[:, j]) for j, fj in enumerate(f)])
 
 
 def volume_potential(fs: FundamentalSolution, domain: Domain, f, x,
@@ -216,8 +234,8 @@ def volume_potential(fs: FundamentalSolution, domain: Domain, f, x,
     """int_Omega S(x - y) f(y) dy for bounded f on the closure."""
     x = np.asarray(x, dtype=float)
     _, blocks = _volume_blocks(domain, x, N)
-    return complex(sum(_value_sum(fs, b.rays, _density(f, b), b.z)
-                       for b in blocks))
+    return complex(sum(_value_sum(fs, form, z, _density(f, form))
+                       for form, z in blocks))
 
 
 def volume_potential_gradient(fs: FundamentalSolution, domain: Domain, f, x,
@@ -225,8 +243,8 @@ def volume_potential_gradient(fs: FundamentalSolution, domain: Domain, f, x,
     """Gradient of the volume potential, int_Omega grad S(x - y) f(y) dy."""
     x = np.asarray(x, dtype=float)
     _, blocks = _volume_blocks(domain, x, N)
-    return sum(_gradient_sum(fs, b.rays, _density(f, b), b.z)
-               for b in blocks)
+    return sum(_gradient_sum(fs, form, z, _density(f, form))
+               for form, z in blocks)
 
 
 def radial_extension(domain: Domain, f):
@@ -270,9 +288,9 @@ def subtracted_integral_G(k, psi, l: int, domain: Domain, x, N: int = 64,
     _check_odd_homogeneous(k, domain.dim)
     psi_x = psi(x)
     total = 0.0
-    for b in _volume_blocks(domain, x, N)[1]:
-        y, rays = b.nodes, b.rays
-        z = _offsets(x, y) if b.z is None else b.z
+    for form, z in _volume_blocks(domain, x, N)[1]:
+        y = form.nodes
+        z = _offsets(x, y) if z is None else z
         if dk is not None:
             dkl = np.asarray(dk(z))[:, l]
         else:
@@ -281,7 +299,7 @@ def subtracted_integral_G(k, psi, l: int, domain: Domain, x, N: int = 64,
             step[:, l] = h
             dkl = ((np.asarray(k(z + step)) - np.asarray(k(z - step)))
                    / (2.0 * h))
-        total += rays[2] @ _ray_sums(rays, dkl * (psi(y) - psi_x))
+        total += form.c @ _ray_sums(form, dkl * (psi(y) - psi_x))
     return complex(total)
 
 
@@ -378,17 +396,19 @@ def volume_potential_hessian(fs: FundamentalSolution, domain: Domain, f, x,
     c0 = getattr(f, "constant", None)
     k1_part = c0 is None or fx != c0
     H1 = H2 = 0.0
-    for b in (blocks if k1_part or screened else ()):
-        dirs, rn, c, _, _ = rays = b.rays
-        fvals = _density(f, b).reshape(rn.shape)
+    for form, _ in (blocks if k1_part or screened else ()):
+        dirs, rn, c = form.dirs, form.rn, form.c
+        fvals = _density(f, form)
+        if isinstance(fvals, np.ndarray):
+            fvals = fvals.reshape(rn.shape)
         # d k1(-r d) = r^-n d k1(d), and w r^-n = c wt / r
         if k1_part:
             H1 = H1 + fs.k1_jacobian(
-                dirs, weights=c * _ray_sums(rays, (fvals - fx) / rn, False))
+                dirs, weights=c * _ray_sums(form, (fvals - fx) / rn, False))
         if screened:
             beta, alpha_r2 = fs.k2_radial(rn)
-            H2 = H2 + (np.eye(n) * (c @ _ray_sums(rays, fvals * beta))
-                       + (dirs.T * (c * _ray_sums(rays, fvals * alpha_r2)))
+            H2 = H2 + (np.eye(n) * (c @ _ray_sums(form, fvals * beta))
+                       + (dirs.T * (c * _ray_sums(form, fvals * alpha_r2)))
                        @ dirs)
 
     bq = cached_boundary_rule(domain, N)
@@ -410,20 +430,21 @@ def volume_potential_negative(fs: FundamentalSolution, domain: Domain,
         + sum_j d/dx_j int_Omega S(x-y) f_j dy.
 
     All volume terms share one rule: each block of the rule for x is built
-    once, S is evaluated once on it for f0 (not at all where f0 is zero),
-    and the f_j are reduced against grad S, both along the rays where they
-    start at x (see the module docstring).
+    once, S is evaluated once on it for f0 (not at all where f0 is zero;
+    a constant f0 takes the per-ray sums of ``volume_potential``), and the
+    f_j are reduced against grad S, both along the rays where they start
+    at x (see the module docstring).
     """
     x = np.asarray(x, dtype=float)
     n = domain.dim
     comps = nd.components
     value = grad = 0
-    for b in _volume_blocks(domain, x, N)[1]:
-        f0 = _density(comps[0], b)
+    for form, z in _volume_blocks(domain, x, N)[1]:
+        f0 = _density(comps[0], form)
         if np.any(f0):      # a zero f0 adds nothing; skip its kernel pass
-            value = value + _value_sum(fs, b.rays, f0, b.z)
-        fj = [_density(comps[j + 1], b) for j in range(n)]
-        grad = grad + _gradient_sum(fs, b.rays, fj, b.z)
+            value = value + _value_sum(fs, form, z, f0)
+        fj = [_density(comps[j + 1], form) for j in range(n)]
+        grad = grad + _gradient_sum(fs, form, z, fj)
     total = complex(value)
 
     def moment(y, nu):

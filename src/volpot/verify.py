@@ -313,7 +313,7 @@ def _excised_rules(domain, x, N, radii):
 def _rule_sum(x, rays, integrand):
     """sum of integrand(x - y, y) w over a polar rule about x, a block of
     rays at a time."""
-    return sum(form[2] @ _ray_sums(form, integrand(_offsets(x, y), y))
+    return sum(form.c @ _ray_sums(form, integrand(_offsets(x, y), y))
                for y, form in rule_blocks(rays))
 
 

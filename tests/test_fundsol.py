@@ -7,6 +7,7 @@ from volpot import (SingularPointError, apply_operator_fd, gradient_split,
                     modified_helmholtz, principal_anisotropic,
                     principal_fundamental)
 from volpot.fundsol import _rowdot, fundamental_solution
+from volpot.geometry import _radial_tables
 from volpot.operators import OperatorCoefficients, helmholtz_modified, laplacian
 
 
@@ -371,3 +372,31 @@ def test_weighted_jacobians_same_bits_real_or_complex(fs):
         assert np.array_equal(as_complex.real, real)
         assert np.array_equal(as_imag.imag, real)
         assert np.all(as_complex.imag == 0.0) and np.all(as_imag.real == 0.0)
+
+
+@pytest.mark.parametrize("fs", [
+    laplace_fundamental(2), laplace_fundamental(3),
+    principal_fundamental(OperatorCoefficients(2, np.diag([4.0, 1.0]),
+                                               [0, 0], 0)),
+    principal_fundamental(OperatorCoefficients(3, np.diag([4.0, 1.0, 2.0]),
+                                               [0, 0, 0], 0))],
+    ids=["laplace2", "laplace3", "aniso2", "aniso3"])
+def test_ray_value_matches_node_sums(fs):
+    # the per-ray sums of the homogeneous kinds from the table moments
+    # against the same sums taken node by node on the radii s t
+    rng = np.random.default_rng(fs.dim)
+    dirs = rng.standard_normal((40, fs.dim))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    s = 10.0 ** rng.uniform(-6.0, 0.5, 40)
+    t, wt, _, (_, m1, ml) = _radial_tables(7, 14)
+    r = s[:, None] * t
+    terms = fs.radial_value(dirs, r) * r ** (fs.dim - 1) * wt
+    got = fs.ray_value(dirs, s, m1, ml)
+    assert np.all(np.abs(got - np.sum(terms, axis=1))
+                  <= 1e-14 * np.sum(np.abs(terms), axis=1))
+
+
+def test_ray_value_rejects_the_screened_kernel():
+    with pytest.raises(ValueError, match="not homogeneous"):
+        helmholtz_fundamental(2, 1.0).ray_value(np.eye(2), np.ones(2),
+                                                0.5, -0.25)

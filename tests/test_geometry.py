@@ -715,22 +715,41 @@ def test_ray_set_blocks_match_broadcast_bitwise(dim, outer):
     hw = _graded_radial_written_out(np.zeros(1), np.ones(1), 7, 14)[1][0]
     for center in (None, rng.standard_normal(dim)):
         rs = geometry.RaySet(center, dirs, lo, hi, wang, 7, 14, outer)
-        y, (d, r, c, wt, logs) = rs.block(i, j)
+        y, form = rs.block(i, j)
         assert y.T.flags.c_contiguous
         assert _same_bits(y, _ray_nodes_broadcast(center, rn, dirs[i:j]))
-        assert _same_bits(d, dirs[i:j]) and _same_bits(r, rn)
-        assert _same_bits(c, (hi[i:j] - lo[i:j]) * wang[i:j])
-        assert wt is geometry._radial_tables(7, 14)[1]
-        assert _same_bits(wt, hw)
+        assert _same_bits(form.dirs, dirs[i:j]) and _same_bits(form.rn, rn)
+        assert _same_bits(form.c, (hi[i:j] - lo[i:j]) * wang[i:j])
+        assert form.wt is geometry._radial_tables(7, 14)[1]
+        assert _same_bits(form.wt, hw)
         # a log of the radii only on rays that start at 0, and never on
         # ``outer`` ones
-        assert logs is None
+        assert not form.zero_start and form.logs is None
         vq = geometry._drain((geometry.RaySet(
             center, dirs[i:j], lo[i:j], hi[i:j], wang[i:j], 7, 14, outer),))
         assert _same_bits(vq.nodes, y) and _same_bits(vq.weights, weights)
     if not outer:
         rs = geometry.RaySet(None, dirs, np.zeros(m), hi - lo, wang, 7, 14)
-        _, (_, r, _, _, (log_s, log_t)) = rs.block(i, j)
+        _, form = rs.block(i, j)
+        assert form.zero_start
+        if dim == 3:
+            # only the 2D log kernels read the logs
+            assert form.logs is None
+            return
+        log_s, log_t = form.logs
         assert _same_bits(log_s, np.log(hi[i:j] - lo[i:j])[:, None])
-        assert np.all(np.abs(log_s + log_t - np.log(r))
+        assert np.all(np.abs(log_s + log_t - np.log(form.rn))
                       <= 4e-16 * (1.0 + np.abs(log_s) + np.abs(log_t)))
+
+
+@pytest.mark.parametrize("p, n_panels", [(3, 12), (7, 14), (10, 26), (7, 6)])
+def test_radial_table_moments(p, n_panels):
+    # the moments sum wt, sum t wt and sum t log t wt of the graded table:
+    # the numpy sums of its products, and the integrals 1, 1/2 and -1/4 of
+    # 1, t and t log t over [0, 1], the last to the rule's accuracy (the
+    # order-3 rule of N = 8 errs by 5.8e-7 on it)
+    t, wt, log_t, (w0, m1, ml) = geometry._radial_tables(p, n_panels)
+    assert (w0, m1, ml) == (np.sum(wt), np.sum(t * wt),
+                            np.sum(t * log_t * wt))
+    assert abs(w0 - 1.0) <= 4e-16 and abs(m1 - 0.5) <= 4e-16
+    assert abs(ml + 0.25) <= 1e-6

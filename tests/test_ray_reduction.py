@@ -235,7 +235,7 @@ def test_factored_weights_sum_like_node_weights(dim):
                 rs = RaySet(center, dirs, lo, hi, wang, p, n_panels)
                 w = _drain((rs,)).weights
                 _, rays = rs.block(0, m)
-                _, rn, c, wt, _ = rays
+                rn, c, wt = rays.rn, rays.c, rays.wt
                 assert c.shape == (m,) and wt.shape == (rn.shape[1],)
                 v = (rng.standard_normal(w.shape)
                      + 1j * rng.standard_normal(w.shape))

@@ -48,7 +48,7 @@ def _values(fs, x, nodes):
 
 def _streamed_and_drained(fs, x, rule):
     blocks = list(rule_blocks(rule))
-    streamed = sum(rays[2] @ _ray_sums(rays, _values(fs, x, y))
+    streamed = sum(rays.c @ _ray_sums(rays, _values(fs, x, y))
                    for y, rays in blocks)
     vq = _drain(rule)
     return len(blocks), streamed, np.sum(_values(fs, x, vq.nodes)
@@ -167,7 +167,7 @@ def test_excised_rules_cast_once_and_keep_their_bits(domain, x, reenters,
             for name in ("dirs", "lo", "hi", "wang"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
             assert (a.p, a.n_panels) == (b.p, b.n_panels)
-        total = sum(rays[2] @ _ray_sums(rays, FS2.eval(_offsets(x, y)))
+        total = sum(rays.c @ _ray_sums(rays, FS2.eval(_offsets(x, y)))
                     for y, rays in rule_blocks(ref))
         assert got == float(np.real(total))
     assert all(len(rule) == 1 + reenters for rule in rules)
