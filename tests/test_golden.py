@@ -6,13 +6,19 @@ and ``volpot modulus`` at seed 0, and two ``volpot verify`` reports of the
 configs kept next to them: the Laplace kernel on the 3D unit ball
 (``ball3d.cfg``) and the screened kernel on a cosine star
 (``star_screened.cfg``); both include ``derivative_recursion``, the row that
-runs gradients.  Regenerate them only for a change that is meant to move
-report values, and say so where the change is recorded.
+runs gradients.  A ``volpot eval`` golden (``star_near.cfg``, written to
+``star_near_eval.csv``) pins the star rules near the boundary, which no
+report reaches: screened values of a bump density at offsets of 1e-2 and
+1e-4 on both sides of a cosine star, from the interior polar rule with its
+re-entered intervals and from the star-near exterior rule.  Regenerate
+them only for a change that is meant to move report values, and say so
+where the change is recorded.
 """
 
 import csv
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from volpot.cli import main
@@ -37,6 +43,17 @@ def test_cli_reproduces_golden_report(name, tmp_path):
     # golden comparison covers the pass column
     assert main(argv + ["--out", str(tmp_path), "--seed", "0"]) in (0, 1)
     assert compare_reports_csv(GOLDEN / name, tmp_path / written, rtol=1e-9)
+
+
+def test_cli_reproduces_golden_star_near_eval(tmp_path):
+    assert main(["eval", "--config", str(GOLDEN / "star_near.cfg"),
+                 "--out", str(tmp_path)]) == 0
+    golden = _rows(GOLDEN / "star_near_eval.csv")
+    fresh = _rows(tmp_path / "eval.csv")
+    assert fresh[0] == golden[0] and len(fresh) == len(golden) == 13
+    np.testing.assert_allclose(np.array(fresh[1:], dtype=float),
+                               np.array(golden[1:], dtype=float),
+                               rtol=1e-9, atol=1e-12)
 
 
 def _rows(path):
