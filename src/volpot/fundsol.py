@@ -300,11 +300,11 @@ class FundamentalSolution:
 
     # -- the kernels along a ray -------------------------------------------
 
-    def radial_value(self, dirs, rn, logs=None):
+    def radial_value(self, dirs, rn):
         """S(r d) at the (rays, P) radii rn on rays with the unit directions
-        dirs, |T^{-1} d| taken once per direction; ``logs`` = (log a, log b)
-        with rn = a b lets the 2D log kernels add logs instead of taking
-        one per node."""
+        dirs, |T^{-1} d| taken once per direction: one log per node for
+        the 2D log kernels, plus one per direction for the anisotropic
+        one."""
         if self.kind == "modified-helmholtz":
             return self._helmholtz_value(rn)
         q = (None if self.kind == "laplace"
@@ -312,7 +312,7 @@ class FundamentalSolution:
         if self.dim == 3:     # S(r q) / sqrt(det a2) = S(r q sqrt(det a2))
             return self._laplace_value(
                 rn if q is None else rn * (q * self._sqrt_det))
-        out = np.log(rn) if logs is None else logs[0] + logs[1]
+        out = np.log(rn)
         if q is not None:
             out += np.log(q)
         out *= 1.0 / (2.0 * np.pi * self._sqrt_det)

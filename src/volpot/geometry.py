@@ -21,20 +21,23 @@ absorbed by the graded panels; accuracy degrades gracefully (and the
 angular resolution is raised automatically) as the point approaches the
 boundary.  A companion chord rule covers exterior points near the boundary
 of a ball; its chords are graded toward their entry points only down to
-the point's distance from the ball (``_chord_levels``).
+the point's distance from the ball (``_chord_levels``).  Exterior points
+near a star boundary take the domain's own polar rule about the origin,
+whose rays run inward from rho(theta) and so are graded toward it.
 
-Every volume rule is a tuple of ray sets (``RaySet``): an origin, unit
-directions, a radial interval and an angular weight per ray, and the
-radial order, panel count and grading end shared by the rays.  It is
-read a block of rays at a time (``rule_forms``), each block's (nodes, n)
-arrays below ``_BLOCK_BYTES``, so an evaluation never holds a whole
-10^5-10^6 node rule.  Every block carries its weights in one factored
-form, one number per ray times the cached radial table times r^(n-1)
-(``RayForm``); its radii and its nodes are built only where a caller
-reads them (``RayForm.rn``, ``RayForm.nodes``, ``rule_blocks``), and the
-table's moments let a caller sum a constant along a ray without
-either.  Only ``_drain`` multiplies the weights out, for the public
-builders (``volume_rule``, ``singular_volume_rule``,
+Every volume rule is a tuple of ray sets (``RaySet``), all of one shape:
+an origin, unit directions, a radial interval [lo, hi] and an angular
+weight per ray, and the radial order and panel count shared by the rays,
+graded toward lo.  A ray with hi < lo runs inward, its angular weight
+negated.  A rule is read a block of rays at a time (``rule_forms``),
+each block's (nodes, n) arrays below ``_BLOCK_BYTES``, so an evaluation
+never holds a whole 10^5-10^6 node rule.  Every block carries its
+weights in one factored form, one number per ray times the cached
+radial table times r^(n-1) (``RayForm``); its radii and its nodes are
+built only where a caller reads them (``RayForm.rn``,
+``RayForm.nodes``), and the table's moments let a caller sum a constant
+along a ray without either.  Only ``_drain`` multiplies the weights
+out, for the public builders (``volume_rule``, ``singular_volume_rule``,
 ``exterior_chord_rule``, ``near_exterior_star_rule``) that hand callers
 every node at once in a VolumeQuadrature.
 
@@ -47,7 +50,9 @@ short inner loop per node; on the transposed view both writes and
 reductions such as ``np.sum(y * y, axis=-1)`` run one long loop per
 coordinate with the same per-element operations, in the same order, so
 the same bits.  The radial nodes and weights are the per-(order, panel
-count) tables of ``_radial_tables`` scaled by each ray's span.
+count) tables of ``_radial_tables`` scaled by each ray's span
+(``_graded_nodes``); the graded angular windows of the chord and
+star-near rules are the same tables scaled by the window's half-width.
 """
 
 from __future__ import annotations
@@ -71,6 +76,14 @@ BOUNDARY_BAND = 1e-9
 # temporaries are recycled on the heap instead of being mapped, faulted in
 # page by page and unmapped again for every evaluation.
 _BLOCK_BYTES = 1 << 17
+
+# Star rays are scanned for boundary crossings at this many points between
+# 0 and 2.2 bounding radii before bisection refines them.
+RAY_SCAN_POINTS = 256
+
+# make_star2d checks rho > 0 at this many angles, and bounds the radii on a
+# grid 64 times finer.
+STAR_CHECK_ANGLES = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,15 +186,16 @@ class Domain:
             return -b + np.sqrt(disc)
         return self.ray_intervals(x, dirs)[0]
 
-    def ray_intervals(self, x, dirs, n_scan: int = 256):
+    def ray_intervals(self, x, dirs):
         """Boundary crossings along rays from an interior point.
 
         Returns (first_exit, extras): the distance to the first boundary
         crossing per ray, plus a flat (ray_index, t_in, t_out) array of the
         further inside-intervals that rays of a non-convex domain re-enter.
-        Crossings are bracketed on an n_scan grid and refined by bisection;
-        re-entered slivers thinner than the scan step go unseen, so coverage
-        of strongly non-convex domains carries an O(n_scan^-2) floor.
+        Crossings are bracketed on a ``RAY_SCAN_POINTS`` grid and refined by
+        bisection; re-entered slivers thinner than the scan step go unseen,
+        so coverage of strongly non-convex domains carries an
+        O(RAY_SCAN_POINTS^-2) floor.
 
         Only scan points in the annulus between the inscribed and the
         bounding circle evaluate the radial gap; the rest are inside or
@@ -200,13 +214,13 @@ class Domain:
         if self.kind == "ball":
             return self.ray_exit(x, dirs), np.empty((0, 3))
         tmax = 2.2 * self.bounding_radius
-        ts = np.linspace(0.0, tmax, n_scan)
+        ts = np.linspace(0.0, tmax, RAY_SCAN_POINTS)
         r2_max = self.bounding_radius ** 2
         r2_in = self.inscribed_radius ** 2
         xx = x @ x
         dx, dy = np.ascontiguousarray(dirs.T)
         m = len(dirs)
-        step = _rays_per_block(2 * n_scan)
+        step = _rays_per_block(2 * RAY_SCAN_POINTS)
         ray_idx, step_idx, state_lo = [], [], []
         for start in range(0, m, step):
             d = dirs[start:start + step]
@@ -266,13 +280,13 @@ def make_ball(n: int, center, R: float) -> Domain:
                   float(R + np.linalg.norm(center)) * 1.0000001, float(R))
 
 
-def make_star2d(rho, drho=None, n_check: int = 256) -> Domain:
+def make_star2d(rho, drho=None) -> Domain:
     """Planar domain {r < rho(theta)} with smooth periodic rho > 0.
 
     ``drho`` is optional; without it the derivative is taken by central
     differences with step 1e-5 (adequate for normals and arclength weights).
     """
-    theta = np.linspace(0.0, 2.0 * np.pi, n_check, endpoint=False)
+    theta = np.linspace(0.0, 2.0 * np.pi, STAR_CHECK_ANGLES, endpoint=False)
     vals = np.asarray(rho(theta), dtype=float)
     if vals.shape != theta.shape:
         raise DomainError("rho must map angle arrays to value arrays")
@@ -288,7 +302,8 @@ def make_star2d(rho, drho=None, n_check: int = 256) -> Domain:
     # value by about (dtheta / 2)^2 |rho''| / 2; on this 64x finer grid
     # (which contains the check angles) that stays within the 1e-7 margins
     # of both radii for |rho''| up to ~5 rho.
-    fine = rho(np.linspace(0.0, 2.0 * np.pi, 64 * n_check, endpoint=False))
+    fine = rho(np.linspace(0.0, 2.0 * np.pi, 64 * STAR_CHECK_ANGLES,
+                           endpoint=False))
     center = np.zeros(2)
     center.setflags(write=False)
     return Domain(2, "star2d", center, float("nan"), rho, drho,
@@ -368,29 +383,24 @@ class VolumeQuadrature:
 class RaySet:
     """Rays of a polar volume rule, from which nodes are built on demand.
 
-    Ray i carries the nodes ``center + r dirs[i]`` for r in
-    [lo[i], hi[i]] on n_panels + 1 Gauss-Legendre panels of order ``p``,
-    refined geometrically toward lo (toward hi when ``outer``): with
-    s = hi - lo, the panels [lo + s 2^-(k+1), lo + s 2^-k] for
-    k < n_panels and [lo, lo + s 2^-n_panels]; n_panels 0 is one plain
-    panel.  A node's weight is its radial weight times r^(n-1) times
-    ``wang[i]``.  ``center`` None means the origin, without adding zeros.
+    Ray i carries the nodes ``center + r dirs[i]`` for r between lo[i]
+    and hi[i] on n_panels + 1 Gauss-Legendre panels of order ``p``,
+    refined geometrically toward lo: with s = hi - lo, the panels
+    [lo + s 2^-(k+1), lo + s 2^-k] for k < n_panels and
+    [lo, lo + s 2^-n_panels]; n_panels 0 is one plain panel.  A node's
+    weight is its radial weight times s, r^(n-1) and ``wang[i]``.  A ray
+    with hi < lo runs inward, graded toward its outer end lo, and carries
+    its angular weight negated, so that s wang = |s| |wang| stays
+    positive (the star-near rule, graded toward the boundary radius).
     """
 
-    center: object        # (n,) origin of the rays, or None
+    center: np.ndarray    # (n,) origin of the rays
     dirs: np.ndarray      # (M, n) unit directions
-    lo: np.ndarray        # (M,) radial interval of each ray
-    hi: np.ndarray        # (M,)
-    wang: np.ndarray      # (M,) angular weights
+    lo: np.ndarray        # (M,) radial interval of each ray, graded
+    hi: np.ndarray        # (M,) toward lo
+    wang: np.ndarray      # (M,) angular weights, negated where hi < lo
     p: int
     n_panels: int
-    outer: bool = False
-
-    def block(self, i, j):
-        """Nodes of rays i .. j-1 and the block's factored form (see
-        ``RayForm``)."""
-        form = RayForm(self, i, j)
-        return form.nodes, form
 
 
 class RayForm:
@@ -401,26 +411,24 @@ class RayForm:
 
     ``dirs``, ``span``, ``c``, ``wt`` and the table's ``moments`` are per
     ray or per table.  Everything per node is built on first read: the
-    (rays, P) distances ``rn`` of the nodes from the rays' origin, the
-    nodes themselves (``nodes``) and, on the zero-start rays of a 2D set
-    (``zero_start``, rn = s t for the table's t), ``logs`` = (log s,
-    log t) for the 2D log kernels.  A reader that needs only per-ray
-    numbers (a constant density summed from the table moments, see
-    ``potentials``) builds none of them."""
+    (rays, P) distances ``rn`` = lo + s t of the nodes from the rays'
+    origin, for the table's t, and the nodes themselves (``nodes``).  A
+    reader that needs only per-ray numbers (a constant density summed
+    from the table moments on ``zero_start`` rays, where rn = s t; see
+    ``potentials``) builds neither."""
 
-    __slots__ = ("_rs", "_lo", "_hi", "_t", "_log_t", "_rn", "_nodes",
+    __slots__ = ("_rs", "_lo", "_t", "_rn", "_nodes",
                  "dirs", "span", "c", "wt", "moments", "zero_start")
 
     def __init__(self, rs, i, j):
         self._rs = rs
-        self._lo, self._hi = rs.lo[i:j], rs.hi[i:j]
+        self._lo = rs.lo[i:j]
         self.dirs = rs.dirs[i:j]
-        self.span = self._hi - self._lo
+        self.span = rs.hi[i:j] - self._lo
         self.c = self.span * rs.wang[i:j]
-        self._t, self.wt, self._log_t, self.moments = _radial_tables(
-            rs.p, rs.n_panels)
+        self._t, self.wt, self.moments = _radial_tables(rs.p, rs.n_panels)
         # whether the rays start at 0 and are graded toward it: rn = s t
-        self.zero_start = not rs.outer and not np.count_nonzero(self._lo)
+        self.zero_start = not np.count_nonzero(self._lo)
         self._rn = self._nodes = None
 
     # plain properties that fill a slot on first read: functools'
@@ -429,19 +437,8 @@ class RayForm:
     @property
     def rn(self):
         if self._rn is None:
-            span = self.span[:, None]
-            self._rn = (self._hi[:, None] - span * self._t if self._rs.outer
-                        else _graded_nodes(self._lo, span, self._t))
+            self._rn = _graded_nodes(self._lo, self.span[:, None], self._t)
         return self._rn
-
-    @property
-    def logs(self):
-        """(log s, log t), (rays, 1) and (P,), on the zero-start rays of a
-        2D set; None elsewhere, where no kernel reads them.  Computed on
-        every read."""
-        if self.dirs.shape[1] != 2 or not self.zero_start:
-            return None
-        return np.log(self.span)[:, None], self._log_t
 
     @property
     def nodes(self):
@@ -471,21 +468,15 @@ def rule_forms(rule):
             yield RayForm(rs, i, min(i + step, m))
 
 
-def rule_blocks(rule):
-    """(nodes, factored form) of a tuple of ray sets, a block of rays at a
-    time (see ``rule_forms``)."""
-    return ((form.nodes, form) for form in rule_forms(rule))
-
-
 def _drain(rule):
     """VolumeQuadrature of a tuple of ray sets, each built as one block,
     with C-contiguous nodes.  The one place where node weights are
     multiplied out: (s wt) r^(n-1) wang for the spans s."""
     nodes, weights = [], []
     for rs in rule:
-        y, form = rs.block(0, len(rs.lo))
+        form = RayForm(rs, 0, len(rs.lo))
         rw = form.span[:, None] * form.wt
-        nodes.append(y)
+        nodes.append(form.nodes)
         weights.append((rw * form.rn ** (rs.dirs.shape[1] - 1)
                         * rs.wang[:, None]).reshape(-1))
     return VolumeQuadrature(np.ascontiguousarray(np.concatenate(nodes)),
@@ -522,14 +513,12 @@ def _ray_nodes(x, rn, dirs):
 
     Each row is written with the per-element operations of
     ``x[None, None, :] + rn[:, :, None] * dirs[:, None, :]``, so bitwise
-    equal to it.  ``x`` None means no offset (adding 0.0 would turn -0.0
-    into 0.0)."""
+    equal to it."""
     n = dirs.shape[1]
     out = np.empty((n,) + rn.shape)
     for k in range(n):
         np.multiply(rn, dirs[:, k, None], out=out[k])
-        if x is not None:
-            out[k] += x[k]
+        out[k] += x[k]
     return out.reshape(n, -1).T
 
 
@@ -598,43 +587,27 @@ def _radial_panel_count(N):
 @lru_cache(maxsize=256)
 def _radial_tables(p, n_panels):
     """Flat (K p,) tables of the graded radial rule on [0, 1], K =
-    n_panels + 1, panel k's p entries in order: the nodes t = a + h u, the
-    weights h w and log t, with h = 2^-(k+1) and start a = h (h = 2^-k and
+    n_panels + 1, panel k's p entries in order: the nodes t = a + h u and
+    the weights wt = h w, with h = 2^-(k+1) and start a = h (h = 2^-k and
     a = 0 on the last panel) for the GL rule u, w on [0, 1]; and the
-    rule's moments (sum wt, sum t wt, sum t log t wt) for wt = h w."""
+    rule's moments (sum wt, sum t wt, sum t log t wt)."""
     u, w = _gl01(p)
     K = n_panels + 1
     h = 0.5 ** np.arange(1, K + 1)
     h[-1] *= 2.0
     hp = np.repeat(h, p)
     t = np.repeat(np.append(h[:-1], 0.0), p) + hp * np.tile(u, K)
-    tables = (t, hp * np.tile(w, K), np.log(t))
-    for tab in tables:
-        tab.setflags(write=False)
-    t, wt, log_t = tables
-    moments = (np.sum(wt), np.sum(t * wt), np.sum(t * log_t * wt))
-    return tables + (moments,)
-
-
-def _graded_radial(r_lo, r_hi, p, n_panels):
-    """Composite GL nodes/weights on [r_lo, r_hi] per ray, panels refined
-    geometrically toward r_lo.  Shapes (M,) -> (M, n_panels*p + p).
-
-    With s = r_hi - r_lo and the ``_radial_tables`` t and h w: the nodes
-    s t (+ r_lo, where some r_lo is nonzero) and the weights s h w, each a
-    contiguous (M, K p) op."""
-    t, wt, _, _ = _radial_tables(p, n_panels)
-    span = (r_hi - r_lo)[:, None]
-    nodes = span * t
-    if np.count_nonzero(r_lo):
-        nodes += r_lo[:, None]
-    return nodes, span * wt
+    wt = hp * np.tile(w, K)
+    t.setflags(write=False)
+    wt.setflags(write=False)
+    moments = (np.sum(wt), np.sum(t * wt), np.sum(t * np.log(t) * wt))
+    return t, wt, moments
 
 
 def _graded_nodes(r_lo, span, t):
     """The radii span t (+ r_lo, where some r_lo is nonzero) of a block
-    of rays (``RayForm.rn``) for the (M, 1) spans and the table t, as
-    ``_graded_radial`` builds them."""
+    of rays (``RayForm.rn``) for the (M,) starts, the (M, 1) spans and
+    the table t, each a contiguous (M, K p) op."""
     nodes = span * t
     if np.count_nonzero(r_lo):
         nodes += r_lo[:, None]
@@ -764,7 +737,6 @@ def _excised_rays(domain, x, N, dist, radii):
     if domain.dim == 2:
         _, dirs, wang = _circle_grid(_angular_count(
             N, dist, domain.bounding_radius, _boundary_roughness(domain)))
-        rex, extras = domain.ray_intervals(x, dirs)
     else:
         # 3D ball: axisymmetric ray-length profile about the direction to
         # the center, so align the polar axis with it.
@@ -774,7 +746,7 @@ def _excised_rays(domain, x, N, dist, radii):
                                            / domain.bounding_radius)))
             nt = min(nt, 2000)
         dirs, wang = _gl_sphere(nt, max(8, N), toward=x - domain.center)
-        rex, extras = domain.ray_exit(x, dirs), np.empty((0, 3))
+    rex, extras = domain.ray_intervals(x, dirs)
     idx = extras[:, 0].astype(int)
     out = []
     for r_min in map(float, radii):
@@ -836,10 +808,10 @@ def _chord_rays(domain, x, N):
     # Angle panels graded toward both ends of the window: near the axis the
     # entry distance (and the kernel) varies on the scale sqrt(dist * R);
     # at the tangent rays the chord mass has a square-root edge.
-    half, whalf = _graded_radial(np.zeros(1), np.array([beta / 2.0]), p,
-                                 max(n_panels, 18))
-    ang = np.concatenate([half[0], beta - half[0]])
-    wang1 = np.concatenate([whalf[0], whalf[0]])
+    t, wt, _ = _radial_tables(p, max(n_panels, 18))
+    half, whalf = beta / 2.0 * t, beta / 2.0 * wt
+    ang = np.concatenate([half, beta - half])
+    wang1 = np.concatenate([whalf, whalf])
     if domain.dim == 2:
         axis = d / rho0
         e1 = np.array([-axis[1], axis[0]])
@@ -877,13 +849,15 @@ def _near_star_rays(domain, x, N):
     theta0 = float(np.arctan2(x[1], x[0]))
     p = _radial_order(N)
     n_panels = _radial_panel_count(N)
-    half, whalf = _graded_radial(np.zeros(1), np.array([np.pi]), p, n_panels)
-    theta = theta0 + np.concatenate([half[0], -half[0]])
-    wtheta = np.concatenate([whalf[0], whalf[0]])
+    t, wt, _ = _radial_tables(p, n_panels)
+    half = np.pi * t
+    theta = theta0 + np.concatenate([half, -half])
+    wtheta = np.concatenate([np.pi * wt, np.pi * wt])
     e = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    # grade toward the outer edge r = rho(theta), where the kernel peaks
-    return (RaySet(None, e, np.zeros(len(theta)), domain.rho(theta), wtheta,
-                   p, n_panels, outer=True),)
+    # rays run inward from r = rho(theta), graded toward it (where the
+    # kernel peaks), so their angular weights are negated (see ``RaySet``)
+    return (RaySet(domain.center, e, domain.rho(theta), np.zeros(len(theta)),
+                   -wtheta, p, n_panels),)
 
 
 def near_exterior_star_rule(domain: Domain, x, N: int) -> VolumeQuadrature:

@@ -49,8 +49,7 @@ it needs no per-node value at all.  Three paths, picked per block:
   densities or kernels, and chord values, whose log(lo + s t) does not
   separate): x - y = -r d (see :mod:`volpot.fundsol`).
   - value: v = S f with S(r d) from the radii alone
-    (``fs.radial_value``); on rays that start at 0 the 2D log kernels
-    take log r = log s + log t, one log per ray;
+    (``fs.radial_value``, one log per node for the 2D log kernels);
   - grad: -sum_i c_i (sum_j f_ij wt_j) k1(d_i), the r^(n-1) cancelling
     the singularity exactly; for the screened kernel v = f f'(r) and
     -sum_i d_i c_i sum_j v_ij wt_j r_ij^(n-1);
@@ -58,7 +57,8 @@ it needs no per-node value at all.  Three paths, picked per block:
     weights c_i sum_j wt_j (f_ij - Ef(x)) / r_ij; screened k2 part:
     I sum w f beta + sum_i d_i d_i^t sum_j w f alpha r^2.
 * per node on the offsets: the far and star-near rules (rays from the
-  centre) run the kernel on x - y, a call per node.
+  domain's centre, the star-near ones run inward from the boundary)
+  run the kernel on x - y, a call per node.
 
 A block's radii are built only where a path reads them, and its nodes
 only for those offsets and for a density that is not constant: a
@@ -96,6 +96,15 @@ def _far(domain, dist):
     """Whether a point at distance dist from the boundary is far from it."""
     return dist >= NEAR_FRACTION * (domain.radius if domain.kind == "ball"
                                     else domain.bounding_radius)
+
+
+def _side_class(side):
+    """The class (see ``Domain.classify``) of the points on a side: +1 for
+    "interior", -1 for "exterior"; any other side raises DomainError."""
+    if side not in ("interior", "exterior"):
+        raise DomainError(
+            f"side must be 'interior' or 'exterior', got {side!r}")
+    return 1 if side == "interior" else -1
 
 
 def _classify_or_raise(domain, x):
@@ -190,7 +199,7 @@ def _value_sum(fs, form, z, f):
     if _per_ray(fs, z, f) and form.zero_start:
         _, m1, ml = form.moments
         return f * (form.c @ fs.ray_value(form.dirs, form.span, m1, ml))
-    s = (fs.radial_value(form.dirs, form.rn, form.logs).reshape(-1)
+    s = (fs.radial_value(form.dirs, form.rn).reshape(-1)
          if z is None else fs.eval(z))
     return form.c @ _ray_sums(form, s * f)
 
@@ -323,11 +332,10 @@ def boundary_kernel_K(k, mu, domain: Domain, x, side: str = "interior",
     boundary; spectrally convergent there.  On-surface extension values are
     out of scope (points in the 1e-9 band are rejected)."""
     x = np.asarray(x, dtype=float)
-    cls = _classify_or_raise(domain, x)
-    if side == "interior" and cls < 0:
-        raise DomainError("interior-side evaluation at an exterior point")
-    if side == "exterior" and cls > 0:
-        raise DomainError("exterior-side evaluation at an interior point")
+    want = _side_class(side)
+    if _classify_or_raise(domain, x) != want:
+        raise DomainError(f"{side}-side evaluation at an "
+                          f"{'exterior' if want > 0 else 'interior'} point")
     return _boundary_integral(domain,
                               lambda y, nu: np.asarray(k(x[None, :] - y)) * mu(y),
                               x, N)
@@ -486,10 +494,11 @@ class PotentialField:
     side: str           # "interior" | "exterior"
     resolution: int
 
+    def __post_init__(self):
+        _side_class(self.side)
+
     def _check(self, x):
-        cls = _classify_or_raise(self.domain, x)
-        want = 1 if self.side == "interior" else -1
-        if cls != want:
+        if _classify_or_raise(self.domain, x) != _side_class(self.side):
             raise DomainError(f"point is not on the {self.side} side")
 
     def value(self, f, x):

@@ -21,13 +21,13 @@ import numpy as np
 
 from .errors import DomainError, NearBoundaryError
 from .fundsol import FundamentalSolution, sphere_measure
-from .geometry import (Domain, cached_boundary_rule, rule_blocks,
+from .geometry import (Domain, cached_boundary_rule, rule_forms,
                        _circle_grid, _excised_rays, _gl_sphere)
 from .operators import OperatorCoefficients, apply_operator_fd
 from .potentials import (single_layer, volume_potential,
                          volume_potential_gradient, volume_potential_hessian,
                          volume_potential_negative, _boundary_integral,
-                         _offsets, _ray_sums)
+                         _offsets, _ray_sums, _side_class)
 from .presets import get_preset
 from .schauder import Modulus
 
@@ -160,6 +160,7 @@ def check_pde_identity(fs: FundamentalSolution, op: OperatorCoefficients,
     point grid; interior residual is measured against the density (relative
     to sup |f|), exterior residual against zero (relative to the largest
     finite-difference term)."""
+    _side_class(side)
     if tol is None:
         tol = DEFAULT_TOLERANCES["pde_identity" if side == "interior"
                                  else "pde_identity_exterior"]
@@ -313,8 +314,9 @@ def _excised_rules(domain, x, N, radii):
 def _rule_sum(x, rays, integrand):
     """sum of integrand(x - y, y) w over a polar rule about x, a block of
     rays at a time."""
-    return sum(form.c @ _ray_sums(form, integrand(_offsets(x, y), y))
-               for y, form in rule_blocks(rays))
+    return sum(form.c @ _ray_sums(form, integrand(_offsets(x, form.nodes),
+                                                  form.nodes))
+               for form in rule_forms(rays))
 
 
 @_timed

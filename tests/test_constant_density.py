@@ -89,7 +89,7 @@ def _resum_bound(fs, domain, x, N, gradient):
             total = total + np.sum(np.abs(w[:, None] * fs.k1(form.dirs)),
                                    axis=0)
         else:
-            v = fs.radial_value(form.dirs, form.rn, form.logs)
+            v = fs.radial_value(form.dirs, form.rn)
             total = total + np.sum(np.abs(form.c * _ray_sums(form, v)))
     return 8.0 * EPS * total
 

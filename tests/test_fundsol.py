@@ -388,7 +388,7 @@ def test_ray_value_matches_node_sums(fs):
     dirs = rng.standard_normal((40, fs.dim))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     s = 10.0 ** rng.uniform(-6.0, 0.5, 40)
-    t, wt, _, (_, m1, ml) = _radial_tables(7, 14)
+    t, wt, (_, m1, ml) = _radial_tables(7, 14)
     r = s[:, None] * t
     terms = fs.radial_value(dirs, r) * r ** (fs.dim - 1) * wt
     got = fs.ray_value(dirs, s, m1, ml)

@@ -403,8 +403,6 @@ def test_star_inscribed_radius_bounds_rho_between_samples():
 
 def _ray_nodes_broadcast(x, rn, dirs):
     n = dirs.shape[1]
-    if x is None:
-        return (rn[:, :, None] * dirs[:, None, :]).reshape(-1, n)
     return (x[None, None, :] + rn[:, :, None] * dirs[:, None, :]).reshape(-1, n)
 
 
@@ -472,7 +470,6 @@ def test_rule_nodes_match_broadcast_bitwise(dom, monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(geometry, "_ray_nodes", _ray_nodes_broadcast)
         mp.setattr(geometry, "_cone_dirs", _cone_dirs_broadcast)
-        mp.setattr(geometry, "_graded_radial", _graded_radial_written_out)
         refs = [build(*args) for build, args in cases]
     for (build, args), ref in zip(cases, refs):
         vq = build(*args)
@@ -672,8 +669,11 @@ def _radial_spans(rng, m):
 
 
 @pytest.mark.parametrize("p", range(3, 11))
-def test_graded_radial_matches_broadcast_bitwise(p):
-    # lo = 0 and -0.0 add nothing to the scaled table, other lo add lo
+def test_graded_nodes_match_broadcast_bitwise(p):
+    # the radii lo + s t of a block of rays (lo = 0 and -0.0 add nothing
+    # to the scaled table, other lo add lo) and the radial weights s wt
+    # against the table form written out, for the spans s = hi - lo that
+    # a RayForm takes
     rng = np.random.default_rng(p)
     m = 40
     span = _radial_spans(rng, m)
@@ -681,65 +681,66 @@ def test_graded_radial_matches_broadcast_bitwise(p):
     lo_pos[:2] = (1e-300, 5e-13)
     lo_mixed = np.where(np.arange(m) % 2 == 0, 0.0, lo_pos)
     for n_panels in [0, 6] + list(range(12, 27)):
+        t, wt, _ = geometry._radial_tables(p, n_panels)
         for lo in (np.zeros(m), -np.zeros(m), lo_pos, lo_mixed):
-            got = geometry._graded_radial(lo, lo + span, p, n_panels)
+            s = ((lo + span) - lo)[:, None]
             ref = _graded_radial_written_out(lo, lo + span, p, n_panels)
-            assert _same_bits(got[0], ref[0]), (n_panels, lo[:3])
-            assert _same_bits(got[1], ref[1]), (n_panels, lo[:3])
+            assert _same_bits(geometry._graded_nodes(lo, s, t), ref[0]), \
+                (n_panels, lo[:3])
+            assert _same_bits(s * wt, ref[1]), (n_panels, lo[:3])
 
 
-@pytest.mark.parametrize("outer", [False, True])
+@pytest.mark.parametrize("inward", [False, True])
 @pytest.mark.parametrize("dim", [2, 3])
-def test_ray_set_blocks_match_broadcast_bitwise(dim, outer):
-    # a block of rays graded toward either end, with and without an
-    # origin, against the parent's radial and node expressions; its nodes
-    # are the transposed view of a C-contiguous buffer.  Every block
-    # carries its weights factored, c = span wang per ray and the radial
-    # table wt, and no per-node weight; ``_drain`` multiplies them out
-    # with the bits of the parent's weight expression
+def test_ray_set_blocks_match_broadcast_bitwise(dim, inward):
+    # a block of rays graded toward their start lo, about the origin and
+    # another centre, against the parent's radial and node expressions;
+    # inward, the rays run from hi in to 0 with their angular weights
+    # negated, against the parent's expressions for the rays from 0 out
+    # to hi graded toward hi.  The nodes are the transposed view of a
+    # C-contiguous buffer.  Every block carries its weights factored,
+    # c = span wang per ray and the radial table wt, and no per-node
+    # weight; ``_drain`` multiplies them out with the bits of the
+    # parent's weight expression
     rng = np.random.default_rng(dim)
     m, i, j = 50, 3, 40
     dirs = rng.standard_normal((m, dim))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    lo = np.zeros(m) if outer else rng.uniform(0.0, 0.5, m)
+    lo = np.zeros(m) if inward else rng.uniform(0.0, 0.5, m)
     hi = lo + _radial_spans(rng, m)
     wang = rng.uniform(0.1, 1.0, m)
-    if outer:
+    if inward:
         g, rw = _graded_radial_written_out(np.zeros(j - i),
                                            hi[i:j] - lo[i:j], 7, 14)
         rn = hi[i:j, None] - g
+        rays = (hi, lo, -wang)
     else:
         rn, rw = _graded_radial_written_out(lo[i:j], hi[i:j], 7, 14)
+        rays = (lo, hi, wang)
     jac = rn if dim == 2 else rn ** 2
     weights = (rw * jac * wang[i:j, None]).reshape(-1)
     hw = _graded_radial_written_out(np.zeros(1), np.ones(1), 7, 14)[1][0]
-    for center in (None, rng.standard_normal(dim)):
-        rs = geometry.RaySet(center, dirs, lo, hi, wang, 7, 14, outer)
-        y, form = rs.block(i, j)
+    for center in (np.zeros(dim), rng.standard_normal(dim)):
+        form = geometry.RayForm(geometry.RaySet(center, dirs, *rays, 7, 14),
+                                i, j)
+        y = form.nodes
         assert y.T.flags.c_contiguous
         assert _same_bits(y, _ray_nodes_broadcast(center, rn, dirs[i:j]))
         assert _same_bits(form.dirs, dirs[i:j]) and _same_bits(form.rn, rn)
         assert _same_bits(form.c, (hi[i:j] - lo[i:j]) * wang[i:j])
         assert form.wt is geometry._radial_tables(7, 14)[1]
         assert _same_bits(form.wt, hw)
-        # a log of the radii only on rays that start at 0, and never on
-        # ``outer`` ones
-        assert not form.zero_start and form.logs is None
+        assert not form.zero_start
         vq = geometry._drain((geometry.RaySet(
-            center, dirs[i:j], lo[i:j], hi[i:j], wang[i:j], 7, 14, outer),))
+            center, dirs[i:j], *(a[i:j] for a in rays), 7, 14),))
         assert _same_bits(vq.nodes, y) and _same_bits(vq.weights, weights)
-    if not outer:
-        rs = geometry.RaySet(None, dirs, np.zeros(m), hi - lo, wang, 7, 14)
-        _, form = rs.block(i, j)
+    if not inward:
+        # rays that start at 0: rn = s t, which the table moments sum
+        form = geometry.RayForm(geometry.RaySet(
+            np.zeros(dim), dirs, np.zeros(m), hi - lo, wang, 7, 14), i, j)
         assert form.zero_start
-        if dim == 3:
-            # only the 2D log kernels read the logs
-            assert form.logs is None
-            return
-        log_s, log_t = form.logs
-        assert _same_bits(log_s, np.log(hi[i:j] - lo[i:j])[:, None])
-        assert np.all(np.abs(log_s + log_t - np.log(form.rn))
-                      <= 4e-16 * (1.0 + np.abs(log_s) + np.abs(log_t)))
+        assert _same_bits(form.rn, (hi[i:j] - lo[i:j])[:, None]
+                          * geometry._radial_tables(7, 14)[0])
 
 
 @pytest.mark.parametrize("p, n_panels", [(3, 12), (7, 14), (10, 26), (7, 6)])
@@ -748,8 +749,8 @@ def test_radial_table_moments(p, n_panels):
     # the numpy sums of its products, and the integrals 1, 1/2 and -1/4 of
     # 1, t and t log t over [0, 1], the last to the rule's accuracy (the
     # order-3 rule of N = 8 errs by 5.8e-7 on it)
-    t, wt, log_t, (w0, m1, ml) = geometry._radial_tables(p, n_panels)
+    t, wt, (w0, m1, ml) = geometry._radial_tables(p, n_panels)
     assert (w0, m1, ml) == (np.sum(wt), np.sum(t * wt),
-                            np.sum(t * log_t * wt))
+                            np.sum(t * np.log(t) * wt))
     assert abs(w0 - 1.0) <= 4e-16 and abs(m1 - 0.5) <= 4e-16
     assert abs(ml + 0.25) <= 1e-6

@@ -1,5 +1,5 @@
 """Streamed node blocks are coordinate-major: the (m, n) nodes of
-``RaySet.block`` and the offsets of ``potentials._offsets`` are transposed
+``RayForm.nodes`` and the offsets of ``potentials._offsets`` are transposed
 views of C-contiguous (n, m) buffers, while the public builders hand out
 C-contiguous nodes.  Densities and domain functions must give the same
 bits on either layout of the same points.
@@ -11,7 +11,7 @@ import pytest
 from volpot import (cosine_star, disk, get_preset, make_ball,
                     singular_volume_rule, tabulated_from_csv,
                     write_samples_csv)
-from volpot.geometry import _singular_rays, rule_blocks
+from volpot.geometry import _singular_rays, rule_forms
 
 
 def _same_bits(a, b):
@@ -77,8 +77,8 @@ def test_block_nodes_coordinate_major_and_drained_nodes_c(dom, x):
     x = np.asarray(x)
     rays = _singular_rays(dom, x, 16, dom.distance_to_boundary(x))
     assert len(rays) == (2 if dom.dim == 2 else 1)
-    blocks = list(rule_blocks(rays))
-    assert all(y.T.flags.c_contiguous for y, _ in blocks)
+    blocks = [form.nodes for form in rule_forms(rays)]
+    assert all(y.T.flags.c_contiguous for y in blocks)
     vq = singular_volume_rule(dom, x, 16)
     assert vq.nodes.flags.c_contiguous
-    assert _same_bits(vq.nodes, np.concatenate([y for y, _ in blocks]))
+    assert _same_bits(vq.nodes, np.concatenate(blocks))

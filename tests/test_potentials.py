@@ -206,6 +206,17 @@ def test_K_side_validation():
                           np.array([2.0, 0.0]), "interior", 16)
 
 
+@pytest.mark.parametrize("side", ["exterior ", "Interior", "inside", ""])
+def test_K_and_potential_field_reject_an_unknown_side(side):
+    # a misspelt side once skipped the side check, or ran as the other side
+    for x in (np.array([0.5, 0.0]), np.array([1.5, 0.0])):
+        with pytest.raises(DomainError, match="'interior' or 'exterior'"):
+            boundary_kernel_K(k_grad2, lambda y: np.ones(len(y)), DISK, x,
+                              side, 16)
+    with pytest.raises(DomainError, match="'interior' or 'exterior'"):
+        PotentialField(FS2, DISK, side, 32)
+
+
 # -- Hessian ------------------------------------------------------------------
 
 def test_hessian_disk_constant_density():

@@ -23,7 +23,7 @@ from volpot import (anisotropic, cosine_star, disk, get_preset,
                     principal_fundamental, radial_extension, volume_potential,
                     volume_potential_gradient, volume_potential_hessian,
                     volume_potential_negative)
-from volpot.geometry import (RaySet, _drain, cached_boundary_rule,
+from volpot.geometry import (RayForm, RaySet, _drain, cached_boundary_rule,
                              exterior_chord_rule, near_exterior_star_rule,
                              singular_volume_rule, volume_rule)
 from volpot.potentials import _boundary_integral, _offsets, _ray_sums
@@ -217,14 +217,14 @@ def test_values_along_rays_match_cartesian(domain, N, kname):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_factored_weights_sum_like_node_weights(dim):
-    # random ray sets, lo zero and nonzero, with and without a centre: on
-    # a block, c @ ((v rn^(n-1)) @ wt) is the sum of v w over the same
-    # rays' drained node weights, and c @ (v @ wt) that of v w / rn^(n-1),
-    # to 1e-14 of the sum of the magnitudes; the block holds one factor
-    # per ray and one per radial node, no weight per node
+    # random ray sets, lo zero and nonzero, about the origin and another
+    # centre: on a block, c @ ((v rn^(n-1)) @ wt) is the sum of v w over
+    # the same rays' drained node weights, and c @ (v @ wt) that of
+    # v w / rn^(n-1), to 1e-14 of the sum of the magnitudes; the block
+    # holds one factor per ray and one per radial node, no weight per node
     rng = np.random.default_rng(dim)
     m = 60
-    for center in (None, rng.standard_normal(dim)):
+    for center in (np.zeros(dim), rng.standard_normal(dim)):
         for lo_zero in (True, False):
             dirs = rng.standard_normal((m, dim))
             dirs /= np.linalg.norm(dirs, axis=1)[:, None]
@@ -234,7 +234,7 @@ def test_factored_weights_sum_like_node_weights(dim):
             for p, n_panels in ((7, 14), (4, 0)):
                 rs = RaySet(center, dirs, lo, hi, wang, p, n_panels)
                 w = _drain((rs,)).weights
-                _, rays = rs.block(0, m)
+                rays = RayForm(rs, 0, m)
                 rn, c, wt = rays.rn, rays.c, rays.wt
                 assert c.shape == (m,) and wt.shape == (rn.shape[1],)
                 v = (rng.standard_normal(w.shape)
@@ -248,7 +248,7 @@ def test_factored_weights_sum_like_node_weights(dim):
                         (c @ _ray_sums(rays, v, False), v * w / jac)):
                     err = abs(got - np.sum(vw))
                     assert err <= 1e-14 * np.sum(np.abs(vw)), \
-                        (center is None, lo_zero, p, err)
+                        (center.any(), lo_zero, p, err)
 
 
 # -- closed forms ---------------------------------------------------------------

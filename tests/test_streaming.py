@@ -20,7 +20,7 @@ from volpot.geometry import (Domain, _chord_rays, _drain, _excised_rays,
                              _near_star_rays, _singular_rays,
                              cached_volume_rule,
                              exterior_chord_rule, near_exterior_star_rule,
-                             rule_blocks, singular_volume_rule)
+                             rule_forms, singular_volume_rule)
 from volpot.potentials import _offsets, _ray_sums
 from volpot.verify import check_integration_by_parts, check_maximal_bound
 
@@ -47,9 +47,9 @@ def _values(fs, x, nodes):
 
 
 def _streamed_and_drained(fs, x, rule):
-    blocks = list(rule_blocks(rule))
-    streamed = sum(rays.c @ _ray_sums(rays, _values(fs, x, y))
-                   for y, rays in blocks)
+    blocks = list(rule_forms(rule))
+    streamed = sum(rays.c @ _ray_sums(rays, _values(fs, x, rays.nodes))
+                   for rays in blocks)
     vq = _drain(rule)
     return len(blocks), streamed, np.sum(_values(fs, x, vq.nodes)
                                          * vq.weights)
@@ -90,7 +90,7 @@ def test_streamed_sum_matches_drained_rule(label, fs, x, factory):
 def test_block_arrays_stay_below_block_bytes():
     x = (1.0 - 1e-4) * NB3
     rule = _singular_rays(BALL, x, 20, BALL.distance_to_boundary(x))
-    sizes = [y.nbytes for y, _ in rule_blocks(rule)]
+    sizes = [form.nodes.nbytes for form in rule_forms(rule)]
     assert len(sizes) > 100
     assert max(sizes) < geometry._BLOCK_BYTES
 
@@ -167,8 +167,9 @@ def test_excised_rules_cast_once_and_keep_their_bits(domain, x, reenters,
             for name in ("dirs", "lo", "hi", "wang"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
             assert (a.p, a.n_panels) == (b.p, b.n_panels)
-        total = sum(rays.c @ _ray_sums(rays, FS2.eval(_offsets(x, y)))
-                    for y, rays in rule_blocks(ref))
+        total = sum(rays.c @ _ray_sums(rays,
+                                       FS2.eval(_offsets(x, rays.nodes)))
+                    for rays in rule_forms(ref))
         assert got == float(np.real(total))
     assert all(len(rule) == 1 + reenters for rule in rules)
 

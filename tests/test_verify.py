@@ -36,6 +36,14 @@ def test_report_pass_semantics():
     assert not rep.passed
 
 
+@pytest.mark.parametrize("side", ["inside", "Exterior", "exterior "])
+def test_pde_identity_rejects_an_unknown_side(side):
+    # "inside" once ran as the exterior check, without its 5h distance test
+    with pytest.raises(verify.DomainError, match="'interior' or 'exterior'"):
+        check_pde_identity(FS, laplacian(2), DISK, get_preset("bump"),
+                           np.array([[0.99, 0.0]]), N=16, side=side)
+
+
 def test_reports_deterministic():
     grid = np.array([[0.2, 0.1], [-0.3, 0.2]])
     bump = get_preset("bump")
