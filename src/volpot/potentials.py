@@ -332,10 +332,8 @@ def boundary_kernel_K(k, mu, domain: Domain, x, side: str = "interior",
     boundary; spectrally convergent there.  On-surface extension values are
     out of scope (points in the 1e-9 band are rejected)."""
     x = np.asarray(x, dtype=float)
-    want = _side_class(side)
-    if _classify_or_raise(domain, x) != want:
-        raise DomainError(f"{side}-side evaluation at an "
-                          f"{'exterior' if want > 0 else 'interior'} point")
+    if _side_class(side) != _classify_or_raise(domain, x):
+        raise DomainError(f"point is not on the {side} side")
     return _boundary_integral(domain,
                               lambda y, nu: np.asarray(k(x[None, :] - y)) * mu(y),
                               x, N)

@@ -208,7 +208,7 @@ def test_K_side_validation():
 
 @pytest.mark.parametrize("side", ["exterior ", "Interior", "inside", ""])
 def test_K_and_potential_field_reject_an_unknown_side(side):
-    # a misspelt side once skipped the side check, or ran as the other side
+    # a misspelt side neither skips the side check nor runs as another side
     for x in (np.array([0.5, 0.0]), np.array([1.5, 0.0])):
         with pytest.raises(DomainError, match="'interior' or 'exterior'"):
             boundary_kernel_K(k_grad2, lambda y: np.ones(len(y)), DISK, x,

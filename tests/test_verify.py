@@ -38,7 +38,8 @@ def test_report_pass_semantics():
 
 @pytest.mark.parametrize("side", ["inside", "Exterior", "exterior "])
 def test_pde_identity_rejects_an_unknown_side(side):
-    # "inside" once ran as the exterior check, without its 5h distance test
+    # an unknown side is not run as the exterior check, which skips the
+    # interior grid's 5h distance test
     with pytest.raises(verify.DomainError, match="'interior' or 'exterior'"):
         check_pde_identity(FS, laplacian(2), DISK, get_preset("bump"),
                            np.array([[0.99, 0.0]]), N=16, side=side)
