@@ -21,13 +21,19 @@ evaluation uses the regular rule far from the boundary and a chord rule
 1e-9 of the boundary are rejected; transmission is tested through one-sided
 limits (see :mod:`volpot.verify`).
 
-Every grid and rule comes from :mod:`volpot.geometry`.  Boundary terms
-sum a tuple of BoundaryQuadratures a rule at a time: the cached boundary
-rule far from the boundary, the graded layer rules near it (``_far``
-decides near and far for volume rules too).  Volume terms are reduced
-block by block: the rule for a point is a tuple of ray sets, and each
-block of rays is built, run through the kernel and the density and summed
-before the next one is built, so memory does not grow with the node count.
+Every grid and rule comes from :mod:`volpot.geometry`.  Every integral
+over the boundary seen from a point, layer potentials, the boundary terms
+of the component densities and the Hessian's K^+[k1_j, nu_l] alike, goes
+through ``_boundary_integral``: the cached boundary rule far from the
+boundary, the graded layer rules within 0.1 radii of it (``_far`` decides
+near and far for volume rules too), summed a rule at a time, an array
+integrand (the Hessian's n^2 products) in one pass.  Volume terms are
+reduced block by block: the rule for a point is a tuple of ray sets, and
+each block of rays is built, run through the kernel and the density and
+summed before the next one is built, so memory does not grow with the node
+count.  A sum of an integrand of x - y and y over such blocks (the
+subtraction operator, and the excised polar rules of :mod:`volpot.verify`)
+is ``_rule_sum``.
 
 Every block carries its weights factored, w_ij = c_i wt_j r_ij^(n-1): one
 number per ray times the cached radial table (see ``geometry.RayForm``).
@@ -82,8 +88,8 @@ import numpy as np
 from .errors import DomainError, NearBoundaryError, VolpotError
 from .fundsol import FundamentalSolution
 from .geometry import (Domain, cached_boundary_rule, rule_forms, _chord_rays,
-                       _graded_boundary_rules, _near_star_rays, _regular_rays,
-                       _singular_rays)
+                       _excised_rays, _graded_boundary_rules, _near_star_rays,
+                       _regular_rays, _singular_rays)
 from .schauder import NegativeExponentDensity
 
 # Points closer to the boundary than this fraction of a ball's radius (a
@@ -165,6 +171,25 @@ def _volume_blocks(domain, x, N):
             yield form, None if at_x else _offsets(x, form.nodes)
 
     return cls, blocks()
+
+
+def _excised_rules(domain, x, N, radii):
+    """The blocks (form, None) (see ``_volume_blocks``) of the polar rules
+    about the strictly interior point x with B(x, r) excised, for each r in
+    radii, from one ray cast."""
+    if domain.classify(x) <= 0:
+        raise NearBoundaryError(
+            "the excised polar rule requires a strictly interior point")
+    return [((form, None) for form in rule_forms(rays)) for rays in
+            _excised_rays(domain, x, N, domain.distance_to_boundary(x), radii)]
+
+
+def _rule_sum(x, blocks, integrand):
+    """sum of integrand(x - y, y) w over the blocks (form, z) of a rule
+    about x, a block at a time; x - y is built where z is None."""
+    return sum(form.c @ _ray_sums(form, integrand(
+        _offsets(x, form.nodes) if z is None else z, form.nodes))
+        for form, z in blocks)
 
 
 def _ray_sums(form, v, jacobian=True):
@@ -296,10 +321,8 @@ def subtracted_integral_G(k, psi, l: int, domain: Domain, x, N: int = 64,
         raise DomainError("x must lie in the closure of the bounding ball")
     _check_odd_homogeneous(k, domain.dim)
     psi_x = psi(x)
-    total = 0.0
-    for form, z in _volume_blocks(domain, x, N)[1]:
-        y = form.nodes
-        z = _offsets(x, y) if z is None else z
+
+    def integrand(z, y):
         if dk is not None:
             dkl = np.asarray(dk(z))[:, l]
         else:
@@ -308,8 +331,9 @@ def subtracted_integral_G(k, psi, l: int, domain: Domain, x, N: int = 64,
             step[:, l] = h
             dkl = ((np.asarray(k(z + step)) - np.asarray(k(z - step)))
                    / (2.0 * h))
-        total += form.c @ _ray_sums(form, dkl * (psi(y) - psi_x))
-    return complex(total)
+        return dkl * (psi(y) - psi_x)
+
+    return complex(_rule_sum(x, _volume_blocks(domain, x, N)[1], integrand))
 
 
 def _check_odd_homogeneous(k, n, tol=1e-8):
@@ -355,17 +379,21 @@ def single_layer(fs: FundamentalSolution, domain: Domain, phi, x,
 
 
 def _boundary_integral(domain, integrand, x, N):
-    """integrand(y, nu) is vectorized over boundary points y with outward
-    normals nu; x only steers the rule choice: the cached boundary rule
-    far from the boundary, the graded rules of
-    ``geometry._graded_boundary_rules`` on or near it, summed a rule at a
-    time."""
+    """The integral over the boundary of integrand(y, nu), which is
+    vectorized over boundary points y with outward normals nu along its
+    last axis: a Python complex for a value per point, an array of sums
+    along that axis for an array of values per point (each row C-contiguous,
+    so it sums with the bits of the same row alone).  x only steers the
+    rule choice: the cached boundary rule far from the boundary, the graded
+    rules of ``geometry._graded_boundary_rules`` on or near it, summed a
+    rule at a time."""
     if _far(domain, domain.distance_to_boundary(x)):
         rules = (cached_boundary_rule(domain, N),)
     else:
         rules = _graded_boundary_rules(domain, x, N)
-    return complex(sum(np.sum(integrand(bq.nodes, bq.normals) * bq.weights)
-                       for bq in rules))
+    total = sum(np.sum(np.ascontiguousarray(integrand(bq.nodes, bq.normals))
+                       * bq.weights, axis=-1) for bq in rules)
+    return total if np.ndim(total) else complex(total)
 
 
 def volume_potential_hessian(fs: FundamentalSolution, domain: Domain, f, x,
@@ -383,8 +411,12 @@ def volume_potential_hessian(fs: FundamentalSolution, domain: Domain, f, x,
     after a reduction along each ray of the polar rule about x (see the
     module docstring): ``fs.k1_jacobian`` receives the block's directions
     with one weight per ray, and the screened k2 term is formed from
-    ``fs.k2_radial``, so no (nodes, n, n) array is formed.  A real density
-    stays real until the result is cast to complex.
+    ``fs.k2_radial``, so no (nodes, n, n) array is formed.  K^+ goes
+    through the boundary dispatch of every boundary integral
+    (``_boundary_integral``), all n^2 entries in one pass: the cached
+    boundary rule far from the boundary, the graded rules within 0.1 radii
+    of it, where the plain rule loses the nearly singular k1.  A real
+    density stays real until the result is cast to complex.
     ``extension`` defaults to ray transport from the star center (only its
     values on closure(Omega) enter for interior x).
     """
@@ -417,9 +449,10 @@ def volume_potential_hessian(fs: FundamentalSolution, domain: Domain, f, x,
                        + (dirs.T * (c * _ray_sums(form, fvals * alpha_r2)))
                        @ dirs)
 
-    bq = cached_boundary_rule(domain, N)
-    kb = fs.k1(_offsets(x, bq.nodes))            # (mb, j)
-    K = np.einsum("mj,ml,m->lj", kb, bq.normals, bq.weights)
+    # the integrand k1_j(x - y) nu_l(y) as (l, j, node)
+    K = _boundary_integral(
+        domain, lambda y, nu: nu.T[:, None, :] * fs.k1(_offsets(x, y)).T,
+        x, N)
     H = H1 - fx * K
     if screened:
         H = H + H2

@@ -19,15 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NearBoundaryError
+from .errors import DomainError
 from .fundsol import FundamentalSolution, sphere_measure
-from .geometry import (Domain, cached_boundary_rule, rule_forms,
-                       _circle_grid, _excised_rays, _gl_sphere)
+from .geometry import Domain, cached_boundary_rule, _circle_grid, _gl_sphere
 from .operators import OperatorCoefficients, apply_operator_fd
 from .potentials import (single_layer, volume_potential,
                          volume_potential_gradient, volume_potential_hessian,
                          volume_potential_negative, _boundary_integral,
-                         _offsets, _ray_sums, _side_class)
+                         _excised_rules, _rule_sum, _side_class)
 from .presets import get_preset
 from .schauder import Modulus
 
@@ -159,17 +158,20 @@ def check_pde_identity(fs: FundamentalSolution, op: OperatorCoefficients,
     """Apply the operator to the volume potential by finite differences on a
     point grid; interior residual is measured against the density (relative
     to sup |f|), exterior residual against zero (relative to the largest
-    finite-difference term)."""
-    _side_class(side)
+    finite-difference term).  A grid point that is not on ``side``, or is
+    closer than 5h to the boundary, raises DomainError."""
+    cls = _side_class(side)
     if tol is None:
         tol = DEFAULT_TOLERANCES["pde_identity" if side == "interior"
                                  else "pde_identity_exterior"]
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    if side == "interior":
-        for x in grid:
-            if domain.distance_to_boundary(x) < 5.0 * h:
-                raise DomainError(
-                    "grid point closer than 5h to the boundary")
+    # the whole stencil must lie on the side: a point on the other side
+    # has no identity to check, one near the boundary a stencil across it
+    for x in grid:
+        if domain.distance_to_boundary(x) < 5.0 * h:
+            raise DomainError("grid point closer than 5h to the boundary")
+        if domain.classify(x) != cls:
+            raise DomainError(f"point is not on the {side} side")
 
     seen = []
 
@@ -302,23 +304,6 @@ def check_sphere_residue(k, j: int, n: int, expected: float,
         [("psi_gap", abs(psi - expected))], tol)
 
 
-def _excised_rules(domain, x, N, radii):
-    """The polar rules about the strictly interior point x with B(x, r)
-    excised, for each r in radii, from one ray cast."""
-    if domain.classify(x) <= 0:
-        raise NearBoundaryError(
-            "the excised polar rule requires a strictly interior point")
-    return _excised_rays(domain, x, N, domain.distance_to_boundary(x), radii)
-
-
-def _rule_sum(x, rays, integrand):
-    """sum of integrand(x - y, y) w over a polar rule about x, a block of
-    rays at a time."""
-    return sum(form.c @ _ray_sums(form, integrand(_offsets(x, form.nodes),
-                                                  form.nodes))
-               for form in rule_forms(rays))
-
-
 @_timed
 def check_integration_by_parts(k, dk, domain: Domain, phi, dphi, x, j: int,
                                eps_seq=(1e-1, 1e-2, 1e-3, 1e-4), N: int = 64,
@@ -431,15 +416,15 @@ def check_derivative_recursion(fs: FundamentalSolution, domain: Domain, phi,
     worst = 0.0
     for x in grid:
         lhs = volume_potential_gradient(fs, domain, phi, x, N)
+        # the single layers of all n moments nu_j phi, in one pass
+        v = _boundary_integral(
+            domain,
+            lambda y, nu: fs.eval(x[None, :] - y) * nu.T * np.asarray(phi(y)),
+            x, N)
         for j in range(domain.dim):
             pj = volume_potential(
                 fs, domain, lambda y: np.asarray(dphi(y))[:, j], x, N)
-            vj = _boundary_integral(
-                domain,
-                lambda y, nu, _j=j: fs.eval(np.asarray(x)[None, :] - y)
-                * nu[:, _j] * np.asarray(phi(y)),
-                np.asarray(x, dtype=float), N)
-            worst = max(worst, abs(lhs[j] - (pj - vj)))
+            worst = max(worst, abs(lhs[j] - (pj - v[j])))
     return VerificationReport(
         "derivative_recursion",
         {"N": N, "points": len(grid), "kind": fs.kind},

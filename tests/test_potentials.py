@@ -14,7 +14,7 @@ from volpot import (DomainError, NearBoundaryError, PotentialField,
                     volume_potential, volume_potential_gradient,
                     volume_potential_hessian, volume_potential_negative,
                     volume_rule)
-from volpot.geometry import cached_boundary_rule, singular_volume_rule
+from volpot.geometry import singular_volume_rule
 from volpot.operators import OperatorCoefficients
 from volpot import potentials
 from volpot.potentials import _boundary_integral
@@ -412,7 +412,6 @@ def test_derivative_recursion_all_kinds(fs, dom):
     n = dom.dim
     pts = [np.zeros(n), np.full(n, 0.25), np.full(n, 2.0 / np.sqrt(n))]
     pts[2][0] *= 1.2
-    from volpot.potentials import _boundary_integral
     for x in pts:
         g = volume_potential_gradient(fs, dom, X1, x, 48)
         for j in range(n):
@@ -468,6 +467,18 @@ def test_potential_field_wrapper_enforces_side():
         ext.gradient(ONE, np.array([0.0, 0.0]))
 
 
+def test_potential_field_hessian():
+    field = PotentialField(FS2, DISK, "interior", 32)
+    x = np.array([0.3, -0.2])
+    H = field.hessian(X1SQ, x)
+    assert np.array_equal(H, volume_potential_hessian(FS2, DISK, X1SQ, x, 32))
+    with pytest.raises(DomainError, match="not on the interior side"):
+        field.hessian(X1SQ, np.array([1.5, 0.0]))
+    ext = PotentialField(FS2, DISK, "exterior", 32)
+    with pytest.raises(NearBoundaryError):
+        ext.hessian(X1SQ, np.array([1.5, 0.0]))
+
+
 # -- Hessian from weighted kernel moments ---------------------------------------
 
 def _dense_hessian(fs, domain, f, x, N):
@@ -479,9 +490,10 @@ def _dense_hessian(fs, domain, f, x, N):
     z = x[None, :] - vq.nodes
     fvals = np.asarray(f(vq.nodes), dtype=complex)
     H = np.einsum("mlj,m->lj", fs.k1_jacobian(z), (fvals - fx) * vq.weights)
-    bq = cached_boundary_rule(domain, N)
-    kb = fs.k1(x[None, :] - bq.nodes)
-    H = H - fx * np.einsum("mj,ml,m->lj", kb, bq.normals, bq.weights)
+    K = [[_boundary_integral(domain, lambda y, nu, l=l, j=j:
+                             fs.k1(x[None, :] - y)[:, j] * nu[:, l], x, N)
+          for j in range(len(x))] for l in range(len(x))]
+    H = H - fx * np.array(K)
     if fs.kind == "modified-helmholtz":
         H = H + np.einsum("mlj,m->lj", fs.k2_jacobian(z), fvals * vq.weights)
     return H

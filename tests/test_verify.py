@@ -38,11 +38,25 @@ def test_report_pass_semantics():
 
 @pytest.mark.parametrize("side", ["inside", "Exterior", "exterior "])
 def test_pde_identity_rejects_an_unknown_side(side):
-    # an unknown side is not run as the exterior check, which skips the
-    # interior grid's 5h distance test
+    # an unknown side is not run as the exterior check
     with pytest.raises(verify.DomainError, match="'interior' or 'exterior'"):
         check_pde_identity(FS, laplacian(2), DISK, get_preset("bump"),
                            np.array([[0.99, 0.0]]), N=16, side=side)
+
+
+@pytest.mark.parametrize("side, point, message", [
+    ("exterior", (0.2, 0.1), "not on the exterior side"),
+    ("interior", (1.5, 0.0), "not on the interior side"),
+    ("exterior", (1.0005, 0.0), "closer than 5h"),
+    ("interior", (0.9995, 0.0), "closer than 5h")])
+def test_pde_identity_rejects_a_point_off_its_side(side, point, message):
+    # a grid point on the other side, or one whose stencil straddles the
+    # boundary, has no identity to check: it raises, not a failed report
+    grid = np.array([[-0.3, 0.2], point]) if side == "interior" \
+        else np.array([[2.0, 0.5], point])
+    with pytest.raises(verify.DomainError, match=message):
+        check_pde_identity(FS, laplacian(2), DISK, get_preset("bump"), grid,
+                           h=1e-3, N=16, side=side)
 
 
 def test_reports_deterministic():
