@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, verify
 from .config import (build_density, build_domain, build_fundsol,
                      build_operator, default_config, load_config)
-from .errors import VolpotError
+from .errors import ConfigError, VolpotError
 from .potentials import single_layer, volume_potential
 from .presets import get_preset
 from .verify import DEFAULT_TOLERANCES, write_reports_csv
@@ -71,6 +71,10 @@ def _load(args):
     # the fundamental solution fixes the operator the checks verify against
     # (an explicit fundsol.kind overrides the operator section)
     domain = build_domain(cfg)
+    n = fs.operator.dim
+    if n != domain.dim:
+        raise ConfigError(f"operator.a2 is {n} x {n} but the domain is "
+                          f"{domain.dim}D")
     return cfg, fs.operator, fs, domain
 
 

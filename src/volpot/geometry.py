@@ -5,6 +5,11 @@ Two domain kinds: balls in R^2/R^3 and planar star-shaped domains
 Boundary rules are trapezoid-based (spectral on smooth data) in 2D and
 Gauss-Legendre x trapezoid product rules on the sphere.
 
+Every Gauss-Legendre rule, radial, polar or graded, is ``_leggauss``
+(``_gl01`` maps it to [0, 1]): Halley steps on the Legendre recurrence,
+O(p) memory and correctly rounded, with no p x p matrix even where the
+polar rule near the sphere takes up to 2000 angles.
+
 This module owns every angular grid: ``_circle_grid`` (the trapezoid
 circle) and ``_sphere_grid`` (polar angles times the trapezoid azimuth,
 about z or a given direction; ``_gl_sphere`` for Gauss-Legendre polar
@@ -62,7 +67,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, NearBoundaryError
 
@@ -483,27 +487,81 @@ def _drain(rule):
                             np.concatenate(weights))
 
 
-# The Gauss-Legendre rules are cached because ``leggauss`` runs an
-# eigen-solve, and read-only because every caller shares the same arrays.
+# Gauss-Legendre rules take O(p) memory and O(p^2) time: no p x p matrix,
+# whose eigen-solve (numpy's leggauss) takes O(p^2) memory and O(p^3) time
+# where the polar rule near the sphere reaches p = 2000.  They are cached,
+# so each order is built once per process, and read-only because every
+# caller shares the same arrays.
 
-@lru_cache(maxsize=256)
-def _gl01(p):
-    """Gauss-Legendre nodes and weights mapped to [0, 1]."""
-    z, w = leggauss(p)
-    u, wu = 0.5 * (z + 1.0), 0.5 * w
-    u.setflags(write=False)
-    wu.setflags(write=False)
-    return u, wu
+def _legendre_halley(p, theta):
+    """cos(theta), sin(theta), the theta derivatives f1, f2 of f =
+    P_p(cos theta) and the Halley step toward its root, in the precision
+    of theta.  P_p and P_(p-1) come from the three-term recurrence written
+    on the differences d_j = P_j - P_(j-1) in t = cos(theta) - 1 = -2
+    sin^2(theta / 2), which keeps them accurate near x = 1, and f2 from
+    Legendre's equation."""
+    real = theta.dtype.type
+    s = np.sin(theta / 2)
+    t = -2 * s * s
+    P, d, tP = 1 + t, t.copy(), np.empty_like(t)
+    for j in range(1, p):
+        # (j + 1) d_(j+1) = j d_j + (2j + 1) t P_j
+        np.multiply(t, P, out=tP)
+        tP *= real(2 * j + 1) / (j + 1)
+        d *= real(j) / (j + 1)
+        d += tP
+        P += d
+    ct, st = 1 + t, np.sin(theta)
+    f1 = p * (ct * P - (P - d)) / st
+    f2 = -f1 * ct / st - p * (p + 1) * P
+    r = P / f1
+    return ct, st, f1, f2, r / (1 - r * f2 / (2 * f1))
 
 
 @lru_cache(maxsize=256)
 def _leggauss(p):
     """Gauss-Legendre nodes and weights on [-1, 1] (polar angles on the
-    sphere)."""
-    z, w = leggauss(p)
+    sphere), ascending and exactly symmetric, in O(p) memory.
+
+    The nodes x = cos(theta) >= 0 are found by Halley steps in theta
+    (``_legendre_halley``) from Tricomi's estimates and mirrored.  Halley
+    converges cubically, so after a step below 1e-7 / p theta is exact to
+    rounding; one more step, in long double, then gives x and the weights
+    2 / f1^2 = 2 sin^2(theta) / (p P_(p-1))^2 at the root by Taylor's
+    formula, finer than a double theta resolves: correctly rounded but
+    for rare last-bit ties where long double is the 80-bit format, a few
+    ulps where it is plain double.  The weights are scaled to sum to 2."""
+    k = np.arange(1, (p + 1) // 2 + 1)
+    phi = (4 * k - 1) * np.pi / (4 * p + 2)
+    theta = phi + (p - 1) / (8.0 * p ** 3) / np.tan(phi)
+    for _ in range(8):
+        step = _legendre_halley(p, theta)[-1]
+        theta -= step
+        if p * np.max(np.abs(step)) < 1e-7:
+            break
+    ct, st, f1, f2, step = _legendre_halley(p, theta.astype(np.longdouble))
+    x = ct + step * (st - step * ct / 2)
+    w = 2 / (f1 - step * f2) ** 2
+    if p % 2:
+        x[-1] = 0
+    m = p // 2
+    w = np.concatenate([w[:m], w[::-1]])
+    w *= 2 / np.sum(w)
+    z = np.concatenate([-x[:m], x[::-1]]).astype(float)
+    w = w.astype(float)
     z.setflags(write=False)
     w.setflags(write=False)
     return z, w
+
+
+@lru_cache(maxsize=256)
+def _gl01(p):
+    """Gauss-Legendre nodes and weights mapped to [0, 1]."""
+    z, w = _leggauss(p)
+    u, wu = 0.5 * (z + 1.0), 0.5 * w
+    u.setflags(write=False)
+    wu.setflags(write=False)
+    return u, wu
 
 
 def _ray_nodes(x, rn, dirs):
@@ -535,13 +593,21 @@ def _cone_dirs(ca, sa, axis, e1, e2, phi):
     return out.reshape(-1, 3)
 
 
+def _cross(a, b):
+    """a x b for 3-vectors given as sequences of floats, with the products
+    and differences of ``np.cross`` and so its bits, at a tenth of its
+    cost."""
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def _axis_frame(axis):
-    tmp = np.array([1.0, 0.0, 0.0]) if abs(axis[0]) < 0.9 else np.array(
-        [0.0, 1.0, 0.0])
-    e1 = np.cross(axis, tmp)
+    """Unit vectors e1, e2 with (e1, e2, axis) right-handed: e1 along
+    axis x e_x (axis x e_y where axis is near e_x), e2 = axis x e1."""
+    a = axis.tolist()
+    e1 = _cross(a, (1.0, 0.0, 0.0) if abs(a[0]) < 0.9 else (0.0, 1.0, 0.0))
     e1 /= np.linalg.norm(e1)
-    e2 = np.cross(axis, e1)
-    return e1, e2
+    return e1, _cross(a, e1.tolist())
 
 
 def _circle_grid(m):

@@ -113,6 +113,21 @@ def _side_class(side):
     return 1 if side == "interior" else -1
 
 
+def _check_dims(domain, fs=None, x=None):
+    """x as a float array (None stays None), after checking that the
+    kernel fs (None for a bare callable kernel), the domain and the point
+    x share one dimension: DomainError otherwise."""
+    if fs is not None and fs.dim != domain.dim:
+        raise DomainError(f"a {fs.dim}D kernel on a {domain.dim}D domain")
+    if x is None:
+        return None
+    x = np.asarray(x, dtype=float)
+    if x.shape != (domain.dim,):
+        raise DomainError(f"x must be a point of R^{domain.dim}, "
+                          f"got an array of shape {x.shape}")
+    return x
+
+
 def _classify_or_raise(domain, x):
     cls = domain.classify(x)
     if cls == 0:
@@ -266,7 +281,7 @@ def _gradient_sum(fs, form, z, f):
 def volume_potential(fs: FundamentalSolution, domain: Domain, f, x,
                      N: int = 64) -> complex:
     """int_Omega S(x - y) f(y) dy for bounded f on the closure."""
-    x = np.asarray(x, dtype=float)
+    x = _check_dims(domain, fs, x)
     _, blocks = _volume_blocks(domain, x, N)
     return complex(sum(_value_sum(fs, form, z, _density(f, form))
                        for form, z in blocks))
@@ -275,7 +290,7 @@ def volume_potential(fs: FundamentalSolution, domain: Domain, f, x,
 def volume_potential_gradient(fs: FundamentalSolution, domain: Domain, f, x,
                               N: int = 64) -> np.ndarray:
     """Gradient of the volume potential, int_Omega grad S(x - y) f(y) dy."""
-    x = np.asarray(x, dtype=float)
+    x = _check_dims(domain, fs, x)
     _, blocks = _volume_blocks(domain, x, N)
     return sum(_gradient_sum(fs, form, z, _density(f, form))
                for form, z in blocks)
@@ -316,7 +331,7 @@ def subtracted_integral_G(k, psi, l: int, domain: Domain, x, N: int = 64,
     singularity-clustered rule applies directly; exterior points of the
     bounding ball see a smooth integrand and use the regular rules.
     """
-    x = np.asarray(x, dtype=float)
+    x = _check_dims(domain, x=x)
     if np.linalg.norm(x) > domain.bounding_radius * (1.0 + 1e-12):
         raise DomainError("x must lie in the closure of the bounding ball")
     _check_odd_homogeneous(k, domain.dim)
@@ -355,7 +370,7 @@ def boundary_kernel_K(k, mu, domain: Domain, x, side: str = "interior",
     """K[k, mu](x) = int_dOmega k(x - y) mu(y) dsigma_y for x off the
     boundary; spectrally convergent there.  On-surface extension values are
     out of scope (points in the 1e-9 band are rejected)."""
-    x = np.asarray(x, dtype=float)
+    x = _check_dims(domain, x=x)
     if _side_class(side) != _classify_or_raise(domain, x):
         raise DomainError(f"point is not on the {side} side")
     return _boundary_integral(domain,
@@ -373,7 +388,7 @@ def single_layer(fs: FundamentalSolution, domain: Domain, phi, x,
     parameter handles the log (2D) or |.|^{-1} (3D) singularity at order
     well above 3.
     """
-    x = np.asarray(x, dtype=float)
+    x = _check_dims(domain, fs, x)
     return _boundary_integral(
         domain, lambda y, nu: fs.eval(x[None, :] - y) * phi(y), x, N)
 
@@ -420,7 +435,7 @@ def volume_potential_hessian(fs: FundamentalSolution, domain: Domain, f, x,
     ``extension`` defaults to ray transport from the star center (only its
     values on closure(Omega) enter for interior x).
     """
-    x = np.asarray(x, dtype=float)
+    x = _check_dims(domain, fs, x)
     cls, blocks = _volume_blocks(domain, x, N)
     if cls < 0:
         raise NearBoundaryError("Hessian evaluation requires an interior point")
@@ -474,7 +489,7 @@ def volume_potential_negative(fs: FundamentalSolution, domain: Domain,
     f_j are reduced against grad S, both along the rays where they start
     at x (see the module docstring).
     """
-    x = np.asarray(x, dtype=float)
+    x = _check_dims(domain, fs, x)
     n = domain.dim
     comps = nd.components
     value = grad = 0
@@ -527,6 +542,7 @@ class PotentialField:
 
     def __post_init__(self):
         _side_class(self.side)
+        _check_dims(self.domain, self.fs)
 
     def _check(self, x):
         if _classify_or_raise(self.domain, x) != _side_class(self.side):

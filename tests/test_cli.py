@@ -96,6 +96,20 @@ def test_non_elliptic_config_exits_2(tmp_path, capsys):
     assert "ellipticity" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("body", [
+    # no operator section: its default a2 is 2 x 2
+    "domain.dim = 3\neval.points = [[0.33333, 0.66666, -0.66666]]\n",
+    "domain.dim = 2\noperator.a2 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]\n"
+    "operator.a1 = [0, 0, 0]\n"], ids=["3d-ball", "disk"])
+def test_operator_of_another_dimension_exits_2(tmp_path, capsys, body):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("domain.kind = ball\ndomain.R = 1.0\nchecks.N = 20\n"
+                   + body)
+    assert main(["eval", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "operator.a2 is" in capsys.readouterr().err
+    assert not (tmp_path / "eval.csv").exists()
+
+
 def test_unknown_preset_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(SMALL_CONFIG + "density.preset = nope\n")

@@ -1,4 +1,5 @@
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -210,6 +211,162 @@ def test_gauss_legendre_nodes_cached_read_only():
         for arr in (u, w):
             with pytest.raises(ValueError):
                 arr[0] = 0.5
+
+
+# Gauss-Legendre nodes x_k (k-th from x = 1) and weights w_k as "p k x_k
+# w_k", to 40 digits: the whole half-rule up to p = 40, then the 12 nodes
+# nearest x = 1, every 16th after them and the middle one.  Generated with
+# mpmath 1.3 by
+#
+#     from mpmath import mp, mpf, cos, pi, nstr
+#     mp.dps = 60
+#
+#     def gl_node(p, k):
+#         x = cos(pi * (4 * k + 3) / (4 * p + 2))
+#         for _ in range(100):
+#             a, b = mpf(1), x                  # P_(j-1)(x), P_j(x)
+#             for j in range(1, p):
+#                 a, b = b, ((2 * j + 1) * x * b - j * a) / (j + 1)
+#             dx = b * (1 - x * x) / (p * (a - x * b))
+#             x -= dx
+#             if abs(dx) < mpf(10) ** -50:
+#                 break
+#         a, b = mpf(1), x
+#         for j in range(1, p):
+#             a, b = b, ((2 * j + 1) * x * b - j * a) / (j + 1)
+#         if 2 * k + 1 == p:                    # the middle node, 0
+#             x = mpf(0)
+#         return x, 2 * (1 - x * x) / (p * a) ** 2
+#
+#     for p in (1, 2, 3, 7, 40, 189, 600):
+#         h = (p + 1) // 2
+#         ks = (range(h) if p <= 40
+#               else sorted({*range(12), *range(12, h, 16), h - 1}))
+#         for k in ks:
+#             x, w = gl_node(p, k)
+#             print(p, k, *(nstr(v, 40, min_fixed=-50, max_fixed=50)
+#                           for v in (x, w)))
+GL_REFERENCE = """
+1 0 0.0 2.0
+2 0 0.5773502691896257645091487805019574556476 1.0
+3 0 0.7745966692414833770358530799564799221666 0.5555555555555555555555555555555555555556
+3 1 0.0 0.8888888888888888888888888888888888888889
+7 0 0.9491079123427585245261896840478512624008 0.1294849661688696932706114326790820183286
+7 1 0.7415311855993944398638647732807884070741 0.2797053914892766679014677714237795824869
+7 2 0.4058451513773971669066064120769614633474 0.3818300505051189449503697754889751338784
+7 3 0.0 0.4179591836734693877551020408163265306122
+40 0 0.9982377097105592003496227024205864923358 0.004521277098533191258471732878185332727831
+40 1 0.9907262386994570064530543522213721549622 0.01049828453115281361474217106727965237679
+40 2 0.9772599499837742626633702837129038069787 0.01642105838190788871286348488236392729234
+40 3 0.9579168192137916558045409994527592850949 0.02224584919416695726150432418420857320703
+40 4 0.9328128082786765333608521668452057164348 0.02793700698002340109848915750772107730255
+40 5 0.9020988069688742967282533308684931035845 0.03346019528254784739267818308641084897724
+40 6 0.8659595032122595038207818083546199635705 0.03878216797447201763997203129044616225346
+40 7 0.8246122308333116631963202306660987739072 0.04387090818567327199167468604171549581101
+40 8 0.7783056514265193876949715455064948480207 0.04869580763507223206143416044814638806784
+40 9 0.7273182551899271032809964517549305485574 0.05322784698393682435499647977226050455532
+40 10 0.6719566846141795483793545149614941099703 0.0574397690993915513666177309104259856001
+40 11 0.6125538896679802379526124502306948773801 0.06130624249292893916653799640839859590259
+40 12 0.549467125095128202075931305529517970234 0.06480401345660103807455452956675273003269
+40 13 0.483075801686178712908566574244823004599 0.0679120458152339038256901082319239859842
+40 14 0.4137792043716050015248797458037136829741 0.07061164739128677969548363085528683235956
+40 15 0.341994090825758473007492481179194310067 0.07288658239580405906051068344251783585756
+40 16 0.2681521850072536811411843448085961834248 0.0747231690579682642001893362613246731912
+40 17 0.1926975807013710997155168520651498948141 0.07611036190062624237155807592249482301256
+40 18 0.1160840706752552084834512844080241137687 0.07703981816424796558830753428381024852444
+40 19 0.03877241750605082193319344402462329467936 0.07750594797842481126372396295832632696367
+189 0 0.9999194784924893635754074677366997058523 0.0002066414177835463641178966677562604869509
+189 1 0.9995757612794791576223010902719021700603 0.0004809667712641188245072012299992175384263
+189 2 0.9989574867917119744914268362080405607178 0.0007555662522462494733599513798714897436867
+189 3 0.9980646875839451996989310811647539280625 0.001029993372224139424632863206651886347143
+189 4 0.9968975922000627024680308607468241510266 0.001304144501465109167118555491476284135921
+189 5 0.9954565173788227349436936302696773117175 0.001577939329876798376390829470464577293052
+189 6 0.9937418578379032467236913524478239038294 0.001851301293005470778046991765076934982478
+189 7 0.9917540842776302166641331604106288060568 0.002124154814015944422019133808832698426503
+189 8 0.9894937427498886201769902027568994500365 0.002396424723246101101458139265022860043022
+189 9 0.9869614543411821180187887361323894398103 0.002668036109629298976879427504643444763818
+189 10 0.9841579149370324159278956568471682531457 0.002938914284110348328145235358353527222396
+189 11 0.9810838950023672325236479956917530754694 0.003208984778070471251071331009097315562778
+189 12 0.9777402393562108853942980108824994104265 0.003478173354311457373651802972080365624136
+189 28 0.8885444296490672458182239540862583936343 0.007605853749352806560632182400226521840495
+189 44 0.7371969870557845373845046533559321242529 0.01120152238352194490539608641150127423047
+189 60 0.5342843153819450770752787899068414376317 0.01401367036923921251567120183051244789778
+189 76 0.2939996879948569804088955640149580431571 0.01584559443173624032170713154397745043011
+189 92 0.03315046043796715595514299029374923063981 0.01656915570614310631420445687242551086203
+189 94 0.0 0.01657826764236586926556379115721224741545
+600 0 0.9999919811801331040972119474893398535068 0.00002057885378962236890910463896942248821237
+600 1 0.9999577495568427157441533393726671819136 0.00004790310784019442088943043793069803876238
+600 2 0.9998961652224424045811445238768760693542 0.0000752665116726902854639062293835863689894
+600 3 0.9998072161836325631948112811722445646326 0.0001026313698081534926968336325743795213593
+600 4 0.999690903199409755844339512674022880893 0.0001299941245083754418224748844585991300439
+600 5 0.9995472290531084440641286125227123733586 0.0001573535326278100710408109700206150582014
+600 6 0.999376197543747560823699752416828416625 0.0001847087143137404120674915415460059238356
+600 7 0.9991778132979662072665346018105938311086 0.0002120588763129270125374490424038179351281
+600 8 0.9989520817199469059820650791627118415281 0.0002394032521329040791540530301480787788685
+600 9 0.9986990089746568409283310121237429226244 0.0002667410852141561153285545373857211074568
+600 10 0.9984186019812189685309711798509651196469 0.0002940716232594228281860319106296421930685
+600 11 0.9981108684099004275191064086635135449406 0.0003213941160542786775465768621402899815657
+600 12 0.9977758166805534460100811702044294792367 0.0003487078145439139374593839755171593228964
+600 28 0.9887094863484385363386491542915826212718 0.0007839216888875374681707596132106278058773
+600 44 0.9727196067474415893710145024137356348914 0.00121364608016894873877699607419795193704
+600 60 0.949918148730795607614156737079143996861 0.001634871779297884277472753575544915411808
+600 76 0.9204647820649189389183947867029844888485 0.002044649105139503822605711790954270762056
+600 92 0.8845657572601871421398140278073035490006 0.002440108545761327180190648576279875145426
+600 108 0.8424724612739935117574905599850306029231 0.002818480851928868051111980878312583314957
+600 124 0.7944796571445251048731153332574416208612 0.003177116429010207658046527583614292577641
+600 140 0.7409234198792395692548886329691994037031 0.003513503891044889151176349182252005389851
+600 156 0.682178783051768181523032603946494862548 0.003825287647002242891153026386945731193575
+600 172 0.6186571125871193489638854780967256524864 0.004110284396071033733996917402553634731259
+600 188 0.5508032261255206576897945704327948949832 0.004366498416468349641486955472136553654507
+600 204 0.4790922781368694148370050628241960088858 0.004592135540705564962815896674461690467376
+600 220 0.4040264325981247505837746314504316306486 0.004785615719447819004626725380127643057205
+600 236 0.3261313465335906355336889555032810500947 0.004945584085987100665377852483530612922349
+600 252 0.2459524890424937849987536149085506403053 0.005070920443848693228793575074800949495916
+600 268 0.1640513215902794535371527749954394577157 0.005160747111092935499291066287247849513051
+600 284 0.08100136631156468266655109148256333551205 0.005214435066381688087510215796470877749794
+600 299 0.002615810143100404863279213134182181211364 0.005231608353770980338116391177993719759702
+"""
+
+
+def test_gauss_legendre_rules_match_40_digit_references():
+    # nodes to 3e-16 absolute and weights to 1e-12 relative, compared in
+    # exact decimal arithmetic; numpy's leggauss errs by 8.3e-12 (p = 189)
+    # and 2.0e-10 (p = 600) in the weights nearest +-1
+    for line in GL_REFERENCE.split("\n"):
+        if not line:
+            continue
+        p, k, x, w = line.split()
+        p, k = int(p), int(k)
+        z, wz = _leggauss(p)
+        for i, sign in ((p - 1 - k, 1), (k, -1)):
+            assert abs(Decimal(float(z[i])) - sign * Decimal(x)) <= \
+                Decimal("3e-16"), (p, k)
+            assert abs(Decimal(float(wz[i])) / Decimal(w) - 1) <= \
+                Decimal("1e-12"), (p, k)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 12, 189, 600])
+def test_gauss_legendre_rules_are_ascending_and_symmetric(p):
+    z, w = _leggauss(p)
+    assert z.shape == w.shape == (p,)
+    assert np.all(np.diff(z) > 0) and np.all(w > 0)
+    assert np.array_equal(z, -z[::-1]) and np.array_equal(w, w[::-1])
+    assert not np.any(np.signbit(z[p // 2:]))
+    u, wu = _gl01(p)
+    assert np.array_equal(u, 0.5 * (z + 1.0))
+    assert np.array_equal(wu, 0.5 * w)
+
+
+def test_cold_gauss_legendre_rule_takes_no_dense_matrix():
+    # numpy's leggauss(2000) solves a 2000 x 2000 eigen-problem: 32 MB
+    geometry._leggauss.cache_clear()
+    tracemalloc.start()
+    try:
+        _leggauss(2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak
 
 
 def _star_gap_norm(domain, x):
@@ -492,7 +649,7 @@ def _circle_written_out(m):
 
 
 def _gl_sphere_written_out(nt, nphi):
-    mu, wmu = np.polynomial.legendre.leggauss(nt)
+    mu, wmu = _leggauss(nt)
     phi = 2.0 * np.pi * np.arange(nphi) / nphi
     dirs = _cone_dirs_broadcast(mu, np.sqrt(1.0 - mu ** 2), _EZ, _EX, _EY,
                                 phi)
@@ -521,7 +678,7 @@ def _graded_cap_written_out(dom, x, N):
     e1 = np.cross(axis, tmp)
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(axis, e1)
-    z, w = np.polynomial.legendre.leggauss(max(24, 2 * N))
+    z, w = _leggauss(max(24, 2 * N))
     u, w = 0.5 * (z + 1.0), 0.5 * w
     psi = np.pi * u ** 3
     wpsi = np.pi * 3 * u ** 2 * w
@@ -613,7 +770,7 @@ def test_graded_boundary_rules_keep_written_out_bits(dom):
         if dom.dim == 3:
             want = [_graded_cap_written_out(dom, x, N)]
         else:
-            z, w = np.polynomial.legendre.leggauss(max(24, 2 * N))
+            z, w = _leggauss(max(24, 2 * N))
             u, w = 0.5 * (z + 1.0), 0.5 * w
             theta0 = geometry._nearest_boundary_parameter(dom, x)
             want = [(dom.boundary_point(t), dom.boundary_jacobian(t)

@@ -18,6 +18,7 @@ from volpot.geometry import singular_volume_rule
 from volpot.operators import OperatorCoefficients
 from volpot import potentials
 from volpot.potentials import _boundary_integral
+from volpot.schauder import NegativeExponentDensity
 
 FS2 = laplace_fundamental(2)
 FS3 = laplace_fundamental(3)
@@ -215,6 +216,46 @@ def test_K_and_potential_field_reject_an_unknown_side(side):
                               side, 16)
     with pytest.raises(DomainError, match="'interior' or 'exterior'"):
         PotentialField(FS2, DISK, side, 32)
+
+
+# -- one dimension for kernel, domain and point ----------------------------------
+
+B3_POINT = np.array([0.33333, 0.66666, -0.66666])
+
+
+def _unit(y):
+    return np.ones(len(y))
+
+
+# (kernel, domain, point) with one dimension off: a 2D kernel on the ball
+# (whose value was -0.0935 instead of -1/3), a 3D kernel on the disk
+# (-0.25 instead of -0.2375), and points of the wrong length
+MISMATCHED = [(FS2, BALL, B3_POINT), (FS3, DISK, np.array([0.2, 0.1])),
+              (FS2, DISK, np.array([0.2, 0.1, 0.0])),
+              (FS3, BALL, np.array([0.2, 0.1]))]
+
+
+@pytest.mark.parametrize("fs, domain, x", MISMATCHED,
+                         ids=["2d-kernel-3d-ball", "3d-kernel-disk",
+                              "3d-point-disk", "2d-point-ball"])
+def test_potentials_reject_mismatched_dimensions(fs, domain, x):
+    nd = NegativeExponentDensity((ONE,) + (_zero,) * domain.dim, 1.0, 1.0)
+    for call in (
+            lambda: volume_potential(fs, domain, ONE, x, 20),
+            lambda: volume_potential_gradient(fs, domain, ONE, x, 20),
+            lambda: volume_potential_hessian(fs, domain, ONE, x, 20),
+            lambda: volume_potential_negative(fs, domain, nd, x, 20),
+            lambda: single_layer(fs, domain, ONE, x, 20)):
+        with pytest.raises(DomainError):
+            call()
+    if fs.dim != domain.dim:
+        with pytest.raises(DomainError, match="kernel on a"):
+            PotentialField(fs, domain, "interior", 20)
+    else:
+        with pytest.raises(DomainError, match="must be a point of"):
+            boundary_kernel_K(k_grad2, _unit, domain, x, "interior", 16)
+        with pytest.raises(DomainError, match="must be a point of"):
+            subtracted_integral_G(k_grad2, X1, 0, domain, x, 16)
 
 
 # -- Hessian ------------------------------------------------------------------

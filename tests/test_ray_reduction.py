@@ -269,6 +269,23 @@ def test_disk_gradient_closed_form(r):
     assert err <= 1e-7
 
 
+@pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4, 1e-5])
+def test_ball_near_the_sphere_is_closed_form(delta):
+    # the f = 1 Laplace value and gradient just inside the unit sphere,
+    # where the polar rule takes up to 1897 Gauss-Legendre angles: to
+    # rounding (numpy's leggauss weights left 3.8e-15 at 1e-2 and 5.3e-14
+    # at 1e-5)
+    fs = laplace_fundamental(3)
+    for d in (NB3, np.array([0.0, 0.0, 1.0]),
+              np.array([2.0, -3.0, 6.0]) / 7.0):
+        x = (1.0 - delta) * d
+        u, g, _ = ball_oracle.laplace_ball(x)
+        assert abs(volume_potential(fs, BALL, ONE, x, 20) - u) <= 2e-15
+        err = np.max(np.abs(volume_potential_gradient(fs, BALL, ONE, x, 20)
+                            - g))
+        assert err <= 2e-15, (d, err)
+
+
 @pytest.mark.parametrize("kname", ["laplace", "anisotropic", "screened"])
 def test_ball_matches_oracle(kname):
     # N = 20 and the points of the ball3d-near benchmark; the Hessian only
@@ -334,15 +351,17 @@ def test_ball_hessian_near_the_boundary_matches_oracle(kname, delta):
 # form with factored weights, c_i sum_j v_ij wt_j (one matrix-vector
 # product per block), and every radial rule built from its table
 # (s t + lo): within 6.1e-16 relative of the Cartesian sums on the same
-# nodes, and six of the seven with their bits
+# nodes.  Pinned on the correctly rounded Gauss-Legendre rules of
+# ``geometry._leggauss``; on numpy's leggauss five of the seven differed
+# in their last bits (the ball interior value by 6.8e-15 relative)
 STORED_VALUES = {
     "disk interior": "-0x1.1342719ee8f28p-3",
-    "disk chord": "-0x1.529ace739d1b1p-6",
-    "disk far": "0x1.9e54ca58f0eb2p-3",
+    "disk chord": "-0x1.529ace739d1acp-6",
+    "disk far": "0x1.9e54ca58f0eb6p-3",
     "star interior": "-0x1.a4427bf47ce71p-4",
-    "star near exterior": "-0x1.59360847e8ed4p-4",
-    "ball interior": "-0x1.d37b019ed6672p-6",
-    "ball chord": "-0x1.774d5d515a4b6p-5",
+    "star near exterior": "-0x1.59360847e8ed5p-4",
+    "ball interior": "-0x1.d37b019ed66aap-6",
+    "ball chord": "-0x1.774d5d515a4b5p-5",
 }
 
 VALUE_CASES = {

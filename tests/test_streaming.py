@@ -183,14 +183,19 @@ def test_excised_sums_reject_non_interior_points():
                                    0, N=16)
 
 
-@pytest.mark.parametrize("N", [20, 40])
-def test_ball_near_boundary_memory_does_not_grow_with_N(N):
+@pytest.mark.parametrize("N, delta", [(20, 1e-4), (40, 1e-4), (20, 1e-5),
+                                      (40, 1e-5)],
+                         ids=["20", "40", "20-1e-05", "40-1e-05"])
+def test_ball_near_boundary_memory_does_not_grow_with_N(N, delta):
     # interior offset 1e-4: 720k nodes at N = 20 and 2.9M at N = 40, whose
-    # (nodes, 3) array alone would take 17 MB and 69 MB; the largest single
-    # allocation left is the 2.9 MB eigen-solve of the first leggauss(600)
-    x = (1.0 - 1e-4) * NB3
+    # (nodes, 3) array alone would take 17 MB and 69 MB.  At 1e-5 the polar
+    # rule takes 1897 Gauss-Legendre angles, built cold here: their rule
+    # takes O(p) memory (numpy's leggauss took 28.9 MB for its eigen-solve)
+    x = (1.0 - delta) * NB3
     fs = helmholtz_fundamental(3, 1.0)
     f = get_preset("x1sq")
+    geometry._leggauss.cache_clear()
+    geometry._gl01.cache_clear()
     for fn in (volume_potential, volume_potential_gradient,
                volume_potential_hessian):
         tracemalloc.start()
