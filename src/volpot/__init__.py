@@ -17,15 +17,13 @@ __version__ = "0.1.0"
 
 from .errors import (ConfigError, DomainError, EllipticityError,
                      NearBoundaryError, SingularPointError, SymmetryError,
-                     VolpotError)
+                     UnsupportedOperatorError, VolpotError)
 from .operators import (OperatorCoefficients, anisotropic, apply_operator_fd,
                         ellipticity_margin, factor_principal, from_multiindex,
                         helmholtz_modified, laplacian)
 from .fundsol import (FundamentalSolution, fundamental_solution,
-                      gradient_split, helmholtz_fundamental,
-                      laplace_fundamental, laplace_Sn, modified_helmholtz,
-                      principal_anisotropic, principal_fundamental,
-                      sphere_measure)
+                      helmholtz_fundamental, laplace_fundamental,
+                      principal_fundamental, sphere_measure)
 from .geometry import (BoundaryQuadrature, Domain, VolumeQuadrature,
                        boundary_rule, cosine_star, disk, ellipse,
                        exterior_chord_rule, make_ball, make_star2d,

@@ -68,14 +68,12 @@ def _load(args):
     cfg = load_config(args.config) if args.config else default_config()
     op = build_operator(cfg)
     fs = build_fundsol(cfg, op)
-    # the fundamental solution fixes the operator the checks verify against
-    # (an explicit fundsol.kind overrides the operator section)
     domain = build_domain(cfg)
-    n = fs.operator.dim
+    n = op.dim
     if n != domain.dim:
         raise ConfigError(f"operator.a2 is {n} x {n} but the domain is "
                           f"{domain.dim}D")
-    return cfg, fs.operator, fs, domain
+    return cfg, op, fs, domain
 
 
 def _run_eval(args) -> int:

@@ -13,9 +13,8 @@ import ast
 import numpy as np
 
 from . import presets
-from .errors import ConfigError
-from .fundsol import (fundamental_solution, helmholtz_fundamental,
-                      laplace_fundamental, principal_fundamental)
+from .errors import ConfigError, UnsupportedOperatorError
+from .fundsol import fundamental_solution
 from .geometry import cosine_star, ellipse, make_ball
 from .operators import OperatorCoefficients
 
@@ -109,20 +108,36 @@ def build_operator(cfg: dict) -> OperatorCoefficients:
     return OperatorCoefficients(n, a2, a1, complex(a0))
 
 
+# fundsol.kind -> whether a kernel is of that kind
+_FUNDSOL_KINDS = {"laplace": lambda fs: fs.kind == "laplace",
+                 "principal": lambda fs: fs.kappa == 0,
+                 "modified-helmholtz": lambda fs: fs.kappa > 0,
+                 "auto": lambda fs: True}
+
+
 def build_fundsol(cfg: dict, op: OperatorCoefficients):
+    """The fundamental solution of the operator section.  ``fundsol.kind``
+    and ``fundsol.kappa`` pick nothing: where given, they must agree with
+    the operator's kernel."""
+    try:
+        fs = fundamental_solution(op)
+    except UnsupportedOperatorError as exc:
+        raise ConfigError(f"operator section: {exc}")
     sec = cfg.get("fundsol", {})
-    kind = sec.get("kind", "laplace")
-    if kind == "laplace":
-        return laplace_fundamental(op.dim)
-    if kind == "principal":
-        return principal_fundamental(op)
-    if kind == "modified-helmholtz":
-        kappa = float(sec.get("kappa", 1.0))
-        return helmholtz_fundamental(op.dim, kappa)
-    if kind == "auto":
-        return fundamental_solution(op)
-    raise ConfigError(f"unknown fundsol.kind {kind!r} "
-                      "(laplace | principal | modified-helmholtz | auto)")
+    kind = sec.get("kind", "auto")
+    agrees = _FUNDSOL_KINDS.get(kind) if isinstance(kind, str) else None
+    if agrees is None:
+        raise ConfigError(f"unknown fundsol.kind {kind!r} "
+                          f"({' | '.join(_FUNDSOL_KINDS)})")
+    if not agrees(fs):
+        raise ConfigError(f"fundsol.kind = {kind}, but the operator section "
+                          f"gives the {fs.kind} kernel")
+    kappa = sec.get("kappa", fs.kappa)
+    if not isinstance(kappa, (int, float)) or not np.isclose(
+            kappa, fs.kappa, rtol=1e-12, atol=0.0):
+        raise ConfigError(f"fundsol.kappa = {kappa}, but the operator "
+                          f"section gives kappa = {fs.kappa}")
+    return fs
 
 
 def build_domain(cfg: dict):

@@ -27,6 +27,11 @@ class NearBoundaryError(DomainError):
     boundary (width 1e-9); use one-sided limits instead."""
 
 
+class UnsupportedOperatorError(VolpotError, ValueError):
+    """The operator (or its dimension or kappa) has no fundamental solution
+    here; also a ``ValueError``, for callers that catch that."""
+
+
 class ConfigError(VolpotError):
     """Malformed run configuration."""
 

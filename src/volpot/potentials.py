@@ -60,7 +60,7 @@ it needs no per-node value at all.  Three paths, picked per block:
     the singularity exactly; for the screened kernel v = f f'(r) and
     -sum_i d_i c_i sum_j v_ij wt_j r_ij^(n-1);
   - Hessian, k1 part: the weighted k1 moment on the directions with
-    weights c_i sum_j wt_j (f_ij - Ef(x)) / r_ij; screened k2 part:
+    weights c_i sum_j wt_j (f_ij - f(x)) / r_ij; screened k2 part:
     I sum w f beta + sum_i d_i d_i^t sum_j w f alpha r^2.
 * per node on the offsets: the far and star-near rules (rays from the
   domain's centre, the star-near ones run inward from the boundary)
@@ -69,8 +69,8 @@ it needs no per-node value at all.  Three paths, picked per block:
 A block's radii are built only where a path reads them, and its nodes
 only for those offsets and for a density that is not constant: a
 constant density broadcasts as a number with the bits of a full array.
-The Hessian of a density constant at Ef(x) skips its k1 moment, whose
-weights are then all exactly 0.
+The Hessian of a constant density skips its k1 moment, whose weights
+are all exactly 0.
 
 Everything here is a pure function of immutable inputs: batch evaluation
 over point grids may run on several threads.  The blocks depend on the
@@ -225,10 +225,9 @@ def _per_ray(fs, z, f):
     """Whether a block with offsets z (None where its rays start at x) is
     summed against the density values f from the radial table's moments,
     one number per ray and nothing per node: f is a constant (see
-    ``_density``), the kernel homogeneous (laplace, anisotropic-principal)
-    and the rays start at x."""
-    return (z is None and not isinstance(f, np.ndarray)
-            and fs.kind != "modified-helmholtz")
+    ``_density``), the kernel homogeneous (kappa = 0) and the rays start
+    at x."""
+    return z is None and not isinstance(f, np.ndarray) and fs.kappa == 0
 
 
 def _value_sum(fs, form, z, f):
@@ -262,7 +261,7 @@ def _gradient_sum(fs, form, z, f):
         f = [f] * g.shape[1] if one else f
         return np.array([c @ _ray_sums(form, g[:, j] * fj)
                          for j, fj in enumerate(f)])
-    screened = fs.kind == "modified-helmholtz"
+    screened = fs.kappa > 0
     k = dirs if screened else fs.k1(dirs)
     if screened:
         g = fs.radial_gradient(form.rn).reshape(-1)
@@ -412,12 +411,12 @@ def _boundary_integral(domain, integrand, x, N):
 
 
 def volume_potential_hessian(fs: FundamentalSolution, domain: Domain, f, x,
-                             N: int = 64, extension=None) -> np.ndarray:
+                             N: int = 64) -> np.ndarray:
     """Second derivatives of the volume potential at a strictly interior x.
 
     Entry (l, j) is assembled as
 
-        G_l[k_{j,1}, Ef](x) - Ef(x) K^+[k_{j,1}, nu_l](x)
+        G_l[k_{j,1}, f](x) - f(x) K^+[k_{j,1}, nu_l](x)
         + int_Omega d_l k_{j,2}(x - y) f(y) dy
 
     with the gradient-kernel split supplied by ``fs``; the remainder term is
@@ -432,22 +431,18 @@ def volume_potential_hessian(fs: FundamentalSolution, domain: Domain, f, x,
     boundary rule far from the boundary, the graded rules within 0.1 radii
     of it, where the plain rule loses the nearly singular k1.  A real
     density stays real until the result is cast to complex.
-    ``extension`` defaults to ray transport from the star center (only its
-    values on closure(Omega) enter for interior x).
     """
     x = _check_dims(domain, fs, x)
     cls, blocks = _volume_blocks(domain, x, N)
     if cls < 0:
         raise NearBoundaryError("Hessian evaluation requires an interior point")
     n = domain.dim
-    ef = extension if extension is not None else radial_extension(domain, f)
-    fx = np.asarray(ef(x[None, :]))[0]
+    fx = np.asarray(f(x[None, :]))[0]
 
-    screened = fs.kind == "modified-helmholtz"
-    # a density constant at Ef(x) makes every k1 weight (f - Ef(x)) / r
-    # exactly 0: no k1 moment, and no block at all without a k2 part
-    c0 = getattr(f, "constant", None)
-    k1_part = c0 is None or fx != c0
+    screened = fs.kappa > 0
+    # a constant density makes every k1 weight (f - f(x)) / r exactly 0:
+    # no k1 moment, and no block at all without a k2 part
+    k1_part = getattr(f, "constant", None) is None
     H1 = H2 = 0.0
     for form, _ in (blocks if k1_part or screened else ()):
         dirs, rn, c = form.dirs, form.rn, form.c

@@ -110,6 +110,70 @@ def test_operator_of_another_dimension_exits_2(tmp_path, capsys, body):
     assert not (tmp_path / "eval.csv").exists()
 
 
+# -- the operator section picks the kernel; fundsol.* only checks it --------
+
+UNIT_DISK = ("domain.kind = ball\ndomain.dim = 2\ndomain.R = 1.0\n"
+             "checks.N = 32\neval.points = [[0.2, 0.1], [0.5, -0.3]]\n")
+
+
+def _eval_exit(tmp_path, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(UNIT_DISK + text)
+    return main(["eval", "--config", str(cfg), "--out", str(tmp_path)])
+
+
+def test_anisotropic_operator_picks_its_kernel(tmp_path):
+    # no fundsol section: the kernel is the operator's, not the Laplace one
+    assert _eval_exit(tmp_path, "operator.a2 = [[4, 0], [0, 1]]\n") == 0
+    op = volpot.OperatorCoefficients(2, np.diag([4.0, 1.0]), [0, 0], 0)
+    fs = volpot.principal_fundamental(op)
+    one = volpot.get_preset("one")
+    with open(tmp_path / "eval.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    for x, row in zip([[0.2, 0.1], [0.5, -0.3]], rows):
+        val = volpot.volume_potential(fs, volpot.disk(), one, np.array(x), 32)
+        assert (row["re"], row["im"]) == (f"{val.real:.12g}",
+                                          f"{val.imag:.12g}")
+
+
+@pytest.mark.parametrize("operator, terms", [
+    ("operator.a2 = [[2, 0.6], [0.6, 1]]\noperator.a0 = -1,0\n",
+     ("a0", "a2 != I")),
+    ("operator.a1 = [0.5, 0]\n", ("drift", "a1")),
+    ("operator.a1 = [0.5, 0]\nfundsol.kind = auto\n", ("drift", "a1"))],
+    ids=["anisotropic-screened", "drift", "drift-auto"])
+def test_operator_without_a_kernel_exits_2(tmp_path, capsys, operator,
+                                           terms):
+    assert _eval_exit(tmp_path, operator) == 2
+    err = capsys.readouterr().err
+    assert "operator section" in err
+    assert all(term in err for term in terms)
+    assert not (tmp_path / "eval.csv").exists()
+
+
+@pytest.mark.parametrize("fundsol, names", [
+    ("fundsol.kind = laplace\n", ("fundsol.kind", "modified-helmholtz")),
+    ("fundsol.kind = principal\n", ("fundsol.kind", "modified-helmholtz")),
+    ("fundsol.kappa = 2\n", ("fundsol.kappa", "kappa = 1.0")),
+    ("fundsol.kind = helmholtz\n", ("unknown fundsol.kind",))],
+    ids=["laplace", "principal", "kappa", "unknown"])
+def test_fundsol_section_disagreeing_with_the_operator_exits_2(
+        tmp_path, capsys, fundsol, names):
+    assert _eval_exit(tmp_path, "operator.a0 = -1,0\n" + fundsol) == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in names)
+    assert not (tmp_path / "eval.csv").exists()
+
+
+def test_fundsol_section_agreeing_with_the_operator_runs(tmp_path):
+    assert _eval_exit(tmp_path, "operator.a0 = -1,0\n"
+                      "fundsol.kind = modified-helmholtz\n"
+                      "fundsol.kappa = 1\n") == 0
+    screened = (tmp_path / "eval.csv").read_text()
+    assert _eval_exit(tmp_path, "operator.a0 = -1,0\n") == 0
+    assert (tmp_path / "eval.csv").read_text() == screened
+
+
 def test_unknown_preset_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(SMALL_CONFIG + "density.preset = nope\n")

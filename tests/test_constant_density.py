@@ -125,13 +125,6 @@ def test_constant_preset_matches_plain_callable_bitwise(dname, label, gap,
         assert _matches(fn(fs, domain, ONE, x, N),
                         fn(fs, domain, plain_one, x, N), bounds[fn]), \
             fn.__name__
-    if volume_potential_hessian in fns:
-        # an extension that moves Ef(x) off the constant keeps the k1 moment
-        def two(y):
-            return 2.0 * plain_one(y)
-        assert (_bits(volume_potential_hessian(fs, domain, ONE, x, N, two))
-                == _bits(volume_potential_hessian(fs, domain, plain_one, x,
-                                                  N, two)))
     # f0 takes the value's path; the f_j are not constant
     rest = (X1, X1SQ, X1)[:n]
     got, want = (volume_potential_negative(

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from scipy import special
 
-from volpot import (SingularPointError, apply_operator_fd, gradient_split,
-                    helmholtz_fundamental, laplace_fundamental, laplace_Sn,
-                    modified_helmholtz, principal_anisotropic,
-                    principal_fundamental)
+from volpot import (SingularPointError, UnsupportedOperatorError,
+                    VolpotError, apply_operator_fd, helmholtz_fundamental,
+                    laplace_fundamental, principal_fundamental)
 from volpot.fundsol import _rowdot, fundamental_solution
 from volpot.geometry import _radial_tables
 from volpot.operators import OperatorCoefficients, helmholtz_modified, laplacian
@@ -19,22 +18,28 @@ def all_kinds():
             helmholtz_fundamental(2, 1.0), helmholtz_fundamental(3, 1.0)]
 
 
-def test_laplace_Sn_values():
-    assert laplace_Sn(2, np.array([1.0, 0.0])) == pytest.approx(0.0, abs=1e-15)
-    assert laplace_Sn(2, np.array([np.e, 0.0])) == pytest.approx(
+def _newtonian(n, r):
+    # the kappa = 0 profile, written out
+    return np.log(r) / (2.0 * np.pi) if n == 2 else -1.0 / (4.0 * np.pi * r)
+
+
+def test_laplace_values():
+    S2, S3 = laplace_fundamental(2).eval, laplace_fundamental(3).eval
+    assert S2(np.array([1.0, 0.0])) == pytest.approx(0.0, abs=1e-15)
+    assert S2(np.array([np.e, 0.0])) == pytest.approx(
         1.0 / (2.0 * np.pi), rel=1e-14)
-    assert laplace_Sn(3, np.array([0.0, 1.0, 0.0])) == pytest.approx(
+    assert S3(np.array([0.0, 1.0, 0.0])) == pytest.approx(
         -1.0 / (4.0 * np.pi), rel=1e-14)
 
 
-def test_laplace_Sn_keeps_written_out_bits():
+def test_laplace_eval_keeps_written_out_bits():
     rng = np.random.default_rng(4)
-    for n, ref in ((2, lambda r: np.log(r) / (2.0 * np.pi)),
-                   (3, lambda r: -1.0 / (4.0 * np.pi * r))):
+    for n in (2, 3):
+        S = laplace_fundamental(n).eval
         x = rng.standard_normal((200, n)) * 10.0 ** rng.uniform(-8, 3, (200, 1))
         r = np.sqrt(np.sum(x * x, axis=-1))
-        assert np.array_equal(laplace_Sn(n, x), ref(r))
-        assert laplace_Sn(n, x[0]) == ref(r[:1])[0]
+        assert np.array_equal(S(x), _newtonian(n, r))
+        assert S(x[0]) == _newtonian(n, r[:1])[0]
 
 
 def test_dimension_four_rejected():
@@ -42,23 +47,54 @@ def test_dimension_four_rejected():
     # through to the 3D formulas
     aniso4 = OperatorCoefficients(4, np.diag([4.0, 1.0, 1.0, 2.0]),
                                   np.zeros(4), 0)
-    x = np.ones(4)
     calls = [lambda: laplace_fundamental(4),
              lambda: helmholtz_fundamental(4, 1.0),
              lambda: principal_fundamental(aniso4),
              lambda: fundamental_solution(laplacian(4)),
-             lambda: fundamental_solution(helmholtz_modified(4, 1.0)),
-             lambda: laplace_Sn(4, x),
-             lambda: modified_helmholtz(4, 1.0, x),
-             lambda: principal_anisotropic(aniso4, x)]
+             lambda: fundamental_solution(helmholtz_modified(4, 1.0))]
     for call in calls:
         with pytest.raises(ValueError, match="dimensions 2 and 3"):
             call()
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: laplace_fundamental(4), "dimensions 2 and 3"),
+    (lambda: fundamental_solution(
+        OperatorCoefficients(2, np.eye(2), [0.5, 0], 0)), "drift term a1"),
+    (lambda: fundamental_solution(
+        OperatorCoefficients(2, [[2, 0.6], [0.6, 1]], [0, 0], -1)),
+     "a2 != I"),
+    (lambda: fundamental_solution(
+        OperatorCoefficients(2, np.eye(2), [0, 0], 1)), "real a0 < 0"),
+    (lambda: fundamental_solution(
+        OperatorCoefficients(2, np.eye(2), [0, 0], -1 + 1j)), "real a0 < 0"),
+    (lambda: principal_fundamental(helmholtz_modified(2, 1.0)), "a0 = 0"),
+    (lambda: helmholtz_fundamental(2, 0.0), "kappa must be positive"),
+    (lambda: helmholtz_fundamental(3, -1.0), "kappa must be positive")],
+    ids=["dim4", "drift", "a0-anisotropic", "a0-positive", "a0-complex",
+         "principal-of-screened", "kappa0", "kappa-negative"])
+def test_unsupported_operators_raise_a_volpot_error(call, match):
+    # a VolpotError for the CLI's exit 2, and still a ValueError for
+    # callers that catch that
+    with pytest.raises(UnsupportedOperatorError, match=match) as err:
+        call()
+    assert isinstance(err.value, VolpotError)
+    assert isinstance(err.value, ValueError)
+
+
+def test_kernel_follows_the_operator():
+    # the operator alone picks the kernel: a principal part a2 = I is the
+    # Laplace kernel, bit for bit, whichever constructor builds it
+    x = np.random.default_rng(5).standard_normal((50, 2))
+    for fs in (principal_fundamental(laplacian(2)),
+               fundamental_solution(laplacian(2))):
+        assert fs.kind == "laplace" and fs.kappa == 0.0
+        assert np.array_equal(fs.eval(x), laplace_fundamental(2).eval(x))
+
+
 def test_singular_point_rejected():
     with pytest.raises(SingularPointError):
-        laplace_Sn(2, np.zeros(2))
+        laplace_fundamental(2).eval(np.zeros(2))
     with pytest.raises(SingularPointError):
         helmholtz_fundamental(3, 1.0).grad(np.zeros(3))
 
@@ -67,13 +103,14 @@ def test_principal_matches_laplace_for_identity():
     fs = laplace_fundamental(2)
     op = laplacian(2)
     x = np.array([[0.3, -0.4], [1.2, 0.7]])
-    assert np.allclose(principal_anisotropic(op, x), fs.eval(x), atol=1e-15)
+    assert np.allclose(principal_fundamental(op).eval(x), fs.eval(x),
+                       atol=1e-15)
 
 
 def test_principal_anisotropic_value():
     op = OperatorCoefficients(2, np.diag([4.0, 1.0]), [0, 0], 0)
     # T^{-1}(2, 0) = (1, 0), so S_2 vanishes there
-    val = principal_anisotropic(op, np.array([2.0, 0.0]))
+    val = principal_fundamental(op).eval(np.array([2.0, 0.0]))
     assert val == pytest.approx(0.0, abs=1e-15)
 
 
@@ -90,12 +127,14 @@ def test_modified_helmholtz_values():
     # kappa -> 0 recovers the Newtonian kernel in 3D; the analytic gap is
     # (1 - e^{-kappa r})/(4 pi r) ~ kappa / (4 pi) ~ 8e-8 at kappa = 1e-6
     x = np.array([0.5, 0.2, -0.1])
-    assert modified_helmholtz(3, 1e-6, x) == pytest.approx(
-        laplace_Sn(3, x), abs=1e-7)
-    assert modified_helmholtz(3, 1.0, np.array([1.0, 0, 0])) == pytest.approx(
+    assert helmholtz_fundamental(3, 1e-6).eval(x) == pytest.approx(
+        laplace_fundamental(3).eval(x), abs=1e-7)
+    assert helmholtz_fundamental(3, 1.0).eval(
+        np.array([1.0, 0, 0])) == pytest.approx(
         -np.exp(-1.0) / (4.0 * np.pi), rel=1e-13)
     # 2D value against the scipy Bessel oracle
-    assert modified_helmholtz(2, 1.0, np.array([1.0, 0.0])) == pytest.approx(
+    assert helmholtz_fundamental(2, 1.0).eval(
+        np.array([1.0, 0.0])) == pytest.approx(
         -special.k0(1.0) / (2.0 * np.pi), rel=1e-12)
 
 
@@ -225,12 +264,13 @@ def test_split_sums_bitwise(all_kinds):
         assert np.array_equal(k1 + k2, fs.grad(x))
 
 
-def test_gradient_split_component_api():
+def test_split_gradient_single_point_matches_batch():
     fs = helmholtz_fundamental(3, 1.0)
     x = np.array([0.4, -0.2, 0.6])
-    k1j, k2j = gradient_split(fs, 1, x)
-    full1, full2 = fs.split_gradient(x)
-    assert k1j == full1[1] and k2j == full2[1]
+    k1, k2 = fs.split_gradient(x)
+    batch1, batch2 = fs.split_gradient(x[None, :])
+    assert k1.shape == k2.shape == (3,)
+    assert np.array_equal(k1, batch1[0]) and np.array_equal(k2, batch2[0])
 
 
 def test_helmholtz_remainder_weighted_bound():
@@ -252,7 +292,7 @@ def test_fundamental_solution_factory():
     fs = fundamental_solution(helmholtz_modified(2, 2.0))
     assert fs.kind == "modified-helmholtz"
     assert fs.kappa == pytest.approx(2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedOperatorError):
         fundamental_solution(OperatorCoefficients(2, np.eye(2), [1, 0], 0))
 
 
@@ -264,9 +304,10 @@ def test_eval_closed_form_relative_accuracy(all_kinds):
             x[0] = r
             v = fs.eval(x)
             if fs.kind == "laplace":
-                ref = laplace_Sn(fs.dim, x)
+                ref = _newtonian(fs.dim, r)
             elif fs.kind == "anisotropic-principal":
-                ref = laplace_Sn(fs.dim, np.linalg.solve(fs.T, x)) / fs._sqrt_det
+                z = np.linalg.solve(fs.T, x)
+                ref = _newtonian(fs.dim, np.linalg.norm(z)) / fs._sqrt_det
             elif fs.dim == 2:
                 ref = -special.k0(fs.kappa * r) / (2.0 * np.pi)
             else:
@@ -298,7 +339,7 @@ def test_anisotropic_matches_linear_solve_reference(a2):
         err = np.abs(got - ref).reshape(len(x), -1).max(axis=1)
         return np.max(err / np.abs(ref).reshape(len(x), -1).max(axis=1))
 
-    assert rel(fs.eval(x), laplace_Sn(n, z) / fs._sqrt_det) <= 1e-13
+    assert rel(fs.eval(x), _newtonian(n, m) / fs._sqrt_det) <= 1e-13
     assert rel(fs.k1(x), k1) <= 1e-13
     assert rel(fs.k1_jacobian(x), jac) <= 1e-13
 
