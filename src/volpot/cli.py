@@ -83,20 +83,27 @@ def _run_eval(args) -> int:
     points = np.asarray(sec.get("points", [[0.0] * domain.dim]), dtype=float)
     quantity = sec.get("quantity", "volume")
     N = int(cfg.get("checks", {}).get("N", 64))
+    # every check comes before the file is opened, and every point is
+    # evaluated before it is written: a failed run leaves no eval.csv
+    evaluate = {"volume": volume_potential,
+                "single_layer": single_layer}.get(quantity)
+    if evaluate is None:
+        raise ConfigError(f"unknown eval.quantity {quantity!r}")
+    if points.ndim != 2 or points.shape[1] != domain.dim:
+        raise ConfigError(f"eval.points must be a list of points of "
+                          f"R^{domain.dim}, got an array of shape "
+                          f"{points.shape}")
+    rows = []
+    for x in points:
+        val = evaluate(fs, domain, density, x, N)
+        rows.append([f"{c:.12g}" for c in x]
+                    + [f"{val.real:.12g}", f"{val.imag:.12g}"])
     out = args.out / "eval.csv"
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{i + 1}" for i in range(domain.dim)]
                         + ["re", "im"])
-        for x in points:
-            if quantity == "volume":
-                val = volume_potential(fs, domain, density, x, N)
-            elif quantity == "single_layer":
-                val = single_layer(fs, domain, density, x, N)
-            else:
-                raise VolpotError(f"unknown eval.quantity {quantity!r}")
-            writer.writerow([f"{c:.12g}" for c in x]
-                            + [f"{val.real:.12g}", f"{val.imag:.12g}"])
+        writer.writerows(rows)
     print(f"wrote {out}")
     return 0
 

@@ -35,8 +35,13 @@ an origin, unit directions, a radial interval [lo, hi] and an angular
 weight per ray, and the radial order and panel count shared by the rays,
 graded toward lo.  A ray with hi < lo runs inward, its angular weight
 negated.  A rule is read a block of rays at a time (``rule_forms``),
-each block's (nodes, n) arrays below ``_BLOCK_BYTES``, so an evaluation
-never holds a whole 10^5-10^6 node rule.  Every block carries its
+so an evaluation never holds a whole 10^5-10^6 node rule.  Blocks come
+in two sizes: a block whose radii or nodes a caller may read keeps its
+(nodes, n) arrays below ``_BLOCK_BYTES``; a block that a caller reads
+one number per ray (a constant density summed from the table moments)
+keeps the per-ray arrays it forms below ``_BLOCK_BYTES`` together, and
+so holds tens of times more rays (20 times in the 3D ball at N = 20, 54
+in the disk at N = 64).  Every block carries its
 weights in one factored form, one number per ray times the cached
 radial table times r^(n-1) (``RayForm``); its radii and its nodes are
 built only where a caller reads them (``RayForm.rn``,
@@ -419,7 +424,9 @@ class RayForm:
     origin, for the table's t, and the nodes themselves (``nodes``).  A
     reader that needs only per-ray numbers (a constant density summed
     from the table moments on ``zero_start`` rays, where rn = s t; see
-    ``potentials``) builds neither."""
+    ``potentials``) builds neither, and reads blocks that ``rule_forms``
+    sizes by their per-ray arrays: their radii, had anyone built them,
+    would take several times ``_BLOCK_BYTES``."""
 
     __slots__ = ("_rs", "_lo", "_t", "_rn", "_nodes",
                  "dirs", "span", "c", "wt", "moments", "zero_start")
@@ -456,18 +463,30 @@ class RayForm:
 
 def _rays_per_block(floats_per_ray):
     """Rays in one block when each ray holds floats_per_ray floats of the
-    block's largest array, which then stays below _BLOCK_BYTES."""
+    block's largest array (or arrays), which then stay below
+    _BLOCK_BYTES."""
     return max(1, (_BLOCK_BYTES - 1) // (8 * floats_per_ray))
 
 
-def rule_forms(rule):
+def rule_forms(rule, per_ray=None):
     """Factored forms (``RayForm``) of a tuple of ray sets, a block of rays
-    at a time; a block's nodes are built where a caller reads them.  A
-    block's (nodes, n) arrays stay below _BLOCK_BYTES; the blocks depend on
-    the rule alone, so sums over them are deterministic."""
+    at a time; a block's nodes are built where a caller reads them.
+
+    A block keeps its (nodes, n) arrays below _BLOCK_BYTES, n P floats per
+    ray for P nodes per ray, except on the sets rs with ``per_ray(rs)``
+    true, which the caller reads one number per ray and builds no radius
+    or node of (see ``potentials``): those blocks keep the per-ray arrays
+    a reader forms, the directions, k1 of them, the spans, c and the ray
+    values, 2 n + 3 floats per ray, below _BLOCK_BYTES together.  Python
+    overhead per block, not arithmetic, dominated such sets in node-sized
+    blocks.  The blocks depend on the rule and per_ray alone, so sums over
+    them are deterministic."""
     for rs in rule:
-        m = len(rs.lo)
-        step = _rays_per_block(rs.dirs.shape[1] * rs.p * (rs.n_panels + 1))
+        m, n = rs.dirs.shape
+        if per_ray is not None and per_ray(rs):
+            step = _rays_per_block(2 * n + 3)
+        else:
+            step = _rays_per_block(n * rs.p * (rs.n_panels + 1))
         for i in range(0, m, step):
             yield RayForm(rs, i, min(i + step, m))
 

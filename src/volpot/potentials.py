@@ -47,10 +47,14 @@ it needs no per-node value at all.  Three paths, picked per block:
   and rays that start at x.  Along such a ray S(r d) = k (log r +
   log q(d)) in 2D and a(d)/r in 3D, so the value on rays that also start
   at r = 0 (the polar rule about an interior x; r = s t for the table t)
-  is c @ ``fs.ray_value``, from M1 = sum t wt and ML = sum t log t wt,
-  and the gradient on any such rays (the chord rule too) is
-  -f W (c @ k1(d)), W = sum wt.  No radius, no node, no kernel call per
-  node: O(rays) per block.
+  is sum_i c_i ``fs.ray_value``_i, from M1 = sum t wt and
+  ML = sum t log t wt, and the gradient on any such rays (the chord rule
+  too) is -f W sum_i c_i k1(d_i), W = sum wt.  No radius, no node, no
+  kernel call per node: O(rays) per block.  These sums are formed
+  elementwise and reduced by numpy's pairwise np.sum (``_ray_total``):
+  over blocks of thousands of rays a BLAS dot's rounding error grows
+  with the length and depends on the BLAS kernel's block order, where
+  the pairwise sum's grows with its logarithm.
 * per node in polar form, where the rays start at x otherwise (other
   densities or kernels, and chord values, whose log(lo + s t) does not
   separate): x - y = -r d (see :mod:`volpot.fundsol`).
@@ -72,11 +76,20 @@ constant density broadcasts as a number with the bits of a full array.
 The Hessian of a constant density skips its k1 moment, whose weights
 are all exactly 0.
 
+Blocks come in two sizes (``geometry.rule_forms``).  The ray sets that
+the per-ray path sums (``_per_ray_sets``: the value's sets of rays that
+start at r = 0, every set of the gradient's rays from x) are cut by
+their per-ray arrays, a few thousand rays per block, since Python
+overhead per block, not arithmetic, bounds them; every other block is
+cut by its (nodes, n) arrays, a few dozen to a few hundred rays.  The
+per-ray path reads no radius, so a block of it never builds the node
+arrays that its size would not bound.
+
 Everything here is a pure function of immutable inputs: batch evaluation
 over point grids may run on several threads.  The blocks depend on the
-rule alone (their size is fixed by ``geometry._BLOCK_BYTES``), so results
-are deterministic; at a BLAS thread count of one they repeat bit for bit
-(the golden-test mode).
+rule and on what is summed over it alone (their sizes are fixed by
+``geometry._BLOCK_BYTES``), so results are deterministic; at a BLAS
+thread count of one they repeat bit for bit (the golden-test mode).
 """
 
 from __future__ import annotations
@@ -158,32 +171,49 @@ def _density(f, form):
     return np.asarray(f(form.nodes)) if c is None else c
 
 
-def _volume_blocks(domain, x, N):
-    """The class of the point x (see ``Domain.classify``) and the blocks of
-    its volume rule: the polar rule about an interior x; for an exterior x,
-    the chord (ball) or star-near rule near the boundary, the regular rule
-    far from it.  Each block is a pair (form, z): its factored form
-    (``geometry.RayForm``) and the offsets z = x - y where the rays do not
-    start at x, None where they do (there x - y = -rn d, and nothing per
-    node is built unless a reader asks for it).  N is checked and the
-    point classified here, once; its distance is measured and the rule
-    built when the first block is read."""
+def _volume_rays(domain, x, N):
+    """The class of the point x (see ``Domain.classify``) and a function
+    that builds its volume rule, returning the tuple of ray sets and
+    whether the rays start at x: the polar rule about an interior x; for
+    an exterior x, the chord (ball) or star-near rule near the boundary,
+    the regular rule far from it.  N is checked and the point classified
+    here, once; its distance is measured when the rule is built."""
     if N < 4:
         raise VolpotError(f"N must be at least 4, got {N}")
     cls = _classify_or_raise(domain, x)
 
-    def blocks():
+    def build():
         dist = domain.distance_to_boundary(x)
         if cls > 0:
-            rule, at_x = _singular_rays(domain, x, N, dist), True
-        elif _far(domain, dist):
-            rule, at_x = _regular_rays(domain, N), False
-        elif domain.kind == "ball":
-            rule, at_x = _chord_rays(domain, x, N), True
-        else:
-            rule, at_x = _near_star_rays(domain, x, N), False
-        for form in rule_forms(rule):
-            yield form, None if at_x else _offsets(x, form.nodes)
+            return _singular_rays(domain, x, N, dist), True
+        if _far(domain, dist):
+            return _regular_rays(domain, N), False
+        if domain.kind == "ball":
+            return _chord_rays(domain, x, N), True
+        return _near_star_rays(domain, x, N), False
+
+    return cls, build
+
+
+def _rule_blocks(x, rule, at_x, per_ray=None):
+    """The blocks of a rule about x, each a pair (form, z): its factored
+    form (``geometry.RayForm``) and the offsets z = x - y where the rays
+    do not start at x, None where they do (there x - y = -rn d, and
+    nothing per node is built unless a reader asks for it).  On rays from
+    x, the sets that per_ray picks (see ``_per_ray_sets``) come in blocks
+    sized by their per-ray arrays (``geometry.rule_forms``)."""
+    for form in rule_forms(rule, per_ray if at_x else None):
+        yield form, None if at_x else _offsets(x, form.nodes)
+
+
+def _volume_blocks(domain, x, N, per_ray=None):
+    """The class of the point x and the blocks (form, z) of its volume
+    rule (``_volume_rays``, ``_rule_blocks``); the rule is built when the
+    first block is read."""
+    cls, build = _volume_rays(domain, x, N)
+
+    def blocks():
+        yield from _rule_blocks(x, *build(), per_ray)
 
     return cls, blocks()
 
@@ -230,6 +260,36 @@ def _per_ray(fs, z, f):
     return z is None and not isinstance(f, np.ndarray) and fs.kappa == 0
 
 
+def _starts_at_zero(rs):
+    return not np.count_nonzero(rs.lo)
+
+
+def _every_set(rs):
+    return True
+
+
+def _per_ray_sets(fs, densities, value):
+    """The ray sets from x on whose blocks ``_per_ray`` holds for all of
+    the densities, as a predicate for ``geometry.rule_forms``, or None
+    where it holds on none: with every density constant and kappa = 0,
+    the sets whose rays start at r = 0 for a value (``_value_sum``) and
+    every set for a gradient."""
+    if fs.kappa > 0 or any(getattr(f, "constant", None) is None
+                           for f in densities):
+        return None
+    return _starts_at_zero if value else _every_set
+
+
+def _ray_total(c, v):
+    """sum_i c_i v_i over the rays of a block, for v (rays,) or each
+    column of v (rays, n): the products formed elementwise and summed by
+    numpy's pairwise np.sum, so the bits depend on neither a BLAS
+    kernel's block order nor its thread count."""
+    if v.ndim == 1:
+        return np.sum(c * v)
+    return np.array([np.sum(c * v[:, j]) for j in range(v.shape[1])])
+
+
 def _value_sum(fs, form, z, f):
     """sum_m S(x - y_m) f_m w_m over one block: for a constant f on rays
     from x that start at r = 0 (``_per_ray``, ``RayForm.zero_start``), c @
@@ -237,7 +297,8 @@ def _value_sum(fs, form, z, f):
     where the rays start at x (z None), else from the offsets z."""
     if _per_ray(fs, z, f) and form.zero_start:
         _, m1, ml = form.moments
-        return f * (form.c @ fs.ray_value(form.dirs, form.span, m1, ml))
+        return f * _ray_total(form.c,
+                              fs.ray_value(form.dirs, form.span, m1, ml))
     s = (fs.radial_value(form.dirs, form.rn).reshape(-1)
          if z is None else fs.eval(z))
     return form.c @ _ray_sums(form, s * f)
@@ -269,7 +330,7 @@ def _gradient_sum(fs, form, z, f):
 
     def ray_sum(fj, kj):
         if _per_ray(fs, z, fj):
-            return fj * form.moments[0] * (c @ kj)
+            return fj * form.moments[0] * _ray_total(c, kj)
         return (c * _ray_sums(form, fj, screened)) @ kj
 
     if one:
@@ -281,7 +342,7 @@ def volume_potential(fs: FundamentalSolution, domain: Domain, f, x,
                      N: int = 64) -> complex:
     """int_Omega S(x - y) f(y) dy for bounded f on the closure."""
     x = _check_dims(domain, fs, x)
-    _, blocks = _volume_blocks(domain, x, N)
+    _, blocks = _volume_blocks(domain, x, N, _per_ray_sets(fs, (f,), True))
     return complex(sum(_value_sum(fs, form, z, _density(f, form))
                        for form, z in blocks))
 
@@ -290,7 +351,7 @@ def volume_potential_gradient(fs: FundamentalSolution, domain: Domain, f, x,
                               N: int = 64) -> np.ndarray:
     """Gradient of the volume potential, int_Omega grad S(x - y) f(y) dy."""
     x = _check_dims(domain, fs, x)
-    _, blocks = _volume_blocks(domain, x, N)
+    _, blocks = _volume_blocks(domain, x, N, _per_ray_sets(fs, (f,), False))
     return sum(_gradient_sum(fs, form, z, _density(f, form))
                for form, z in blocks)
 
@@ -478,20 +539,29 @@ def volume_potential_negative(fs: FundamentalSolution, domain: Domain,
         + sum_j int_dOmega S(x-y) nu_j f_j dsigma
         + sum_j d/dx_j int_Omega S(x-y) f_j dy.
 
-    All volume terms share one rule: each block of the rule for x is built
-    once, S is evaluated once on it for f0 (not at all where f0 is zero;
-    a constant f0 takes the per-ray sums of ``volume_potential``), and the
-    f_j are reduced against grad S, both along the rays where they start
-    at x (see the module docstring).
+    All volume terms share one rule, built once.  Each block of it is built
+    once, S is evaluated once on it for f0 (not at all where f0 is zero),
+    and the f_j are reduced against grad S, both along the rays where they
+    start at x (see the module docstring).  A constant f0 that is summed
+    per ray takes a pass of its own over the blocks of
+    ``volume_potential``, which read no node, and so its bits.
     """
     x = _check_dims(domain, fs, x)
     n = domain.dim
     comps = nd.components
+    rule, at_x = _volume_rays(domain, x, N)[1]()
+    f0_sets = _per_ray_sets(fs, comps[:1], True) if at_x else None
+    apart = f0_sets is not None and any(map(f0_sets, rule))
     value = grad = 0
-    for form, z in _volume_blocks(domain, x, N)[1]:
-        f0 = _density(comps[0], form)
-        if np.any(f0):      # a zero f0 adds nothing; skip its kernel pass
-            value = value + _value_sum(fs, form, z, f0)
+    if apart and comps[0].constant:   # a zero f0 adds nothing
+        for form, z in _rule_blocks(x, rule, at_x, f0_sets):
+            value = value + _value_sum(fs, form, z, comps[0].constant)
+    fj_sets = _per_ray_sets(fs, comps[1:], False) if apart else None
+    for form, z in _rule_blocks(x, rule, at_x, fj_sets):
+        if not apart:
+            f0 = _density(comps[0], form)
+            if np.any(f0):      # a zero f0 adds nothing; skip its kernel pass
+                value = value + _value_sum(fs, form, z, f0)
         fj = [_density(comps[j + 1], form) for j in range(n)]
         grad = grad + _gradient_sum(fs, form, z, fj)
     total = complex(value)

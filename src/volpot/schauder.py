@@ -110,17 +110,33 @@ def holder_seminorm(points, values, modulus: Modulus) -> float:
         raise ValueError("points and values must have equal length")
     if len(pts) < 2:
         raise ValueError("need at least two sample points")
-    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-    dv = np.abs(vals[:, None] - vals[None, :])
-    iu = np.triu_indices(len(pts), k=1)
-    d, dv = d[iu], dv[iu]
+    return _seminorm_on(pts, modulus)(vals)
+
+
+def _seminorm_on(pts, modulus):
+    """``holder_seminorm`` on the (m, n) points pts as a function of the
+    values, with the pair distances and their modulus formed once, for
+    the pairs i < j alone, with the bits of the full distance matrix's
+    norm: the squared coordinate differences summed in coordinate order."""
+    i, j = np.triu_indices(len(pts), k=1)
+    sq = 0.0
+    for k in range(pts.shape[1]):
+        dk = pts[i, k] - pts[j, k]
+        sq = sq + dk * dk
+    d = np.sqrt(sq)
     coincident = d == 0.0
-    if np.any(dv[coincident] > 0):
-        raise ValueError("duplicate points with differing values")
-    d, dv = d[~coincident], dv[~coincident]
-    if len(d) == 0:
-        return 0.0
-    return float(np.max(dv / np.asarray(modulus(d), dtype=float)))
+    apart = ~coincident
+    omega = np.asarray(modulus(d[apart]), dtype=float)
+
+    def seminorm(vals):
+        dv = np.abs(vals[i] - vals[j])
+        if np.any(dv[coincident] > 0):
+            raise ValueError("duplicate points with differing values")
+        if not len(omega):
+            return 0.0
+        return float(np.max(dv[apart] / omega))
+
+    return seminorm
 
 
 def kernel_class_norm(K, X, Y, s1: float, s2: float, s3: float) -> float:
@@ -197,12 +213,12 @@ def negative_density(domain: Domain, components, alpha: float,
     if len(cloud) > 600:
         idx = np.linspace(0, len(cloud) - 1, 600).astype(int)
         cloud = cloud[idx]
-    mod = Modulus.power(alpha)
+    seminorm = _seminorm_on(cloud, Modulus.power(alpha))
     bound = 0.0
     for comp in components:
         v = np.asarray(comp(cloud), dtype=complex)
         bound += float(np.max(np.abs(v)))
-        bound += holder_seminorm(cloud, v, mod)
+        bound += seminorm(v)
     return NegativeExponentDensity(components, float(alpha), bound)
 
 

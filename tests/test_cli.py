@@ -122,6 +122,19 @@ def _eval_exit(tmp_path, text):
     return main(["eval", "--config", str(cfg), "--out", str(tmp_path)])
 
 
+@pytest.mark.parametrize("body, message", [
+    ("eval.quantity = gradient\n", "unknown eval.quantity 'gradient'"),
+    ("eval.points = [[0.2, 0.1, 0.3]]\n", "eval.points must be"),
+    ("eval.points = [[0.2, 0.1], [1.0, 0.0]]\n", "within 1e-9")],
+    ids=["quantity", "3d-point", "boundary-point"])
+def test_failed_eval_leaves_no_csv(tmp_path, capsys, body, message):
+    # the quantity and the points' shape are checked before eval.csv is
+    # opened, and every point is evaluated before any row is written
+    assert _eval_exit(tmp_path, body) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "eval.csv").exists()
+
+
 def test_anisotropic_operator_picks_its_kernel(tmp_path):
     # no fundsol section: the kernel is the operator's, not the Laplace one
     assert _eval_exit(tmp_path, "operator.a2 = [[4, 0], [0, 1]]\n") == 0

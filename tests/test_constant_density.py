@@ -4,6 +4,8 @@ callable, which is called on the nodes: bit for bit where it takes the
 per-node path, within the rounding of the sum where the Laplace and
 anisotropic kernels sum it per ray from the radial table's moments."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -272,3 +274,105 @@ def test_moment_sums_as_accurate_as_node_sums(dname, gap):
         bound = _resum_bound(fs, domain, x, N, gradient)
         assert np.all(err_new <= err_old + bound), \
             (fn.__name__, err_new, err_old)
+
+
+# -- blocks sized by what they read ---------------------------------------
+#
+# A constant density summed per ray reads one number per ray, so its ray
+# sets come in blocks sized by their per-ray arrays; every other
+# evaluation keeps blocks sized by their nodes.  N as in the benchmarks:
+# 20 in the ball, 64 in the disk.
+
+N_BLOCKS = {"disk": 64, "ball3d": 20}
+
+
+def _record_blocks(monkeypatch):
+    """The list that gets (ray set, first ray, end) per RayForm built."""
+    blocks = []
+    make = geometry.RayForm
+
+    def recorded(rs, i, j):
+        blocks.append((rs, i, j))
+        return make(rs, i, j)
+
+    monkeypatch.setattr(geometry, "RayForm", recorded)
+    return blocks
+
+
+def _raise(*args):
+    raise AssertionError("built a radius or a node")
+
+
+@pytest.mark.parametrize("dname", list(N_BLOCKS))
+def test_per_ray_sums_build_no_node_in_few_blocks(monkeypatch, dname):
+    # 132 blocks of 91 rays in the ball and 28 in the disk when the
+    # per-ray sets were cut like node blocks
+    domain = DOMAINS[dname]
+    x = _point(domain, -1e-4)
+    monkeypatch.setattr(geometry, "_graded_nodes", _raise)
+    monkeypatch.setattr(geometry, "_ray_nodes", _raise)
+    blocks = _record_blocks(monkeypatch)
+    kernels = _kernels(domain.dim)
+    for kname in ("laplace", "anisotropic"):
+        for fn in (volume_potential, volume_potential_gradient):
+            fn(kernels[kname], domain, ONE, x, N_BLOCKS[dname])
+            assert len(blocks) <= (8 if domain.dim == 3 else 1), \
+                (kname, fn.__name__, len(blocks))
+            blocks.clear()
+
+
+def test_per_ray_gradient_memory_near_the_sphere():
+    # 37,940 rays at 1e-5 inside the ball, in blocks of 1820: the peak is
+    # the rule's own per-ray arrays
+    ball = DOMAINS["ball3d"]
+    fs = laplace_fundamental(3)
+    x = _point(ball, -1e-5)
+    volume_potential_gradient(fs, ball, ONE, x, 20)
+    tracemalloc.start()
+    try:
+        volume_potential_gradient(fs, ball, ONE, x, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
+
+
+def _node_blocks(blocks):
+    """Whether every block holds the rays of a node-sized block: the
+    largest count whose (nodes, n) arrays stay below _BLOCK_BYTES, or the
+    rest of its set."""
+    for rs, i, j in blocks:
+        m, n = rs.dirs.shape
+        step = (geometry._BLOCK_BYTES - 1) // (8 * n * rs.p * (rs.n_panels + 1))
+        if i % step or j != min(i + step, m):
+            return False
+    return bool(blocks)
+
+
+@pytest.mark.parametrize("dname", list(DOMAINS))
+def test_node_sums_keep_node_sized_blocks(monkeypatch, dname):
+    # non-constant densities with every kernel, and the constant one with
+    # the screened kernel, read nodes or radii: their blocks are unchanged
+    domain = DOMAINS[dname]
+    N = N_OF[domain.dim]
+    kernels = _kernels(domain.dim)
+    blocks = _record_blocks(monkeypatch)
+    cases = [(fs, f) for fs in kernels.values()
+             for f in (get_preset("bump", 2.0), X1SQ)]
+    cases.append((kernels["screened"], ONE))
+    nd = NegativeExponentDensity((X1SQ,) + (X1,) * domain.dim, 1.0, 1.0)
+    for label, gap in POINTS:
+        x = _point(domain, gap)
+        fns = [volume_potential, volume_potential_gradient]
+        if gap is not None and gap < 0:
+            fns.append(volume_potential_hessian)
+        for fs, f in cases:
+            for fn in fns:
+                fn(fs, domain, f, x, N)
+                assert _node_blocks(blocks), (label, fs.kind, f.name,
+                                              fn.__name__)
+                blocks.clear()
+        for fs in kernels.values():
+            volume_potential_negative(fs, domain, nd, x, N)
+            assert _node_blocks(blocks), (label, fs.kind)
+            blocks.clear()

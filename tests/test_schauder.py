@@ -4,8 +4,9 @@ import pytest
 import oracles
 from volpot import (Modulus, canonical_pairing_J, disk, extension_pairing_E,
                     get_preset, holder_seminorm, integral_functional_I,
-                    kernel_class_norm, laplace_fundamental, negative_density,
-                    omega_theta_eval)
+                    kernel_class_norm, laplace_fundamental, make_ball,
+                    negative_density, omega_theta_eval)
+from volpot.geometry import cached_boundary_rule, cached_volume_rule
 
 DISK = disk()
 ONE = get_preset("one")
@@ -78,6 +79,49 @@ def test_holder_seminorm_monotone_under_inclusion():
     small = holder_seminorm(pts[:20], vals[:20], om)
     large = holder_seminorm(pts, vals, om)
     assert large >= small
+
+
+def _holder_full_matrix(pts, vals, modulus):
+    # the seminorm read off the upper triangle of the full m x m distance
+    # and value-difference matrices
+    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+    dv = np.abs(vals[:, None] - vals[None, :])
+    iu = np.triu_indices(len(pts), k=1)
+    d, dv = d[iu], dv[iu]
+    keep = d != 0.0
+    return float(np.max(dv[keep]
+                        / np.asarray(modulus(d[keep]), dtype=float)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_holder_seminorm_matches_the_full_matrix_bitwise(n):
+    rng = np.random.default_rng(n)
+    pts = rng.uniform(-1.0, 1.0, size=(120, n))
+    pts[7] = pts[3]         # a duplicate point with an equal value
+    vals = np.cos(pts @ np.arange(1.0, n + 1.0)) + 1j * pts[:, 0]
+    for om in (Modulus.power(1.0), Modulus.power(0.4), Modulus.omega(0.5)):
+        got = holder_seminorm(pts, vals, om)
+        assert got == _holder_full_matrix(pts, vals, om), om
+
+
+@pytest.mark.parametrize("domain", [DISK, make_ball(3, [0.0, 0.0, 0.0], 1.0)],
+                         ids=["disk", "ball3d"])
+def test_norm_bound_keeps_its_bits(domain):
+    # negative_density forms the cloud's pair distances once for all the
+    # components; its bound against the constructor written out with the
+    # full-matrix seminorm per component
+    comps = (X1SQ, X1, _zero, X1)[:domain.dim + 1]
+    nd = negative_density(domain, comps, 0.7)
+    cloud = np.concatenate([cached_volume_rule(domain, 24).nodes,
+                            cached_boundary_rule(domain, 24).nodes])
+    if len(cloud) > 600:
+        cloud = cloud[np.linspace(0, len(cloud) - 1, 600).astype(int)]
+    bound = 0.0
+    for comp in comps:
+        v = np.asarray(comp(cloud), dtype=complex)
+        bound += float(np.max(np.abs(v)))
+        bound += _holder_full_matrix(cloud, v, Modulus.power(0.7))
+    assert nd.norm_bound == bound
 
 
 # -- kernel class norms --------------------------------------------------------
