@@ -292,8 +292,9 @@ def _ray_total(c, v):
 
 def _value_sum(fs, form, z, f):
     """sum_m S(x - y_m) f_m w_m over one block: for a constant f on rays
-    from x that start at r = 0 (``_per_ray``, ``RayForm.zero_start``), c @
-    the per-ray sums of ``fs.ray_value``; elsewhere S from the radii alone
+    from x that start at r = 0 (``_per_ray``, ``RayForm.zero_start``), the
+    pairwise sum of c times the per-ray sums of ``fs.ray_value``
+    (``_ray_total``); elsewhere S from the radii alone
     where the rays start at x (z None), else from the offsets z."""
     if _per_ray(fs, z, f) and form.zero_start:
         _, m1, ml = form.moments
@@ -311,8 +312,8 @@ def _gradient_sum(fs, form, z, f):
 
     Where the rays start at x (z None) each ray is reduced before any
     kernel call (``_ray_sums``): with s_i = c_i sum_j f_ij wt_j, the k1
-    kinds give -sum_i s_i k1(d_i), for a constant f -f W (c @ k1(d)) with
-    the table's W = sum wt (``_per_ray``); the screened kernel gives
+    kinds give -sum_i s_i k1(d_i), for a constant f -f W sum_i c_i k1(d_i)
+    with the table's W = sum wt (``_per_ray``, ``_ray_total``); the screened kernel gives
     -sum_i d_i c_i sum_j f_ij f'(r_ij) wt_j r_ij^(n-1).  Elsewhere fs.grad
     runs on the offsets z, and each component is summed like a value."""
     dirs, c = form.dirs, form.c
