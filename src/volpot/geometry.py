@@ -18,24 +18,29 @@ integrals on or near the boundary use ``_graded_boundary_rules``, a tuple
 of BoundaryQuadratures (the two halves of the 2D parameter window, or one
 polar cap on the sphere) that callers sum a rule at a time.
 
-The singularity-adapted volume rule integrates in polar coordinates about
-the (interior) evaluation point, with Gauss-Legendre panels geometrically
-graded toward the center along each ray.  The radial Jacobian r^{n-1}
-tames every kernel of homogeneity down to -(n-1), and log factors are
-absorbed by the graded panels; accuracy degrades gracefully (and the
-angular resolution is raised automatically) as the point approaches the
-boundary.  A companion chord rule covers exterior points near the boundary
-of a ball; its chords are graded toward their entry points only down to
-the point's distance from the ball (``_chord_levels``).  Exterior points
-near a star boundary take the domain's own polar rule about the origin,
-whose rays run inward from rho(theta) and so are graded toward it.
+Every volume rule near a point integrates in polar coordinates about it,
+along rays with Gauss-Legendre panels geometrically graded toward the
+point (toward the entry points, for the chords of a ball).  The radial
+Jacobian r^{n-1} tames every kernel of homogeneity down to -(n-1), and
+log factors are absorbed by the graded panels.
+- On a star domain the rays run from x to the nodes of the graded boundary
+  rules (``_flux_rays``), by the divergence theorem in polar form about x,
+  with signed angular weights: one rule for interior points at any
+  distance and for exterior points near the boundary, with no ray cast
+  and no re-entered interval, and the graded boundary rules' accuracy.
+- On a ball the polar rule about an interior x casts its rays on a fixed
+  angular grid, raised automatically as the point approaches the
+  boundary, and a companion chord rule covers exterior points near the
+  boundary; its chords are graded toward their entry points only down to
+  the point's distance from the ball (``_chord_levels``).
+Exterior points far from either take the regular rule about the centre.
 
 Every volume rule is a tuple of ray sets (``RaySet``), all of one shape:
 an origin, unit directions, a radial interval [lo, hi] and an angular
 weight per ray, and the radial order and panel count shared by the rays,
-graded toward lo.  A ray with hi < lo runs inward, its angular weight
-negated.  A rule is read a block of rays at a time (``rule_forms``),
-so an evaluation never holds a whole 10^5-10^6 node rule.  Blocks come
+graded toward lo; the angular weights are signed.  A rule is read a block
+of rays at a time (``rule_forms``), so an evaluation never holds a whole
+10^5-10^6 node rule.  Blocks come
 in two sizes: a block whose radii or nodes a caller may read keeps its
 (nodes, n) arrays below ``_BLOCK_BYTES``; a block that a caller reads
 one number per ray (a constant density summed from the table moments)
@@ -61,8 +66,8 @@ reductions such as ``np.sum(y * y, axis=-1)`` run one long loop per
 coordinate with the same per-element operations, in the same order, so
 the same bits.  The radial nodes and weights are the per-(order, panel
 count) tables of ``_radial_tables`` scaled by each ray's span
-(``_graded_nodes``); the graded angular windows of the chord and
-star-near rules are the same tables scaled by the window's half-width.
+(``_graded_nodes``); the graded angular window of the chord rule is the
+same table scaled by the window's half-width.
 """
 
 from __future__ import annotations
@@ -79,19 +84,14 @@ from .errors import DomainError, NearBoundaryError
 # rejected by interior/exterior-only operations.
 BOUNDARY_BAND = 1e-9
 
-# Volume rules are reduced, and star rays scanned, a block of rays at a
-# time, sized so that every (points, n) float array of a block stays below
-# this many bytes: glibc's default mmap threshold is 128 KiB, so block
+# Volume rules are reduced a block of rays at a time, sized so that every
+# (points, n) float array of a block stays below this many bytes: glibc's default mmap threshold is 128 KiB, so block
 # temporaries are recycled on the heap instead of being mapped, faulted in
 # page by page and unmapped again for every evaluation.
 _BLOCK_BYTES = 1 << 17
 
-# Star rays are scanned for boundary crossings at this many points between
-# 0 and 2.2 bounding radii before bisection refines them.
-RAY_SCAN_POINTS = 256
-
-# make_star2d checks rho > 0 at this many angles, and bounds the radii on a
-# grid 64 times finer.
+# make_star2d checks rho > 0 at this many angles, and bounds rho on a grid
+# 64 times finer.
 STAR_CHECK_ANGLES = 256
 
 
@@ -101,10 +101,8 @@ class Domain:
 
     ``kind`` is "ball" (any supported dim, arbitrary center) or "star2d"
     (planar, {r < rho(theta)} about the origin).  ``bounding_radius`` is an
-    r with closure(Omega) inside the ball B(0, r); ``inscribed_radius`` is
-    an r with B(0, r) inside Omega for star2d domains (the radius, about
-    the center, for balls).  Instances are immutable and shareable; node
-    generation is deterministic given (domain, N, x).
+    r with closure(Omega) inside the ball B(0, r).  Instances are immutable
+    and shareable; node generation is deterministic given (domain, N, x).
     """
 
     dim: int
@@ -114,7 +112,6 @@ class Domain:
     rho: object          # callable theta -> rho(theta), star2d only
     drho: object         # callable theta -> rho'(theta), star2d only
     bounding_radius: float
-    inscribed_radius: float
 
     # -- indicator ---------------------------------------------------------
 
@@ -180,101 +177,28 @@ class Domain:
         nrm = r[..., None] * e - dr[..., None] * eperp
         return nrm / np.linalg.norm(nrm, axis=-1, keepdims=True)
 
-    # -- ray casting --------------------------------------------------------
+    # -- ray casting (balls) -----------------------------------------------
 
     def ray_exit(self, x, dirs):
-        """Distance from interior x to the boundary along unit directions."""
+        """Distance from interior x to the sphere along unit directions; a
+        ball's method (a star domain's rules cast no ray, DomainError)."""
+        if self.kind != "ball":
+            raise DomainError("ray casting is defined for balls only")
         x = np.asarray(x, dtype=float)
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-        if self.kind == "ball":
-            d = x - self.center
-            b = dirs @ d
-            disc = b * b + (self.radius ** 2 - d @ d)
-            if np.any(disc < 0):
-                raise DomainError("ray_exit requires an interior point")
-            return -b + np.sqrt(disc)
-        return self.ray_intervals(x, dirs)[0]
+        d = x - self.center
+        b = dirs @ d
+        disc = b * b + (self.radius ** 2 - d @ d)
+        if np.any(disc < 0):
+            raise DomainError("ray_exit requires an interior point")
+        return -b + np.sqrt(disc)
 
     def ray_intervals(self, x, dirs):
-        """Boundary crossings along rays from an interior point.
-
-        Returns (first_exit, extras): the distance to the first boundary
-        crossing per ray, plus a flat (ray_index, t_in, t_out) array of the
-        further inside-intervals that rays of a non-convex domain re-enter.
-        Crossings are bracketed on a ``RAY_SCAN_POINTS`` grid and refined by
-        bisection; re-entered slivers thinner than the scan step go unseen,
-        so coverage of strongly non-convex domains carries an
-        O(RAY_SCAN_POINTS^-2) floor.
-
-        Only scan points in the annulus between the inscribed and the
-        bounding circle evaluate the radial gap; the rest are inside or
-        outside by the ``inscribed_radius`` and ``bounding_radius``
-        invariants.  Rays are scanned in blocks whose scan points, as an
-        (points, 2) array, stay below ``_BLOCK_BYTES``, so memory does not
-        grow with the ray count.  Points are formed and tested on flat
-        coordinate arrays, t dx + x0 and t dy + x1, with the operations of
-        ``_ray_nodes`` and ``radial_gap`` and so their bits.  Bisection
-        steps every bracket at once; a bracket retires, its ends kept by
-        ``np.where``, once its midpoint rounds onto an endpoint, after
-        which no step could change it.
-        """
-        x = np.asarray(x, dtype=float)
-        dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-        if self.kind == "ball":
-            return self.ray_exit(x, dirs), np.empty((0, 3))
-        tmax = 2.2 * self.bounding_radius
-        ts = np.linspace(0.0, tmax, RAY_SCAN_POINTS)
-        r2_max = self.bounding_radius ** 2
-        r2_in = self.inscribed_radius ** 2
-        xx = x @ x
-        dx, dy = np.ascontiguousarray(dirs.T)
-        m = len(dirs)
-        step = _rays_per_block(2 * RAY_SCAN_POINTS)
-        ray_idx, step_idx, state_lo = [], [], []
-        for start in range(0, m, step):
-            d = dirs[start:start + step]
-            # |x + t d|^2, without forming the points
-            q = xx + ts * (2.0 * (d @ x)[:, None] + ts)
-            inside = q < r2_in
-            ri, si = np.nonzero((q < r2_max) & ~inside)
-            t, ri_all = ts[si], ri + start
-            inside[ri, si] = self._gap_xy(t * dx[ri_all] + x[0],
-                                          t * dy[ri_all] + x[1]) > 0.0
-            if not np.all(inside[:, 0]):
-                raise DomainError("ray casting requires an interior point")
-            # np.nonzero yields row-major order, so crossings are grouped
-            # by ray
-            r, s = np.nonzero(inside[:, :-1] != inside[:, 1:])
-            ray_idx.append(r + start)
-            step_idx.append(s)
-            state_lo.append(inside[r, s])
-        ray_idx = np.concatenate(ray_idx)
-        step_idx = np.concatenate(step_idx)
-        state_lo = np.concatenate(state_lo)
-        lo = ts[step_idx]
-        hi = ts[step_idx + 1]
-        dx, dy = dx[ray_idx], dy[ray_idx]
-        live = np.ones(len(lo), dtype=bool)
-        for _ in range(60):
-            if not live.any():
-                break
-            mid = 0.5 * (lo + hi)
-            take_lo = (self._gap_xy(mid * dx + x[0], mid * dy + x[1])
-                       > 0.0) == state_lo
-            settled = (mid == lo) | (mid == hi)
-            lo = np.where(live & take_lo, mid, lo)
-            hi = np.where(live & ~take_lo, mid, hi)
-            live &= ~settled
-        cross = 0.5 * (lo + hi)
-        bounds = np.searchsorted(ray_idx, np.arange(m + 1))
-        first = cross[bounds[:-1]]
-        # the remaining crossings of a ray pair up into re-entered
-        # intervals: odd ranks within the ray enter, even ranks leave
-        rank = np.arange(len(cross)) - bounds[ray_idx]
-        enter = np.nonzero(rank % 2 == 1)[0]
-        extras = np.column_stack([ray_idx[enter], cross[enter],
-                                  cross[enter + 1]])
-        return first, extras
+        """(first_exit, extras) along rays from an interior point of a
+        ball: ``ray_exit`` and an empty (0, 3) array of re-entered
+        intervals; DomainError on a star domain.  No rule calls it; it
+        keeps the name that profilers wrap."""
+        return self.ray_exit(x, dirs), np.empty((0, 3))
 
 
 def make_ball(n: int, center, R: float) -> Domain:
@@ -286,38 +210,29 @@ def make_ball(n: int, center, R: float) -> Domain:
     center = np.array(np.asarray(center, dtype=float)).reshape(n)
     center.setflags(write=False)
     return Domain(n, "ball", center, float(R), None, None,
-                  float(R + np.linalg.norm(center)) * 1.0000001, float(R))
+                  float(R + np.linalg.norm(center)) * 1.0000001)
 
 
-def make_star2d(rho, drho=None) -> Domain:
-    """Planar domain {r < rho(theta)} with smooth periodic rho > 0.
-
-    ``drho`` is optional; without it the derivative is taken by central
-    differences with step 1e-5 (adequate for normals and arclength weights).
-    """
+def make_star2d(rho, drho) -> Domain:
+    """Planar domain {r < rho(theta)} with smooth periodic rho > 0 and its
+    derivative drho = rho', which the normals and arclength weights of every
+    boundary rule, and so every star volume rule, read."""
     theta = np.linspace(0.0, 2.0 * np.pi, STAR_CHECK_ANGLES, endpoint=False)
     vals = np.asarray(rho(theta), dtype=float)
     if vals.shape != theta.shape:
         raise DomainError("rho must map angle arrays to value arrays")
     if np.any(vals <= 0.0):
         raise DomainError("rho must be strictly positive")
-    if drho is None:
-        h = 1e-5
-
-        def drho(t, _rho=rho, _h=h):
-            return (_rho(t + _h) - _rho(t - _h)) / (2.0 * _h)
-
-    # An extremum of rho between the check angles passes their extreme
-    # value by about (dtheta / 2)^2 |rho''| / 2; on this 64x finer grid
-    # (which contains the check angles) that stays within the 1e-7 margins
-    # of both radii for |rho''| up to ~5 rho.
+    # A maximum of rho between the check angles passes their largest value
+    # by about (dtheta / 2)^2 |rho''| / 2; on this 64x finer grid (which
+    # contains the check angles) that stays within the 1e-7 margin for
+    # |rho''| up to ~5 rho.
     fine = rho(np.linspace(0.0, 2.0 * np.pi, 64 * STAR_CHECK_ANGLES,
                            endpoint=False))
     center = np.zeros(2)
     center.setflags(write=False)
     return Domain(2, "star2d", center, float("nan"), rho, drho,
-                  float(np.max(fine)) * 1.0000001,
-                  float(np.min(fine)) * (1.0 - 1e-7))
+                  float(np.max(fine)) * 1.0000001)
 
 
 def disk(R: float = 1.0, center=(0.0, 0.0)) -> Domain:
@@ -382,7 +297,8 @@ class VolumeQuadrature:
 
     nodes: np.ndarray     # (m, n) interior points, C-contiguous (streamed
                           # blocks are coordinate-major; ``_drain`` copies)
-    weights: np.ndarray   # (m,) positive, summing to |Omega|
+    weights: np.ndarray   # (m,) summing to |Omega|; signed on the flux rays
+                          # of a star domain (``_flux_rays``)
 
     def integrate(self, values):
         return np.sum(values * self.weights)
@@ -397,17 +313,17 @@ class RaySet:
     refined geometrically toward lo: with s = hi - lo, the panels
     [lo + s 2^-(k+1), lo + s 2^-k] for k < n_panels and
     [lo, lo + s 2^-n_panels]; n_panels 0 is one plain panel.  A node's
-    weight is its radial weight times s, r^(n-1) and ``wang[i]``.  A ray
-    with hi < lo runs inward, graded toward its outer end lo, and carries
-    its angular weight negated, so that s wang = |s| |wang| stays
-    positive (the star-near rule, graded toward the boundary radius).
+    weight is its radial weight times s, r^(n-1) and ``wang[i]``.  The
+    angular weights are signed: a star domain's flux rays carry the sign
+    of nu . e (``_flux_rays``).  A ray with hi < lo runs inward, graded
+    toward its outer end lo, its weights signed by s < 0.
     """
 
     center: np.ndarray    # (n,) origin of the rays
     dirs: np.ndarray      # (M, n) unit directions
     lo: np.ndarray        # (M,) radial interval of each ray, graded
     hi: np.ndarray        # (M,) toward lo
-    wang: np.ndarray      # (M,) angular weights, negated where hi < lo
+    wang: np.ndarray      # (M,) signed angular weights
     p: int
     n_panels: int
 
@@ -699,23 +615,14 @@ def _graded_nodes(r_lo, span, t):
     return nodes
 
 
-def _angular_count(N, dist, scale, roughness=1.0):
-    """Trapezoid node count; raised as the point nears the boundary, where
-    the ray-length profile develops a sqrt(dist)-scale feature (steeper on
-    wavy boundaries, hence the roughness factor)."""
+def _angular_count(N, dist, scale):
+    """Trapezoid node count of the polar rule about a point of a disk;
+    raised as the point nears the boundary, where the ray-length profile
+    develops a sqrt(dist)-scale feature."""
     base = max(16, 2 * N)
     if dist < 0.08 * scale:
-        base = max(base, int(12.0 * roughness
-                             / np.sqrt(max(dist, 1e-12) / scale)))
+        base = max(base, int(12.0 / np.sqrt(max(dist, 1e-12) / scale)))
     return min(base, 8000)
-
-
-def _boundary_roughness(domain):
-    if domain.kind == "ball":
-        return 1.0
-    t = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
-    slope = np.max(np.abs(domain.drho(t)) / domain.rho(t))
-    return float(1.0 + 2.0 * slope)
 
 
 # ---------------------------------------------------------------------------
@@ -806,49 +713,65 @@ def volume_rule(domain: Domain, N: int) -> VolumeQuadrature:
     return _drain(_regular_rays(domain, N))
 
 
-def _singular_rays(domain, x, N, dist, r_min=0.0):
-    """Rays of the polar rule about the interior point x, at distance dist
-    from the boundary, graded toward x (toward the excised sphere of radius
-    r_min when r_min > 0)."""
-    return _excised_rays(domain, x, N, dist, (r_min,))[0]
+def _flux_rays(domain, x, N, radii=(0.0,)):
+    """The volume rule of a star domain about any x off its boundary, with
+    B(x, r) excised for each r in radii: rays from x to the nodes y of
+    each graded boundary rule, by the divergence theorem in polar form
+    about x (the radial integration method, X.-W. Gao, Eng. Anal. Bound.
+    Elem. 26, 2002),
 
+        int_Omega g dy = int_dOmega (nu . e) l^(1-n) int_0^l g(x + r e)
+                         r^(n-1) dr dsigma(y),  l = |y - x|, e = (y - x) / l.
 
-def _excised_rays(domain, x, N, dist, radii):
-    """``_singular_rays`` for each excision radius in radii, from one ray
-    cast: the directions, exits and re-entered intervals do not depend on
-    the radius, only the radial starts do.  A list of ray-set tuples."""
+    The ray to y runs over [min(r, l), l], graded toward its start, with
+    the signed angular weight (nu . e) w l^(1-n) for the node's weight w:
+    the sign sums rays that leave and re-enter a non-convex domain, and
+    the rays of an exterior x, which enter and then leave.  The boundary
+    rules are built once for every radius.  A list of ray-set tuples."""
     p = _radial_order(N)
     n_panels = _radial_panel_count(N)
+    rays = []
+    for bq in _graded_boundary_rules(domain, x, N):
+        d = bq.nodes - x
+        ell = np.sqrt(np.sum(d * d, axis=1))
+        e = d / ell[:, None]
+        rays.append((e, ell, np.sum(bq.normals * e, axis=1) * bq.weights
+                     * ell ** (1 - domain.dim)))
+    return [tuple(RaySet(x, e, np.minimum(r_min, ell), ell, wang, p, n_panels)
+                  for e, ell, wang in rays) for r_min in map(float, radii)]
+
+
+def _excised_rays(domain, x, N, radii):
+    """The volume rule about the interior point x with B(x, r) excised,
+    for each r in radii (a list of ray-set tuples): the flux rays on a
+    star domain; on a ball the polar rule about x, graded toward x (toward
+    the excised sphere), from one ray cast, since the directions and the
+    exits do not depend on the radius, only the radial starts do."""
+    if domain.kind == "star2d":
+        return _flux_rays(domain, x, N, radii)
+    p = _radial_order(N)
+    n_panels = _radial_panel_count(N)
+    dist = domain.distance_to_boundary(x)
     if domain.dim == 2:
-        _, dirs, wang = _circle_grid(_angular_count(
-            N, dist, domain.bounding_radius, _boundary_roughness(domain)))
+        _, dirs, wang = _circle_grid(_angular_count(N, dist,
+                                                  domain.bounding_radius))
     else:
-        # 3D ball: axisymmetric ray-length profile about the direction to
-        # the center, so align the polar axis with it.
+        # axisymmetric ray-length profile about the direction to the
+        # center, so align the polar axis with it.
         nt = max(6, N // 2)
         if dist < 0.05 * domain.bounding_radius:
             nt = max(nt, int(6.0 / np.sqrt(max(dist, 1e-12)
                                            / domain.bounding_radius)))
             nt = min(nt, 2000)
         dirs, wang = _gl_sphere(nt, max(8, N), toward=x - domain.center)
-    rex, extras = domain.ray_intervals(x, dirs)
-    idx = extras[:, 0].astype(int)
-    out = []
-    for r_min in map(float, radii):
-        rays = [RaySet(x, dirs, np.minimum(r_min, rex), rex, wang, p,
-                       n_panels)]
-        if len(idx):
-            # re-entered intervals of rays through non-convex lobes; the
-            # kernel is regular there, a few panels suffice.  The angular
-            # windows of these lobes have square-root edges that the
-            # uniform trapezoid resolves to ~M^{-3/2}, a ~1e-5 coverage
-            # floor for near-boundary points of strongly wavy domains
-            # (ample for the one-sided transmission limits they serve)
-            t_in = np.maximum(extras[:, 1], r_min)
-            t_out = np.maximum(extras[:, 2], t_in)
-            rays.append(RaySet(x, dirs[idx], t_in, t_out, wang[idx], p, 6))
-        out.append(tuple(rays))
-    return out
+    rex = domain.ray_exit(x, dirs)
+    return [(RaySet(x, dirs, np.minimum(r_min, rex), rex, wang, p, n_panels),)
+            for r_min in map(float, radii)]
+
+
+def _singular_rays(domain, x, N, r_min=0.0):
+    """``_excised_rays`` for one excision radius r_min (0: none)."""
+    return _excised_rays(domain, x, N, (r_min,))[0]
 
 
 def singular_volume_rule(domain: Domain, x, N: int,
@@ -863,8 +786,7 @@ def singular_volume_rule(domain: Domain, x, N: int,
     if domain.classify(x) <= 0:
         raise NearBoundaryError(
             "singular_volume_rule requires a strictly interior point")
-    return _drain(_singular_rays(domain, x, N,
-                                 domain.distance_to_boundary(x), r_min))
+    return _drain(_singular_rays(domain, x, N, r_min))
 
 
 def _chord_levels(R, dist, p, n_panels):
@@ -926,33 +848,12 @@ def exterior_chord_rule(domain: Domain, x, N: int) -> VolumeQuadrature:
     return _drain(_chord_rays(domain, np.asarray(x, dtype=float), N))
 
 
-def _near_star_rays(domain, x, N):
-    """Rays of a star2d domain's own polar coordinates, angles graded toward
-    the direction of x, radii graded toward the boundary radius."""
+def near_exterior_star_rule(domain: Domain, x, N: int) -> VolumeQuadrature:
+    """Volume rule for an exterior point near a star2d boundary: the flux
+    rays from x (``_flux_rays``), drained."""
     if domain.kind != "star2d":
         raise DomainError("near_exterior_star_rule requires a star2d domain")
-    theta0 = float(np.arctan2(x[1], x[0]))
-    p = _radial_order(N)
-    n_panels = _radial_panel_count(N)
-    t, wt, _ = _radial_tables(p, n_panels)
-    half = np.pi * t
-    theta = theta0 + np.concatenate([half, -half])
-    wtheta = np.concatenate([np.pi * wt, np.pi * wt])
-    e = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    # rays run inward from r = rho(theta), graded toward it (where the
-    # kernel peaks), so their angular weights are negated (see ``RaySet``)
-    return (RaySet(domain.center, e, domain.rho(theta), np.zeros(len(theta)),
-                   -wtheta, p, n_panels),)
-
-
-def near_exterior_star_rule(domain: Domain, x, N: int) -> VolumeQuadrature:
-    """Volume rule for an exterior point near a star2d boundary.
-
-    Integrates in the domain's own polar coordinates with angle panels
-    graded toward the direction of ``x`` and radial panels graded toward
-    the boundary radius, so integrands peaked just outside the wall are
-    resolved without ray-window geometry."""
-    return _drain(_near_star_rays(domain, np.asarray(x, dtype=float), N))
+    return _drain(_flux_rays(domain, np.asarray(x, dtype=float), N)[0])
 
 
 @lru_cache(maxsize=64)

@@ -15,9 +15,11 @@ odd homogeneous kernel) against densities on a domain or its boundary:
   components, which trades the distributional derivative for a boundary term
   plus differentiated volume terms.
 
-Interior evaluation uses the polar rule centered at the point; exterior
-evaluation uses the regular rule far from the boundary and a chord rule
-(ball) or the domain's own polar rule (star) close to it.  Points within
+Every volume rule near a point is rays from it (see :mod:`volpot.geometry`):
+on a star domain the flux rays to the nodes of the graded boundary rules,
+for interior points and for exterior points near the boundary; on a ball
+the polar rule about an interior point and a chord rule outside.  Far
+exterior points take the regular rule about the centre.  Points within
 1e-9 of the boundary are rejected; transmission is tested through one-sided
 limits (see :mod:`volpot.verify`).
 
@@ -46,7 +48,8 @@ it needs no per-node value at all.  Three paths, picked per block:
   ``_density``), a homogeneous kernel (laplace, anisotropic-principal)
   and rays that start at x.  Along such a ray S(r d) = k (log r +
   log q(d)) in 2D and a(d)/r in 3D, so the value on rays that also start
-  at r = 0 (the polar rule about an interior x; r = s t for the table t)
+  at r = 0 (the polar rule about an interior x and the flux rays; r = s t
+  for the table t)
   is sum_i c_i ``fs.ray_value``_i, from M1 = sum t wt and
   ML = sum t log t wt, and the gradient on any such rays (the chord rule
   too) is -f W sum_i c_i k1(d_i), W = sum wt.  No radius, no node, no
@@ -66,9 +69,8 @@ it needs no per-node value at all.  Three paths, picked per block:
   - Hessian, k1 part: the weighted k1 moment on the directions with
     weights c_i sum_j wt_j (f_ij - f(x)) / r_ij; screened k2 part:
     I sum w f beta + sum_i d_i d_i^t sum_j w f alpha r^2.
-* per node on the offsets: the far and star-near rules (rays from the
-  domain's centre, the star-near ones run inward from the boundary)
-  run the kernel on x - y, a call per node.
+* per node on the offsets: the far rule (rays from the domain's centre)
+  runs the kernel on x - y, a call per node.
 
 A block's radii are built only where a path reads them, and its nodes
 only for those offsets and for a density that is not constant: a
@@ -101,13 +103,13 @@ import numpy as np
 from .errors import DomainError, NearBoundaryError, VolpotError
 from .fundsol import FundamentalSolution
 from .geometry import (Domain, cached_boundary_rule, rule_forms, _chord_rays,
-                       _excised_rays, _graded_boundary_rules, _near_star_rays,
+                       _excised_rays, _flux_rays, _graded_boundary_rules,
                        _regular_rays, _singular_rays)
 from .schauder import NegativeExponentDensity
 
 # Points closer to the boundary than this fraction of a ball's radius (a
-# star domain's bounding radius) take the graded layer and the chord (star-
-# near) volume rules.
+# star domain's bounding radius) take the graded layer rules, and exterior
+# ones the chord (ball) or flux (star) volume rules.
 NEAR_FRACTION = 0.1
 
 
@@ -174,23 +176,23 @@ def _density(f, form):
 def _volume_rays(domain, x, N):
     """The class of the point x (see ``Domain.classify``) and a function
     that builds its volume rule, returning the tuple of ray sets and
-    whether the rays start at x: the polar rule about an interior x; for
-    an exterior x, the chord (ball) or star-near rule near the boundary,
-    the regular rule far from it.  N is checked and the point classified
-    here, once; its distance is measured when the rule is built."""
+    whether the rays start at x: the polar rule about an interior x (the
+    flux rays on a star domain); for an exterior x, the chord (ball) or
+    flux (star) rule near the boundary, the regular rule far from it.  N
+    is checked and the point classified here, once; an exterior point's
+    distance is measured when the rule is built."""
     if N < 4:
         raise VolpotError(f"N must be at least 4, got {N}")
     cls = _classify_or_raise(domain, x)
 
     def build():
-        dist = domain.distance_to_boundary(x)
         if cls > 0:
-            return _singular_rays(domain, x, N, dist), True
-        if _far(domain, dist):
+            return _singular_rays(domain, x, N), True
+        if _far(domain, domain.distance_to_boundary(x)):
             return _regular_rays(domain, N), False
         if domain.kind == "ball":
             return _chord_rays(domain, x, N), True
-        return _near_star_rays(domain, x, N), False
+        return _flux_rays(domain, x, N)[0], True
 
     return cls, build
 
@@ -221,12 +223,13 @@ def _volume_blocks(domain, x, N, per_ray=None):
 def _excised_rules(domain, x, N, radii):
     """The blocks (form, None) (see ``_volume_blocks``) of the polar rules
     about the strictly interior point x with B(x, r) excised, for each r in
-    radii, from one ray cast."""
+    radii, from one ray cast (one build of the graded boundary rules on a
+    star domain)."""
     if domain.classify(x) <= 0:
         raise NearBoundaryError(
             "the excised polar rule requires a strictly interior point")
-    return [((form, None) for form in rule_forms(rays)) for rays in
-            _excised_rays(domain, x, N, domain.distance_to_boundary(x), radii)]
+    return [((form, None) for form in rule_forms(rays))
+            for rays in _excised_rays(domain, x, N, radii)]
 
 
 def _rule_sum(x, blocks, integrand):

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Domain, cached_boundary_rule, cached_volume_rule
+from .geometry import (_BLOCK_BYTES, Domain, cached_boundary_rule,
+                       cached_volume_rule)
 
 
 # ---------------------------------------------------------------------------
@@ -110,33 +111,39 @@ def holder_seminorm(points, values, modulus: Modulus) -> float:
         raise ValueError("points and values must have equal length")
     if len(pts) < 2:
         raise ValueError("need at least two sample points")
-    return _seminorm_on(pts, modulus)(vals)
+    return _seminorms(pts, modulus, [vals])[0]
 
 
-def _seminorm_on(pts, modulus):
-    """``holder_seminorm`` on the (m, n) points pts as a function of the
-    values, with the pair distances and their modulus formed once, for
-    the pairs i < j alone, with the bits of the full distance matrix's
-    norm: the squared coordinate differences summed in coordinate order."""
-    i, j = np.triu_indices(len(pts), k=1)
-    sq = 0.0
-    for k in range(pts.shape[1]):
-        dk = pts[i, k] - pts[j, k]
-        sq = sq + dk * dk
-    d = np.sqrt(sq)
-    coincident = d == 0.0
-    apart = ~coincident
-    omega = np.asarray(modulus(d[apart]), dtype=float)
-
-    def seminorm(vals):
-        dv = np.abs(vals[i] - vals[j])
-        if np.any(dv[coincident] > 0):
-            raise ValueError("duplicate points with differing values")
-        if not len(omega):
-            return 0.0
-        return float(np.max(dv[apart] / omega))
-
-    return seminorm
+def _seminorms(pts, modulus, values):
+    """``holder_seminorm`` of each array in values on the (m, n) points
+    pts, over the pairs i < j alone, a block of rows i at a time: each
+    block's distances and their modulus are formed once for every array,
+    and its (pairs,) arrays stay near ``_BLOCK_BYTES``, so memory does not
+    grow with m^2.  The distances have the bits of the full distance
+    matrix's norm (the squared coordinate differences summed in
+    coordinate order), and a maximum does not depend on the blocks."""
+    m = len(pts)
+    rows = max(1, _BLOCK_BYTES // (8 * m))
+    best = [0.0] * len(values)
+    for a in range(0, m - 1, rows):
+        i, j = np.nonzero(np.arange(a, min(a + rows, m))[:, None]
+                          < np.arange(m))
+        i += a
+        sq = 0.0
+        for k in range(pts.shape[1]):
+            dk = pts[i, k] - pts[j, k]
+            sq = sq + dk * dk
+        d = np.sqrt(sq)
+        coincident = d == 0.0
+        apart = ~coincident
+        omega = np.asarray(modulus(d[apart]), dtype=float)
+        for c, vals in enumerate(values):
+            dv = np.abs(vals[i] - vals[j])
+            if np.any(dv[coincident] > 0):
+                raise ValueError("duplicate points with differing values")
+            if len(omega):
+                best[c] = max(best[c], float(np.max(dv[apart] / omega)))
+    return best
 
 
 def kernel_class_norm(K, X, Y, s1: float, s2: float, s3: float) -> float:
@@ -213,12 +220,12 @@ def negative_density(domain: Domain, components, alpha: float,
     if len(cloud) > 600:
         idx = np.linspace(0, len(cloud) - 1, 600).astype(int)
         cloud = cloud[idx]
-    seminorm = _seminorm_on(cloud, Modulus.power(alpha))
+    values = [np.asarray(comp(cloud), dtype=complex) for comp in components]
     bound = 0.0
-    for comp in components:
-        v = np.asarray(comp(cloud), dtype=complex)
+    for v, seminorm in zip(values, _seminorms(cloud, Modulus.power(alpha),
+                                              values)):
         bound += float(np.max(np.abs(v)))
-        bound += seminorm(v)
+        bound += seminorm
     return NegativeExponentDensity(components, float(alpha), bound)
 
 

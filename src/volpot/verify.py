@@ -362,7 +362,10 @@ def check_maximal_bound(k, domain: Domain, x_grid, rho_grid, N: int = 64,
     """Truncated integrals int_{Omega \\ B(x, rho)} k(x - y) dy over a rho
     grid.  ``expect="bounded"`` passes when the values are stable in rho
     (even kernels with zero sphere mean); ``expect="log-growth"`` passes
-    when they grow by at least 0.9 * s_n ln 10 per decade (control case)."""
+    when they grow by at least 0.9 * s_n ln 10 per decade (control case);
+    any other ``expect`` raises ValueError before anything is evaluated."""
+    if expect not in ("bounded", "log-growth"):
+        raise ValueError(f"unknown maximal_bound expectation {expect!r}")
     if tol is None:
         tol = DEFAULT_TOLERANCES["maximal_bound_variation" if expect == "bounded"
                                  else "maximal_growth_deficit"]

@@ -7,10 +7,11 @@ configs kept next to them: the Laplace kernel on the 3D unit ball
 (``ball3d.cfg``) and the screened kernel on a cosine star
 (``star_screened.cfg``); both include ``derivative_recursion``, the row that
 runs gradients.  A ``volpot eval`` golden (``star_near.cfg``, written to
-``star_near_eval.csv``) pins the star rules near the boundary, which no
+``star_near_eval.csv``) pins the star rule near the boundary, which no
 report reaches: screened values of a bump density at offsets of 1e-2 and
-1e-4 on both sides of a cosine star, from the interior polar rule with its
-re-entered intervals and from the star-near exterior rule.  Regenerate
+1e-4 on both sides of a cosine star, from the flux rays to the graded
+boundary rules (``tests/test_star_flux.py`` checks that rule against
+Green's representation formula at the same points).  Regenerate
 them only for a change that is meant to move report values, and say so
 where the change is recorded.
 """

@@ -72,10 +72,10 @@ def test_radial_gap_is_layout_invariant(dom):
     (make_ball(3, (0.0, 0.0, 0.0), 1.0), (0.3, -0.2, 0.5))],
     ids=["star-reentry", "ball3d"])
 def test_block_nodes_coordinate_major_and_drained_nodes_c(dom, x):
-    # the star point sees rays that re-enter the domain, so its rule is
-    # two ray sets and its drained nodes a concatenation
+    # the star point's rule is flux rays, one ray set per half of the
+    # graded boundary rule, so its drained nodes are a concatenation
     x = np.asarray(x)
-    rays = _singular_rays(dom, x, 16, dom.distance_to_boundary(x))
+    rays = _singular_rays(dom, x, 16)
     assert len(rays) == (2 if dom.dim == 2 else 1)
     blocks = [form.nodes for form in rule_forms(rays)]
     assert all(y.T.flags.c_contiguous for y in blocks)

@@ -88,8 +88,9 @@ def _points(domain):
 
 def _drained(domain, x, N):
     """The volume rule the potentials use at x, drained: the polar rule
-    about an interior x, the chord (ball) or star-near rule just outside,
-    the regular rule far out (every far point here is a radius away)."""
+    about an interior x (the flux rays on the star), the chord (ball) or
+    flux (star) rule just outside, the regular rule far out (every far
+    point here is a radius away)."""
     if domain.classify(x) > 0:
         return singular_volume_rule(domain, x, N)
     if domain.distance_to_boundary(x) > 0.5:
@@ -201,7 +202,7 @@ VALUE_KERNELS = {"laplace": laplace_fundamental,
 @pytest.mark.parametrize("kname", sorted(VALUE_KERNELS))
 def test_values_along_rays_match_cartesian(domain, N, kname):
     # interior offsets 1e-2 and 1e-4 (the polar rule about x), 1e-3 outside
-    # (the chord rule on the disk and the ball, the star-near rule on the
+    # (the chord rule on the disk and the ball, the flux rays on the
     # star) and a far point (the regular rule, streamed a block at a time)
     fs = VALUE_KERNELS[kname](domain.dim)
     if domain is STAR:
@@ -353,13 +354,14 @@ def test_ball_hessian_near_the_boundary_matches_oracle(kname, delta):
 # (s t + lo): within 6.1e-16 relative of the Cartesian sums on the same
 # nodes.  Pinned on the correctly rounded Gauss-Legendre rules of
 # ``geometry._leggauss``; on numpy's leggauss five of the seven differed
-# in their last bits (the ball interior value by 6.8e-15 relative)
+# in their last bits (the ball interior value by 6.8e-15 relative).  The
+# two star values are the flux rays' (``geometry._flux_rays``)
 STORED_VALUES = {
     "disk interior": "-0x1.1342719ee8f28p-3",
     "disk chord": "-0x1.529ace739d1acp-6",
     "disk far": "0x1.9e54ca58f0eb6p-3",
-    "star interior": "-0x1.a4427bf47ce71p-4",
-    "star near exterior": "-0x1.59360847e8ed5p-4",
+    "star interior": "-0x1.a443438170c2cp-4",
+    "star near exterior": "-0x1.5936068fa6de1p-4",
     "ball interior": "-0x1.d37b019ed66aap-6",
     "ball chord": "-0x1.774d5d515a4b5p-5",
 }

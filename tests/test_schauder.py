@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -107,8 +109,8 @@ def test_holder_seminorm_matches_the_full_matrix_bitwise(n):
 @pytest.mark.parametrize("domain", [DISK, make_ball(3, [0.0, 0.0, 0.0], 1.0)],
                          ids=["disk", "ball3d"])
 def test_norm_bound_keeps_its_bits(domain):
-    # negative_density forms the cloud's pair distances once for all the
-    # components; its bound against the constructor written out with the
+    # negative_density forms each block of the cloud's pair distances once
+    # for all the components; its bound against the constructor written out with the
     # full-matrix seminorm per component
     comps = (X1SQ, X1, _zero, X1)[:domain.dim + 1]
     nd = negative_density(domain, comps, 0.7)
@@ -122,6 +124,20 @@ def test_norm_bound_keeps_its_bits(domain):
         bound += float(np.max(np.abs(v)))
         bound += _holder_full_matrix(cloud, v, Modulus.power(0.7))
     assert nd.norm_bound == bound
+
+
+def test_norm_bound_memory_does_not_grow_with_the_pairs():
+    # the 600-point cloud has 179,700 pairs i < j, scanned a block of rows
+    # at a time: the bound's peak is 1.7 MB
+    comps = (ONE, X1, X1)
+    negative_density(DISK, comps, 1.0)
+    tracemalloc.start()
+    try:
+        negative_density(DISK, comps, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
 
 
 # -- kernel class norms --------------------------------------------------------

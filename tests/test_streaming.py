@@ -16,9 +16,8 @@ from volpot import (NearBoundaryError, cosine_star, disk, ellipse, get_preset,
                     volume_potential, volume_potential_gradient,
                     volume_potential_hessian)
 from volpot import geometry
-from volpot.geometry import (Domain, _chord_rays, _drain, _excised_rays,
-                             _near_star_rays, _singular_rays,
-                             cached_volume_rule,
+from volpot.geometry import (_chord_rays, _drain, _excised_rays, _flux_rays,
+                             _singular_rays, cached_volume_rule,
                              exterior_chord_rule, near_exterior_star_rule,
                              rule_forms, singular_volume_rule)
 from volpot.potentials import _offsets, _ray_sums
@@ -55,24 +54,23 @@ def _streamed_and_drained(fs, x, rule):
                                          * vq.weights)
 
 
-# (label, fs, x, ray-set factory): every factory, and the 2D rule whose
-# rays re-enter the domain (a second ray set of extras)
+# (label, fs, x, ray-set factory): every factory; the star's flux rays
+# are one ray set per half of the graded boundary rule
 RULES = [
     ("disk interior", FS2, np.array([0.3, -0.2]),
-     lambda x: _singular_rays(DISK, x, 48, DISK.distance_to_boundary(x))),
-    ("star re-entry", FS2, _star_point(0.6, -1e-3),
-     lambda x: _singular_rays(STAR, x, 32, STAR.distance_to_boundary(x))),
+     lambda x: _singular_rays(DISK, x, 48)),
+    ("star interior", FS2, _star_point(0.6, -1e-3),
+     lambda x: _singular_rays(STAR, x, 32)),
     ("disk r_min", FS2, np.array([0.2, 0.1]),
-     lambda x: _singular_rays(DISK, x, 48, DISK.distance_to_boundary(x),
-                              r_min=1e-3)),
+     lambda x: _singular_rays(DISK, x, 48, r_min=1e-3)),
     ("ball interior 1e-4", FS3, (1.0 - 1e-4) * NB3,
-     lambda x: _singular_rays(BALL, x, 12, BALL.distance_to_boundary(x))),
+     lambda x: _singular_rays(BALL, x, 12)),
     ("disk chord", FS2, np.array([1.0 + 1e-3, 0.0]),
      lambda x: _chord_rays(DISK, x, 48)),
     ("ball chord", FS3, (1.0 + 1e-3) * NB3,
      lambda x: _chord_rays(BALL, x, 12)),
     ("star near exterior", FS2, _star_point(0.6, 1e-3),
-     lambda x: _near_star_rays(STAR, x, 32)),
+     lambda x: _flux_rays(STAR, x, 32)[0]),
 ]
 
 
@@ -80,8 +78,8 @@ RULES = [
                          ids=[r[0] for r in RULES])
 def test_streamed_sum_matches_drained_rule(label, fs, x, factory):
     rule = factory(x)
-    if label == "star re-entry":
-        assert len(rule) == 2 and len(rule[1].lo) > 0
+    if label.startswith("star"):
+        assert len(rule) == 2
     n_blocks, streamed, drained = _streamed_and_drained(fs, x, rule)
     assert n_blocks > 1
     assert _rel(streamed, drained) <= 1e-13
@@ -89,7 +87,7 @@ def test_streamed_sum_matches_drained_rule(label, fs, x, factory):
 
 def test_block_arrays_stay_below_block_bytes():
     x = (1.0 - 1e-4) * NB3
-    rule = _singular_rays(BALL, x, 20, BALL.distance_to_boundary(x))
+    rule = _singular_rays(BALL, x, 20)
     sizes = [form.nodes.nbytes for form in rule_forms(rule)]
     assert len(sizes) > 100
     assert max(sizes) < geometry._BLOCK_BYTES
@@ -137,32 +135,31 @@ def test_maximal_bound_matches_drained_rule(domain, fs, x):
         assert _rel(got, ref) <= 1e-13
 
 
-@pytest.mark.parametrize("domain, x, reenters", [
-    (STAR, _star_point(0.6, -1e-3), True),
-    (ellipse(2.0, 1.0), np.array([1.2, 0.5]), False),
-    (cosine_star([1.0, 0.0, 0.3]), np.array([0.45, 0.72]), True),
+@pytest.mark.parametrize("domain, x", [
+    (STAR, _star_point(0.6, -1e-3)),
+    (ellipse(2.0, 1.0), np.array([1.2, 0.5])),
+    (cosine_star([1.0, 0.0, 0.3]), np.array([0.45, 0.72])),
 ], ids=["star", "ellipse", "non-convex"])
-def test_excised_rules_cast_once_and_keep_their_bits(domain, x, reenters,
-                                                     monkeypatch):
-    # every excision radius of a point shares one ray cast, and its rays,
-    # and the sums over them, keep the bits of a cast per radius
+def test_excised_rules_cast_once_and_keep_their_bits(domain, x, monkeypatch):
+    # every excision radius of a point shares one build of the graded
+    # boundary rules, and its rays, and the sums over them, keep the bits
+    # of a build per radius
     radii = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5]
-    dist = domain.distance_to_boundary(x)
-    cast = Domain.ray_intervals
+    build = geometry._graded_boundary_rules
     calls = []
 
-    def counted(self, *args, **kwargs):
+    def counted(*args):
         calls.append(1)
-        return cast(self, *args, **kwargs)
+        return build(*args)
 
-    monkeypatch.setattr(Domain, "ray_intervals", counted)
-    rules = _excised_rays(domain, x, 32, dist, radii)
+    monkeypatch.setattr(geometry, "_graded_boundary_rules", counted)
+    rules = _excised_rays(domain, x, 32, radii)
     assert len(calls) == 1
     rep = check_maximal_bound(FS2.eval, domain, x[None, :], radii, N=32)
     assert len(calls) == 2
     for r, rule, got in zip(radii, rules, rep.parameters["values"][0]):
-        ref = _singular_rays(domain, x, 32, dist, r_min=r)
-        assert len(rule) == len(ref)
+        ref = _singular_rays(domain, x, 32, r_min=r)
+        assert len(rule) == len(ref) == 2
         for a, b in zip(rule, ref):
             for name in ("dirs", "lo", "hi", "wang"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
@@ -171,7 +168,6 @@ def test_excised_rules_cast_once_and_keep_their_bits(domain, x, reenters,
                                        FS2.eval(_offsets(x, rays.nodes)))
                     for rays in rule_forms(ref))
         assert got == float(np.real(total))
-    assert all(len(rule) == 1 + reenters for rule in rules)
 
 
 def test_excised_sums_reject_non_interior_points():

@@ -166,6 +166,18 @@ def test_maximal_bound_control_grows():
     assert np.all(growth >= 0.9 * 2.0 * np.pi * np.log(10.0))
 
 
+def test_maximal_bound_rejects_an_unknown_expectation(monkeypatch):
+    # a misspelt expect raises before any rule is built, instead of
+    # running the log-growth check
+    def no_rule(*args):
+        raise AssertionError("evaluated before checking expect")
+
+    monkeypatch.setattr(verify, "_excised_rules", no_rule)
+    with pytest.raises(ValueError, match="'bound'"):
+        check_maximal_bound(FS.eval, DISK, np.array([[0.4, 0.2]]),
+                            np.array([1e-1, 1e-2]), N=16, expect="bound")
+
+
 def test_modulus_experiment_constant_density():
     # Hessian of the f = 1 potential is constant: both seminorms ~ 0 and the
     # boundedness ratio degenerates to 1
