@@ -124,7 +124,7 @@ def _seminorms(pts, modulus, values):
     coordinate order), and a maximum does not depend on the blocks."""
     m = len(pts)
     rows = max(1, _BLOCK_BYTES // (8 * m))
-    best = [0.0] * len(values)
+    peaks = [[] for _ in values]
     for a in range(0, m - 1, rows):
         i, j = np.nonzero(np.arange(a, min(a + rows, m))[:, None]
                           < np.arange(m))
@@ -142,8 +142,8 @@ def _seminorms(pts, modulus, values):
             if np.any(dv[coincident] > 0):
                 raise ValueError("duplicate points with differing values")
             if len(omega):
-                best[c] = max(best[c], float(np.max(dv[apart] / omega)))
-    return best
+                peaks[c].append(np.max(dv[apart] / omega))
+    return [float(np.max(p)) if p else 0.0 for p in peaks]
 
 
 def kernel_class_norm(K, X, Y, s1: float, s2: float, s3: float) -> float:
