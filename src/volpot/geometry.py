@@ -13,10 +13,14 @@ polar rule near the sphere takes up to 2000 angles.
 This module owns every angular grid: ``_circle_grid`` (the trapezoid
 circle) and ``_sphere_grid`` (polar angles times the trapezoid azimuth,
 about z or a given direction; ``_gl_sphere`` for Gauss-Legendre polar
-angles) build them for all rules and for ``verify``.  Layer
-integrals on or near the boundary use ``_graded_boundary_rules``, a tuple
-of BoundaryQuadratures (the two halves of the 2D parameter window, or one
-polar cap on the sphere) that callers sum a rule at a time.
+angles) build them for all rules and for ``verify``.  Layer integrals on
+or near the boundary use ``_graded_boundary_rules``, a tuple of
+BoundaryQuadratures (the two halves of the 2D parameter window, or one
+polar cap on the sphere) that callers sum a rule at a time, graded toward
+the boundary point nearest x.  One search, ``_nearest_point``, finds that
+point and its distance exactly (by a secant solve on a star domain); the
+graded rules, ``Domain.distance_to_boundary`` and every near/far switch
+read it, and an evaluation that needs it twice passes one solve down.
 
 Every volume rule near a point integrates in polar coordinates about it,
 along rays with Gauss-Legendre panels geometrically graded toward the
@@ -35,39 +39,24 @@ log factors are absorbed by the graded panels.
   the point's distance from the ball (``_chord_levels``).
 Exterior points far from either take the regular rule about the centre.
 
-Every volume rule is a tuple of ray sets (``RaySet``), all of one shape:
-an origin, unit directions, a radial interval [lo, hi] and an angular
-weight per ray, and the radial order and panel count shared by the rays,
-graded toward lo; the angular weights are signed.  A rule is read a block
-of rays at a time (``rule_forms``), so an evaluation never holds a whole
-10^5-10^6 node rule.  Blocks come
-in two sizes: a block whose radii or nodes a caller may read keeps its
-(nodes, n) arrays below ``_BLOCK_BYTES``; a block that a caller reads
-one number per ray (a constant density summed from the table moments)
-keeps the per-ray arrays it forms below ``_BLOCK_BYTES`` together, and
-so holds tens of times more rays (20 times in the 3D ball at N = 20, 54
-in the disk at N = 64).  Every block carries its
-weights in one factored form, one number per ray times the cached
-radial table times r^(n-1) (``RayForm``); its radii and its nodes are
-built only where a caller reads them (``RayForm.rn``,
-``RayForm.nodes``), and the table's moments let a caller sum a constant
-along a ray without either.  Only ``_drain`` multiplies the weights
-out, for the public builders (``volume_rule``, ``singular_volume_rule``,
-``exterior_chord_rule``, ``near_exterior_star_rule``) that hand callers
-every node at once in a VolumeQuadrature.
+Every volume rule is a tuple of ray sets (``RaySet``: an origin, unit
+directions, a radial interval [lo, hi] graded toward lo and a signed
+angular weight per ray), read a block of rays at a time (``rule_forms``
+sizes the blocks), so an evaluation never holds a whole 10^5-10^6 node
+rule.  Every block carries its weights factored, one number per ray times
+the cached radial table of ``_radial_tables`` times r^(n-1) (``RayForm``),
+and builds its radii and nodes only where a caller reads them.  Only
+``_drain`` multiplies the weights out, for the public builders
+(``volume_rule``, ``singular_volume_rule``, ``exterior_chord_rule``,
+``near_exterior_star_rule``) that hand callers every node at once in a
+VolumeQuadrature.
 
-Streamed blocks are coordinate-major: ``_ray_nodes`` writes the nodes
-x + r d into an (n, m) C-contiguous buffer, one contiguous row per
-coordinate, and hands out its (m, n) view ``buf.T`` (the 3D direction
-grids of ``_cone_dirs`` are filled a column at a time).  numpy broadcasts
-and reduces slowly along an innermost axis of length 2 or 3, running one
-short inner loop per node; on the transposed view both writes and
-reductions such as ``np.sum(y * y, axis=-1)`` run one long loop per
-coordinate with the same per-element operations, in the same order, so
-the same bits.  The radial nodes and weights are the per-(order, panel
-count) tables of ``_radial_tables`` scaled by each ray's span
-(``_graded_nodes``); the graded angular window of the chord rule is the
-same table scaled by the window's half-width.
+Streamed blocks are coordinate-major (``_ray_nodes``, ``_cone_dirs``):
+numpy broadcasts and reduces slowly along an innermost axis of length 2
+or 3, running one short inner loop per node; on the transposed view of
+an (n, m) C-contiguous buffer both writes and reductions such as
+``np.sum(y * y, axis=-1)`` run one long loop per coordinate with the
+same per-element operations, in the same order, so the same bits.
 """
 
 from __future__ import annotations
@@ -120,11 +109,8 @@ class Domain:
         x = np.asarray(x, dtype=float)
         if self.kind == "ball":
             return self.radius - np.linalg.norm(x - self.center, axis=-1)
-        return self._gap_xy(x[..., 0], x[..., 1])
-
-    def _gap_xy(self, px, py):
-        # the star2d gap from separate coordinate arrays;
         # np.linalg.norm over a length-2 axis is sqrt(x0 * x0 + x1 * x1)
+        px, py = x[..., 0], x[..., 1]
         return self.rho(np.arctan2(py, px)) - np.sqrt(px * px + py * py)
 
     def classify(self, x) -> int:
@@ -138,12 +124,8 @@ class Domain:
         return self.radial_gap(x) > 0
 
     def distance_to_boundary(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if self.kind == "ball":
-            return abs(self.radius - float(np.linalg.norm(x - self.center)))
-        theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
-        b = self.boundary_point(theta)
-        return float(np.min(np.linalg.norm(b - x[None, :], axis=1)))
+        """Distance to the boundary, exact to rounding (``_nearest_point``)."""
+        return _nearest_point(self, np.asarray(x, dtype=float))[1]
 
     # -- boundary parametrization (2D kinds) -------------------------------
 
@@ -652,44 +634,62 @@ def boundary_rule(domain: Domain, N: int) -> BoundaryQuadrature:
 GRADING_EXPONENT = 3
 
 
-def _graded_boundary_rules(domain, x, N):
+def _graded_boundary_rules(domain, x, N, near=None):
     """Boundary rules for a layer integral at x on or near the boundary,
-    graded with ``GRADING_EXPONENT`` toward the boundary point nearest x:
-    in 2D the two halves of the parameter window about the nearest
-    parameter, each a rule of its own (callers sum them one at a time);
-    on the sphere one polar cap about the axis through x.  A tuple of
-    BoundaryQuadratures."""
+    graded with ``GRADING_EXPONENT`` toward near = ``_nearest_point``: in
+    2D the two halves of the parameter window about its parameter, each a
+    rule of its own (callers sum them one at a time); on the sphere one
+    polar cap about its axis.  A tuple of BoundaryQuadratures."""
     u, w = _gl01(max(24, 2 * N))
     s = np.pi * u ** GRADING_EXPONENT
     ws = np.pi * GRADING_EXPONENT * u ** (GRADING_EXPONENT - 1) * w
+    t0 = (near or _nearest_point(domain, x))[0]
     if domain.dim == 2:
-        theta0 = _nearest_boundary_parameter(domain, x)
         return tuple(BoundaryQuadrature(domain.boundary_point(theta),
                                         domain.boundary_jacobian(theta) * ws,
                                         domain.boundary_normal(theta))
-                     for theta in (theta0 + s, theta0 - s))
+                     for theta in (t0 + s, t0 - s))
     R, c = domain.radius, domain.center
     dirs, wts = _sphere_grid(np.cos(s), np.sin(s), ws * np.sin(s),
-                             max(16, N), toward=x - c)
+                             max(16, N), toward=t0)
     return (BoundaryQuadrature(c[None, :] + R * dirs, wts * R ** 2, dirs),)
 
 
-def _nearest_boundary_parameter(domain, x):
+def _nearest_point(domain, x):
+    """(parameter, distance) of the boundary point nearest x: the angle of
+    x - c (0 at the centre) or, in 3D, x - c on a ball; on a star domain
+    the best of 1024 samples (the branch near a concave lobe), then up to
+    60 secant steps on g = (gamma - x) . gamma', kept in the bracket of the
+    sample's neighbours by bisection, until a step is at rounding."""
     if domain.kind == "ball":
         d = x - domain.center
-        if np.linalg.norm(d) < 1e-14:
-            return 0.0
-        return float(np.arctan2(d[1], d[0]))
+        r = float(np.linalg.norm(d))
+        if domain.dim == 2:
+            d = 0.0 if r < 1e-14 else float(np.arctan2(d[1], d[0]))
+        return d, abs(domain.radius - r)
     theta = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
-    b = domain.boundary_point(theta)
-    i = int(np.argmin(np.linalg.norm(b - x[None, :], axis=1)))
-    lo, hi = theta[i] - 2 * np.pi / 1024, theta[i] + 2 * np.pi / 1024
-    for _ in range(40):  # golden-section-free trisection refinement
-        t = np.linspace(lo, hi, 5)
-        b = domain.boundary_point(t)
-        j = int(np.argmin(np.linalg.norm(b - x[None, :], axis=1)))
-        lo, hi = t[max(j - 1, 0)], t[min(j + 1, 4)]
-    return float(0.5 * (lo + hi))
+    b = domain.boundary_point(theta) - x
+    i = int(np.argmin(np.sum(b * b, axis=1)))
+
+    def g(t):   # (r e - x) . (r' e + r e_perp) for e = (cos t, sin t)
+        t = np.array([t])
+        c, s, r = np.cos(t), np.sin(t), domain.rho(t)
+        return float((domain.drho(t) * (r - x[0] * c - x[1] * s)
+                      - r * (x[1] * c - x[0] * s))[0])
+
+    a, z = theta[i] - theta[1], theta[i] + theta[1]
+    t0, g0, t, gt = a, g(a), z, g(z)
+    if not g0 <= 0.0 <= gt:     # no sign change: keep the sample
+        a = z = t = theta[i]
+    for _ in range(60):
+        u = t - gt * (t - t0) / (gt - g0) if gt != g0 else a
+        if abs(u - t) <= 1e-15 or z - a <= 1e-15:
+            break
+        t0, g0, t = t, gt, u if a < u < z else 0.5 * (a + z)
+        gt = g(t)
+        a, z = (a, t) if gt >= 0.0 else (t, z)
+    b = domain.boundary_point(np.array([t]))[0] - x
+    return float(t), float(np.sqrt(b @ b))
 
 
 def _regular_rays(domain, N):
@@ -713,7 +713,7 @@ def volume_rule(domain: Domain, N: int) -> VolumeQuadrature:
     return _drain(_regular_rays(domain, N))
 
 
-def _flux_rays(domain, x, N, radii=(0.0,)):
+def _flux_rays(domain, x, N, radii=(0.0,), near=None):
     """The volume rule of a star domain about any x off its boundary, with
     B(x, r) excised for each r in radii: rays from x to the nodes y of
     each graded boundary rule, by the divergence theorem in polar form
@@ -731,7 +731,7 @@ def _flux_rays(domain, x, N, radii=(0.0,)):
     p = _radial_order(N)
     n_panels = _radial_panel_count(N)
     rays = []
-    for bq in _graded_boundary_rules(domain, x, N):
+    for bq in _graded_boundary_rules(domain, x, N, near):
         d = bq.nodes - x
         ell = np.sqrt(np.sum(d * d, axis=1))
         e = d / ell[:, None]
@@ -741,17 +741,17 @@ def _flux_rays(domain, x, N, radii=(0.0,)):
                   for e, ell, wang in rays) for r_min in map(float, radii)]
 
 
-def _excised_rays(domain, x, N, radii):
+def _excised_rays(domain, x, N, radii, near=None):
     """The volume rule about the interior point x with B(x, r) excised,
     for each r in radii (a list of ray-set tuples): the flux rays on a
     star domain; on a ball the polar rule about x, graded toward x (toward
     the excised sphere), from one ray cast, since the directions and the
     exits do not depend on the radius, only the radial starts do."""
     if domain.kind == "star2d":
-        return _flux_rays(domain, x, N, radii)
+        return _flux_rays(domain, x, N, radii, near)
     p = _radial_order(N)
     n_panels = _radial_panel_count(N)
-    dist = domain.distance_to_boundary(x)
+    dist = near[1] if near else domain.distance_to_boundary(x)
     if domain.dim == 2:
         _, dirs, wang = _circle_grid(_angular_count(N, dist,
                                                   domain.bounding_radius))
@@ -769,11 +769,6 @@ def _excised_rays(domain, x, N, radii):
             for r_min in map(float, radii)]
 
 
-def _singular_rays(domain, x, N, r_min=0.0):
-    """``_excised_rays`` for one excision radius r_min (0: none)."""
-    return _excised_rays(domain, x, N, (r_min,))[0]
-
-
 def singular_volume_rule(domain: Domain, x, N: int,
                          r_min: float = 0.0) -> VolumeQuadrature:
     """Volume rule with nodes polar-clustered at the strictly interior
@@ -786,7 +781,7 @@ def singular_volume_rule(domain: Domain, x, N: int,
     if domain.classify(x) <= 0:
         raise NearBoundaryError(
             "singular_volume_rule requires a strictly interior point")
-    return _drain(_singular_rays(domain, x, N, r_min))
+    return _drain(_excised_rays(domain, x, N, (r_min,))[0])
 
 
 def _chord_levels(R, dist, p, n_panels):

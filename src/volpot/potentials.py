@@ -28,8 +28,9 @@ over the boundary seen from a point, layer potentials, the boundary terms
 of the component densities and the Hessian's K^+[k1_j, nu_l] alike, goes
 through ``_boundary_integral``: the cached boundary rule far from the
 boundary, the graded layer rules within 0.1 radii of it (``_far`` decides
-near and far for volume rules too), summed a rule at a time, an array
-integrand (the Hessian's n^2 products) in one pass.  Volume terms are
+near and far for volume rules too, both from one ``_nearest_point`` solve
+per evaluation), summed a rule at a time, an array integrand (the
+Hessian's n^2 products) in one pass.  Volume terms are
 reduced block by block: the rule for a point is a tuple of ray sets, and
 each block of rays is built, run through the kernel and the density and
 summed before the next one is built, so memory does not grow with the node
@@ -104,7 +105,7 @@ from .errors import DomainError, NearBoundaryError, VolpotError
 from .fundsol import FundamentalSolution
 from .geometry import (Domain, cached_boundary_rule, rule_forms, _chord_rays,
                        _excised_rays, _flux_rays, _graded_boundary_rules,
-                       _regular_rays, _singular_rays)
+                       _nearest_point, _regular_rays)
 from .schauder import NegativeExponentDensity
 
 # Points closer to the boundary than this fraction of a ball's radius (a
@@ -173,26 +174,27 @@ def _density(f, form):
     return np.asarray(f(form.nodes)) if c is None else c
 
 
-def _volume_rays(domain, x, N):
+def _volume_rays(domain, x, N, near=None):
     """The class of the point x (see ``Domain.classify``) and a function
     that builds its volume rule, returning the tuple of ray sets and
     whether the rays start at x: the polar rule about an interior x (the
     flux rays on a star domain); for an exterior x, the chord (ball) or
     flux (star) rule near the boundary, the regular rule far from it.  N
-    is checked and the point classified here, once; an exterior point's
-    distance is measured when the rule is built."""
+    is checked and the point classified here, once; the nearest boundary
+    point (``near``, unless a caller has it) is found when it is built."""
     if N < 4:
         raise VolpotError(f"N must be at least 4, got {N}")
     cls = _classify_or_raise(domain, x)
 
     def build():
         if cls > 0:
-            return _singular_rays(domain, x, N), True
-        if _far(domain, domain.distance_to_boundary(x)):
+            return _excised_rays(domain, x, N, (0.0,), near)[0], True
+        point = near or _nearest_point(domain, x)
+        if _far(domain, point[1]):
             return _regular_rays(domain, N), False
         if domain.kind == "ball":
             return _chord_rays(domain, x, N), True
-        return _flux_rays(domain, x, N)[0], True
+        return _flux_rays(domain, x, N, near=point)[0], True
 
     return cls, build
 
@@ -208,11 +210,11 @@ def _rule_blocks(x, rule, at_x, per_ray=None):
         yield form, None if at_x else _offsets(x, form.nodes)
 
 
-def _volume_blocks(domain, x, N, per_ray=None):
+def _volume_blocks(domain, x, N, per_ray=None, near=None):
     """The class of the point x and the blocks (form, z) of its volume
     rule (``_volume_rays``, ``_rule_blocks``); the rule is built when the
     first block is read."""
-    cls, build = _volume_rays(domain, x, N)
+    cls, build = _volume_rays(domain, x, N, near)
 
     def blocks():
         yield from _rule_blocks(x, *build(), per_ray)
@@ -457,7 +459,7 @@ def single_layer(fs: FundamentalSolution, domain: Domain, phi, x,
         domain, lambda y, nu: fs.eval(x[None, :] - y) * phi(y), x, N)
 
 
-def _boundary_integral(domain, integrand, x, N):
+def _boundary_integral(domain, integrand, x, N, near=None):
     """The integral over the boundary of integrand(y, nu), which is
     vectorized over boundary points y with outward normals nu along its
     last axis: a Python complex for a value per point, an array of sums
@@ -465,11 +467,12 @@ def _boundary_integral(domain, integrand, x, N):
     so it sums with the bits of the same row alone).  x only steers the
     rule choice: the cached boundary rule far from the boundary, the graded
     rules of ``geometry._graded_boundary_rules`` on or near it, summed a
-    rule at a time."""
-    if _far(domain, domain.distance_to_boundary(x)):
+    rule at a time; one nearest point (``near``) steers both."""
+    near = near or _nearest_point(domain, x)
+    if _far(domain, near[1]):
         rules = (cached_boundary_rule(domain, N),)
     else:
-        rules = _graded_boundary_rules(domain, x, N)
+        rules = _graded_boundary_rules(domain, x, N, near)
     total = sum(np.sum(np.ascontiguousarray(integrand(bq.nodes, bq.normals))
                        * bq.weights, axis=-1) for bq in rules)
     return total if np.ndim(total) else complex(total)
@@ -498,7 +501,8 @@ def volume_potential_hessian(fs: FundamentalSolution, domain: Domain, f, x,
     density stays real until the result is cast to complex.
     """
     x = _check_dims(domain, fs, x)
-    cls, blocks = _volume_blocks(domain, x, N)
+    near = _nearest_point(domain, x)
+    cls, blocks = _volume_blocks(domain, x, N, near=near)
     if cls < 0:
         raise NearBoundaryError("Hessian evaluation requires an interior point")
     n = domain.dim
@@ -527,7 +531,7 @@ def volume_potential_hessian(fs: FundamentalSolution, domain: Domain, f, x,
     # the integrand k1_j(x - y) nu_l(y) as (l, j, node)
     K = _boundary_integral(
         domain, lambda y, nu: nu.T[:, None, :] * fs.k1(_offsets(x, y)).T,
-        x, N)
+        x, N, near)
     H = H1 - fx * K
     if screened:
         H = H + H2
@@ -553,7 +557,8 @@ def volume_potential_negative(fs: FundamentalSolution, domain: Domain,
     x = _check_dims(domain, fs, x)
     n = domain.dim
     comps = nd.components
-    rule, at_x = _volume_rays(domain, x, N)[1]()
+    near = _nearest_point(domain, x)
+    rule, at_x = _volume_rays(domain, x, N, near)[1]()
     f0_sets = _per_ray_sets(fs, comps[:1], True) if at_x else None
     apart = f0_sets is not None and any(map(f0_sets, rule))
     value = grad = 0
@@ -576,7 +581,7 @@ def volume_potential_negative(fs: FundamentalSolution, domain: Domain,
             out = out + nu[:, j] * np.asarray(comps[j + 1](y))
         return fs.eval(x[None, :] - y) * out
 
-    total += _boundary_integral(domain, moment, x, N)
+    total += _boundary_integral(domain, moment, x, N, near)
     for gj in grad:
         total += gj
     return complex(total)

@@ -347,6 +347,118 @@ def test_gauss_legendre_rules_match_40_digit_references():
                 Decimal("1e-12"), (p, k)
 
 
+# Nearest boundary points (``geometry._nearest_point``) as "domain x0 x1
+# theta* distance", to 40 digits: the 12 points of tests/golden/star_near.cfg
+# on cosine_star([1, 0, 0, 0.2]), then on that star and on ellipse(2, 1)
+# the points gamma(theta) + delta nu(theta) at the star's concave lobes
+# theta = pi/3, pi and 5 pi/3 for delta = -0.1, -1e-2, -1e-4, 1e-4, 1e-2
+# and 0.1 (computed in double, then stored as the doubles they are).
+# Generated with mpmath 1.3 by
+#
+#     from mpmath import mp, mpf, cos, sin, sqrt, findroot, nstr
+#     mp.dps = 60
+#     a, b, c = mpf(2), mpf(1), [mpf(1), 0, 0, mpf(0.2)]
+#     RHO = {"star": lambda t: c[0] + c[3] * cos(3 * t),
+#            "ellipse": lambda t: a * b / sqrt((b * cos(t)) ** 2
+#                                              + (a * sin(t)) ** 2)}
+#
+#     def nearest(kind, x0, x1, t_start):
+#         # x0, x1: the doubles; t_start: the best of 2^20 samples
+#         rho, X0, X1 = RHO[kind], mpf(x0), mpf(x1)
+#
+#         def g(t):   # (gamma - x) . gamma'
+#             r, dr, c, s = rho(t), mp.diff(rho, t), cos(t), sin(t)
+#             return dr * (r - X0 * c - X1 * s) - r * (X1 * c - X0 * s)
+#
+#         t = findroot(g, mpf(t_start), tol=mpf(10) ** -55)
+#         r = rho(t)
+#         d = sqrt((r * cos(t) - X0) ** 2 + (r * sin(t) - X1) ** 2)
+#         return (nstr(v, 40, min_fixed=-50, max_fixed=50) for v in (t, d))
+NEAREST_REFERENCE = """
+star 1.0664313700907995 0.3258487271845156 0.3000000000000000466910492335110059832399 0.01000000000000012053804898333872639486036
+star 1.0740290815045066 0.33219575651121824 0.3000000000000001024499896757064740956404 0.000100000000000153478641434566468440267402
+star 1.0741825706239756 0.3323239793258991 0.2999999999999999985995579035837763280904 0.00009999999999995525670433465092034416257311
+star 1.0817802820376827 0.33867100865260175 0.3000000000000000542182055076682851333982 0.009999999999999922316111883423171775420551
+star 0.4288335796110366 0.6659255144951834 0.9999999999999999453569789855431643163944 0.009999999999999952803485122325273804682805
+star 0.43327836332190406 0.6747716378135421 1.000000000000000006005370799284193559026 0.00009999999999986778034731028779691801514354
+star 0.43336815693222464 0.6749503473755291 0.9999999999999999349328063759440615468214 0.0001000000000000653430748928950663334327925
+star 0.4378129406430921 0.6837964706938877 0.9999999999999999963417067319648687464125 0.01000000000000015036621270493254380671472
+star -0.8468077256800363 0.6383977422431686 2.499999999999999898217867811163522323252 0.01000000000000002894722497262813643709163
+star -0.8565857816659741 0.6399468132989518 2.499999999999999960527197482000147196354 0.0001000000000000295606528428865360969844743
+star -0.8567833181505384 0.6399781076637151 2.499999999999999912441082971899599144392 0.00009999999999990947509386935977903276803515
+star -0.8665613741364763 0.6415271787194983 2.499999999999999973698211148826807211099 0.009999999999999908861665999101381083993668
+star 0.3500000000000001 0.6062177826491071 1.047197551196597680021010023525657263882 0.09999999999999991721720070543936018135584
+star 0.39500000000000013 0.6841600689897065 1.047197551196597585857717078089851720651 0.009999999999999956909891206650434345077174
+star 0.39995000000000014 0.6927337204871725 1.047197551196597626152477598133048165441 0.00009999999999987773609677211106918025116195
+star 0.4000500000000001 0.6929069255679293 1.047197551196597583040542248843648016551 0.0001000000000000405607247533661442879367414
+star 0.40500000000000014 0.7014805770653953 1.04719755119659762393702824578033441046 0.0100000000000001197345191879055095550025
+star 0.4500000000000002 0.7794228634059948 1.047197551196597501244993478131521946325 0.1000000000000000800418286866944279585588
+star -0.7000000000000001 1.1327982892113018e-16 3.141592653589793115997963468544161241101 0.09999999999999992228438827623905084083203
+star -0.79 9.950255243072246e-17 3.14159265358979311599796346854416246194 0.009999999999999953370632965743432918175116
+star -0.7999 9.79870520167776e-17 3.141592653589793115997963468544167399618 0.00009999999999993347543636446062759778659109
+star -0.8001 9.795643584679892e-17 3.141592653589793115997963468544159963597 0.0001000000000000444977388269762666425519313
+star -0.81 9.644093543285407e-17 3.141592653589793115997963468544164941175 0.01000000000000006439293542825907196294046
+star -0.9 8.266365894244634e-17 3.141592653589793115997963468544167027381 0.1000000000000000333066907387546898855974
+star 0.3500000000000001 -0.6062177826491071 5.235987755982988796904276743033348504512 0.09999999999999991721720070543936018135584
+star 0.39500000000000013 -0.6841600689897065 5.235987755982988891067569688469154047743 0.009999999999999956909891206650434345077174
+star 0.39995000000000014 -0.6927337204871725 5.235987755982988850772809168425957602953 0.00009999999999987773609677211106918025116195
+star 0.4000500000000001 -0.6929069255679293 5.235987755982988893884744517715357751844 0.0001000000000000405607247533661442879367414
+star 0.40500000000000014 -0.7014805770653953 5.235987755982988852988258520778671357934 0.0100000000000001197345191879055095550025
+star 0.4500000000000002 -0.7794228634059948 5.235987755982988975680293288427483822069 0.1000000000000000800418286866944279585588
+ellipse 0.540414481939515 0.8617945909694441 1.047197551196597587901355783185416455279 0.09999999999999996420886963508879194861843
+ellipse 0.5532716247966578 0.9508714896444149 1.047197551196597646357791949478102391188 0.009999999999999989060793569202123795469765
+ellipse 0.5546859105109435 0.9606699484986617 1.047197551196597657742218879591838280725 0.00009999999999998819217836495298466706189796
+ellipse 0.554714481939515 0.960867897162384 1.047197551196597618533009994049883801258 0.0001000000000001092712717217849375647513046
+ellipse 0.5561287676538007 0.9706663560166308 1.047197551196597629961178416593603296559 0.01000000000000011013988692603407656944127
+ellipse 0.5689859105109435 1.0597432546916015 1.047197551196597672777922217029609061922 0.09999999999999997540438091285995010060767
+ellipse -1.9 1.9594348786357652e-16 3.141592653589793115997963468544148811223 0.1000000000000000888178419700124752415775
+ellipse -1.99 2.4003077263288124e-16 3.141592653589793115997963468544174412914 0.01000000000000000888178419700119353280557
+ellipse -1.9999 2.4488037395750476e-16 3.141592653589793115997963468544177413573 0.00009999999999998898658759571838714060434564
+ellipse -2.0001 2.449783457014365e-16 3.141592653589793115997963468544241292536 0.0001000000000002110311925207498152061132922
+ellipse -2.01 2.4982794702606004e-16 3.141592653589793115997963468544136297787 0.009999999999999786837179271970005428861852
+ellipse -2.1 2.9391523179536476e-16 3.141592653589793115997963468544204403886 0.1000000000000000888178419700125952223601
+ellipse 0.540414481939515 -0.8617945909694441 5.235987755982988889023930983373589313115 0.09999999999999996420886963508879194861843
+ellipse 0.5532716247966578 -0.9508714896444149 5.235987755982988830567494817080903377206 0.009999999999999989060793569202123795469765
+ellipse 0.5546859105109435 -0.9606699484986617 5.235987755982988819183067886967167487669 0.00009999999999998819217836495298466706189796
+ellipse 0.554714481939515 -0.960867897162384 5.235987755982988858392276772509121967136 0.0001000000000001092712717217849375647513046
+ellipse 0.5561287676538007 -0.9706663560166308 5.235987755982988846964108349965402471836 0.01000000000000011013988692603407656944127
+ellipse 0.5689859105109435 -1.0597432546916015 5.235987755982988804147364549529396706473 0.09999999999999997540438091285995010060767
+"""
+
+
+def test_nearest_point_matches_40_digit_references():
+    # the parameter to 1e-14 and the distance to 1e-15, in exact decimal
+    # arithmetic; the 512-sample distance that it replaced read 4.2e-3 to
+    # 6.7e-3 at the offsets 1e-4
+    doms = {"star": cosine_star([1, 0, 0, 0.2]), "ellipse": ellipse(2.0, 1.0)}
+    for line in NEAREST_REFERENCE.split("\n"):
+        if not line:
+            continue
+        kind, x0, x1, theta, dist = line.split()
+        x = np.array([float(x0), float(x1)])
+        t, d = geometry._nearest_point(doms[kind], x)
+        assert abs(Decimal(t) - Decimal(theta)) <= Decimal("1e-14"), line
+        assert abs(Decimal(d) - Decimal(dist)) <= Decimal("1e-15"), line
+        assert doms[kind].distance_to_boundary(x) == d
+
+
+@pytest.mark.parametrize("dom, x", [
+    (disk(1.5, (0.2, -0.1)), (0.9, 0.4)), (disk(), (0.0, 0.0)),
+    (make_ball(3, (0.1, 0.0, -0.2), 2.0), (0.5, 2.5, 1.0))],
+    ids=["disk", "disk-centre", "ball3d"])
+def test_nearest_point_on_a_ball_is_its_closed_form(dom, x):
+    # the angle of x - c in 2D (0 at the centre), x - c itself on the
+    # sphere, and |R - |x - c||, with the bits of the written-out forms
+    x = np.array(x)
+    t, d = geometry._nearest_point(dom, x)
+    dx = x - dom.center
+    assert d == abs(dom.radius - float(np.linalg.norm(dx)))
+    if dom.dim == 3:
+        assert np.array_equal(t, dx)
+    else:
+        assert t == (float(np.arctan2(dx[1], dx[0])) if np.any(dx) else 0.0)
+
+
 @pytest.mark.parametrize("p", [1, 2, 3, 12, 189, 600])
 def test_gauss_legendre_rules_are_ascending_and_symmetric(p):
     z, w = _leggauss(p)
@@ -618,7 +730,7 @@ def test_graded_boundary_rules_keep_written_out_bits(dom):
         else:
             z, w = _leggauss(max(24, 2 * N))
             u, w = 0.5 * (z + 1.0), 0.5 * w
-            theta0 = geometry._nearest_boundary_parameter(dom, x)
+            theta0 = geometry._nearest_point(dom, x)[0]
             want = [(dom.boundary_point(t), dom.boundary_jacobian(t)
                      * (np.pi * 3 * u ** 2 * w), dom.boundary_normal(t))
                     for t in (theta0 + np.pi * u ** 3,

@@ -11,7 +11,7 @@ import pytest
 from volpot import (cosine_star, disk, get_preset, make_ball,
                     singular_volume_rule, tabulated_from_csv,
                     write_samples_csv)
-from volpot.geometry import _singular_rays, rule_forms
+from volpot.geometry import _excised_rays, rule_forms
 
 
 def _same_bits(a, b):
@@ -75,7 +75,7 @@ def test_block_nodes_coordinate_major_and_drained_nodes_c(dom, x):
     # the star point's rule is flux rays, one ray set per half of the
     # graded boundary rule, so its drained nodes are a concatenation
     x = np.asarray(x)
-    rays = _singular_rays(dom, x, 16)
+    rays = _excised_rays(dom, x, 16, (0.0,))[0]
     assert len(rays) == (2 if dom.dim == 2 else 1)
     blocks = [form.nodes for form in rule_forms(rays)]
     assert all(y.T.flags.c_contiguous for y in blocks)

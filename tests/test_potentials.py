@@ -16,7 +16,7 @@ from volpot import (DomainError, NearBoundaryError, PotentialField,
                     volume_rule)
 from volpot.geometry import singular_volume_rule
 from volpot.operators import OperatorCoefficients
-from volpot import potentials
+from volpot import geometry, potentials
 from volpot.potentials import _boundary_integral
 from volpot.schauder import NegativeExponentDensity
 
@@ -93,6 +93,48 @@ def test_layer_and_volume_rules_share_the_near_far_switch(monkeypatch):
     assert potentials._far(dom, dom.distance_to_boundary(x))
     single_layer(FS2, dom, ONE, np.array([101.05, 0.0]), 64)
     assert calls == [1]
+
+
+STAR = cosine_star([1, 0, 0, 0.2])
+
+
+@pytest.mark.parametrize("domain, x", [
+    (STAR, np.array([0.1, -0.2])), (STAR, np.array([1.199, 0.0])),
+    (STAR, np.array([1.201, 0.0])), (STAR, np.array([2.0, 1.0])),
+    (DISK, np.array([0.3, -0.2])), (DISK, np.array([1.001, 0.0])),
+    (BALL, np.array([0.0, 0.6, 0.7999])), (BALL, np.array([0.0, 0.0, 3.0]))],
+    ids=["star-interior", "star-near-interior", "star-near-exterior",
+         "star-far", "disk-interior", "disk-near-exterior", "ball-interior",
+         "ball-far"])
+def test_each_evaluation_solves_for_the_nearest_point_once(domain, x,
+                                                           monkeypatch):
+    # the near/far switch, the graded boundary rules and the flux rays of
+    # an evaluation share one solve of geometry._nearest_point, the
+    # Hessian's and the negative density's boundary terms included
+    solve = potentials._nearest_point
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(geometry, "_nearest_point", counted)
+    monkeypatch.setattr(potentials, "_nearest_point", counted)
+    n = domain.dim
+    fs = laplace_fundamental(n)
+    nd = NegativeExponentDensity((X1, ONE, X1SQ, ONE)[:n + 1], 1.0, 0.0)
+    evaluations = [
+        lambda: volume_potential(fs, domain, X1SQ, x, 16),
+        lambda: volume_potential_gradient(fs, domain, X1SQ, x, 16),
+        lambda: single_layer(fs, domain, ONE, x, 16),
+        lambda: volume_potential_negative(fs, domain, nd, x, 16)]
+    if domain.classify(x) > 0:
+        evaluations.append(
+            lambda: volume_potential_hessian(fs, domain, X1SQ, x, 16))
+    for evaluate in evaluations:
+        calls.clear()
+        evaluate()
+        assert len(calls) == 1
 
 
 def test_ball_volume_potential_center():

@@ -360,8 +360,8 @@ STORED_VALUES = {
     "disk interior": "-0x1.1342719ee8f28p-3",
     "disk chord": "-0x1.529ace739d1acp-6",
     "disk far": "0x1.9e54ca58f0eb6p-3",
-    "star interior": "-0x1.a443438170c2cp-4",
-    "star near exterior": "-0x1.5936068fa6de1p-4",
+    "star interior": "-0x1.a443438170c2bp-4",
+    "star near exterior": "-0x1.5936068fa6de0p-4",
     "ball interior": "-0x1.d37b019ed66aap-6",
     "ball chord": "-0x1.774d5d515a4b5p-5",
 }

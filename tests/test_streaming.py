@@ -17,7 +17,7 @@ from volpot import (NearBoundaryError, cosine_star, disk, ellipse, get_preset,
                     volume_potential_hessian)
 from volpot import geometry
 from volpot.geometry import (_chord_rays, _drain, _excised_rays, _flux_rays,
-                             _singular_rays, cached_volume_rule,
+                             cached_volume_rule,
                              exterior_chord_rule, near_exterior_star_rule,
                              rule_forms, singular_volume_rule)
 from volpot.potentials import _offsets, _ray_sums
@@ -58,13 +58,13 @@ def _streamed_and_drained(fs, x, rule):
 # are one ray set per half of the graded boundary rule
 RULES = [
     ("disk interior", FS2, np.array([0.3, -0.2]),
-     lambda x: _singular_rays(DISK, x, 48)),
+     lambda x: _excised_rays(DISK, x, 48, (0.0,))[0]),
     ("star interior", FS2, _star_point(0.6, -1e-3),
-     lambda x: _singular_rays(STAR, x, 32)),
+     lambda x: _excised_rays(STAR, x, 32, (0.0,))[0]),
     ("disk r_min", FS2, np.array([0.2, 0.1]),
-     lambda x: _singular_rays(DISK, x, 48, r_min=1e-3)),
+     lambda x: _excised_rays(DISK, x, 48, (1e-3,))[0]),
     ("ball interior 1e-4", FS3, (1.0 - 1e-4) * NB3,
-     lambda x: _singular_rays(BALL, x, 12)),
+     lambda x: _excised_rays(BALL, x, 12, (0.0,))[0]),
     ("disk chord", FS2, np.array([1.0 + 1e-3, 0.0]),
      lambda x: _chord_rays(DISK, x, 48)),
     ("ball chord", FS3, (1.0 + 1e-3) * NB3,
@@ -87,7 +87,7 @@ def test_streamed_sum_matches_drained_rule(label, fs, x, factory):
 
 def test_block_arrays_stay_below_block_bytes():
     x = (1.0 - 1e-4) * NB3
-    rule = _singular_rays(BALL, x, 20)
+    rule = _excised_rays(BALL, x, 20, (0.0,))[0]
     sizes = [form.nodes.nbytes for form in rule_forms(rule)]
     assert len(sizes) > 100
     assert max(sizes) < geometry._BLOCK_BYTES
@@ -158,7 +158,7 @@ def test_excised_rules_cast_once_and_keep_their_bits(domain, x, monkeypatch):
     rep = check_maximal_bound(FS2.eval, domain, x[None, :], radii, N=32)
     assert len(calls) == 2
     for r, rule, got in zip(radii, rules, rep.parameters["values"][0]):
-        ref = _singular_rays(domain, x, 32, r_min=r)
+        ref = _excised_rays(domain, x, 32, (r,))[0]
         assert len(rule) == len(ref) == 2
         for a, b in zip(rule, ref):
             for name in ("dirs", "lo", "hi", "wang"):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from volpot import disk, get_preset, laplace_fundamental, laplacian
+from volpot import (cosine_star, disk, get_preset, laplace_fundamental,
+                    laplacian)
 from volpot import verify
 from volpot.verify import (VerificationReport, check_integration_by_parts,
                            check_maximal_bound, check_pde_identity,
@@ -57,6 +58,19 @@ def test_pde_identity_rejects_a_point_off_its_side(side, point, message):
     with pytest.raises(verify.DomainError, match=message):
         check_pde_identity(FS, laplacian(2), DISK, get_preset("bump"), grid,
                            h=1e-3, N=16, side=side)
+
+
+def test_pde_identity_measures_a_star_distance_exactly():
+    # 0.99 * 5h inside along the normal of a cosine star, where a sampled
+    # distance read 0.04025 > 5h and let the stencil through
+    star, h = cosine_star([1, 0, 0, 0.2]), 8e-3
+    x = (star.boundary_point(4.5222)
+         - 0.99 * 5.0 * h * star.boundary_normal(4.5222))
+    assert star.distance_to_boundary(x) == pytest.approx(0.99 * 5.0 * h,
+                                                         abs=1e-15)
+    with pytest.raises(verify.DomainError, match="closer than 5h"):
+        check_pde_identity(FS, laplacian(2), star, get_preset("bump"),
+                           x[None, :], h=h, N=16)
 
 
 def test_reports_deterministic():
