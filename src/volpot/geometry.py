@@ -637,14 +637,17 @@ GRADING_EXPONENT = 3
 def _graded_boundary_rules(domain, x, N, near=None):
     """Boundary rules for a layer integral at x on or near the boundary,
     graded with ``GRADING_EXPONENT`` toward near = ``_nearest_point``: in
-    2D the two halves of the parameter window about its parameter, each a
-    rule of its own (callers sum them one at a time); on the sphere one
-    polar cap about its axis.  A tuple of BoundaryQuadratures."""
+    2D the two halves of the parameter window about its angle, each a rule
+    of its own (callers sum them one at a time); on the sphere one polar
+    cap about its axis.  A tuple of BoundaryQuadratures."""
     u, w = _gl01(max(24, 2 * N))
     s = np.pi * u ** GRADING_EXPONENT
     ws = np.pi * GRADING_EXPONENT * u ** (GRADING_EXPONENT - 1) * w
     t0 = (near or _nearest_point(domain, x))[0]
     if domain.dim == 2:
+        if domain.kind == "ball":   # the angle of x - c, 0 at the centre
+            t0 = (0.0 if np.linalg.norm(t0) < 1e-14
+                  else float(np.arctan2(t0[1], t0[0])))
         return tuple(BoundaryQuadrature(domain.boundary_point(theta),
                                         domain.boundary_jacobian(theta) * ws,
                                         domain.boundary_normal(theta))
@@ -656,17 +659,14 @@ def _graded_boundary_rules(domain, x, N, near=None):
 
 
 def _nearest_point(domain, x):
-    """(parameter, distance) of the boundary point nearest x: the angle of
-    x - c (0 at the centre) or, in 3D, x - c on a ball; on a star domain
-    the best of 1024 samples (the branch near a concave lobe), then up to
-    60 secant steps on g = (gamma - x) . gamma', kept in the bracket of the
+    """(parameter, distance) of the boundary point nearest x: on a ball
+    x - c, whose direction is the point's; on a star domain the angle, from
+    the best of 1024 samples (the branch near a concave lobe) and up to 60
+    secant steps on g = (gamma - x) . gamma', kept in the bracket of the
     sample's neighbours by bisection, until a step is at rounding."""
     if domain.kind == "ball":
         d = x - domain.center
-        r = float(np.linalg.norm(d))
-        if domain.dim == 2:
-            d = 0.0 if r < 1e-14 else float(np.arctan2(d[1], d[0]))
-        return d, abs(domain.radius - r)
+        return d, abs(domain.radius - float(np.linalg.norm(d)))
     theta = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
     b = domain.boundary_point(theta) - x
     i = int(np.argmin(np.sum(b * b, axis=1)))
