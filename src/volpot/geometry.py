@@ -751,7 +751,7 @@ def _excised_rays(domain, x, N, radii, near=None):
         return _flux_rays(domain, x, N, radii, near)
     p = _radial_order(N)
     n_panels = _radial_panel_count(N)
-    dist = near[1] if near else domain.distance_to_boundary(x)
+    dist = (near or _nearest_point(domain, x))[1]
     if domain.dim == 2:
         _, dirs, wang = _circle_grid(_angular_count(N, dist,
                                                   domain.bounding_radius))

@@ -180,8 +180,8 @@ def _volume_rays(domain, x, N, near=None):
     whether the rays start at x: the polar rule about an interior x (the
     flux rays on a star domain); for an exterior x, the chord (ball) or
     flux (star) rule near the boundary, the regular rule far from it.  N
-    is checked and the point classified here, once; the nearest boundary
-    point (``near``, unless a caller has it) is found when it is built."""
+    is checked and the point classified here, once; the rule reads the
+    caller's ``near`` (``geometry._nearest_point``) or solves for it."""
     if N < 4:
         raise VolpotError(f"N must be at least 4, got {N}")
     cls = _classify_or_raise(domain, x)
