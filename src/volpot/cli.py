@@ -274,18 +274,19 @@ def _verify_tasks(cfg, op, fs, domain):
 
 def _convergence_reports(fs, domain, N_list=(8, 16, 32, 64)):
     """Convergence of the f = 1 volume potential at the domain's center
-    (against the closed form on Laplace unit balls), the on-surface single
-    layer (2D) and the boundary kernel at a far point."""
+    and of the on-surface single layer (2D), against their closed forms on
+    Laplace unit balls (R log R = 0 for the single layer on the unit
+    circle), and of the boundary kernel at a far point."""
     one = get_preset("one")
-    exact = ({2: -0.25, 3: -0.5}[domain.dim]
-             if _laplace_unit_ball(fs, domain) else None)
+    unit = _laplace_unit_ball(fs, domain)
+    exact = {2: -0.25, 3: -0.5}[domain.dim] if unit else None
     reports = [verify.convergence_study(
         "volume_potential", fs, domain, one, N_list=N_list,
         x=domain.center, exact=exact)]
     if domain.dim == 2:
         reports.append(verify.convergence_study(
             "single_layer_onsurface", fs, domain, one, N_list=N_list,
-            x=domain.boundary_point(0.3)))
+            x=domain.boundary_point(0.3), exact=0.0 if unit else None))
     reports.append(verify.convergence_study(
         "boundary_kernel", fs, domain, one, N_list=N_list,
         x=3.0 * domain.bounding_radius * np.eye(domain.dim)[0]))

@@ -24,20 +24,25 @@ read it, and an evaluation that needs it twice passes one solve down.
 
 Every volume rule near a point integrates in polar coordinates about it,
 along rays with Gauss-Legendre panels geometrically graded toward the
-point (toward the entry points, for the chords of a ball).  The radial
+point (toward the entry points, for the chords of a 3D ball).  The radial
 Jacobian r^{n-1} tames every kernel of homogeneity down to -(n-1), and
 log factors are absorbed by the graded panels.
-- On a star domain the rays run from x to the nodes of the graded boundary
-  rules (``_flux_rays``), by the divergence theorem in polar form about x,
-  with signed angular weights: one rule for interior points at any
-  distance and for exterior points near the boundary, with no ray cast
-  and no re-entered interval, and the graded boundary rules' accuracy.
-- On a ball the polar rule about an interior x casts its rays on a fixed
-  angular grid, raised automatically as the point approaches the
-  boundary, and a companion chord rule covers exterior points near the
-  boundary; its chords are graded toward their entry points only down to
-  the point's distance from the ball (``_chord_levels``).
-Exterior points far from either take the regular rule about the centre.
+- In 2D the rays run from x to the nodes of the graded boundary rules
+  (``_flux_rays``), by the divergence theorem in polar form about x, with
+  signed angular weights, one ray set per point: the rule of every star
+  point (interior at any distance, exterior near the boundary) and of
+  every disk point near the boundary on either side, with no ray cast and
+  no re-entered interval, and the graded boundary rules' accuracy.
+- The polar rule about an interior x casts its rays on a fixed angular
+  grid, raised automatically as the point approaches the boundary
+  (``_angular_count`` in 2D): it serves disk points deeper than the
+  near/far switch and every interior point of a 3D ball, and verify's
+  excised sums on a disk or a 3D ball (``_excised_rays``).  A companion
+  chord rule covers exterior points near a 3D ball; its chords are graded
+  toward their entry points only down to the point's distance from the
+  ball (``_chord_levels``).
+Exterior points far from the boundary take the regular rule about the
+centre.
 
 Every volume rule is a tuple of ray sets (``RaySet``: an origin, unit
 directions, a radial interval [lo, hi] graded toward lo and a signed
@@ -280,7 +285,7 @@ class VolumeQuadrature:
     nodes: np.ndarray     # (m, n) interior points, C-contiguous (streamed
                           # blocks are coordinate-major; ``_drain`` copies)
     weights: np.ndarray   # (m,) summing to |Omega|; signed on the flux rays
-                          # of a star domain (``_flux_rays``)
+                          # of a 2D domain (``_flux_rays``)
 
     def integrate(self, values):
         return np.sum(values * self.weights)
@@ -296,8 +301,8 @@ class RaySet:
     [lo + s 2^-(k+1), lo + s 2^-k] for k < n_panels and
     [lo, lo + s 2^-n_panels]; n_panels 0 is one plain panel.  A node's
     weight is its radial weight times s, r^(n-1) and ``wang[i]``.  The
-    angular weights are signed: a star domain's flux rays carry the sign
-    of nu . e (``_flux_rays``).  A ray with hi < lo runs inward, graded
+    angular weights are signed: the flux rays of a 2D domain carry the
+    sign of nu . e (``_flux_rays``).  A ray with hi < lo runs inward, graded
     toward its outer end lo, its weights signed by s < 0.
     """
 
@@ -598,9 +603,10 @@ def _graded_nodes(r_lo, span, t):
 
 
 def _angular_count(N, dist, scale):
-    """Trapezoid node count of the polar rule about a point of a disk;
-    raised as the point nears the boundary, where the ray-length profile
-    develops a sqrt(dist)-scale feature."""
+    """Trapezoid node count of the polar rule about a point of a disk (a
+    deep one, or any interior point of an excised sum); raised as the
+    point nears the boundary, where the ray-length profile develops a
+    sqrt(dist)-scale feature."""
     base = max(16, 2 * N)
     if dist < 0.08 * scale:
         base = max(base, int(12.0 / np.sqrt(max(dist, 1e-12) / scale)))
@@ -634,25 +640,47 @@ def boundary_rule(domain: Domain, N: int) -> BoundaryQuadrature:
 GRADING_EXPONENT = 3
 
 
-def _graded_boundary_rules(domain, x, N, near=None):
-    """Boundary rules for a layer integral at x on or near the boundary,
-    graded with ``GRADING_EXPONENT`` toward near = ``_nearest_point``: in
-    2D the two halves of the parameter window about its angle, each a rule
-    of its own (callers sum them one at a time); on the sphere one polar
-    cap about its axis.  A tuple of BoundaryQuadratures."""
+@lru_cache(maxsize=64)
+def _graded_window(N):
+    """Offsets s = pi u^GRADING_EXPONENT from the nearest parameter (polar
+    angles on the sphere) and their weights ws, for the Gauss-Legendre
+    rule u, w of order max(24, 2N) on [0, 1]; read-only."""
     u, w = _gl01(max(24, 2 * N))
     s = np.pi * u ** GRADING_EXPONENT
     ws = np.pi * GRADING_EXPONENT * u ** (GRADING_EXPONENT - 1) * w
+    s.setflags(write=False)
+    ws.setflags(write=False)
+    return s, ws
+
+
+def _graded_boundary_rules(domain, x, N, near=None):
+    """Boundary rules for a layer integral at x on or near the boundary,
+    graded with ``GRADING_EXPONENT`` toward near = ``_nearest_point``
+    (``_graded_window``): in 2D the two halves of the parameter window
+    about its angle, each a rule of its own (callers sum them one at a
+    time, the flux rays join them); on the sphere one polar cap about its
+    axis.  A tuple of BoundaryQuadratures."""
+    s, ws = _graded_window(N)
     t0 = (near or _nearest_point(domain, x))[0]
+    R, c = domain.radius, domain.center
+    if domain.dim == 2 and domain.kind == "ball":
+        # the angle of x - c, 0 at the centre; nodes c + R e, normals e and
+        # weights R ws, the operations of the Domain methods, with one cos
+        # and sin per half
+        t0 = (0.0 if math.hypot(t0[0], t0[1]) < 1e-14
+              else float(np.arctan2(t0[1], t0[0])))
+        rules, w = [], R * ws
+        for theta in (t0 + s, t0 - s):
+            e = np.empty((len(s), 2))
+            e[:, 0] = np.cos(theta)
+            e[:, 1] = np.sin(theta)
+            rules.append(BoundaryQuadrature(c + R * e, w, e))
+        return tuple(rules)
     if domain.dim == 2:
-        if domain.kind == "ball":   # the angle of x - c, 0 at the centre
-            t0 = (0.0 if np.linalg.norm(t0) < 1e-14
-                  else float(np.arctan2(t0[1], t0[0])))
         return tuple(BoundaryQuadrature(domain.boundary_point(theta),
                                         domain.boundary_jacobian(theta) * ws,
                                         domain.boundary_normal(theta))
                      for theta in (t0 + s, t0 - s))
-    R, c = domain.radius, domain.center
     dirs, wts = _sphere_grid(np.cos(s), np.sin(s), ws * np.sin(s),
                              max(16, N), toward=t0)
     return (BoundaryQuadrature(c[None, :] + R * dirs, wts * R ** 2, dirs),)
@@ -713,12 +741,12 @@ def volume_rule(domain: Domain, N: int) -> VolumeQuadrature:
     return _drain(_regular_rays(domain, N))
 
 
-def _flux_rays(domain, x, N, radii=(0.0,), near=None):
-    """The volume rule of a star domain about any x off its boundary, with
-    B(x, r) excised for each r in radii: rays from x to the nodes y of
-    each graded boundary rule, by the divergence theorem in polar form
-    about x (the radial integration method, X.-W. Gao, Eng. Anal. Bound.
-    Elem. 26, 2002),
+def _flux_rays(domain, x, N, radii=(0.0,), near=None, rules=None):
+    """The volume rule of a 2D domain about any x off its boundary, with
+    B(x, r) excised for each r in radii: rays from x to the nodes y of the
+    graded boundary rules, by the divergence theorem in polar form about x
+    (the radial integration method, X.-W. Gao, Eng. Anal. Bound. Elem. 26,
+    2002),
 
         int_Omega g dy = int_dOmega (nu . e) l^(1-n) int_0^l g(x + r e)
                          r^(n-1) dr dsigma(y),  l = |y - x|, e = (y - x) / l.
@@ -726,19 +754,30 @@ def _flux_rays(domain, x, N, radii=(0.0,), near=None):
     The ray to y runs over [min(r, l), l], graded toward its start, with
     the signed angular weight (nu . e) w l^(1-n) for the node's weight w:
     the sign sums rays that leave and re-enter a non-convex domain, and
-    the rays of an exterior x, which enter and then leave.  The boundary
-    rules are built once for every radius.  A list of ray-set tuples."""
+    the rays of an exterior x, which enter and then leave.  The graded
+    rules (the caller's ``rules``, or built about ``near``) are joined
+    into one ray set, built once for every radius; the arithmetic runs a
+    coordinate row at a time, with the per-element operations of the
+    row-wise sums (see the module docstring), so the same bits.  A list
+    of one-set tuples."""
+    rules = rules or _graded_boundary_rules(domain, x, N, near)
+    n = domain.dim
+    y, nu, w = (np.concatenate([getattr(bq, name) for bq in rules])
+                for name in ("nodes", "normals", "weights"))
+    d = (y - x).T       # the offsets a coordinate row at a time
+    ell = d[0] * d[0]
+    for k in range(1, n):
+        ell += d[k] * d[k]
+    ell = np.sqrt(ell)
+    e = d / ell
+    nu_e = nu[:, 0] * e[0]
+    for k in range(1, n):
+        nu_e += nu[:, k] * e[k]
+    wang = nu_e * w * ell ** (1 - n)
     p = _radial_order(N)
     n_panels = _radial_panel_count(N)
-    rays = []
-    for bq in _graded_boundary_rules(domain, x, N, near):
-        d = bq.nodes - x
-        ell = np.sqrt(np.sum(d * d, axis=1))
-        e = d / ell[:, None]
-        rays.append((e, ell, np.sum(bq.normals * e, axis=1) * bq.weights
-                     * ell ** (1 - domain.dim)))
-    return [tuple(RaySet(x, e, np.minimum(r_min, ell), ell, wang, p, n_panels)
-                  for e, ell, wang in rays) for r_min in map(float, radii)]
+    return [(RaySet(x, e.T, np.minimum(r_min, ell), ell, wang, p, n_panels),)
+            for r_min in map(float, radii)]
 
 
 def _excised_rays(domain, x, N, radii, near=None):
@@ -746,7 +785,11 @@ def _excised_rays(domain, x, N, radii, near=None):
     for each r in radii (a list of ray-set tuples): the flux rays on a
     star domain; on a ball the polar rule about x, graded toward x (toward
     the excised sphere), from one ray cast, since the directions and the
-    exits do not depend on the radius, only the radial starts do."""
+    exits do not depend on the radius, only the radial starts do.  An
+    evaluation's rule is chosen in ``potentials._volume_rays``; this one
+    serves verify's excised sums at every distance (where r exceeds the
+    distance to the boundary the flux rays converge only algebraically)
+    and the deep points of the polar rule."""
     if domain.kind == "star2d":
         return _flux_rays(domain, x, N, radii, near)
     p = _radial_order(N)
@@ -794,11 +837,11 @@ def _chord_levels(R, dist, p, n_panels):
 
 
 def _chord_rays(domain, x, N):
-    """Rays from the exterior point x toward a ball, chords graded toward
-    the entry points down to the distance to the ball (``_chord_levels``),
-    over an angular window graded toward both ends."""
-    if domain.kind != "ball":
-        raise DomainError("exterior chord rule is implemented for balls")
+    """Rays from the exterior point x toward a 3D ball, chords graded
+    toward the entry points down to the distance to the ball
+    (``_chord_levels``), over a polar window graded toward both ends."""
+    if domain.kind != "ball" or domain.dim != 3:
+        raise DomainError("exterior chord rule is implemented for 3D balls")
     d = domain.center - x
     rho0 = np.linalg.norm(d)
     R = domain.radius
@@ -813,19 +856,10 @@ def _chord_rays(domain, x, N):
     t, wt, _ = _radial_tables(p, max(n_panels, 18))
     half, whalf = beta / 2.0 * t, beta / 2.0 * wt
     ang = np.concatenate([half, beta - half])
-    wang1 = np.concatenate([whalf, whalf])
-    if domain.dim == 2:
-        axis = d / rho0
-        e1 = np.array([-axis[1], axis[0]])
-        phi = np.concatenate([ang, -ang])
-        wang = np.concatenate([wang1, wang1])
-        dirs = (np.cos(phi)[:, None] * axis[None, :]
-                + np.sin(phi)[:, None] * e1[None, :])
-        b = rho0 * np.cos(phi)
-    else:
-        dirs, wang = _sphere_grid(np.cos(ang), np.sin(ang),
-                                  wang1 * np.sin(ang), max(8, N), toward=d)
-        b = dirs @ d
+    dirs, wang = _sphere_grid(np.cos(ang), np.sin(ang),
+                              np.concatenate([whalf, whalf]) * np.sin(ang),
+                              max(8, N), toward=d)
+    b = dirs @ d
     disc = np.maximum(b ** 2 - (rho0 ** 2 - R ** 2), 0.0)
     # The kernel's near-singularity sits dist = rho0 - R before each entry
     # point; a graded Gauss-Legendre panel stops gaining accuracy once its
@@ -836,10 +870,12 @@ def _chord_rays(domain, x, N):
 
 
 def exterior_chord_rule(domain: Domain, x, N: int) -> VolumeQuadrature:
-    """Volume rule for an exterior point near the boundary of a ball: rays
-    from x toward the ball, chords graded toward the entry points.  The
-    angular window is parametrized with endpoint clustering since the chord
-    length vanishes like a square root at the tangent rays."""
+    """Volume rule for an exterior point near the boundary of a 3D ball:
+    rays from x toward the ball, chords graded toward the entry points.
+    The polar window is parametrized with endpoint clustering since the
+    chord length vanishes like a square root at the tangent rays.  A disk
+    or a star domain raises DomainError: their exterior points near the
+    boundary take the flux rays (``_flux_rays``)."""
     return _drain(_chord_rays(domain, np.asarray(x, dtype=float), N))
 
 

@@ -15,13 +15,14 @@ odd homogeneous kernel) against densities on a domain or its boundary:
   components, which trades the distributional derivative for a boundary term
   plus differentiated volume terms.
 
-Every volume rule near a point is rays from it (see :mod:`volpot.geometry`):
-on a star domain the flux rays to the nodes of the graded boundary rules,
-for interior points and for exterior points near the boundary; on a ball
-the polar rule about an interior point and a chord rule outside.  Far
-exterior points take the regular rule about the centre.  Points within
-1e-9 of the boundary are rejected; transmission is tested through one-sided
-limits (see :mod:`volpot.verify`).
+Every volume rule near a point is rays from it (see :mod:`volpot.geometry`),
+chosen in one place, ``_volume_rays``: in 2D the flux rays to the nodes of
+the graded boundary rules, for every point of a star domain and for disk
+points within the near/far switch on either side; the polar rule about an
+interior point deeper in the disk and anywhere in a 3D ball, and a chord
+rule just outside a 3D ball.  Far exterior points take the regular rule
+about the centre.  Points within 1e-9 of the boundary are rejected;
+transmission is tested through one-sided limits (see :mod:`volpot.verify`).
 
 Every grid and rule comes from :mod:`volpot.geometry`.  Every integral
 over the boundary seen from a point, layer potentials, the boundary terms
@@ -29,14 +30,15 @@ of the component densities and the Hessian's K^+[k1_j, nu_l] alike, goes
 through ``_boundary_integral``: the cached boundary rule far from the
 boundary, the graded layer rules within 0.1 radii of it (``_far`` decides
 near and far for volume rules too, both from one ``_nearest_point`` solve
-per evaluation), summed a rule at a time, an array integrand (the
-Hessian's n^2 products) in one pass.  Volume terms are
-reduced block by block: the rule for a point is a tuple of ray sets, and
-each block of rays is built, run through the kernel and the density and
-summed before the next one is built, so memory does not grow with the node
-count.  A sum of an integrand of x - y and y over such blocks (the
-subtraction operator, and the excised polar rules of :mod:`volpot.verify`)
-is ``_rule_sum``.
+per evaluation, and an evaluation whose flux rays and boundary terms both
+read the graded rules builds them once, ``_shared_rules``), summed a rule
+at a time, an array integrand (the Hessian's n^2 products) in one pass.
+Volume terms are reduced block by block: the rule for a point is a tuple
+of ray sets, and each block of rays is built, run through the kernel and
+the density and summed before the next one is built, so memory does not
+grow with the node count.  A sum of an integrand of x - y and y over such
+blocks (the subtraction operator, and the excised polar rules of
+:mod:`volpot.verify`) is ``_rule_sum``.
 
 Every block carries its weights factored, w_ij = c_i wt_j r_ij^(n-1): one
 number per ray times the cached radial table (see ``geometry.RayForm``).
@@ -52,16 +54,16 @@ it needs no per-node value at all.  Three paths, picked per block:
   at r = 0 (the polar rule about an interior x and the flux rays; r = s t
   for the table t)
   is sum_i c_i ``fs.ray_value``_i, from M1 = sum t wt and
-  ML = sum t log t wt, and the gradient on any such rays (the chord rule
-  too) is -f W sum_i c_i k1(d_i), W = sum wt.  No radius, no node, no
+  ML = sum t log t wt, and the gradient on any such rays (the 3D chord
+  rule too) is -f W sum_i c_i k1(d_i), W = sum wt.  No radius, no node, no
   kernel call per node: O(rays) per block.  These sums are formed
   elementwise and reduced by numpy's pairwise np.sum (``_ray_total``):
   over blocks of thousands of rays a BLAS dot's rounding error grows
   with the length and depends on the BLAS kernel's block order, where
   the pairwise sum's grows with its logarithm.
 * per node in polar form, where the rays start at x otherwise (other
-  densities or kernels, and chord values, whose log(lo + s t) does not
-  separate): x - y = -r d (see :mod:`volpot.fundsol`).
+  densities or kernels, and the 3D chord values): x - y = -r d (see
+  :mod:`volpot.fundsol`).
   - value: v = S f with S(r d) from the radii alone
     (``fs.radial_value``, one log per node for the 2D log kernels);
   - grad: -sum_i c_i (sum_j f_ij wt_j) k1(d_i), the r^(n-1) cancelling
@@ -109,8 +111,9 @@ from .geometry import (Domain, cached_boundary_rule, rule_forms, _chord_rays,
 from .schauder import NegativeExponentDensity
 
 # Points closer to the boundary than this fraction of a ball's radius (a
-# star domain's bounding radius) take the graded layer rules, and exterior
-# ones the chord (ball) or flux (star) volume rules.
+# star domain's bounding radius) take the graded layer rules, and their
+# volume rule is the flux rays in 2D on either side (a star domain's
+# interior points at any distance) and the chord rule outside a 3D ball.
 NEAR_FRACTION = 0.1
 
 
@@ -174,27 +177,33 @@ def _density(f, form):
     return np.asarray(f(form.nodes)) if c is None else c
 
 
-def _volume_rays(domain, x, N, near=None):
+def _volume_rays(domain, x, N, near=None, rules=None):
     """The class of the point x (see ``Domain.classify``) and a function
     that builds its volume rule, returning the tuple of ray sets and
-    whether the rays start at x: the polar rule about an interior x (the
-    flux rays on a star domain); for an exterior x, the chord (ball) or
-    flux (star) rule near the boundary, the regular rule far from it.  N
-    is checked and the point classified here, once; the rule reads the
-    caller's ``near`` (``geometry._nearest_point``) or solves for it."""
+    whether the rays start at x.  The one choice of an evaluation's rule:
+    the regular rule for an exterior x far from the boundary; in 2D the
+    flux rays (``geometry._flux_rays``) for every other point of a star
+    domain and for disk points near the boundary on either side; the
+    polar rule about an interior x elsewhere (deep disk points, the 3D
+    ball), and the chord rule for an exterior x near a 3D ball.  N is
+    checked and the point classified here, once; the rule reads the
+    caller's ``near`` (``geometry._nearest_point``) or solves for it, and
+    the flux rays the caller's graded boundary rules (``_shared_rules``)
+    or build them."""
     if N < 4:
         raise VolpotError(f"N must be at least 4, got {N}")
     cls = _classify_or_raise(domain, x)
 
     def build():
-        if cls > 0:
-            return _excised_rays(domain, x, N, (0.0,), near)[0], True
         point = near or _nearest_point(domain, x)
-        if _far(domain, point[1]):
+        far = _far(domain, point[1])
+        if cls < 0 and far:
             return _regular_rays(domain, N), False
-        if domain.kind == "ball":
-            return _chord_rays(domain, x, N), True
-        return _flux_rays(domain, x, N, near=point)[0], True
+        if domain.dim == 2 and not (far and domain.kind == "ball"):
+            return _flux_rays(domain, x, N, near=point, rules=rules)[0], True
+        if cls > 0:
+            return _excised_rays(domain, x, N, (0.0,), point)[0], True
+        return _chord_rays(domain, x, N), True
 
     return cls, build
 
@@ -210,11 +219,11 @@ def _rule_blocks(x, rule, at_x, per_ray=None):
         yield form, None if at_x else _offsets(x, form.nodes)
 
 
-def _volume_blocks(domain, x, N, per_ray=None, near=None):
+def _volume_blocks(domain, x, N, per_ray=None, near=None, rules=None):
     """The class of the point x and the blocks (form, z) of its volume
     rule (``_volume_rays``, ``_rule_blocks``); the rule is built when the
     first block is read."""
-    cls, build = _volume_rays(domain, x, N, near)
+    cls, build = _volume_rays(domain, x, N, near, rules)
 
     def blocks():
         yield from _rule_blocks(x, *build(), per_ray)
@@ -459,20 +468,29 @@ def single_layer(fs: FundamentalSolution, domain: Domain, phi, x,
         domain, lambda y, nu: fs.eval(x[None, :] - y) * phi(y), x, N)
 
 
-def _boundary_integral(domain, integrand, x, N, near=None):
+def _shared_rules(domain, x, N, near):
+    """The graded boundary rules about x within the near/far switch, for
+    an evaluation whose flux rays and boundary integrals share them (one
+    build); None far from the boundary."""
+    if _far(domain, near[1]):
+        return None
+    return _graded_boundary_rules(domain, x, N, near)
+
+
+def _boundary_integral(domain, integrand, x, N, near=None, rules=None):
     """The integral over the boundary of integrand(y, nu), which is
     vectorized over boundary points y with outward normals nu along its
     last axis: a Python complex for a value per point, an array of sums
     along that axis for an array of values per point (each row C-contiguous,
     so it sums with the bits of the same row alone).  x only steers the
     rule choice: the cached boundary rule far from the boundary, the graded
-    rules of ``geometry._graded_boundary_rules`` on or near it, summed a
-    rule at a time; one nearest point (``near``) steers both."""
-    near = near or _nearest_point(domain, x)
-    if _far(domain, near[1]):
-        rules = (cached_boundary_rule(domain, N),)
-    else:
-        rules = _graded_boundary_rules(domain, x, N, near)
+    rules of ``geometry._graded_boundary_rules`` on or near it (the
+    caller's ``rules``, see ``_shared_rules``, where it has them), summed
+    a rule at a time; one nearest point (``near``) steers both."""
+    if rules is None:
+        near = near or _nearest_point(domain, x)
+        rules = ((cached_boundary_rule(domain, N),) if _far(domain, near[1])
+                 else _graded_boundary_rules(domain, x, N, near))
     total = sum(np.sum(np.ascontiguousarray(integrand(bq.nodes, bq.normals))
                        * bq.weights, axis=-1) for bq in rules)
     return total if np.ndim(total) else complex(total)
@@ -490,19 +508,21 @@ def volume_potential_hessian(fs: FundamentalSolution, domain: Domain, f, x,
     with the gradient-kernel split supplied by ``fs``; the remainder term is
     absolutely integrable and uses the same singularity-clustered rule.
     Both volume terms are (n, n) kernel moments, summed block by block
-    after a reduction along each ray of the polar rule about x (see the
-    module docstring): ``fs.k1_jacobian`` receives the block's directions
-    with one weight per ray, and the screened k2 term is formed from
-    ``fs.k2_radial``, so no (nodes, n, n) array is formed.  K^+ goes
-    through the boundary dispatch of every boundary integral
+    after a reduction along each ray of the rule about x, polar or flux
+    rays (see the module docstring): ``fs.k1_jacobian`` receives the
+    block's directions with one weight per ray, and the screened k2 term
+    is formed from ``fs.k2_radial``, so no (nodes, n, n) array is formed.
+    K^+ goes through the boundary dispatch of every boundary integral
     (``_boundary_integral``), all n^2 entries in one pass: the cached
     boundary rule far from the boundary, the graded rules within 0.1 radii
-    of it, where the plain rule loses the nearly singular k1.  A real
+    of it, where the plain rule loses the nearly singular k1; there the
+    flux rays of a 2D point share those rules (``_shared_rules``).  A real
     density stays real until the result is cast to complex.
     """
     x = _check_dims(domain, fs, x)
     near = _nearest_point(domain, x)
-    cls, blocks = _volume_blocks(domain, x, N, near=near)
+    rules = _shared_rules(domain, x, N, near)
+    cls, blocks = _volume_blocks(domain, x, N, near=near, rules=rules)
     if cls < 0:
         raise NearBoundaryError("Hessian evaluation requires an interior point")
     n = domain.dim
@@ -531,7 +551,7 @@ def volume_potential_hessian(fs: FundamentalSolution, domain: Domain, f, x,
     # the integrand k1_j(x - y) nu_l(y) as (l, j, node)
     K = _boundary_integral(
         domain, lambda y, nu: nu.T[:, None, :] * fs.k1(_offsets(x, y)).T,
-        x, N, near)
+        x, N, near, rules)
     H = H1 - fx * K
     if screened:
         H = H + H2
@@ -558,7 +578,8 @@ def volume_potential_negative(fs: FundamentalSolution, domain: Domain,
     n = domain.dim
     comps = nd.components
     near = _nearest_point(domain, x)
-    rule, at_x = _volume_rays(domain, x, N, near)[1]()
+    rules = _shared_rules(domain, x, N, near)
+    rule, at_x = _volume_rays(domain, x, N, near, rules)[1]()
     f0_sets = _per_ray_sets(fs, comps[:1], True) if at_x else None
     apart = f0_sets is not None and any(map(f0_sets, rule))
     value = grad = 0
@@ -581,7 +602,7 @@ def volume_potential_negative(fs: FundamentalSolution, domain: Domain,
             out = out + nu[:, j] * np.asarray(comps[j + 1](y))
         return fs.eval(x[None, :] - y) * out
 
-    total += _boundary_integral(domain, moment, x, N, near)
+    total += _boundary_integral(domain, moment, x, N, near, rules)
     for gj in grad:
         total += gj
     return complex(total)

@@ -1,5 +1,8 @@
 """The exterior chord rule grades its chords only down to the distance.
 
+The chord rule serves exterior points near a 3D ball (2D points near the
+boundary take the flux rays; their cases moved to
+``tests/test_disk_flux.py``, at the same points).
 ``geometry._chord_rays`` grades every chord toward its entry point through
 ``_chord_levels`` levels: enough for the innermost panel of the longest
 chord, 2R, to reach the point's distance to the ball (none beyond 2R),
@@ -15,12 +18,12 @@ The accuracy slice compares the rule with the full depth,
 ``one`` and ``abs_x1``.  The points sit 5.5 degrees off the plane x1 = 0,
 where ``abs_x1``'s kink crosses the chords near their entry points.
 
-``one`` meets the bound in every case.  ``abs_x1`` misses it in two cases,
-0.1 bounding radii from a centred ball at high order: there the kink
-falls inside the graded rule's innermost panel of the chords that enter
-near x1 = 0, which the full-depth rule splits 11 and 5 more times.  Those
-cases are marked as expected failures; the graded rule still stays within
-the full-depth rule's own error there, estimated by |full(N) - full(2N)|.
+``one`` meets the bound in every case.  ``abs_x1`` misses it in one case,
+0.1 bounding radii from a centred ball at N = 20: there the kink falls
+inside the graded rule's innermost panel of the chords that enter near
+x1 = 0, which the full-depth rule splits 5 more times.  That case is
+marked as an expected failure; the graded rule still stays within the
+full-depth rule's own error there, estimated by |full(N) - full(2N)|.
 """
 
 from functools import lru_cache
@@ -49,9 +52,8 @@ def _kernels(n):
 
 def _point(domain, dist):
     a, b = np.sin(TILT), np.cos(TILT)
-    e = np.array([a, b]) if domain.dim == 2 else np.array([a, 0.6 * b,
-                                                           0.8 * b])
-    return domain.center + (domain.radius + dist) * e
+    return domain.center + (domain.radius + dist) * np.array([a, 0.6 * b,
+                                                              0.8 * b])
 
 
 def _both(y):
@@ -123,7 +125,7 @@ def test_chord_levels_stop_at_two_radii():
         assert _chord_levels(1.0, 1.0, p, n_panels) == extra + 1
 
 
-@pytest.mark.parametrize("n, N", [(2, 64), (2, 128), (3, 24)])
+@pytest.mark.parametrize("n, N", [(3, 24)])
 @pytest.mark.parametrize("dist", [3.0, 10.0])
 def test_far_exterior_points_keep_the_accuracy(n, N, dist):
     # Points 3 and 10 radii from a ball centred 100 radii from the origin,
@@ -138,7 +140,7 @@ def test_far_exterior_points_keep_the_accuracy(n, N, dist):
     p = _radial_order(N)
     assert _chord_rays(ball, x, N)[0].n_panels == -(-14 // p)
     fs = laplace_fundamental(n)
-    vol = np.pi if n == 2 else 4.0 * np.pi / 3.0
+    vol = 4.0 * np.pi / 3.0
     exact = vol * np.concatenate([[fs.eval(x - center)],
                                   fs.grad(x - center)])
     graded = _graded(fs, ball, x, N).real
@@ -150,12 +152,10 @@ def test_far_exterior_points_keep_the_accuracy(n, N, dist):
     assert abs(np.sum(rule.weights) - vol) <= 1e-8 * vol
 
 
-CASES = [(n, N, shift, dist_key)
-         for n, Ns in ((2, (8, 16, 64)), (3, (8, 20)))
-         for N in Ns for shift in (0.0, 3.0)
+CASES = [(3, N, shift, dist_key) for N in (8, 20) for shift in (0.0, 3.0)
          for dist_key in ("far", 1e-2, 1e-3)]
 # abs_x1 misses the bound here (see the module docstring)
-KINK_MISSES = [(2, 64, 0.0, "far"), (3, 20, 0.0, "far")]
+KINK_MISSES = [(3, 20, 0.0, "far")]
 
 
 def _graded_or_full(case):

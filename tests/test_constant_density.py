@@ -71,14 +71,14 @@ def _resummed(fn, domain, gap, kname):
     """Whether the preset one is summed from the radial table's moments
     here (``potentials._per_ray``): the Laplace and anisotropic kernels,
     values where the rays start at x and at r = 0 (the polar rule about an
-    interior point, the flux rays of every point near a star), gradients
-    wherever the rays start at x (also the chord rule of an exterior point
-    near a ball)."""
+    interior point, the flux rays of every 2D point near the boundary and
+    of every interior star point), gradients wherever the rays start at x
+    (also the chord rule of an exterior point near a 3D ball)."""
     if kname == "screened" or gap is None or fn is volume_potential_hessian:
         return False
     if fn is volume_potential_gradient:
         return True
-    return gap < 0 or domain.kind == "star2d"
+    return gap < 0 or domain.dim == 2
 
 
 def _resum_bound(fs, domain, x, N, gradient):
@@ -109,7 +109,7 @@ def _matches(got, want, bound=None):
 def test_constant_preset_matches_plain_callable_bitwise(dname, label, gap,
                                                         kname):
     # bit for bit wherever the preset one takes the per-node path with a
-    # broadcast constant (screened kernel, Hessians, far rules, chord
+    # broadcast constant (screened kernel, Hessians, far rules, 3D chord
     # values); within the rounding of the re-summation where
     # it is summed per ray from the table moments
     domain = DOMAINS[dname]
@@ -156,7 +156,7 @@ def _count_calls(monkeypatch, name):
 @pytest.mark.parametrize("dname, gap", [("disk", -1e-2), ("disk", 1e-3),
                                         ("ball3d", -1e-4), ("ball3d", 1e-3),
                                         ("star", -1e-2), ("star", 1e-3)],
-                         ids=["disk interior", "disk chord", "ball interior",
+                         ids=["disk interior", "disk near", "ball interior",
                               "ball chord", "star interior", "star near"])
 def test_constant_density_builds_no_node_where_rays_start_at_x(
         monkeypatch, dname, gap):
@@ -221,11 +221,11 @@ def test_only_one_declares_itself_constant():
 @pytest.mark.parametrize("dname, gap", [("disk", -1e-2), ("disk", 1e-3),
                                         ("ball3d", -1e-4), ("ball3d", 1e-3),
                                         ("star", -1e-2), ("star", 1e-3)],
-                         ids=["disk interior", "disk chord", "ball interior",
+                         ids=["disk interior", "disk near", "ball interior",
                               "ball chord", "star interior", "star near"])
 def test_constant_density_builds_no_radius_for_homogeneous_kernels(
         monkeypatch, dname, gap):
-    # values on the polar rule and the star's flux rays (rays from x that
+    # values on the polar rule and the 2D flux rays (rays from x that
     # start at r = 0) and gradients on every rule whose rays start at x
     # are summed from the table moments: no radius for the Laplace and
     # anisotropic kernels; the screened kernel and a plain callable still
@@ -235,7 +235,7 @@ def test_constant_density_builds_no_radius_for_homogeneous_kernels(
     x = _point(domain, gap)
     calls = _count_calls(monkeypatch, "_graded_nodes")
     fns = [volume_potential_gradient] + (
-        [volume_potential] if gap < 0 or domain.kind == "star2d" else [])
+        [volume_potential] if gap < 0 or domain.dim == 2 else [])
     kernels = _kernels(domain.dim)
     for fn in fns:
         for kname in ("laplace", "anisotropic"):

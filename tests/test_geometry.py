@@ -10,8 +10,14 @@ from volpot import (DomainError, NearBoundaryError, boundary_rule,
                     make_ball, make_star2d, singular_volume_rule,
                     volume_rule)
 from volpot import geometry, potentials, verify
-from volpot.geometry import (_gl01, _leggauss, exterior_chord_rule,
-                             near_exterior_star_rule)
+from volpot.geometry import (_drain, _flux_rays, _gl01, _leggauss,
+                             exterior_chord_rule, near_exterior_star_rule)
+
+
+def near_disk_flux_rule(dom, x, N):
+    """The flux rays about x on a disk (``geometry._flux_rays``), drained:
+    the rule of every disk point near the boundary, on either side."""
+    return _drain(_flux_rays(dom, np.asarray(x, dtype=float), N)[0])
 
 
 def test_make_ball_validation():
@@ -150,8 +156,13 @@ def test_singular_rule_rejects_non_interior():
 
 
 def test_exterior_chord_rule_smooth_area():
+    # the chord rule serves 3D balls only; outside a disk the flux rays
+    # take the same point and bound
     d = disk()
-    vq = exterior_chord_rule(d, np.array([1.001, 0.0]), 48)
+    for dom in (d, cosine_star([1, 0, 0, 0.2])):
+        with pytest.raises(DomainError, match="3D balls"):
+            exterior_chord_rule(dom, np.array([1.001, 0.0]), 48)
+    vq = near_disk_flux_rule(d, np.array([1.001, 0.0]), 48)
     assert np.sum(vq.weights) == pytest.approx(np.pi, rel=1e-9)
     b = make_ball(3, [0, 0, 0], 1.0)
     vq = exterior_chord_rule(b, np.array([1.01, 0.0, 0.0]), 32)
@@ -551,7 +562,8 @@ def _rule_cases(dom):
     """(builder, args) for every volume-rule builder that applies to dom:
     the regular rule; the singular rule at the centre and at interior
     offsets 1e-4 and 1e-3 (also with an excised ball); the exterior rule
-    at offsets 1e-4 and 1e-3 and at a far point."""
+    (chords of a 3D ball, flux rays in 2D) at offsets 1e-4 and 1e-3 and at
+    a far point."""
     c = dom.center
     if dom.dim == 2:
         xb, nb = dom.boundary_point(0.98), dom.boundary_normal(0.98)
@@ -560,8 +572,12 @@ def _rule_cases(dom):
         nb = np.array([1.0, 2.0, -2.0]) / 3.0
         xb = c + dom.radius * nb
         N = 12
-    exterior = (exterior_chord_rule if dom.kind == "ball"
-                else near_exterior_star_rule)
+    if dom.dim == 3:
+        exterior = exterior_chord_rule
+    elif dom.kind == "ball":
+        exterior = near_disk_flux_rule
+    else:
+        exterior = near_exterior_star_rule
     cases = [(geometry.volume_rule, (dom, N))]
     for x in (c, xb - 1e-4 * nb, xb - 1e-3 * nb):
         cases.append((geometry.singular_volume_rule, (dom, x, N)))
@@ -770,7 +786,7 @@ def test_offsets_match_broadcast_bitwise():
         assert _same_bits(z, x[None, :] - nodes)
     dom = disk()
     x = np.array([1.0 + 1e-4, 0.0])
-    vq = exterior_chord_rule(dom, x, 32)
+    vq = near_disk_flux_rule(dom, x, 32)
     assert _same_bits(potentials._offsets(x, vq.nodes), x[None, :] - vq.nodes)
 
 

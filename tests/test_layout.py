@@ -72,11 +72,12 @@ def test_radial_gap_is_layout_invariant(dom):
     (make_ball(3, (0.0, 0.0, 0.0), 1.0), (0.3, -0.2, 0.5))],
     ids=["star-reentry", "ball3d"])
 def test_block_nodes_coordinate_major_and_drained_nodes_c(dom, x):
-    # the star point's rule is flux rays, one ray set per half of the
-    # graded boundary rule, so its drained nodes are a concatenation
+    # the star point's rule is flux rays, one ray set joining the halves
+    # of the graded boundary rule; the ball's is the polar rule about x,
+    # one ray set too, cut into several blocks
     x = np.asarray(x)
     rays = _excised_rays(dom, x, 16, (0.0,))[0]
-    assert len(rays) == (2 if dom.dim == 2 else 1)
+    assert len(rays) == 1
     blocks = [form.nodes for form in rule_forms(rays)]
     assert all(y.T.flags.c_contiguous for y in blocks)
     vq = singular_volume_rule(dom, x, 16)

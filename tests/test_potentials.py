@@ -56,15 +56,15 @@ def test_disk_volume_potential_exterior():
 
 
 def test_shifted_ball_switches_rule_by_its_radius(monkeypatch):
-    # exterior points switch from the chord rule to the regular rule
+    # exterior points switch from the flux rays to the regular rule
     # at 0.1 radii from the ball, wherever it sits: 5 radii from a unit
     # disk centred at 100 e1 the regular rule serves, as it would at the
     # origin, and gives the closed form (R^2 / 2) log|x - c|
     c = np.array([100.0, 0.0])
     shifted, calls = disk(1.0, c), []
-    chord = potentials._chord_rays
-    monkeypatch.setattr(potentials, "_chord_rays",
-                        lambda *a: calls.append(a) or chord(*a))
+    flux = potentials._flux_rays
+    monkeypatch.setattr(potentials, "_flux_rays",
+                        lambda *a, **k: calls.append(a) or flux(*a, **k))
     val = volume_potential(FS2, shifted, ONE, c + [5.0, 0.0], 64)
     assert not calls
     assert abs(val - 0.5 * np.log(5.0)) <= 1e-12
@@ -625,7 +625,7 @@ def test_hessian_memory_bounded():
 
 @pytest.mark.parametrize("N", [3, 0, -5])
 @pytest.mark.parametrize("x", [(0.3, -0.2), (1.0 + 1e-3, 0.0), (2.5, 0.5)],
-                         ids=["interior", "chord", "far"])
+                         ids=["interior", "near", "far"])
 def test_volume_rules_reject_N_below_4(N, x):
     x = np.array(x)
     for fn in (volume_potential, volume_potential_gradient):

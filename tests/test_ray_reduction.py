@@ -23,8 +23,8 @@ from volpot import (anisotropic, cosine_star, disk, get_preset,
                     principal_fundamental, radial_extension, volume_potential,
                     volume_potential_gradient, volume_potential_hessian,
                     volume_potential_negative)
-from volpot.geometry import (RayForm, RaySet, _drain, exterior_chord_rule,
-                             near_exterior_star_rule, singular_volume_rule,
+from volpot.geometry import (RayForm, RaySet, _drain, _flux_rays,
+                             exterior_chord_rule, singular_volume_rule,
                              volume_rule)
 from volpot.potentials import _boundary_integral, _offsets, _ray_sums
 from volpot.schauder import NegativeExponentDensity
@@ -87,17 +87,20 @@ def _points(domain):
 # -- the Cartesian reductions, one kernel call per node ---------------------
 
 def _drained(domain, x, N):
-    """The volume rule the potentials use at x, drained: the polar rule
-    about an interior x (the flux rays on the star), the chord (ball) or
-    flux (star) rule just outside, the regular rule far out (every far
-    point here is a radius away)."""
-    if domain.classify(x) > 0:
-        return singular_volume_rule(domain, x, N)
-    if domain.distance_to_boundary(x) > 0.5:
+    """The volume rule the potentials use at x, drained: the regular rule
+    far out (every far point here is a radius away); in 2D the flux rays
+    at every other star point and at disk points within 0.1 radii of the
+    boundary; the polar rule about any other interior x, and the chord
+    rule just outside the 3D ball."""
+    inside = domain.classify(x) > 0
+    dist = domain.distance_to_boundary(x)
+    if not inside and dist > 0.5:
         return volume_rule(domain, N)
-    if domain.kind == "ball":
-        return exterior_chord_rule(domain, x, N)
-    return near_exterior_star_rule(domain, x, N)
+    if domain.dim == 2 and (domain.kind == "star2d" or dist < 0.1):
+        return _drain(_flux_rays(domain, x, N)[0])
+    if inside:
+        return singular_volume_rule(domain, x, N)
+    return exterior_chord_rule(domain, x, N)
 
 
 def _column_sums(a):
@@ -114,7 +117,7 @@ def _cartesian_gradient(fs, domain, f, x, N):
 
 def _cartesian_hessian(fs, domain, f, x, N):
     fx = np.asarray(radial_extension(domain, f)(x[None, :]))[0]
-    vq = singular_volume_rule(domain, x, N)
+    vq = _drained(domain, x, N)
     z = _offsets(x, vq.nodes)
     fvals = np.asarray(f(vq.nodes))
     H = fs.k1_jacobian(z, weights=(fvals - fx) * vq.weights)
@@ -201,9 +204,9 @@ VALUE_KERNELS = {"laplace": laplace_fundamental,
                          ids=["disk", "cosine_star", "ball3d"])
 @pytest.mark.parametrize("kname", sorted(VALUE_KERNELS))
 def test_values_along_rays_match_cartesian(domain, N, kname):
-    # interior offsets 1e-2 and 1e-4 (the polar rule about x), 1e-3 outside
-    # (the chord rule on the disk and the ball, the flux rays on the
-    # star) and a far point (the regular rule, streamed a block at a time)
+    # interior offsets 1e-2 and 1e-4 and 1e-3 outside (the flux rays in
+    # 2D; the polar rule about x and the chord rule on the ball) and a far
+    # point (the regular rule, streamed a block at a time)
     fs = VALUE_KERNELS[kname](domain.dim)
     if domain is STAR:
         points = [_star_point(0.6, s) for s in (-1e-2, -1e-4, 1e-3, 1.5)]
@@ -355,12 +358,16 @@ def test_ball_hessian_near_the_boundary_matches_oracle(kname, delta):
 # nodes.  Pinned on the correctly rounded Gauss-Legendre rules of
 # ``geometry._leggauss``; on numpy's leggauss five of the seven differed
 # in their last bits (the ball interior value by 6.8e-15 relative).  The
-# two star values are the flux rays' (``geometry._flux_rays``)
+# two star values and the disk's near exterior one are the flux rays'
+# (``geometry._flux_rays``), one ray set since the halves of the graded
+# boundary rule were joined: "star interior" moved by one ulp then, and
+# "disk near exterior" replaced the disk's chord value; both equal their
+# Cartesian sums.
 STORED_VALUES = {
     "disk interior": "-0x1.1342719ee8f28p-3",
-    "disk chord": "-0x1.529ace739d1acp-6",
+    "disk near exterior": "-0x1.529ace73a1dc6p-6",
     "disk far": "0x1.9e54ca58f0eb6p-3",
-    "star interior": "-0x1.a443438170c2bp-4",
+    "star interior": "-0x1.a443438170c2ap-4",
     "star near exterior": "-0x1.5936068fa6de0p-4",
     "ball interior": "-0x1.d37b019ed66aap-6",
     "ball chord": "-0x1.774d5d515a4b5p-5",
@@ -369,8 +376,8 @@ STORED_VALUES = {
 VALUE_CASES = {
     "disk interior": (laplace_fundamental(2), DISK, BUMP,
                       np.array([0.3, -0.2]), 32),
-    "disk chord": (laplace_fundamental(2), DISK, X1SQ,
-                   np.array([1.0 + 1e-3, 0.0]), 32),
+    "disk near exterior": (laplace_fundamental(2), DISK, X1SQ,
+                           np.array([1.0 + 1e-3, 0.0]), 32),
     "disk far": (laplace_fundamental(2), DISK, BUMP, np.array([2.5, 0.5]),
                  32),
     "star interior": (helmholtz_fundamental(2, 1.0), STAR, BUMP,
@@ -396,7 +403,7 @@ def test_values_keep_their_bits(label):
     (DISK, np.array([0.3, -0.2])), (DISK, np.array([1.0 + 1e-3, 0.0])),
     (DISK, np.array([2.5, 0.5])), (STAR, _star_point(0.6, 1e-3)),
     (BALL, 0.5 * NB3), (BALL, (1 + 1e-3) * NB3)],
-    ids=["disk-interior", "disk-chord", "disk-far", "star-near", "ball",
+    ids=["disk-interior", "disk-near", "disk-far", "star-near", "ball",
          "ball-chord"])
 def test_gradient_dtype_follows_density(domain, x):
     N = 12 if domain.dim == 3 else 32

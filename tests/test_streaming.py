@@ -54,8 +54,8 @@ def _streamed_and_drained(fs, x, rule):
                                          * vq.weights)
 
 
-# (label, fs, x, ray-set factory): every factory; the star's flux rays
-# are one ray set per half of the graded boundary rule
+# (label, fs, x, ray-set factory): every factory; the 2D flux rays are
+# one ray set that joins the halves of the graded boundary rule
 RULES = [
     ("disk interior", FS2, np.array([0.3, -0.2]),
      lambda x: _excised_rays(DISK, x, 48, (0.0,))[0]),
@@ -65,8 +65,8 @@ RULES = [
      lambda x: _excised_rays(DISK, x, 48, (1e-3,))[0]),
     ("ball interior 1e-4", FS3, (1.0 - 1e-4) * NB3,
      lambda x: _excised_rays(BALL, x, 12, (0.0,))[0]),
-    ("disk chord", FS2, np.array([1.0 + 1e-3, 0.0]),
-     lambda x: _chord_rays(DISK, x, 48)),
+    ("disk near exterior", FS2, np.array([1.0 + 1e-3, 0.0]),
+     lambda x: _flux_rays(DISK, x, 48)[0]),
     ("ball chord", FS3, (1.0 + 1e-3) * NB3,
      lambda x: _chord_rays(BALL, x, 12)),
     ("star near exterior", FS2, _star_point(0.6, 1e-3),
@@ -78,8 +78,7 @@ RULES = [
                          ids=[r[0] for r in RULES])
 def test_streamed_sum_matches_drained_rule(label, fs, x, factory):
     rule = factory(x)
-    if label.startswith("star"):
-        assert len(rule) == 2
+    assert len(rule) == 1
     n_blocks, streamed, drained = _streamed_and_drained(fs, x, rule)
     assert n_blocks > 1
     assert _rel(streamed, drained) <= 1e-13
@@ -97,12 +96,13 @@ def test_block_arrays_stay_below_block_bytes():
     (DISK, FS2, np.array([0.3, -0.2]), singular_volume_rule),
     (STAR, FS2, _star_point(0.6, -1e-3), singular_volume_rule),
     (BALL, FS3, (1.0 - 1e-4) * NB3, singular_volume_rule),
-    (DISK, FS2, np.array([1.0 + 1e-3, 0.0]), exterior_chord_rule),
+    (DISK, FS2, np.array([1.0 + 1e-3, 0.0]),
+     lambda *a: _drain(_flux_rays(*a)[0])),
     (BALL, FS3, (1.0 + 1e-3) * NB3, exterior_chord_rule),
     (STAR, FS2, _star_point(0.6, 1e-3), near_exterior_star_rule),
     (DISK, FS2, np.array([2.5, 0.5]), None),
     (BALL, FS3, 3.0 * NB3, None),
-], ids=["disk", "star", "ball", "disk-chord", "ball-chord", "star-near",
+], ids=["disk", "star", "ball", "disk-near", "ball-chord", "star-near",
         "disk-far", "ball-far"])
 def test_potentials_match_drained_builders(domain, fs, x, build):
     # the potentials stream the far (regular) rule a block at a time; the
@@ -159,7 +159,7 @@ def test_excised_rules_cast_once_and_keep_their_bits(domain, x, monkeypatch):
     assert len(calls) == 2
     for r, rule, got in zip(radii, rules, rep.parameters["values"][0]):
         ref = _excised_rays(domain, x, 32, (r,))[0]
-        assert len(rule) == len(ref) == 2
+        assert len(rule) == len(ref) == 1
         for a, b in zip(rule, ref):
             for name in ("dirs", "lo", "hi", "wang"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
