@@ -152,8 +152,12 @@ def _interior_grid(domain, k=3):
 
 
 def _exterior_grid(domain):
+    # about a ball's centre at 1.0000001 R (its bounding radius when it is
+    # centred at the origin), about the origin at a star's bounding radius
     n = domain.dim
-    return domain.center + domain.bounding_radius * np.array(
+    scale = (domain.radius * 1.0000001 if domain.kind == "ball"
+             else domain.bounding_radius)
+    return domain.center + scale * np.array(
         [[2.1] + [1.8] * (n - 1), [-2.4] + [-1.7] * (n - 1)])
 
 

@@ -13,26 +13,30 @@ polar rule near the sphere takes up to 2000 angles.
 This module owns every angular grid: ``_circle_grid`` (the trapezoid
 circle) and ``_sphere_grid`` (polar angles times the trapezoid azimuth,
 about z or a given direction; ``_gl_sphere`` for Gauss-Legendre polar
-angles) build them for all rules and for ``verify``.  Layer integrals on
-or near the boundary use ``_graded_boundary_rules``, a tuple of
-BoundaryQuadratures (the two halves of the 2D parameter window, or one
-polar cap on the sphere) that callers sum a rule at a time, graded toward
-the boundary point nearest x.  One search, ``_nearest_point``, finds that
-point and its distance exactly (by a secant solve on a star domain); the
-graded rules, ``Domain.distance_to_boundary`` and every near/far switch
-read it, and an evaluation that needs it twice passes one solve down.
+angles) build them for all rules and for ``verify``.  Every 2D boundary
+point, arclength element and normal comes from one ``Domain`` method,
+``_boundary``.  Layer integrals on or near the boundary use
+``_graded_boundary_rule``, one BoundaryQuadrature graded toward the
+boundary point nearest x (the parameter window on both sides of its
+angle in 2D, one polar cap on the sphere).  One search,
+``_nearest_point``, finds that point and its distance exactly (by a
+secant solve on a star domain); the graded rule,
+``Domain.distance_to_boundary`` and every near/far switch read it.  The
+rule builders take the point and the graded rule as arguments and solve
+for nothing themselves: an evaluation's plan (``potentials._Plan``)
+solves once and passes them down.
 
 Every volume rule near a point integrates in polar coordinates about it,
 along rays with Gauss-Legendre panels geometrically graded toward the
 point (toward the entry points, for the chords of a 3D ball).  The radial
 Jacobian r^{n-1} tames every kernel of homogeneity down to -(n-1), and
 log factors are absorbed by the graded panels.
-- In 2D the rays run from x to the nodes of the graded boundary rules
+- In 2D the rays run from x to the nodes of the graded boundary rule
   (``_flux_rays``), by the divergence theorem in polar form about x, with
   signed angular weights, one ray set per point: the rule of every star
   point (interior at any distance, exterior near the boundary) and of
   every disk point near the boundary on either side, with no ray cast and
-  no re-entered interval, and the graded boundary rules' accuracy.
+  no re-entered interval, and the graded boundary rule's accuracy.
 - The polar rule about an interior x casts its rays on a fixed angular
   grid, raised automatically as the point approaches the boundary
   (``_angular_count`` in 2D): it serves disk points deeper than the
@@ -134,35 +138,36 @@ class Domain:
 
     # -- boundary parametrization (2D kinds) -------------------------------
 
-    def boundary_point(self, theta):
+    def _boundary(self, theta):
+        """The points gamma(theta), the arclength elements |gamma'(theta)|
+        and the outward unit normals at the angles theta, from one cos and
+        sin and (on a star domain) one rho and rho' per angle; DomainError
+        on the sphere, whose rules take ``_sphere_grid``."""
+        if self.dim != 2:
+            raise DomainError(
+                "the boundary parametrization is defined for 2D domains only")
         theta = np.asarray(theta, dtype=float)
-        if self.kind == "ball" and self.dim == 2:
-            e = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-            return self.center + self.radius * e
-        if self.kind == "star2d":
-            e = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-            return self.rho(theta)[..., None] * e
-        raise DomainError("boundary_point is defined for 2D domains only")
+        c, s = np.cos(theta), np.sin(theta)
+        e = np.stack([c, s], axis=-1)
+        if self.kind == "ball":
+            return (self.center + self.radius * e,
+                    np.full(theta.shape, self.radius), e)
+        r, dr = self.rho(theta), self.drho(theta)
+        point = r[..., None] * e
+        nrm = point - dr[..., None] * np.stack([-s, c], axis=-1)
+        return (point, np.sqrt(r ** 2 + dr ** 2),
+                nrm / np.linalg.norm(nrm, axis=-1, keepdims=True))
+
+    def boundary_point(self, theta):
+        return self._boundary(theta)[0]
 
     def boundary_jacobian(self, theta):
         """Arclength element |gamma'(theta)|."""
-        theta = np.asarray(theta, dtype=float)
-        if self.kind == "ball" and self.dim == 2:
-            return np.full(theta.shape, self.radius)
-        r = self.rho(theta)
-        return np.sqrt(r ** 2 + self.drho(theta) ** 2)
+        return self._boundary(theta)[1]
 
     def boundary_normal(self, theta):
         """Outward unit normal at gamma(theta)."""
-        theta = np.asarray(theta, dtype=float)
-        e = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        if self.kind == "ball" and self.dim == 2:
-            return e
-        eperp = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
-        r = self.rho(theta)
-        dr = self.drho(theta)
-        nrm = r[..., None] * e - dr[..., None] * eperp
-        return nrm / np.linalg.norm(nrm, axis=-1, keepdims=True)
+        return self._boundary(theta)[2]
 
     # -- ray casting (balls) -----------------------------------------------
 
@@ -626,9 +631,8 @@ def boundary_rule(domain: Domain, N: int) -> BoundaryQuadrature:
     Gauss-Legendre x trapezoid product rule on the sphere."""
     if domain.dim == 2:
         theta, _, w = _circle_grid(max(16, 2 * N))
-        return BoundaryQuadrature(domain.boundary_point(theta),
-                                  domain.boundary_jacobian(theta) * w,
-                                  domain.boundary_normal(theta))
+        y, jac, nu = domain._boundary(theta)
+        return BoundaryQuadrature(y, jac * w, nu)
     R, c = domain.radius, domain.center
     nt = max(8, N)
     dirs, w = _gl_sphere(nt, 2 * nt)
@@ -653,37 +657,24 @@ def _graded_window(N):
     return s, ws
 
 
-def _graded_boundary_rules(domain, x, N, near=None):
-    """Boundary rules for a layer integral at x on or near the boundary,
-    graded with ``GRADING_EXPONENT`` toward near = ``_nearest_point``
-    (``_graded_window``): in 2D the two halves of the parameter window
-    about its angle, each a rule of its own (callers sum them one at a
-    time, the flux rays join them); on the sphere one polar cap about its
-    axis.  A tuple of BoundaryQuadratures."""
+def _graded_boundary_rule(domain, N, near):
+    """The boundary rule for a layer integral at a point on or near the
+    boundary, graded with ``GRADING_EXPONENT`` toward its nearest point
+    near = ``_nearest_point`` (``_graded_window``): in 2D the parameter
+    window about its angle t0, the nodes at t0 + s and then at t0 - s; on
+    the sphere one polar cap about its direction."""
     s, ws = _graded_window(N)
-    t0 = (near or _nearest_point(domain, x))[0]
-    R, c = domain.radius, domain.center
-    if domain.dim == 2 and domain.kind == "ball":
-        # the angle of x - c, 0 at the centre; nodes c + R e, normals e and
-        # weights R ws, the operations of the Domain methods, with one cos
-        # and sin per half
-        t0 = (0.0 if math.hypot(t0[0], t0[1]) < 1e-14
-              else float(np.arctan2(t0[1], t0[0])))
-        rules, w = [], R * ws
-        for theta in (t0 + s, t0 - s):
-            e = np.empty((len(s), 2))
-            e[:, 0] = np.cos(theta)
-            e[:, 1] = np.sin(theta)
-            rules.append(BoundaryQuadrature(c + R * e, w, e))
-        return tuple(rules)
+    t0 = near[0]
     if domain.dim == 2:
-        return tuple(BoundaryQuadrature(domain.boundary_point(theta),
-                                        domain.boundary_jacobian(theta) * ws,
-                                        domain.boundary_normal(theta))
-                     for theta in (t0 + s, t0 - s))
+        if domain.kind == "ball":   # the angle of x - c, 0 at the centre
+            t0 = (0.0 if math.hypot(t0[0], t0[1]) < 1e-14
+                  else float(np.arctan2(t0[1], t0[0])))
+        y, jac, nu = domain._boundary(np.concatenate([t0 + s, t0 - s]))
+        return BoundaryQuadrature(y, jac * np.concatenate([ws, ws]), nu)
+    R, c = domain.radius, domain.center
     dirs, wts = _sphere_grid(np.cos(s), np.sin(s), ws * np.sin(s),
                              max(16, N), toward=t0)
-    return (BoundaryQuadrature(c[None, :] + R * dirs, wts * R ** 2, dirs),)
+    return BoundaryQuadrature(c[None, :] + R * dirs, wts * R ** 2, dirs)
 
 
 def _nearest_point(domain, x):
@@ -695,8 +686,13 @@ def _nearest_point(domain, x):
     if domain.kind == "ball":
         d = x - domain.center
         return d, abs(domain.radius - float(np.linalg.norm(d)))
+
+    def offsets(t):     # rho e - x, the points alone (no rho', no normal)
+        return (domain.rho(t)[:, None]
+                * np.stack([np.cos(t), np.sin(t)], axis=-1) - x)
+
     theta = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
-    b = domain.boundary_point(theta) - x
+    b = offsets(theta)
     i = int(np.argmin(np.sum(b * b, axis=1)))
 
     def g(t):   # (r e - x) . (r' e + r e_perp) for e = (cos t, sin t)
@@ -716,7 +712,7 @@ def _nearest_point(domain, x):
         t0, g0, t = t, gt, u if a < u < z else 0.5 * (a + z)
         gt = g(t)
         a, z = (a, t) if gt >= 0.0 else (t, z)
-    b = domain.boundary_point(np.array([t]))[0] - x
+    b = offsets(np.array([t]))[0]
     return float(t), float(np.sqrt(b @ b))
 
 
@@ -741,12 +737,12 @@ def volume_rule(domain: Domain, N: int) -> VolumeQuadrature:
     return _drain(_regular_rays(domain, N))
 
 
-def _flux_rays(domain, x, N, radii=(0.0,), near=None, rules=None):
+def _flux_rays(x, N, rule, radii=(0.0,)):
     """The volume rule of a 2D domain about any x off its boundary, with
-    B(x, r) excised for each r in radii: rays from x to the nodes y of the
-    graded boundary rules, by the divergence theorem in polar form about x
-    (the radial integration method, X.-W. Gao, Eng. Anal. Bound. Elem. 26,
-    2002),
+    B(x, r) excised for each r in radii: rays from x to the nodes y of its
+    graded boundary rule (``_graded_boundary_rule``), by the divergence
+    theorem in polar form about x (the radial integration method, X.-W.
+    Gao, Eng. Anal. Bound. Elem. 26, 2002),
 
         int_Omega g dy = int_dOmega (nu . e) l^(1-n) int_0^l g(x + r e)
                          r^(n-1) dr dsigma(y),  l = |y - x|, e = (y - x) / l.
@@ -754,47 +750,38 @@ def _flux_rays(domain, x, N, radii=(0.0,), near=None, rules=None):
     The ray to y runs over [min(r, l), l], graded toward its start, with
     the signed angular weight (nu . e) w l^(1-n) for the node's weight w:
     the sign sums rays that leave and re-enter a non-convex domain, and
-    the rays of an exterior x, which enter and then leave.  The graded
-    rules (the caller's ``rules``, or built about ``near``) are joined
-    into one ray set, built once for every radius; the arithmetic runs a
-    coordinate row at a time, with the per-element operations of the
-    row-wise sums (see the module docstring), so the same bits.  A list
-    of one-set tuples."""
-    rules = rules or _graded_boundary_rules(domain, x, N, near)
-    n = domain.dim
-    y, nu, w = (np.concatenate([getattr(bq, name) for bq in rules])
-                for name in ("nodes", "normals", "weights"))
-    d = (y - x).T       # the offsets a coordinate row at a time
-    ell = d[0] * d[0]
-    for k in range(1, n):
-        ell += d[k] * d[k]
-    ell = np.sqrt(ell)
+    the rays of an exterior x, which enter and then leave.  The rule's
+    nodes make one ray set, built once for every radius; the arithmetic
+    runs a coordinate row at a time, with the per-element operations of
+    the row-wise sums (see the module docstring), so the same bits.  A
+    list of one-set tuples."""
+    nu = rule.normals
+    d = (rule.nodes - x).T      # the offsets a coordinate row at a time
+    ell = np.sqrt(d[0] * d[0] + d[1] * d[1])
     e = d / ell
-    nu_e = nu[:, 0] * e[0]
-    for k in range(1, n):
-        nu_e += nu[:, k] * e[k]
-    wang = nu_e * w * ell ** (1 - n)
+    wang = (nu[:, 0] * e[0] + nu[:, 1] * e[1]) * rule.weights * ell ** -1
     p = _radial_order(N)
     n_panels = _radial_panel_count(N)
     return [(RaySet(x, e.T, np.minimum(r_min, ell), ell, wang, p, n_panels),)
             for r_min in map(float, radii)]
 
 
-def _excised_rays(domain, x, N, radii, near=None):
+def _excised_rays(domain, x, N, radii, near):
     """The volume rule about the interior point x with B(x, r) excised,
-    for each r in radii (a list of ray-set tuples): the flux rays on a
-    star domain; on a ball the polar rule about x, graded toward x (toward
-    the excised sphere), from one ray cast, since the directions and the
-    exits do not depend on the radius, only the radial starts do.  An
-    evaluation's rule is chosen in ``potentials._volume_rays``; this one
-    serves verify's excised sums at every distance (where r exceeds the
-    distance to the boundary the flux rays converge only algebraically)
-    and the deep points of the polar rule."""
+    for each r in radii (a list of ray-set tuples), for its nearest
+    boundary point near = ``_nearest_point``: the flux rays on a star
+    domain, from one graded boundary rule; on a ball the polar rule about
+    x, graded toward x (toward the excised sphere), from one ray cast,
+    since the directions and the exits do not depend on the radius, only
+    the radial starts do.  An evaluation's rule is chosen in
+    ``potentials._Plan``; this one serves verify's excised sums at every
+    distance (where r exceeds the distance to the boundary the flux rays
+    converge only algebraically) and the deep points of the polar rule."""
     if domain.kind == "star2d":
-        return _flux_rays(domain, x, N, radii, near)
+        return _flux_rays(x, N, _graded_boundary_rule(domain, N, near), radii)
     p = _radial_order(N)
     n_panels = _radial_panel_count(N)
-    dist = (near or _nearest_point(domain, x))[1]
+    dist = near[1]
     if domain.dim == 2:
         _, dirs, wang = _circle_grid(_angular_count(N, dist,
                                                   domain.bounding_radius))
@@ -824,7 +811,8 @@ def singular_volume_rule(domain: Domain, x, N: int,
     if domain.classify(x) <= 0:
         raise NearBoundaryError(
             "singular_volume_rule requires a strictly interior point")
-    return _drain(_excised_rays(domain, x, N, (r_min,))[0])
+    return _drain(_excised_rays(domain, x, N, (r_min,),
+                                _nearest_point(domain, x))[0])
 
 
 def _chord_levels(R, dist, p, n_panels):
@@ -884,7 +872,9 @@ def near_exterior_star_rule(domain: Domain, x, N: int) -> VolumeQuadrature:
     rays from x (``_flux_rays``), drained."""
     if domain.kind != "star2d":
         raise DomainError("near_exterior_star_rule requires a star2d domain")
-    return _drain(_flux_rays(domain, np.asarray(x, dtype=float), N)[0])
+    x = np.asarray(x, dtype=float)
+    rule = _graded_boundary_rule(domain, N, _nearest_point(domain, x))
+    return _drain(_flux_rays(x, N, rule)[0])
 
 
 @lru_cache(maxsize=64)

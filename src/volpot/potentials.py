@@ -15,24 +15,24 @@ odd homogeneous kernel) against densities on a domain or its boundary:
   components, which trades the distributional derivative for a boundary term
   plus differentiated volume terms.
 
-Every volume rule near a point is rays from it (see :mod:`volpot.geometry`),
-chosen in one place, ``_volume_rays``: in 2D the flux rays to the nodes of
-the graded boundary rules, for every point of a star domain and for disk
-points within the near/far switch on either side; the polar rule about an
-interior point deeper in the disk and anywhere in a 3D ball, and a chord
-rule just outside a 3D ball.  Far exterior points take the regular rule
-about the centre.  Points within 1e-9 of the boundary are rejected;
-transmission is tested through one-sided limits (see :mod:`volpot.verify`).
+An evaluation makes its choices about its point x once, in its plan
+(``_Plan``): the nearest boundary point (one ``_nearest_point`` solve),
+near or far (``_far``), the graded boundary rule, its boundary rule and
+its volume rule.  Every volume rule near a point is rays from it (see
+:mod:`volpot.geometry`): in 2D the flux rays to the nodes of the graded
+boundary rule, for every point of a star domain and for disk points within
+the near/far switch on either side; the polar rule about an interior point
+deeper in the disk and anywhere in a 3D ball, and a chord rule just
+outside a 3D ball.  Far exterior points take the regular rule about the
+centre.  Points within 1e-9 of the boundary are rejected; transmission is
+tested through one-sided limits (see :mod:`volpot.verify`).
 
 Every grid and rule comes from :mod:`volpot.geometry`.  Every integral
 over the boundary seen from a point, layer potentials, the boundary terms
 of the component densities and the Hessian's K^+[k1_j, nu_l] alike, goes
-through ``_boundary_integral``: the cached boundary rule far from the
-boundary, the graded layer rules within 0.1 radii of it (``_far`` decides
-near and far for volume rules too, both from one ``_nearest_point`` solve
-per evaluation, and an evaluation whose flux rays and boundary terms both
-read the graded rules builds them once, ``_shared_rules``), summed a rule
-at a time, an array integrand (the Hessian's n^2 products) in one pass.
+through ``_boundary_integral``, one integrand call (an array integrand,
+the Hessian's n^2 products, in one pass) on the plan's boundary rule: the
+cached plain rule far from the boundary, the graded rule near it.
 Volume terms are reduced block by block: the rule for a point is a tuple
 of ray sets, and each block of rays is built, run through the kernel and
 the density and summed before the next one is built, so memory does not
@@ -106,12 +106,12 @@ import numpy as np
 from .errors import DomainError, NearBoundaryError, VolpotError
 from .fundsol import FundamentalSolution
 from .geometry import (Domain, cached_boundary_rule, rule_forms, _chord_rays,
-                       _excised_rays, _flux_rays, _graded_boundary_rules,
+                       _excised_rays, _flux_rays, _graded_boundary_rule,
                        _nearest_point, _regular_rays)
 from .schauder import NegativeExponentDensity
 
 # Points closer to the boundary than this fraction of a ball's radius (a
-# star domain's bounding radius) take the graded layer rules, and their
+# star domain's bounding radius) take the graded boundary rule, and their
 # volume rule is the flux rays in 2D on either side (a star domain's
 # interior points at any distance) and the chord rule outside a 3D ball.
 NEAR_FRACTION = 0.1
@@ -177,35 +177,55 @@ def _density(f, form):
     return np.asarray(f(form.nodes)) if c is None else c
 
 
-def _volume_rays(domain, x, N, near=None, rules=None):
-    """The class of the point x (see ``Domain.classify``) and a function
-    that builds its volume rule, returning the tuple of ray sets and
-    whether the rays start at x.  The one choice of an evaluation's rule:
-    the regular rule for an exterior x far from the boundary; in 2D the
-    flux rays (``geometry._flux_rays``) for every other point of a star
-    domain and for disk points near the boundary on either side; the
-    polar rule about an interior x elsewhere (deep disk points, the 3D
-    ball), and the chord rule for an exterior x near a 3D ball.  N is
-    checked and the point classified here, once; the rule reads the
-    caller's ``near`` (``geometry._nearest_point``) or solves for it, and
-    the flux rays the caller's graded boundary rules (``_shared_rules``)
-    or build them."""
-    if N < 4:
-        raise VolpotError(f"N must be at least 4, got {N}")
-    cls = _classify_or_raise(domain, x)
+class _Plan:
+    """An evaluation's choices about the point x, each made once: its
+    nearest boundary point ``near``, whether x is ``far`` from the
+    boundary, the graded boundary rule about ``near`` (``graded``, built
+    on first read, so at most once), the boundary rule of its layer
+    integrals (``boundary``) and its volume rule (``volume``)."""
 
-    def build():
-        point = near or _nearest_point(domain, x)
-        far = _far(domain, point[1])
-        if cls < 0 and far:
+    def __init__(self, domain, x, N):
+        self.domain, self.x, self.N = domain, x, N
+        self.near = _nearest_point(domain, x)
+        self.far = _far(domain, self.near[1])
+        self._graded = None
+
+    @property
+    def graded(self):
+        if self._graded is None:
+            self._graded = _graded_boundary_rule(self.domain, self.N,
+                                                 self.near)
+        return self._graded
+
+    @property
+    def boundary(self):
+        """The cached plain boundary rule far from the boundary, the
+        graded rule near it, where the plain rule loses the nearly
+        singular integrands."""
+        return (cached_boundary_rule(self.domain, self.N) if self.far
+                else self.graded)
+
+    def volume(self, cls):
+        """The volume rule about x, of class cls (``_volume_class``), as a
+        tuple of ray sets (see the module docstring), and whether its rays
+        start at x.  Far star points keep the flux rays on the graded
+        rule: the plain rule just past the switch is under-resolved."""
+        domain, x, N = self.domain, self.x, self.N
+        if cls < 0 and self.far:
             return _regular_rays(domain, N), False
-        if domain.dim == 2 and not (far and domain.kind == "ball"):
-            return _flux_rays(domain, x, N, near=point, rules=rules)[0], True
+        if domain.dim == 2 and not (self.far and domain.kind == "ball"):
+            return _flux_rays(x, N, self.graded)[0], True
         if cls > 0:
-            return _excised_rays(domain, x, N, (0.0,), point)[0], True
+            return _excised_rays(domain, x, N, (0.0,), self.near)[0], True
         return _chord_rays(domain, x, N), True
 
-    return cls, build
+
+def _volume_class(domain, x, N):
+    """The class of x (see ``Domain.classify``) for a volume evaluation,
+    checked before any work: N at least 4, x off the boundary band."""
+    if N < 4:
+        raise VolpotError(f"N must be at least 4, got {N}")
+    return _classify_or_raise(domain, x)
 
 
 def _rule_blocks(x, rule, at_x, per_ray=None):
@@ -219,28 +239,16 @@ def _rule_blocks(x, rule, at_x, per_ray=None):
         yield form, None if at_x else _offsets(x, form.nodes)
 
 
-def _volume_blocks(domain, x, N, per_ray=None, near=None, rules=None):
-    """The class of the point x and the blocks (form, z) of its volume
-    rule (``_volume_rays``, ``_rule_blocks``); the rule is built when the
-    first block is read."""
-    cls, build = _volume_rays(domain, x, N, near, rules)
-
-    def blocks():
-        yield from _rule_blocks(x, *build(), per_ray)
-
-    return cls, blocks()
-
-
 def _excised_rules(domain, x, N, radii):
-    """The blocks (form, None) (see ``_volume_blocks``) of the polar rules
+    """The blocks (form, None) (see ``_rule_blocks``) of the polar rules
     about the strictly interior point x with B(x, r) excised, for each r in
-    radii, from one ray cast (one build of the graded boundary rules on a
+    radii, from one ray cast (one build of the graded boundary rule on a
     star domain)."""
     if domain.classify(x) <= 0:
         raise NearBoundaryError(
             "the excised polar rule requires a strictly interior point")
-    return [((form, None) for form in rule_forms(rays))
-            for rays in _excised_rays(domain, x, N, radii)]
+    return [((form, None) for form in rule_forms(rays)) for rays in
+            _excised_rays(domain, x, N, radii, _Plan(domain, x, N).near)]
 
 
 def _rule_sum(x, blocks, integrand):
@@ -357,7 +365,9 @@ def volume_potential(fs: FundamentalSolution, domain: Domain, f, x,
                      N: int = 64) -> complex:
     """int_Omega S(x - y) f(y) dy for bounded f on the closure."""
     x = _check_dims(domain, fs, x)
-    _, blocks = _volume_blocks(domain, x, N, _per_ray_sets(fs, (f,), True))
+    cls = _volume_class(domain, x, N)
+    blocks = _rule_blocks(x, *_Plan(domain, x, N).volume(cls),
+                          _per_ray_sets(fs, (f,), True))
     return complex(sum(_value_sum(fs, form, z, _density(f, form))
                        for form, z in blocks))
 
@@ -366,7 +376,9 @@ def volume_potential_gradient(fs: FundamentalSolution, domain: Domain, f, x,
                               N: int = 64) -> np.ndarray:
     """Gradient of the volume potential, int_Omega grad S(x - y) f(y) dy."""
     x = _check_dims(domain, fs, x)
-    _, blocks = _volume_blocks(domain, x, N, _per_ray_sets(fs, (f,), False))
+    cls = _volume_class(domain, x, N)
+    blocks = _rule_blocks(x, *_Plan(domain, x, N).volume(cls),
+                          _per_ray_sets(fs, (f,), False))
     return sum(_gradient_sum(fs, form, z, _density(f, form))
                for form, z in blocks)
 
@@ -410,6 +422,7 @@ def subtracted_integral_G(k, psi, l: int, domain: Domain, x, N: int = 64,
     if np.linalg.norm(x) > domain.bounding_radius * (1.0 + 1e-12):
         raise DomainError("x must lie in the closure of the bounding ball")
     _check_odd_homogeneous(k, domain.dim)
+    cls = _volume_class(domain, x, N)
     psi_x = psi(x)
 
     def integrand(z, y):
@@ -423,7 +436,8 @@ def subtracted_integral_G(k, psi, l: int, domain: Domain, x, N: int = 64,
                    / (2.0 * h))
         return dkl * (psi(y) - psi_x)
 
-    return complex(_rule_sum(x, _volume_blocks(domain, x, N)[1], integrand))
+    blocks = _rule_blocks(x, *_Plan(domain, x, N).volume(cls))
+    return complex(_rule_sum(x, blocks, integrand))
 
 
 def _check_odd_homogeneous(k, n, tol=1e-8):
@@ -448,9 +462,9 @@ def boundary_kernel_K(k, mu, domain: Domain, x, side: str = "interior",
     x = _check_dims(domain, x=x)
     if _side_class(side) != _classify_or_raise(domain, x):
         raise DomainError(f"point is not on the {side} side")
-    return _boundary_integral(domain,
-                              lambda y, nu: np.asarray(k(x[None, :] - y)) * mu(y),
-                              x, N)
+    return _boundary_integral(
+        _Plan(domain, x, N),
+        lambda y, nu: np.asarray(k(x[None, :] - y)) * mu(y))
 
 
 def single_layer(fs: FundamentalSolution, domain: Domain, phi, x,
@@ -464,35 +478,20 @@ def single_layer(fs: FundamentalSolution, domain: Domain, phi, x,
     well above 3.
     """
     x = _check_dims(domain, fs, x)
-    return _boundary_integral(
-        domain, lambda y, nu: fs.eval(x[None, :] - y) * phi(y), x, N)
+    return _boundary_integral(_Plan(domain, x, N),
+                              lambda y, nu: fs.eval(x[None, :] - y) * phi(y))
 
 
-def _shared_rules(domain, x, N, near):
-    """The graded boundary rules about x within the near/far switch, for
-    an evaluation whose flux rays and boundary integrals share them (one
-    build); None far from the boundary."""
-    if _far(domain, near[1]):
-        return None
-    return _graded_boundary_rules(domain, x, N, near)
-
-
-def _boundary_integral(domain, integrand, x, N, near=None, rules=None):
+def _boundary_integral(plan, integrand):
     """The integral over the boundary of integrand(y, nu), which is
     vectorized over boundary points y with outward normals nu along its
     last axis: a Python complex for a value per point, an array of sums
     along that axis for an array of values per point (each row C-contiguous,
-    so it sums with the bits of the same row alone).  x only steers the
-    rule choice: the cached boundary rule far from the boundary, the graded
-    rules of ``geometry._graded_boundary_rules`` on or near it (the
-    caller's ``rules``, see ``_shared_rules``, where it has them), summed
-    a rule at a time; one nearest point (``near``) steers both."""
-    if rules is None:
-        near = near or _nearest_point(domain, x)
-        rules = ((cached_boundary_rule(domain, N),) if _far(domain, near[1])
-                 else _graded_boundary_rules(domain, x, N, near))
-    total = sum(np.sum(np.ascontiguousarray(integrand(bq.nodes, bq.normals))
-                       * bq.weights, axis=-1) for bq in rules)
+    so it sums with the bits of the same row alone).  One integrand call,
+    summed on the boundary rule of the plan's point (``_Plan.boundary``)."""
+    bq = plan.boundary
+    total = np.sum(np.ascontiguousarray(integrand(bq.nodes, bq.normals))
+                   * bq.weights, axis=-1)
     return total if np.ndim(total) else complex(total)
 
 
@@ -512,19 +511,18 @@ def volume_potential_hessian(fs: FundamentalSolution, domain: Domain, f, x,
     rays (see the module docstring): ``fs.k1_jacobian`` receives the
     block's directions with one weight per ray, and the screened k2 term
     is formed from ``fs.k2_radial``, so no (nodes, n, n) array is formed.
-    K^+ goes through the boundary dispatch of every boundary integral
+    K^+ is a boundary integral on the plan's boundary rule
     (``_boundary_integral``), all n^2 entries in one pass: the cached
-    boundary rule far from the boundary, the graded rules within 0.1 radii
+    boundary rule far from the boundary, the graded rule within 0.1 radii
     of it, where the plain rule loses the nearly singular k1; there the
-    flux rays of a 2D point share those rules (``_shared_rules``).  A real
-    density stays real until the result is cast to complex.
+    flux rays of a 2D point read the same rule.  A real density stays real
+    until the result is cast to complex.
     """
     x = _check_dims(domain, fs, x)
-    near = _nearest_point(domain, x)
-    rules = _shared_rules(domain, x, N, near)
-    cls, blocks = _volume_blocks(domain, x, N, near=near, rules=rules)
+    cls = _volume_class(domain, x, N)
     if cls < 0:
         raise NearBoundaryError("Hessian evaluation requires an interior point")
+    plan = _Plan(domain, x, N)
     n = domain.dim
     fx = np.asarray(f(x[None, :]))[0]
 
@@ -533,7 +531,8 @@ def volume_potential_hessian(fs: FundamentalSolution, domain: Domain, f, x,
     # no k1 moment, and no block at all without a k2 part
     k1_part = getattr(f, "constant", None) is None
     H1 = H2 = 0.0
-    for form, _ in (blocks if k1_part or screened else ()):
+    for form, _ in (_rule_blocks(x, *plan.volume(cls))
+                    if k1_part or screened else ()):
         dirs, rn, c = form.dirs, form.rn, form.c
         fvals = _density(f, form)
         if isinstance(fvals, np.ndarray):
@@ -550,8 +549,7 @@ def volume_potential_hessian(fs: FundamentalSolution, domain: Domain, f, x,
 
     # the integrand k1_j(x - y) nu_l(y) as (l, j, node)
     K = _boundary_integral(
-        domain, lambda y, nu: nu.T[:, None, :] * fs.k1(_offsets(x, y)).T,
-        x, N, near, rules)
+        plan, lambda y, nu: nu.T[:, None, :] * fs.k1(_offsets(x, y)).T)
     H = H1 - fx * K
     if screened:
         H = H + H2
@@ -577,9 +575,9 @@ def volume_potential_negative(fs: FundamentalSolution, domain: Domain,
     x = _check_dims(domain, fs, x)
     n = domain.dim
     comps = nd.components
-    near = _nearest_point(domain, x)
-    rules = _shared_rules(domain, x, N, near)
-    rule, at_x = _volume_rays(domain, x, N, near, rules)[1]()
+    cls = _volume_class(domain, x, N)
+    plan = _Plan(domain, x, N)
+    rule, at_x = plan.volume(cls)
     f0_sets = _per_ray_sets(fs, comps[:1], True) if at_x else None
     apart = f0_sets is not None and any(map(f0_sets, rule))
     value = grad = 0
@@ -602,7 +600,7 @@ def volume_potential_negative(fs: FundamentalSolution, domain: Domain,
             out = out + nu[:, j] * np.asarray(comps[j + 1](y))
         return fs.eval(x[None, :] - y) * out
 
-    total += _boundary_integral(domain, moment, x, N, near, rules)
+    total += _boundary_integral(plan, moment)
     for gj in grad:
         total += gj
     return complex(total)

@@ -360,13 +360,15 @@ def test_verify_points_move_with_an_off_origin_ball(tmp_path):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_exterior_points_move_with_an_off_origin_ball(dim):
-    # the exterior grid sits at the same multiples of the bounding radius
-    # from the center, and outside the ball, wherever the ball is
+    # the exterior grid moves with the ball: a shifted ball's points sit
+    # at the centred ball's offsets from its center, so at the same
+    # distances from its boundary, and outside it
     centred = volpot.make_ball(dim, np.zeros(dim), 1.0)
     shifted = volpot.make_ball(dim, 3.0 * np.eye(dim)[0], 1.0)
-    rel = ((_exterior_grid(shifted) - shifted.center)
-           / shifted.bounding_radius)
-    np.testing.assert_allclose(
-        rel, _exterior_grid(centred) / centred.bounding_radius, rtol=1e-15)
-    assert all(shifted.distance_to_boundary(x) > 2.0 * shifted.radius
-               for x in _exterior_grid(shifted))
+    offsets = _exterior_grid(shifted) - shifted.center
+    np.testing.assert_allclose(offsets, _exterior_grid(centred),
+                               rtol=1e-15, atol=1e-15)
+    for x, y in zip(_exterior_grid(shifted), _exterior_grid(centred)):
+        gap = shifted.distance_to_boundary(x)
+        assert gap > shifted.radius
+        assert abs(gap - centred.distance_to_boundary(y)) <= 1e-15

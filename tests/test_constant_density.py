@@ -16,7 +16,7 @@ from volpot import (DensityPreset, NearBoundaryError, VolpotError, anisotropic,
                     volume_potential_hessian, volume_potential_negative)
 from volpot import geometry
 from volpot.geometry import Domain
-from volpot.potentials import _ray_sums, _volume_blocks
+from volpot.potentials import _Plan, _ray_sums, _rule_blocks
 from volpot.schauder import NegativeExponentDensity
 
 ONE = get_preset("one")
@@ -86,7 +86,8 @@ def _resum_bound(fs, domain, x, N, gradient):
     f = 1 taken node by node: the most a change of summation order
     within and across the rays may move the total by."""
     total = 0.0
-    for form, _ in _volume_blocks(domain, x, N)[1]:
+    rule = _Plan(domain, x, N).volume(domain.classify(x))
+    for form, _ in _rule_blocks(x, *rule):
         if gradient:
             w = form.c * _ray_sums(form, np.ones(form.rn.size), False)
             total = total + np.sum(np.abs(w[:, None] * fs.k1(form.dirs)),

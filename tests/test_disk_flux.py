@@ -2,7 +2,7 @@
 
 Every 2D point within the near/far switch (``potentials._far``, 0.1
 radii) takes the flux rays of ``geometry._flux_rays``: rays from x to the
-nodes of the graded boundary rules, one ray set per point, on the disk as
+nodes of the graded boundary rule, one ray set per point, on the disk as
 on a star domain.  Deeper disk points keep the polar rule about x, and
 verify's excised sums keep it at every distance (with r above the
 distance the flux rays would converge only algebraically).
@@ -19,7 +19,7 @@ the flux rays replaced there stayed 2.9e-13 (value) and 2.0e-12
 and N = 128 alike.
 
 Two trades of the flux rays are pinned at their measured sizes:
-gradients at delta = +-1e-4 and low N (the graded rules hold
+gradients at delta = +-1e-4 and low N (the graded rule holds
 2 max(24, 2N) nodes, where the polar rule took 1200 rays whatever N
 was), and the anisotropic gradient at delta = +-1e-4.
 
@@ -40,7 +40,8 @@ from volpot import (anisotropic, disk, get_preset, helmholtz_fundamental,
                     volume_potential, volume_potential_gradient,
                     volume_potential_negative)
 from volpot import geometry, potentials
-from volpot.geometry import Domain, _drain, _flux_rays
+from volpot.geometry import (Domain, _drain, _flux_rays,
+                             _graded_boundary_rule, _nearest_point)
 from volpot.schauder import NegativeExponentDensity
 from volpot.verify import check_maximal_bound
 
@@ -163,7 +164,7 @@ CHORD_CASES = [(N, shift, dist_key) for N in (8, 16, 64)
 # (``one``, and ``abs_x1`` off the centred disk), and where the kink of
 # abs_x1 crosses the centred disk, which converges algebraically;
 # measured: 2.3e-6, 7.0e-7 and 1.1e-15 smooth, 2.0e-5, 3.7e-6 and 6.1e-7
-# with the kink.  The graded boundary rules hold 2 x 24, 2 x 32 and
+# with the kink.  The graded boundary rule holds 2 x 24, 2 x 32 and
 # 2 x 128 nodes at N = 8, 16 and 64.
 SMOOTH_BOUND = {8: 3e-6, 16: 1e-6, 64: 2e-15}
 KINK_BOUND = {8: 3e-5, 16: 5e-6, 64: 1e-6}
@@ -232,7 +233,8 @@ def test_far_exterior_flux_rays_keep_the_closed_form(N, dist):
         mp.setattr(potentials, "NEAR_FRACTION", np.inf)
         got = _value_and_gradient(fs, domain, ONE, x, N).real
     assert np.max(np.abs(got - exact)) <= 1e-15
-    rule = _drain(_flux_rays(domain, x, N)[0])
+    graded = _graded_boundary_rule(domain, N, _nearest_point(domain, x))
+    rule = _drain(_flux_rays(x, N, graded)[0])
     assert abs(np.sum(rule.weights) - np.pi) <= 1e-15 * np.pi
 
 
@@ -253,7 +255,7 @@ def _count(monkeypatch, module, name, calls):
 def test_near_disk_evaluations_take_the_flux_rays_once(delta, monkeypatch):
     # a value, a gradient or a negative-density value within the switch
     # solves for the nearest point once and builds the graded boundary
-    # rules once (the negative density's boundary term shares them), and
+    # rule once (the negative density's boundary term shares it), and
     # casts no ray and builds no chord
     def cast(*args):
         raise AssertionError("a near disk evaluation cast a ray")
@@ -263,7 +265,7 @@ def test_near_disk_evaluations_take_the_flux_rays_once(delta, monkeypatch):
     monkeypatch.setattr(potentials, "_chord_rays", cast)
     calls = []
     for module in (geometry, potentials):
-        for name in ("_nearest_point", "_graded_boundary_rules"):
+        for name in ("_nearest_point", "_graded_boundary_rule"):
             _count(monkeypatch, module, name, calls)
     x = _on_circle(0.7, delta)
     nd = NegativeExponentDensity((BUMP, BUMP, ONE), 1.0, 0.0)
@@ -274,7 +276,7 @@ def test_near_disk_evaluations_take_the_flux_rays_once(delta, monkeypatch):
                 lambda: volume_potential_negative(fs, DISK, nd, x, 16)):
             calls.clear()
             evaluate()
-            assert sorted(calls) == ["_graded_boundary_rules",
+            assert sorted(calls) == ["_graded_boundary_rule",
                                      "_nearest_point"], (fs.kind, calls)
 
 

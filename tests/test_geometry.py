@@ -10,14 +10,17 @@ from volpot import (DomainError, NearBoundaryError, boundary_rule,
                     make_ball, make_star2d, singular_volume_rule,
                     volume_rule)
 from volpot import geometry, potentials, verify
-from volpot.geometry import (_drain, _flux_rays, _gl01, _leggauss,
+from volpot.geometry import (_drain, _flux_rays, _gl01, _graded_boundary_rule,
+                             _leggauss, _nearest_point,
                              exterior_chord_rule, near_exterior_star_rule)
 
 
 def near_disk_flux_rule(dom, x, N):
     """The flux rays about x on a disk (``geometry._flux_rays``), drained:
     the rule of every disk point near the boundary, on either side."""
-    return _drain(_flux_rays(dom, np.asarray(x, dtype=float), N)[0])
+    x = np.asarray(x, dtype=float)
+    graded = _graded_boundary_rule(dom, N, _nearest_point(dom, x))
+    return _drain(_flux_rays(x, N, graded)[0])
 
 
 def test_make_ball_validation():
@@ -181,6 +184,36 @@ def test_boundary_normals_properties():
         assert np.all(np.einsum("ij,ij->i", bq.normals, radial) > 0)
         # integral of the normal over a closed boundary vanishes
         assert np.max(np.abs(bq.normals.T @ bq.weights)) <= 1e-10
+
+
+@pytest.mark.parametrize("center", [(0.0, 0.0, 0.0), (0.5, -0.25, 1.0)])
+def test_boundary_parametrization_rejects_a_3d_ball(center):
+    # a sphere has no angle parametrization: all three methods raise the
+    # package's DomainError, not a TypeError from the missing rho
+    ball = make_ball(3, center, 1.0)
+    for method in (ball.boundary_point, ball.boundary_jacobian,
+                   ball.boundary_normal):
+        for theta in (0.3, np.linspace(0.0, 1.0, 5)):
+            with pytest.raises(DomainError, match="2D domains only"):
+                method(theta)
+
+
+@pytest.mark.parametrize("dom", [disk(0.7, (0.3, -0.2)), ellipse(2.0, 1.0),
+                                 cosine_star([1, 0, 0, 0.2])],
+                         ids=["shifted-disk", "ellipse", "star"])
+def test_boundary_methods_keep_written_out_bits(dom):
+    # boundary_point, boundary_jacobian, boundary_normal and the plain
+    # boundary rule read one parametrization, with the bits of each
+    # quantity written out on its own
+    theta = 2.0 * np.pi * np.arange(40) / 40
+    nodes, jac, normals = _boundary_written_out(dom, theta)
+    assert _same_bits(dom.boundary_point(theta), nodes)
+    assert _same_bits(dom.boundary_jacobian(theta), jac)
+    assert _same_bits(dom.boundary_normal(theta), normals)
+    bq = boundary_rule(dom, 20)
+    assert _same_bits(bq.nodes, nodes)
+    assert _same_bits(bq.weights, jac * (2.0 * np.pi / 40))
+    assert _same_bits(bq.normals, normals)
 
 
 def test_divergence_theorem_all_kinds():
@@ -459,7 +492,7 @@ def test_nearest_point_matches_40_digit_references():
     ids=["disk", "ball3d"])
 def test_nearest_point_on_a_ball_is_its_closed_form(dom, x):
     # x - c and |R - |x - c||, with the bits of the written-out forms (the
-    # disk's graded rules take the angle of x - c, as written out below)
+    # disk's graded rule takes the angle of x - c, as written out below)
     x = np.array(x)
     t, d = geometry._nearest_point(dom, x)
     dx = x - dom.center
@@ -715,7 +748,8 @@ def test_graded_cap_keeps_written_out_bits(dom, N):
             seen.append((np.array(y), np.array(nu)))
             return 1.0 + y[:, 0] * nu[:, 2] - y[:, 1] ** 2
 
-        got = potentials._boundary_integral(dom, integrand, x, N)
+        got = potentials._boundary_integral(potentials._Plan(dom, x, N),
+                                            integrand)
         nodes, wts, normals = _graded_cap_written_out(dom, x, N)
         assert len(seen) == 1
         assert _same_bits(seen[0][0], nodes)
@@ -723,13 +757,28 @@ def test_graded_cap_keeps_written_out_bits(dom, N):
         assert got == complex(np.sum(integrand(nodes, normals) * wts))
 
 
+def _boundary_written_out(dom, t):
+    """Points, arclength elements and unit normals of a 2D domain at the
+    angles t, each with its own cos and sin: gamma = c + R e on a disk,
+    rho e on a star domain, normal (rho e - rho' e_perp) / |.|."""
+    e = np.stack([np.cos(t), np.sin(t)], axis=-1)
+    if dom.kind == "ball":
+        return dom.center + dom.radius * e, np.full(t.shape, dom.radius), e
+    r, dr = dom.rho(t), dom.drho(t)
+    eperp = np.stack([-np.sin(t), np.cos(t)], axis=-1)
+    nrm = r[:, None] * e - dr[:, None] * eperp
+    return (r[:, None] * e, np.sqrt(r ** 2 + dr ** 2),
+            nrm / np.linalg.norm(nrm, axis=-1, keepdims=True))
+
+
 @pytest.mark.parametrize("dom", [disk(), cosine_star([1, 0, 0, 0.2]), BALL3,
                                  SHIFTED_BALL3],
                          ids=["disk", "star", "ball3d", "shifted-ball3d"])
 def test_graded_boundary_rules_keep_written_out_bits(dom):
-    # the rules themselves: the sphere cap as written out above, and in 2D
-    # the two halves theta0 +- pi u^3 with the arclength Jacobian times
-    # the graded weights
+    # the rule itself: the sphere cap as written out above, and in 2D one
+    # rule whose nodes, weights and normals are the two halves
+    # theta0 + pi u^3 and then theta0 - pi u^3, each written out with the
+    # arclength Jacobian times the graded weights, concatenated
     if dom.dim == 2:
         xb, nb = dom.boundary_point(0.98), dom.boundary_normal(0.98)
     else:
@@ -737,23 +786,23 @@ def test_graded_boundary_rules_keep_written_out_bits(dom):
         xb = dom.center + dom.radius * nb
     for N, s in ((4, -1e-3), (12, 1e-4), (32, 0.0)):
         x = xb + s * nb
-        rules = geometry._graded_boundary_rules(dom, x, N)
+        bq = geometry._graded_boundary_rule(dom, N, _nearest_point(dom, x))
         if dom.dim == 3:
-            want = [_graded_cap_written_out(dom, x, N)]
+            nodes, weights, normals = _graded_cap_written_out(dom, x, N)
         else:
             z, w = _leggauss(max(24, 2 * N))
             u, w = 0.5 * (z + 1.0), 0.5 * w
-            theta0 = (geometry._nearest_point(dom, x)[0]
+            theta0 = (_nearest_point(dom, x)[0]
                       if dom.kind == "star2d" else np.arctan2(x[1], x[0]))
-            want = [(dom.boundary_point(t), dom.boundary_jacobian(t)
-                     * (np.pi * 3 * u ** 2 * w), dom.boundary_normal(t))
-                    for t in (theta0 + np.pi * u ** 3,
-                              theta0 - np.pi * u ** 3)]
-        assert len(rules) == len(want)
-        for bq, (nodes, weights, normals) in zip(rules, want):
-            assert _same_bits(bq.nodes, nodes)
-            assert _same_bits(bq.weights, weights)
-            assert _same_bits(bq.normals, normals)
+            halves = []
+            for t in (theta0 + np.pi * u ** 3, theta0 - np.pi * u ** 3):
+                y, jac, nu = _boundary_written_out(dom, t)
+                halves.append((y, jac * (np.pi * 3 * u ** 2 * w), nu))
+            nodes, weights, normals = (np.concatenate(a)
+                                       for a in zip(*halves))
+        assert _same_bits(bq.nodes, nodes)
+        assert _same_bits(bq.weights, weights)
+        assert _same_bits(bq.normals, normals)
 
 
 def test_sphere_graded_rule_matches_broadcast_bitwise(monkeypatch):

@@ -11,7 +11,7 @@ import pytest
 from volpot import (cosine_star, disk, get_preset, make_ball,
                     singular_volume_rule, tabulated_from_csv,
                     write_samples_csv)
-from volpot.geometry import _excised_rays, rule_forms
+from volpot.geometry import _excised_rays, _nearest_point, rule_forms
 
 
 def _same_bits(a, b):
@@ -72,11 +72,11 @@ def test_radial_gap_is_layout_invariant(dom):
     (make_ball(3, (0.0, 0.0, 0.0), 1.0), (0.3, -0.2, 0.5))],
     ids=["star-reentry", "ball3d"])
 def test_block_nodes_coordinate_major_and_drained_nodes_c(dom, x):
-    # the star point's rule is flux rays, one ray set joining the halves
-    # of the graded boundary rule; the ball's is the polar rule about x,
+    # the star point's rule is flux rays, one ray set on the nodes of the
+    # graded boundary rule; the ball's is the polar rule about x,
     # one ray set too, cut into several blocks
     x = np.asarray(x)
-    rays = _excised_rays(dom, x, 16, (0.0,))[0]
+    rays = _excised_rays(dom, x, 16, (0.0,), _nearest_point(dom, x))[0]
     assert len(rays) == 1
     blocks = [form.nodes for form in rule_forms(rays)]
     assert all(y.T.flags.c_contiguous for y in blocks)

@@ -17,7 +17,7 @@ from volpot import (DomainError, NearBoundaryError, PotentialField,
 from volpot.geometry import singular_volume_rule
 from volpot.operators import OperatorCoefficients
 from volpot import geometry, potentials
-from volpot.potentials import _boundary_integral
+from volpot.potentials import _Plan, _boundary_integral
 from volpot.schauder import NegativeExponentDensity
 
 FS2 = laplace_fundamental(2)
@@ -80,13 +80,13 @@ def test_layer_and_volume_rules_share_the_near_far_switch(monkeypatch):
     dom = disk(1.0, (100.0, 0.0))
     x = np.array([105.0, 0.0])
     calls = []
-    graded = potentials._graded_boundary_rules
+    graded = potentials._graded_boundary_rule
 
     def counted(*args):
         calls.append(1)
         return graded(*args)
 
-    monkeypatch.setattr(potentials, "_graded_boundary_rules", counted)
+    monkeypatch.setattr(potentials, "_graded_boundary_rule", counted)
     val = single_layer(FS2, dom, ONE, x, 64)
     assert calls == []
     assert abs(val - np.log(5.0)) <= 1e-12
@@ -108,33 +108,75 @@ STAR = cosine_star([1, 0, 0, 0.2])
          "ball-far"])
 def test_each_evaluation_solves_for_the_nearest_point_once(domain, x,
                                                            monkeypatch):
-    # the near/far switch, the graded boundary rules and the flux rays of
-    # an evaluation share one solve of geometry._nearest_point, the
-    # Hessian's and the negative density's boundary terms included
+    # every public evaluation makes its choices in one plan: one solve of
+    # geometry._nearest_point, at most one build of the graded boundary
+    # rule (which its flux rays and boundary terms share) and one
+    # integrand call per boundary integral, on the cached plain rule far
+    # from the boundary and the graded rule near it; a far interior star
+    # point builds the graded rule for its flux rays alone
+    n = domain.dim
+    N = 16
+    far = potentials._far(domain, domain.distance_to_boundary(x))
+    plain = geometry.cached_boundary_rule(domain, N)
+    solves, builds, integrands, rules = [], [], [], []
     solve = potentials._nearest_point
-    calls = []
+    build = potentials._graded_boundary_rule
+    integral = potentials._boundary_integral
 
-    def counted(*args):
-        calls.append(1)
+    def counted_solve(*args):
+        solves.append(1)
         return solve(*args)
 
-    monkeypatch.setattr(geometry, "_nearest_point", counted)
-    monkeypatch.setattr(potentials, "_nearest_point", counted)
-    n = domain.dim
+    def counted_build(*args):
+        builds.append(1)
+        return build(*args)
+
+    def counted_integral(plan, integrand):
+        rules.append(plan.boundary)
+        return integral(plan, lambda y, nu: integrands.append(1)
+                        or integrand(y, nu))
+
+    monkeypatch.setattr(geometry, "_nearest_point", counted_solve)
+    monkeypatch.setattr(potentials, "_nearest_point", counted_solve)
+    monkeypatch.setattr(geometry, "_graded_boundary_rule", counted_build)
+    monkeypatch.setattr(potentials, "_graded_boundary_rule", counted_build)
+    monkeypatch.setattr(potentials, "_boundary_integral", counted_integral)
     fs = laplace_fundamental(n)
     nd = NegativeExponentDensity((X1, ONE, X1SQ, ONE)[:n + 1], 1.0, 0.0)
-    evaluations = [
-        lambda: volume_potential(fs, domain, X1SQ, x, 16),
-        lambda: volume_potential_gradient(fs, domain, X1SQ, x, 16),
-        lambda: single_layer(fs, domain, ONE, x, 16),
-        lambda: volume_potential_negative(fs, domain, nd, x, 16)]
+    side = "interior" if domain.classify(x) > 0 else "exterior"
+
+    def k_odd(z):       # z_1 / |z|^n: odd, homogeneous of degree -(n-1)
+        z = np.asarray(z)
+        return z[..., 0] / np.sum(z * z, axis=-1) ** (n / 2.0)
+
+    evaluations = {
+        "value": lambda: volume_potential(fs, domain, X1SQ, x, N),
+        "gradient": lambda: volume_potential_gradient(fs, domain, X1SQ, x,
+                                                      N),
+        "single layer": lambda: single_layer(fs, domain, ONE, x, N),
+        "negative": lambda: volume_potential_negative(fs, domain, nd, x, N),
+        "K": lambda: boundary_kernel_K(fs.eval, ONE, domain, x, side, N)}
     if domain.classify(x) > 0:
-        evaluations.append(
-            lambda: volume_potential_hessian(fs, domain, X1SQ, x, 16))
-    for evaluate in evaluations:
-        calls.clear()
+        evaluations["hessian"] = lambda: volume_potential_hessian(
+            fs, domain, X1SQ, x, N)
+    if np.linalg.norm(x) <= domain.bounding_radius:
+        evaluations["G"] = lambda: subtracted_integral_G(
+            k_odd, lambda y: np.asarray(y)[..., 0] ** 2, 0, domain, x, N)
+    layers = {"single layer", "negative", "K", "hessian"}
+    for name, evaluate in evaluations.items():
+        for seen in (solves, builds, integrands, rules):
+            seen.clear()
         evaluate()
-        assert len(calls) == 1
+        assert len(solves) == 1, name
+        assert len(builds) <= 1, name
+        assert len(rules) == len(integrands) == (name in layers), name
+        for rule in rules:
+            assert (rule is plain) == far, name
+    if domain.kind == "star2d" and far and side == "interior":
+        for name in ("value", "gradient", "negative", "hessian", "G"):
+            builds.clear()
+            evaluations[name]()
+            assert len(builds) == 1, name
 
 
 def test_ball_volume_potential_center():
@@ -418,7 +460,7 @@ def _negative_by_composition(fs, domain, nd, x, N):
         return fs.eval(x[None, :] - y) * dens
 
     total = volume_potential(fs, domain, comps[0], x, N)
-    total += _boundary_integral(domain, moment, x, N)
+    total += _boundary_integral(_Plan(domain, x, N), moment)
     for j in range(n):
         total += volume_potential_gradient(fs, domain, comps[j + 1], x, N)[j]
     return total
@@ -502,10 +544,9 @@ def test_derivative_recursion_all_kinds(fs, dom):
                                     else np.zeros(len(y)))
             pj = volume_potential(fs, dom, dphi, x, 48)
             vj = _boundary_integral(
-                dom,
+                _Plan(dom, np.asarray(x, dtype=float), 48),
                 lambda y, nu, _j=j: fs.eval(x[None, :] - y) * nu[:, _j]
-                * np.asarray(X1(y)),
-                np.asarray(x, dtype=float), 48)
+                * np.asarray(X1(y)))
             assert abs(g[j] - (pj - vj)) <= 1e-5
 
 
@@ -573,8 +614,8 @@ def _dense_hessian(fs, domain, f, x, N):
     z = x[None, :] - vq.nodes
     fvals = np.asarray(f(vq.nodes), dtype=complex)
     H = np.einsum("mlj,m->lj", fs.k1_jacobian(z), (fvals - fx) * vq.weights)
-    K = [[_boundary_integral(domain, lambda y, nu, l=l, j=j:
-                             fs.k1(x[None, :] - y)[:, j] * nu[:, l], x, N)
+    K = [[_boundary_integral(_Plan(domain, x, N), lambda y, nu, l=l, j=j:
+                             fs.k1(x[None, :] - y)[:, j] * nu[:, l])
           for j in range(len(x))] for l in range(len(x))]
     H = H - fx * np.array(K)
     if fs.kind == "modified-helmholtz":

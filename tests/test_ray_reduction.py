@@ -24,9 +24,10 @@ from volpot import (anisotropic, cosine_star, disk, get_preset,
                     volume_potential_gradient, volume_potential_hessian,
                     volume_potential_negative)
 from volpot.geometry import (RayForm, RaySet, _drain, _flux_rays,
+                             _graded_boundary_rule, _nearest_point,
                              exterior_chord_rule, singular_volume_rule,
                              volume_rule)
-from volpot.potentials import _boundary_integral, _offsets, _ray_sums
+from volpot.potentials import _Plan, _boundary_integral, _offsets, _ray_sums
 from volpot.schauder import NegativeExponentDensity
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -97,7 +98,8 @@ def _drained(domain, x, N):
     if not inside and dist > 0.5:
         return volume_rule(domain, N)
     if domain.dim == 2 and (domain.kind == "star2d" or dist < 0.1):
-        return _drain(_flux_rays(domain, x, N)[0])
+        graded = _graded_boundary_rule(domain, N, _nearest_point(domain, x))
+        return _drain(_flux_rays(x, N, graded)[0])
     if inside:
         return singular_volume_rule(domain, x, N)
     return exterior_chord_rule(domain, x, N)
@@ -124,8 +126,8 @@ def _cartesian_hessian(fs, domain, f, x, N):
     if fs.kind == "modified-helmholtz":
         H = H + fs.k2_jacobian(z, weights=fvals * vq.weights)
     n = domain.dim
-    K = [[_boundary_integral(domain, lambda y, nu, l=l, j=j:
-                             fs.k1(_offsets(x, y))[:, j] * nu[:, l], x, N)
+    K = [[_boundary_integral(_Plan(domain, x, N), lambda y, nu, l=l, j=j:
+                             fs.k1(_offsets(x, y))[:, j] * nu[:, l])
           for j in range(n)] for l in range(n)]
     return H - fx * np.array(K)
 
@@ -143,7 +145,7 @@ def _cartesian_negative(fs, domain, nd, x, N):
         return fs.eval(x[None, :] - y) * sum(
             nu[:, j] * np.asarray(comps[j + 1](y)) for j in range(n))
 
-    return complex(value) + _boundary_integral(domain, moment, x, N) \
+    return complex(value) + _boundary_integral(_Plan(domain, x, N), moment) \
         + complex(np.sum(grad))
 
 
@@ -317,7 +319,7 @@ def test_ball_matches_oracle(kname):
 # -- Hessians near the boundary against closed forms ----------------------------
 #
 # For f = 1 the Hessian's k1 moment vanishes and its boundary term
-# -K^+[k1_j, nu_l] carries it; K must take the graded boundary rules within
+# -K^+[k1_j, nu_l] carries it; K must take the graded boundary rule within
 # 0.1 radii (the plain rule is off by O(1) at these points).  The anisotropic case stops at 1e-3: at 1e-4 its residual is
 # set by the azimuths of the graded cap, not by the dispatch.
 
@@ -359,10 +361,10 @@ def test_ball_hessian_near_the_boundary_matches_oracle(kname, delta):
 # ``geometry._leggauss``; on numpy's leggauss five of the seven differed
 # in their last bits (the ball interior value by 6.8e-15 relative).  The
 # two star values and the disk's near exterior one are the flux rays'
-# (``geometry._flux_rays``), one ray set since the halves of the graded
-# boundary rule were joined: "star interior" moved by one ulp then, and
-# "disk near exterior" replaced the disk's chord value; both equal their
-# Cartesian sums.
+# (``geometry._flux_rays``), one ray set on the nodes of the graded
+# boundary rule: "star interior" moved by one ulp when the rule's two
+# halves were first joined in one set, and "disk near exterior" replaced
+# the disk's chord value; both equal their Cartesian sums.
 STORED_VALUES = {
     "disk interior": "-0x1.1342719ee8f28p-3",
     "disk near exterior": "-0x1.529ace73a1dc6p-6",

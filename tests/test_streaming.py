@@ -17,6 +17,7 @@ from volpot import (NearBoundaryError, cosine_star, disk, ellipse, get_preset,
                     volume_potential_hessian)
 from volpot import geometry
 from volpot.geometry import (_chord_rays, _drain, _excised_rays, _flux_rays,
+                             _graded_boundary_rule, _nearest_point,
                              cached_volume_rule,
                              exterior_chord_rule, near_exterior_star_rule,
                              rule_forms, singular_volume_rule)
@@ -37,6 +38,19 @@ def _star_point(theta, offset):
     return r * np.array([np.cos(theta), np.sin(theta)])
 
 
+def _excised(domain, x, N, radii):
+    """The excised rules about x (``geometry._excised_rays``) for its
+    nearest boundary point."""
+    return _excised_rays(domain, x, N, radii, _nearest_point(domain, x))
+
+
+def _flux(domain, x, N):
+    """The flux rays about x on the graded boundary rule about its
+    nearest boundary point."""
+    graded = _graded_boundary_rule(domain, N, _nearest_point(domain, x))
+    return _flux_rays(x, N, graded)[0]
+
+
 def _rel(a, b):
     return abs(a - b) / abs(b)
 
@@ -55,22 +69,22 @@ def _streamed_and_drained(fs, x, rule):
 
 
 # (label, fs, x, ray-set factory): every factory; the 2D flux rays are
-# one ray set that joins the halves of the graded boundary rule
+# one ray set on the nodes of the graded boundary rule
 RULES = [
     ("disk interior", FS2, np.array([0.3, -0.2]),
-     lambda x: _excised_rays(DISK, x, 48, (0.0,))[0]),
+     lambda x: _excised(DISK, x, 48, (0.0,))[0]),
     ("star interior", FS2, _star_point(0.6, -1e-3),
-     lambda x: _excised_rays(STAR, x, 32, (0.0,))[0]),
+     lambda x: _excised(STAR, x, 32, (0.0,))[0]),
     ("disk r_min", FS2, np.array([0.2, 0.1]),
-     lambda x: _excised_rays(DISK, x, 48, (1e-3,))[0]),
+     lambda x: _excised(DISK, x, 48, (1e-3,))[0]),
     ("ball interior 1e-4", FS3, (1.0 - 1e-4) * NB3,
-     lambda x: _excised_rays(BALL, x, 12, (0.0,))[0]),
+     lambda x: _excised(BALL, x, 12, (0.0,))[0]),
     ("disk near exterior", FS2, np.array([1.0 + 1e-3, 0.0]),
-     lambda x: _flux_rays(DISK, x, 48)[0]),
+     lambda x: _flux(DISK, x, 48)),
     ("ball chord", FS3, (1.0 + 1e-3) * NB3,
      lambda x: _chord_rays(BALL, x, 12)),
     ("star near exterior", FS2, _star_point(0.6, 1e-3),
-     lambda x: _flux_rays(STAR, x, 32)[0]),
+     lambda x: _flux(STAR, x, 32)),
 ]
 
 
@@ -86,7 +100,7 @@ def test_streamed_sum_matches_drained_rule(label, fs, x, factory):
 
 def test_block_arrays_stay_below_block_bytes():
     x = (1.0 - 1e-4) * NB3
-    rule = _excised_rays(BALL, x, 20, (0.0,))[0]
+    rule = _excised(BALL, x, 20, (0.0,))[0]
     sizes = [form.nodes.nbytes for form in rule_forms(rule)]
     assert len(sizes) > 100
     assert max(sizes) < geometry._BLOCK_BYTES
@@ -97,7 +111,7 @@ def test_block_arrays_stay_below_block_bytes():
     (STAR, FS2, _star_point(0.6, -1e-3), singular_volume_rule),
     (BALL, FS3, (1.0 - 1e-4) * NB3, singular_volume_rule),
     (DISK, FS2, np.array([1.0 + 1e-3, 0.0]),
-     lambda *a: _drain(_flux_rays(*a)[0])),
+     lambda *a: _drain(_flux(*a))),
     (BALL, FS3, (1.0 + 1e-3) * NB3, exterior_chord_rule),
     (STAR, FS2, _star_point(0.6, 1e-3), near_exterior_star_rule),
     (DISK, FS2, np.array([2.5, 0.5]), None),
@@ -142,23 +156,23 @@ def test_maximal_bound_matches_drained_rule(domain, fs, x):
 ], ids=["star", "ellipse", "non-convex"])
 def test_excised_rules_cast_once_and_keep_their_bits(domain, x, monkeypatch):
     # every excision radius of a point shares one build of the graded
-    # boundary rules, and its rays, and the sums over them, keep the bits
+    # boundary rule, and its rays, and the sums over them, keep the bits
     # of a build per radius
     radii = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5]
-    build = geometry._graded_boundary_rules
+    build = geometry._graded_boundary_rule
     calls = []
 
     def counted(*args):
         calls.append(1)
         return build(*args)
 
-    monkeypatch.setattr(geometry, "_graded_boundary_rules", counted)
-    rules = _excised_rays(domain, x, 32, radii)
+    monkeypatch.setattr(geometry, "_graded_boundary_rule", counted)
+    rules = _excised(domain, x, 32, radii)
     assert len(calls) == 1
     rep = check_maximal_bound(FS2.eval, domain, x[None, :], radii, N=32)
     assert len(calls) == 2
     for r, rule, got in zip(radii, rules, rep.parameters["values"][0]):
-        ref = _excised_rays(domain, x, 32, (r,))[0]
+        ref = _excised(domain, x, 32, (r,))[0]
         assert len(rule) == len(ref) == 1
         for a, b in zip(rule, ref):
             for name in ("dirs", "lo", "hi", "wang"):
