@@ -8,7 +8,8 @@ Gauss-Legendre x trapezoid product rules on the sphere.
 Every Gauss-Legendre rule, radial, polar or graded, is ``_leggauss``
 (``_gl01`` maps it to [0, 1]): Halley steps on the Legendre recurrence,
 O(p) memory and correctly rounded, with no p x p matrix even where the
-polar rule near the sphere takes up to 2000 angles.
+polar rule about a point near the sphere (verify's excised sums) takes
+up to 2000 angles.
 
 This module owns every angular grid: ``_circle_grid`` (the trapezoid
 circle) and ``_sphere_grid`` (polar angles times the trapezoid azimuth,
@@ -18,7 +19,8 @@ point, arclength element and normal comes from one ``Domain`` method,
 ``_boundary``.  Layer integrals on or near the boundary use
 ``_graded_boundary_rule``, one BoundaryQuadrature graded toward the
 boundary point nearest x (the parameter window on both sides of its
-angle in 2D, one polar cap on the sphere).  One search,
+angle in 2D; on the sphere one polar cap, its angles on dyadic panels
+graded down to the distance).  One search,
 ``_nearest_point``, finds that point and its distance exactly (by a
 secant solve on a star domain); the graded rule,
 ``Domain.distance_to_boundary`` and every near/far switch read it.  The
@@ -28,23 +30,20 @@ solves once and passes them down.
 
 Every volume rule near a point integrates in polar coordinates about it,
 along rays with Gauss-Legendre panels geometrically graded toward the
-point (toward the entry points, for the chords of a 3D ball).  The radial
-Jacobian r^{n-1} tames every kernel of homogeneity down to -(n-1), and
-log factors are absorbed by the graded panels.
-- In 2D the rays run from x to the nodes of the graded boundary rule
-  (``_flux_rays``), by the divergence theorem in polar form about x, with
-  signed angular weights, one ray set per point: the rule of every star
-  point (interior at any distance, exterior near the boundary) and of
-  every disk point near the boundary on either side, with no ray cast and
-  no re-entered interval, and the graded boundary rule's accuracy.
+point.  The radial Jacobian r^{n-1} tames every kernel of homogeneity
+down to -(n-1), and log factors are absorbed by the graded panels.
+- In 2D and 3D alike the rays run from x to the nodes of the graded
+  boundary rule (``_flux_rays``), by the divergence theorem in polar form
+  about x, with signed angular weights, one ray set per point: the rule
+  of every star point (interior at any distance, exterior near the
+  boundary) and of every disk or ball point near the boundary on either
+  side, with no ray cast and no re-entered interval, and the graded
+  boundary rule's accuracy.
 - The polar rule about an interior x casts its rays on a fixed angular
   grid, raised automatically as the point approaches the boundary
-  (``_angular_count`` in 2D): it serves disk points deeper than the
-  near/far switch and every interior point of a 3D ball, and verify's
-  excised sums on a disk or a 3D ball (``_excised_rays``).  A companion
-  chord rule covers exterior points near a 3D ball; its chords are graded
-  toward their entry points only down to the point's distance from the
-  ball (``_chord_levels``).
+  (``_angular_count`` in 2D, a 1/sqrt(dist) polar count on the sphere):
+  it serves disk and ball points deeper than the near/far switch, and
+  verify's excised sums on a disk or a 3D ball (``_excised_rays``).
 Exterior points far from the boundary take the regular rule about the
 centre.
 
@@ -290,7 +289,7 @@ class VolumeQuadrature:
     nodes: np.ndarray     # (m, n) interior points, C-contiguous (streamed
                           # blocks are coordinate-major; ``_drain`` copies)
     weights: np.ndarray   # (m,) summing to |Omega|; signed on the flux rays
-                          # of a 2D domain (``_flux_rays``)
+                          # (``_flux_rays``)
 
     def integrate(self, values):
         return np.sum(values * self.weights)
@@ -306,9 +305,9 @@ class RaySet:
     [lo + s 2^-(k+1), lo + s 2^-k] for k < n_panels and
     [lo, lo + s 2^-n_panels]; n_panels 0 is one plain panel.  A node's
     weight is its radial weight times s, r^(n-1) and ``wang[i]``.  The
-    angular weights are signed: the flux rays of a 2D domain carry the
-    sign of nu . e (``_flux_rays``).  A ray with hi < lo runs inward, graded
-    toward its outer end lo, its weights signed by s < 0.
+    angular weights are signed: the flux rays carry the sign of nu . e
+    (``_flux_rays``).  A ray with hi < lo runs inward, graded toward its
+    outer end lo, its weights signed by s < 0.
     """
 
     center: np.ndarray    # (n,) origin of the rays
@@ -331,13 +330,13 @@ class RayForm:
     (rays, P) distances ``rn`` = lo + s t of the nodes from the rays'
     origin, for the table's t, and the nodes themselves (``nodes``).  A
     reader that needs only per-ray numbers (a constant density summed
-    from the table moments on ``zero_start`` rays, where rn = s t; see
-    ``potentials``) builds neither, and reads blocks that ``rule_forms``
-    sizes by their per-ray arrays: their radii, had anyone built them,
-    would take several times ``_BLOCK_BYTES``."""
+    from the table moments on rays from x, which start at r = 0, where
+    rn = s t; see ``potentials``) builds neither, and reads blocks that
+    ``rule_forms`` sizes by their per-ray arrays: their radii, had anyone
+    built them, would take several times ``_BLOCK_BYTES``."""
 
     __slots__ = ("_rs", "_lo", "_t", "_rn", "_nodes",
-                 "dirs", "span", "c", "wt", "moments", "zero_start")
+                 "dirs", "span", "c", "wt", "moments")
 
     def __init__(self, rs, i, j):
         self._rs = rs
@@ -346,8 +345,6 @@ class RayForm:
         self.span = rs.hi[i:j] - self._lo
         self.c = self.span * rs.wang[i:j]
         self._t, self.wt, self.moments = _radial_tables(rs.p, rs.n_panels)
-        # whether the rays start at 0 and are graded toward it: rn = s t
-        self.zero_start = not np.count_nonzero(self._lo)
         self._rn = self._nodes = None
 
     # plain properties that fill a slot on first read: functools'
@@ -376,25 +373,23 @@ def _rays_per_block(floats_per_ray):
     return max(1, (_BLOCK_BYTES - 1) // (8 * floats_per_ray))
 
 
-def rule_forms(rule, per_ray=None):
+def rule_forms(rule, per_ray=False):
     """Factored forms (``RayForm``) of a tuple of ray sets, a block of rays
     at a time; a block's nodes are built where a caller reads them.
 
     A block keeps its (nodes, n) arrays below _BLOCK_BYTES, n P floats per
-    ray for P nodes per ray, except on the sets rs with ``per_ray(rs)``
-    true, which the caller reads one number per ray and builds no radius
-    or node of (see ``potentials``): those blocks keep the per-ray arrays
-    a reader forms, the directions, k1 of them, the spans, c and the ray
-    values, 2 n + 3 floats per ray, below _BLOCK_BYTES together.  Python
-    overhead per block, not arithmetic, dominated such sets in node-sized
-    blocks.  The blocks depend on the rule and per_ray alone, so sums over
-    them are deterministic."""
+    ray for P nodes per ray, unless ``per_ray``: then the caller reads one
+    number per ray and builds no radius or node (see ``potentials``), and
+    the blocks keep the per-ray arrays a reader forms, the directions, k1
+    of them, the spans, c and the ray values, 2 n + 3 floats per ray,
+    below _BLOCK_BYTES together.  Python overhead per block, not
+    arithmetic, dominated such rules in node-sized blocks.  The blocks
+    depend on the rule and per_ray alone, so sums over them are
+    deterministic."""
     for rs in rule:
         m, n = rs.dirs.shape
-        if per_ray is not None and per_ray(rs):
-            step = _rays_per_block(2 * n + 3)
-        else:
-            step = _rays_per_block(n * rs.p * (rs.n_panels + 1))
+        step = _rays_per_block(2 * n + 3 if per_ray
+                               else n * rs.p * (rs.n_panels + 1))
         for i in range(0, m, step):
             yield RayForm(rs, i, min(i + step, m))
 
@@ -640,15 +635,18 @@ def boundary_rule(domain: Domain, N: int) -> BoundaryQuadrature:
 
 
 # Grading exponent for the parameter-space substitution around the nearest
-# boundary parameter.
+# boundary parameter (2D).
 GRADING_EXPONENT = 3
+
+# Gauss-Legendre order of the dyadic polar panels of the sphere's graded cap.
+CAP_ORDER = 12
 
 
 @lru_cache(maxsize=64)
 def _graded_window(N):
-    """Offsets s = pi u^GRADING_EXPONENT from the nearest parameter (polar
-    angles on the sphere) and their weights ws, for the Gauss-Legendre
-    rule u, w of order max(24, 2N) on [0, 1]; read-only."""
+    """Offsets s = pi u^GRADING_EXPONENT from the nearest parameter of a
+    2D boundary and their weights ws, for the Gauss-Legendre rule u, w of
+    order max(24, 2N) on [0, 1]; read-only."""
     u, w = _gl01(max(24, 2 * N))
     s = np.pi * u ** GRADING_EXPONENT
     ws = np.pi * GRADING_EXPONENT * u ** (GRADING_EXPONENT - 1) * w
@@ -657,22 +655,37 @@ def _graded_window(N):
     return s, ws
 
 
+def _cap_levels(R, dist):
+    """Dyadic levels of the sphere's graded cap about a point at distance
+    dist from the sphere of radius R: enough for the innermost panel, pi R
+    2^-levels wide, to be at most dist / 2 (at least one level).  A point
+    within ``BOUNDARY_BAND`` of the sphere, where the single layer may be
+    read, takes the band's levels."""
+    return max(0, math.ceil(math.log2(
+        math.pi * R / max(dist, BOUNDARY_BAND * R)))) + 1
+
+
 def _graded_boundary_rule(domain, N, near):
     """The boundary rule for a layer integral at a point on or near the
-    boundary, graded with ``GRADING_EXPONENT`` toward its nearest point
-    near = ``_nearest_point`` (``_graded_window``): in 2D the parameter
-    window about its angle t0, the nodes at t0 + s and then at t0 - s; on
-    the sphere one polar cap about its direction."""
-    s, ws = _graded_window(N)
+    boundary, graded toward its nearest point near = ``_nearest_point``.
+    In 2D the parameter window about its angle t0 (``_graded_window``),
+    the nodes at t0 + s and then at t0 - s.  On the sphere one polar cap
+    about its direction: the polar angles pi t of the order-``CAP_ORDER``
+    dyadic panels of ``_radial_tables``, graded down to the distance
+    (``_cap_levels``, after Helsing & Ojala, J. Comput. Phys. 2008), times
+    max(16, N) azimuths."""
     t0 = near[0]
     if domain.dim == 2:
+        s, ws = _graded_window(N)
         if domain.kind == "ball":   # the angle of x - c, 0 at the centre
             t0 = (0.0 if math.hypot(t0[0], t0[1]) < 1e-14
                   else float(np.arctan2(t0[1], t0[0])))
         y, jac, nu = domain._boundary(np.concatenate([t0 + s, t0 - s]))
         return BoundaryQuadrature(y, jac * np.concatenate([ws, ws]), nu)
     R, c = domain.radius, domain.center
-    dirs, wts = _sphere_grid(np.cos(s), np.sin(s), ws * np.sin(s),
+    t, wt, _ = _radial_tables(CAP_ORDER, _cap_levels(R, near[1]))
+    s = np.pi * t
+    dirs, wts = _sphere_grid(np.cos(s), np.sin(s), np.pi * wt * np.sin(s),
                              max(16, N), toward=t0)
     return BoundaryQuadrature(c[None, :] + R * dirs, wts * R ** 2, dirs)
 
@@ -738,7 +751,7 @@ def volume_rule(domain: Domain, N: int) -> VolumeQuadrature:
 
 
 def _flux_rays(x, N, rule, radii=(0.0,)):
-    """The volume rule of a 2D domain about any x off its boundary, with
+    """The volume rule about any x off the boundary, in 2D or 3D, with
     B(x, r) excised for each r in radii: rays from x to the nodes y of its
     graded boundary rule (``_graded_boundary_rule``), by the divergence
     theorem in polar form about x (the radial integration method, X.-W.
@@ -757,9 +770,16 @@ def _flux_rays(x, N, rule, radii=(0.0,)):
     list of one-set tuples."""
     nu = rule.normals
     d = (rule.nodes - x).T      # the offsets a coordinate row at a time
-    ell = np.sqrt(d[0] * d[0] + d[1] * d[1])
+    n = len(d)
+    ell = d[0] * d[0]
+    for k in range(1, n):
+        ell += d[k] * d[k]
+    ell = np.sqrt(ell)
     e = d / ell
-    wang = (nu[:, 0] * e[0] + nu[:, 1] * e[1]) * rule.weights * ell ** -1
+    nu_e = nu[:, 0] * e[0]
+    for k in range(1, n):
+        nu_e += nu[:, k] * e[k]
+    wang = nu_e * rule.weights * ell ** (1 - n)
     p = _radial_order(N)
     n_panels = _radial_panel_count(N)
     return [(RaySet(x, e.T, np.minimum(r_min, ell), ell, wang, p, n_panels),)
@@ -776,7 +796,8 @@ def _excised_rays(domain, x, N, radii, near):
     the radial starts do.  An evaluation's rule is chosen in
     ``potentials._Plan``; this one serves verify's excised sums at every
     distance (where r exceeds the distance to the boundary the flux rays
-    converge only algebraically) and the deep points of the polar rule."""
+    converge only algebraically), ``singular_volume_rule`` and the ball
+    points deeper than the near/far switch."""
     if domain.kind == "star2d":
         return _flux_rays(x, N, _graded_boundary_rule(domain, N, near), radii)
     p = _radial_order(N)
@@ -815,56 +836,29 @@ def singular_volume_rule(domain: Domain, x, N: int,
                                 _nearest_point(domain, x))[0])
 
 
-def _chord_levels(R, dist, p, n_panels):
-    """Grading levels of a chord rule at distance dist from a ball of
-    radius R: the levels that bring the innermost panel of the longest
-    chord, 2R, down to dist (none when dist >= 2R), plus ceil(14 / p) so
-    that order-p panels reach rounding there, and at most n_panels."""
-    return min(n_panels, max(0, math.ceil(math.log2(2.0 * R / dist)))
-               + math.ceil(14 / p))
-
-
-def _chord_rays(domain, x, N):
-    """Rays from the exterior point x toward a 3D ball, chords graded
-    toward the entry points down to the distance to the ball
-    (``_chord_levels``), over a polar window graded toward both ends."""
-    if domain.kind != "ball" or domain.dim != 3:
-        raise DomainError("exterior chord rule is implemented for 3D balls")
-    d = domain.center - x
-    rho0 = np.linalg.norm(d)
-    R = domain.radius
-    if rho0 <= R:
-        raise DomainError("exterior rule requires an exterior point")
-    beta = np.arcsin(min(R / rho0, 1.0))
-    p = _radial_order(N)
-    n_panels = _radial_panel_count(N)
-    # Angle panels graded toward both ends of the window: near the axis the
-    # entry distance (and the kernel) varies on the scale sqrt(dist * R);
-    # at the tangent rays the chord mass has a square-root edge.
-    t, wt, _ = _radial_tables(p, max(n_panels, 18))
-    half, whalf = beta / 2.0 * t, beta / 2.0 * wt
-    ang = np.concatenate([half, beta - half])
-    dirs, wang = _sphere_grid(np.cos(ang), np.sin(ang),
-                              np.concatenate([whalf, whalf]) * np.sin(ang),
-                              max(8, N), toward=d)
-    b = dirs @ d
-    disc = np.maximum(b ** 2 - (rho0 ** 2 - R ** 2), 0.0)
-    # The kernel's near-singularity sits dist = rho0 - R before each entry
-    # point; a graded Gauss-Legendre panel stops gaining accuracy once its
-    # width is about that distance (Helsing & Ojala, J. Comput. Phys. 2008),
-    # so the chords are graded only that far.
-    return (RaySet(x, dirs, b - np.sqrt(disc), b + np.sqrt(disc), wang, p,
-                   _chord_levels(R, rho0 - R, p, n_panels)),)
+def _near_exterior_rule(domain, x, N, name):
+    """The flux rays (``_flux_rays``) about the exterior point x, drained:
+    the body of the public near-exterior builders, which check the domain
+    kind; NearBoundaryError within the boundary band, DomainError
+    inside."""
+    x = np.asarray(x, dtype=float)
+    cls = domain.classify(x)
+    if cls == 0:
+        raise NearBoundaryError(f"{name} requires a point off the boundary")
+    if cls > 0:
+        raise DomainError(f"{name} requires an exterior point")
+    rule = _graded_boundary_rule(domain, N, _nearest_point(domain, x))
+    return _drain(_flux_rays(x, N, rule)[0])
 
 
 def exterior_chord_rule(domain: Domain, x, N: int) -> VolumeQuadrature:
     """Volume rule for an exterior point near the boundary of a 3D ball:
-    rays from x toward the ball, chords graded toward the entry points.
-    The polar window is parametrized with endpoint clustering since the
-    chord length vanishes like a square root at the tangent rays.  A disk
-    or a star domain raises DomainError: their exterior points near the
-    boundary take the flux rays (``_flux_rays``)."""
-    return _drain(_chord_rays(domain, np.asarray(x, dtype=float), N))
+    the flux rays from x (``_flux_rays``), drained.  A disk or a star
+    domain raises DomainError (a star domain's builder is
+    ``near_exterior_star_rule``)."""
+    if domain.kind != "ball" or domain.dim != 3:
+        raise DomainError("exterior chord rule is implemented for 3D balls")
+    return _near_exterior_rule(domain, x, N, "exterior_chord_rule")
 
 
 def near_exterior_star_rule(domain: Domain, x, N: int) -> VolumeQuadrature:
@@ -872,9 +866,7 @@ def near_exterior_star_rule(domain: Domain, x, N: int) -> VolumeQuadrature:
     rays from x (``_flux_rays``), drained."""
     if domain.kind != "star2d":
         raise DomainError("near_exterior_star_rule requires a star2d domain")
-    x = np.asarray(x, dtype=float)
-    rule = _graded_boundary_rule(domain, N, _nearest_point(domain, x))
-    return _drain(_flux_rays(x, N, rule)[0])
+    return _near_exterior_rule(domain, x, N, "near_exterior_star_rule")
 
 
 @lru_cache(maxsize=64)

@@ -19,12 +19,11 @@ An evaluation makes its choices about its point x once, in its plan
 (``_Plan``): the nearest boundary point (one ``_nearest_point`` solve),
 near or far (``_far``), the graded boundary rule, its boundary rule and
 its volume rule.  Every volume rule near a point is rays from it (see
-:mod:`volpot.geometry`): in 2D the flux rays to the nodes of the graded
-boundary rule, for every point of a star domain and for disk points within
-the near/far switch on either side; the polar rule about an interior point
-deeper in the disk and anywhere in a 3D ball, and a chord rule just
-outside a 3D ball.  Far exterior points take the regular rule about the
-centre.  Points within 1e-9 of the boundary are rejected; transmission is
+:mod:`volpot.geometry`): the flux rays to the nodes of the graded
+boundary rule, for every point of a star domain and for points within the
+near/far switch of a disk or a 3D ball on either side; the polar rule
+about an interior point deeper in a disk or a ball.  Far exterior points
+take the regular rule about the centre.  Points within 1e-9 of the boundary are rejected; transmission is
 tested through one-sided limits (see :mod:`volpot.verify`).
 
 Every grid and rule comes from :mod:`volpot.geometry`.  Every integral
@@ -49,21 +48,19 @@ it needs no per-node value at all.  Three paths, picked per block:
 * per ray, from the table moments (``_per_ray``): a constant density
   (``DensityPreset.constant``, passed as the number itself, see
   ``_density``), a homogeneous kernel (laplace, anisotropic-principal)
-  and rays that start at x.  Along such a ray S(r d) = k (log r +
-  log q(d)) in 2D and a(d)/r in 3D, so the value on rays that also start
-  at r = 0 (the polar rule about an interior x and the flux rays; r = s t
-  for the table t)
-  is sum_i c_i ``fs.ray_value``_i, from M1 = sum t wt and
-  ML = sum t log t wt, and the gradient on any such rays (the 3D chord
-  rule too) is -f W sum_i c_i k1(d_i), W = sum wt.  No radius, no node, no
-  kernel call per node: O(rays) per block.  These sums are formed
+  and rays that start at x, which all start at r = 0 (the polar rule
+  about an interior x and the flux rays; r = s t for the table t).  Along
+  such a ray S(r d) = k (log r + log q(d)) in 2D and a(d)/r in 3D, so the
+  value is sum_i c_i ``fs.ray_value``_i, from M1 = sum t wt and
+  ML = sum t log t wt, and the gradient is -f W sum_i c_i k1(d_i),
+  W = sum wt.  No radius, no node, no kernel call per node: O(rays) per
+  block.  These sums are formed
   elementwise and reduced by numpy's pairwise np.sum (``_ray_total``):
   over blocks of thousands of rays a BLAS dot's rounding error grows
   with the length and depends on the BLAS kernel's block order, where
   the pairwise sum's grows with its logarithm.
 * per node in polar form, where the rays start at x otherwise (other
-  densities or kernels, and the 3D chord values): x - y = -r d (see
-  :mod:`volpot.fundsol`).
+  densities or kernels): x - y = -r d (see :mod:`volpot.fundsol`).
   - value: v = S f with S(r d) from the radii alone
     (``fs.radial_value``, one log per node for the 2D log kernels);
   - grad: -sum_i c_i (sum_j f_ij wt_j) k1(d_i), the r^(n-1) cancelling
@@ -81,12 +78,11 @@ constant density broadcasts as a number with the bits of a full array.
 The Hessian of a constant density skips its k1 moment, whose weights
 are all exactly 0.
 
-Blocks come in two sizes (``geometry.rule_forms``).  The ray sets that
-the per-ray path sums (``_per_ray_sets``: the value's sets of rays that
-start at r = 0, every set of the gradient's rays from x) are cut by
-their per-ray arrays, a few thousand rays per block, since Python
-overhead per block, not arithmetic, bounds them; every other block is
-cut by its (nodes, n) arrays, a few dozen to a few hundred rays.  The
+Blocks come in two sizes (``geometry.rule_forms``).  The rays from x
+that the per-ray path sums (``_per_ray_sets``) are cut by their per-ray
+arrays, a few thousand rays per block, since Python overhead per block,
+not arithmetic, bounds them; every other block is cut by its (nodes, n)
+arrays, a few dozen to a few hundred rays.  The
 per-ray path reads no radius, so a block of it never builds the node
 arrays that its size would not bound.
 
@@ -105,15 +101,15 @@ import numpy as np
 
 from .errors import DomainError, NearBoundaryError, VolpotError
 from .fundsol import FundamentalSolution
-from .geometry import (Domain, cached_boundary_rule, rule_forms, _chord_rays,
+from .geometry import (Domain, cached_boundary_rule, rule_forms,
                        _excised_rays, _flux_rays, _graded_boundary_rule,
                        _nearest_point, _regular_rays)
 from .schauder import NegativeExponentDensity
 
 # Points closer to the boundary than this fraction of a ball's radius (a
 # star domain's bounding radius) take the graded boundary rule, and their
-# volume rule is the flux rays in 2D on either side (a star domain's
-# interior points at any distance) and the chord rule outside a 3D ball.
+# volume rule is the flux rays on it, on either side (a star domain's
+# interior points at any distance too).
 NEAR_FRACTION = 0.1
 
 
@@ -208,16 +204,16 @@ class _Plan:
     def volume(self, cls):
         """The volume rule about x, of class cls (``_volume_class``), as a
         tuple of ray sets (see the module docstring), and whether its rays
-        start at x.  Far star points keep the flux rays on the graded
-        rule: the plain rule just past the switch is under-resolved."""
+        start at x: the regular rule far outside, the polar rule about x
+        deep in a ball, the flux rays on the graded rule everywhere else.
+        Far star points keep the flux rays: the plain rule just past the
+        switch is under-resolved."""
         domain, x, N = self.domain, self.x, self.N
         if cls < 0 and self.far:
             return _regular_rays(domain, N), False
-        if domain.dim == 2 and not (self.far and domain.kind == "ball"):
-            return _flux_rays(x, N, self.graded)[0], True
-        if cls > 0:
+        if self.far and domain.kind == "ball":
             return _excised_rays(domain, x, N, (0.0,), self.near)[0], True
-        return _chord_rays(domain, x, N), True
+        return _flux_rays(x, N, self.graded)[0], True
 
 
 def _volume_class(domain, x, N):
@@ -228,14 +224,14 @@ def _volume_class(domain, x, N):
     return _classify_or_raise(domain, x)
 
 
-def _rule_blocks(x, rule, at_x, per_ray=None):
+def _rule_blocks(x, rule, at_x, per_ray=False):
     """The blocks of a rule about x, each a pair (form, z): its factored
     form (``geometry.RayForm``) and the offsets z = x - y where the rays
     do not start at x, None where they do (there x - y = -rn d, and
-    nothing per node is built unless a reader asks for it).  On rays from
-    x, the sets that per_ray picks (see ``_per_ray_sets``) come in blocks
-    sized by their per-ray arrays (``geometry.rule_forms``)."""
-    for form in rule_forms(rule, per_ray if at_x else None):
+    nothing per node is built unless a reader asks for it).  Rays from x
+    summed per ray (``_per_ray_sets``) come in blocks sized by their
+    per-ray arrays (``geometry.rule_forms``)."""
+    for form in rule_forms(rule, per_ray and at_x):
         yield form, None if at_x else _offsets(x, form.nodes)
 
 
@@ -282,24 +278,12 @@ def _per_ray(fs, z, f):
     return z is None and not isinstance(f, np.ndarray) and fs.kappa == 0
 
 
-def _starts_at_zero(rs):
-    return not np.count_nonzero(rs.lo)
-
-
-def _every_set(rs):
-    return True
-
-
-def _per_ray_sets(fs, densities, value):
-    """The ray sets from x on whose blocks ``_per_ray`` holds for all of
-    the densities, as a predicate for ``geometry.rule_forms``, or None
-    where it holds on none: with every density constant and kappa = 0,
-    the sets whose rays start at r = 0 for a value (``_value_sum``) and
-    every set for a gradient."""
-    if fs.kappa > 0 or any(getattr(f, "constant", None) is None
-                           for f in densities):
-        return None
-    return _starts_at_zero if value else _every_set
+def _per_ray_sets(fs, densities):
+    """Whether ``_per_ray`` holds on the blocks of rays from x for all of
+    the densities: every density constant and kappa = 0.  Every rule
+    about x starts its rays at r = 0, so values and gradients alike."""
+    return fs.kappa == 0 and all(getattr(f, "constant", None) is not None
+                                 for f in densities)
 
 
 def _ray_total(c, v):
@@ -314,11 +298,11 @@ def _ray_total(c, v):
 
 def _value_sum(fs, form, z, f):
     """sum_m S(x - y_m) f_m w_m over one block: for a constant f on rays
-    from x that start at r = 0 (``_per_ray``, ``RayForm.zero_start``), the
-    pairwise sum of c times the per-ray sums of ``fs.ray_value``
-    (``_ray_total``); elsewhere S from the radii alone
-    where the rays start at x (z None), else from the offsets z."""
-    if _per_ray(fs, z, f) and form.zero_start:
+    from x (``_per_ray``; they start at r = 0), the pairwise sum of c
+    times the per-ray sums of ``fs.ray_value`` (``_ray_total``); elsewhere
+    S from the radii alone where the rays start at x (z None), else from
+    the offsets z."""
+    if _per_ray(fs, z, f):
         _, m1, ml = form.moments
         return f * _ray_total(form.c,
                               fs.ray_value(form.dirs, form.span, m1, ml))
@@ -367,7 +351,7 @@ def volume_potential(fs: FundamentalSolution, domain: Domain, f, x,
     x = _check_dims(domain, fs, x)
     cls = _volume_class(domain, x, N)
     blocks = _rule_blocks(x, *_Plan(domain, x, N).volume(cls),
-                          _per_ray_sets(fs, (f,), True))
+                          _per_ray_sets(fs, (f,)))
     return complex(sum(_value_sum(fs, form, z, _density(f, form))
                        for form, z in blocks))
 
@@ -378,7 +362,7 @@ def volume_potential_gradient(fs: FundamentalSolution, domain: Domain, f, x,
     x = _check_dims(domain, fs, x)
     cls = _volume_class(domain, x, N)
     blocks = _rule_blocks(x, *_Plan(domain, x, N).volume(cls),
-                          _per_ray_sets(fs, (f,), False))
+                          _per_ray_sets(fs, (f,)))
     return sum(_gradient_sum(fs, form, z, _density(f, form))
                for form, z in blocks)
 
@@ -515,7 +499,7 @@ def volume_potential_hessian(fs: FundamentalSolution, domain: Domain, f, x,
     (``_boundary_integral``), all n^2 entries in one pass: the cached
     boundary rule far from the boundary, the graded rule within 0.1 radii
     of it, where the plain rule loses the nearly singular k1; there the
-    flux rays of a 2D point read the same rule.  A real density stays real
+    flux rays read the same rule.  A real density stays real
     until the result is cast to complex.
     """
     x = _check_dims(domain, fs, x)
@@ -578,14 +562,13 @@ def volume_potential_negative(fs: FundamentalSolution, domain: Domain,
     cls = _volume_class(domain, x, N)
     plan = _Plan(domain, x, N)
     rule, at_x = plan.volume(cls)
-    f0_sets = _per_ray_sets(fs, comps[:1], True) if at_x else None
-    apart = f0_sets is not None and any(map(f0_sets, rule))
+    apart = at_x and _per_ray_sets(fs, comps[:1])
     value = grad = 0
     if apart and comps[0].constant:   # a zero f0 adds nothing
-        for form, z in _rule_blocks(x, rule, at_x, f0_sets):
+        for form, z in _rule_blocks(x, rule, at_x, True):
             value = value + _value_sum(fs, form, z, comps[0].constant)
-    fj_sets = _per_ray_sets(fs, comps[1:], False) if apart else None
-    for form, z in _rule_blocks(x, rule, at_x, fj_sets):
+    for form, z in _rule_blocks(x, rule, at_x,
+                                apart and _per_ray_sets(fs, comps[1:])):
         if not apart:
             f0 = _density(comps[0], form)
             if np.any(f0):      # a zero f0 adds nothing; skip its kernel pass

@@ -70,15 +70,12 @@ EPS = np.finfo(float).eps
 def _resummed(fn, domain, gap, kname):
     """Whether the preset one is summed from the radial table's moments
     here (``potentials._per_ray``): the Laplace and anisotropic kernels,
-    values where the rays start at x and at r = 0 (the polar rule about an
-    interior point, the flux rays of every 2D point near the boundary and
-    of every interior star point), gradients wherever the rays start at x
-    (also the chord rule of an exterior point near a 3D ball)."""
-    if kname == "screened" or gap is None or fn is volume_potential_hessian:
-        return False
-    if fn is volume_potential_gradient:
-        return True
-    return gap < 0 or domain.dim == 2
+    values and gradients wherever the rays start at x, where they also
+    start at r = 0 (the polar rule about a deep interior point of a ball,
+    the flux rays of every point near the boundary and of every interior
+    star point)."""
+    return not (kname == "screened" or gap is None
+                or fn is volume_potential_hessian)
 
 
 def _resum_bound(fs, domain, x, N, gradient):
@@ -110,9 +107,9 @@ def _matches(got, want, bound=None):
 def test_constant_preset_matches_plain_callable_bitwise(dname, label, gap,
                                                         kname):
     # bit for bit wherever the preset one takes the per-node path with a
-    # broadcast constant (screened kernel, Hessians, far rules, 3D chord
-    # values); within the rounding of the re-summation where
-    # it is summed per ray from the table moments
+    # broadcast constant (screened kernel, Hessians, far rules); within
+    # the rounding of the re-summation where it is summed per ray from the
+    # table moments
     domain = DOMAINS[dname]
     n = domain.dim
     N = N_OF[n]
@@ -158,7 +155,7 @@ def _count_calls(monkeypatch, name):
                                         ("ball3d", -1e-4), ("ball3d", 1e-3),
                                         ("star", -1e-2), ("star", 1e-3)],
                          ids=["disk interior", "disk near", "ball interior",
-                              "ball chord", "star interior", "star near"])
+                              "ball near", "star interior", "star near"])
 def test_constant_density_builds_no_node_where_rays_start_at_x(
         monkeypatch, dname, gap):
     domain = DOMAINS[dname]
@@ -223,20 +220,18 @@ def test_only_one_declares_itself_constant():
                                         ("ball3d", -1e-4), ("ball3d", 1e-3),
                                         ("star", -1e-2), ("star", 1e-3)],
                          ids=["disk interior", "disk near", "ball interior",
-                              "ball chord", "star interior", "star near"])
+                              "ball near", "star interior", "star near"])
 def test_constant_density_builds_no_radius_for_homogeneous_kernels(
         monkeypatch, dname, gap):
-    # values on the polar rule and the 2D flux rays (rays from x that
-    # start at r = 0) and gradients on every rule whose rays start at x
-    # are summed from the table moments: no radius for the Laplace and
-    # anisotropic kernels; the screened kernel and a plain callable still
-    # build them
+    # values and gradients on every rule whose rays start at x (the polar
+    # rule and the flux rays, all of whose rays start at r = 0) are summed
+    # from the table moments: no radius for the Laplace and anisotropic
+    # kernels; the screened kernel and a plain callable still build them
     domain = DOMAINS[dname]
     N = N_OF[domain.dim]
     x = _point(domain, gap)
     calls = _count_calls(monkeypatch, "_graded_nodes")
-    fns = [volume_potential_gradient] + (
-        [volume_potential] if gap < 0 or domain.dim == 2 else [])
+    fns = [volume_potential_gradient, volume_potential]
     kernels = _kernels(domain.dim)
     for fn in fns:
         for kname in ("laplace", "anisotropic"):
@@ -308,8 +303,8 @@ def _raise(*args):
 
 @pytest.mark.parametrize("dname", list(N_BLOCKS))
 def test_per_ray_sums_build_no_node_in_few_blocks(monkeypatch, dname):
-    # 132 blocks of 91 rays in the ball and 28 in the disk when the
-    # per-ray sets were cut like node blocks
+    # the ball's 3,840 flux rays would take 43 blocks of 91 rays cut like
+    # node blocks, and the disk's 256 rays 6 blocks of 43
     domain = DOMAINS[dname]
     x = _point(domain, -1e-4)
     monkeypatch.setattr(geometry, "_graded_nodes", _raise)
@@ -325,8 +320,8 @@ def test_per_ray_sums_build_no_node_in_few_blocks(monkeypatch, dname):
 
 
 def test_per_ray_gradient_memory_near_the_sphere():
-    # 37,940 rays at 1e-5 inside the ball, in blocks of 1820: the peak is
-    # the rule's own per-ray arrays
+    # 5,040 flux rays at 1e-5 inside the ball, in blocks of 1820: the
+    # peak is the rule's own per-ray arrays
     ball = DOMAINS["ball3d"]
     fs = laplace_fundamental(3)
     x = _point(ball, -1e-5)

@@ -256,13 +256,11 @@ def test_near_disk_evaluations_take_the_flux_rays_once(delta, monkeypatch):
     # a value, a gradient or a negative-density value within the switch
     # solves for the nearest point once and builds the graded boundary
     # rule once (the negative density's boundary term shares it), and
-    # casts no ray and builds no chord
+    # casts no ray
     def cast(*args):
         raise AssertionError("a near disk evaluation cast a ray")
 
     monkeypatch.setattr(Domain, "ray_exit", cast)
-    monkeypatch.setattr(geometry, "_chord_rays", cast)
-    monkeypatch.setattr(potentials, "_chord_rays", cast)
     calls = []
     for module in (geometry, potentials):
         for name in ("_nearest_point", "_graded_boundary_rule"):

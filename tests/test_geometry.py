@@ -159,8 +159,9 @@ def test_singular_rule_rejects_non_interior():
 
 
 def test_exterior_chord_rule_smooth_area():
-    # the chord rule serves 3D balls only; outside a disk the flux rays
-    # take the same point and bound
+    # exterior_chord_rule drains the flux rays of a 3D ball and serves
+    # balls only; outside a disk the flux rays take the same point and
+    # bound
     d = disk()
     for dom in (d, cosine_star([1, 0, 0, 0.2])):
         with pytest.raises(DomainError, match="3D balls"):
@@ -170,6 +171,25 @@ def test_exterior_chord_rule_smooth_area():
     b = make_ball(3, [0, 0, 0], 1.0)
     vq = exterior_chord_rule(b, np.array([1.01, 0.0, 0.0]), 32)
     assert np.sum(vq.weights) == pytest.approx(4 * np.pi / 3, rel=1e-7)
+
+
+@pytest.mark.parametrize("build, dom, inside, on", [
+    (near_exterior_star_rule, cosine_star([1, 0, 0, 0.2]),
+     np.array([0.2, 0.1]), np.array([1.2, 0.0])),
+    (exterior_chord_rule, make_ball(3, [0, 0, 0], 1.0),
+     np.array([0.2, 0.1, 0.0]), np.array([0.6, 0.0, 0.8]))],
+    ids=["star", "ball3d"])
+def test_near_exterior_rules_reject_points_that_are_not_outside(
+        build, dom, inside, on):
+    # an interior point raises DomainError, a point within the boundary
+    # band NearBoundaryError (a DomainError too), as singular_volume_rule
+    # rejects non-interior points
+    assert dom.classify(inside) == 1 and dom.classify(on) == 0
+    with pytest.raises(DomainError, match="exterior point") as err:
+        build(dom, inside, 16)
+    assert not isinstance(err.value, NearBoundaryError)
+    with pytest.raises(NearBoundaryError, match="off the boundary"):
+        build(dom, on, 16)
 
 
 def test_boundary_normals_properties():
@@ -595,8 +615,8 @@ def _rule_cases(dom):
     """(builder, args) for every volume-rule builder that applies to dom:
     the regular rule; the singular rule at the centre and at interior
     offsets 1e-4 and 1e-3 (also with an excised ball); the exterior rule
-    (chords of a 3D ball, flux rays in 2D) at offsets 1e-4 and 1e-3 and at
-    a far point."""
+    (the flux rays, drained by each domain kind's builder) at offsets 1e-4
+    and 1e-3 and at a far point."""
     c = dom.center
     if dom.dim == 2:
         xb, nb = dom.boundary_point(0.98), dom.boundary_normal(0.98)
@@ -674,6 +694,9 @@ def _boundary_rule_written_out(dom, N):
 
 
 def _graded_cap_written_out(dom, x, N):
+    # polar angles pi t on order-12 Gauss-Legendre panels of [0, 1],
+    # graded dyadically until the innermost one, pi R 2^-levels wide, is
+    # at most half the distance (the boundary band's where x is on it)
     R, c = dom.radius, dom.center
     d = x - c
     axis = d / np.linalg.norm(d)
@@ -682,10 +705,12 @@ def _graded_cap_written_out(dom, x, N):
     e1 = np.cross(axis, tmp)
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(axis, e1)
-    z, w = _leggauss(max(24, 2 * N))
-    u, w = 0.5 * (z + 1.0), 0.5 * w
-    psi = np.pi * u ** 3
-    wpsi = np.pi * 3 * u ** 2 * w
+    dist = max(abs(R - np.linalg.norm(d)), 1e-9 * R)
+    levels = 1
+    while np.pi * R * 0.5 ** levels > dist / 2:
+        levels += 1
+    t, wt = _graded_radial_written_out(np.zeros(1), np.ones(1), 12, levels)
+    psi, wpsi = np.pi * t[0], np.pi * wt[0]
     nphi = max(16, N)
     phi = 2.0 * np.pi * np.arange(nphi) / nphi
     dirs = _cone_dirs_broadcast(np.cos(psi), np.sin(psi), axis, e1, e2, phi)
@@ -908,7 +933,6 @@ def test_ray_set_blocks_match_broadcast_bitwise(dim, inward):
         assert _same_bits(form.c, (hi[i:j] - lo[i:j]) * wang[i:j])
         assert form.wt is geometry._radial_tables(7, 14)[1]
         assert _same_bits(form.wt, hw)
-        assert not form.zero_start
         vq = geometry._drain((geometry.RaySet(
             center, dirs[i:j], *(a[i:j] for a in rays), 7, 14),))
         assert _same_bits(vq.nodes, y) and _same_bits(vq.weights, weights)
@@ -916,7 +940,6 @@ def test_ray_set_blocks_match_broadcast_bitwise(dim, inward):
         # rays that start at 0: rn = s t, which the table moments sum
         form = geometry.RayForm(geometry.RaySet(
             np.zeros(dim), dirs, np.zeros(m), hi - lo, wang, 7, 14), i, j)
-        assert form.zero_start
         assert _same_bits(form.rn, (hi[i:j] - lo[i:j])[:, None]
                           * geometry._radial_tables(7, 14)[0])
 

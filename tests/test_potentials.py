@@ -399,6 +399,22 @@ def test_single_layer_values_3d():
     assert on.real == pytest.approx(-1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("N", [12, 20, 40])
+@pytest.mark.parametrize("delta", [0.0, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3,
+                                   -1e-3])
+def test_single_layer_near_the_sphere_is_closed_form(N, delta):
+    # the single layer of one on the unit sphere is -1 / max(1, |x|); on
+    # and near the sphere the graded cap takes polar panels down to the
+    # distance (the boundary band's levels on the sphere itself), to
+    # rounding
+    for d in (np.array([1.0, 2.0, -2.0]) / 3.0, np.array([0.0, 0.6, 0.8]),
+              np.array([2.0, -3.0, 6.0]) / 7.0):
+        x = (1.0 + delta) * d
+        exact = -1.0 / max(1.0, float(np.linalg.norm(x)))
+        val = single_layer(FS3, BALL, ONE, x, N)
+        assert abs(val - exact) <= 1e-14, (d, val - exact)
+
+
 def test_single_layer_continuity_across_boundary():
     # values just inside, on, and just outside agree to the offset scale
     xb = DISK.boundary_point(0.7)

@@ -16,7 +16,7 @@ from volpot import (NearBoundaryError, cosine_star, disk, ellipse, get_preset,
                     volume_potential, volume_potential_gradient,
                     volume_potential_hessian)
 from volpot import geometry
-from volpot.geometry import (_chord_rays, _drain, _excised_rays, _flux_rays,
+from volpot.geometry import (_drain, _excised_rays, _flux_rays,
                              _graded_boundary_rule, _nearest_point,
                              cached_volume_rule,
                              exterior_chord_rule, near_exterior_star_rule,
@@ -68,8 +68,8 @@ def _streamed_and_drained(fs, x, rule):
                                          * vq.weights)
 
 
-# (label, fs, x, ray-set factory): every factory; the 2D flux rays are
-# one ray set on the nodes of the graded boundary rule
+# (label, fs, x, ray-set factory): every factory; the flux rays are one
+# ray set on the nodes of the graded boundary rule
 RULES = [
     ("disk interior", FS2, np.array([0.3, -0.2]),
      lambda x: _excised(DISK, x, 48, (0.0,))[0]),
@@ -81,8 +81,8 @@ RULES = [
      lambda x: _excised(BALL, x, 12, (0.0,))[0]),
     ("disk near exterior", FS2, np.array([1.0 + 1e-3, 0.0]),
      lambda x: _flux(DISK, x, 48)),
-    ("ball chord", FS3, (1.0 + 1e-3) * NB3,
-     lambda x: _chord_rays(BALL, x, 12)),
+    ("ball near exterior", FS3, (1.0 + 1e-3) * NB3,
+     lambda x: _flux(BALL, x, 12)),
     ("star near exterior", FS2, _star_point(0.6, 1e-3),
      lambda x: _flux(STAR, x, 32)),
 ]
@@ -109,18 +109,22 @@ def test_block_arrays_stay_below_block_bytes():
 @pytest.mark.parametrize("domain, fs, x, build", [
     (DISK, FS2, np.array([0.3, -0.2]), singular_volume_rule),
     (STAR, FS2, _star_point(0.6, -1e-3), singular_volume_rule),
-    (BALL, FS3, (1.0 - 1e-4) * NB3, singular_volume_rule),
+    (BALL, FS3, (1.0 - 1e-4) * NB3, lambda *a: _drain(_flux(*a))),
     (DISK, FS2, np.array([1.0 + 1e-3, 0.0]),
      lambda *a: _drain(_flux(*a))),
     (BALL, FS3, (1.0 + 1e-3) * NB3, exterior_chord_rule),
+    (BALL, FS3, 0.5 * NB3, singular_volume_rule),
     (STAR, FS2, _star_point(0.6, 1e-3), near_exterior_star_rule),
     (DISK, FS2, np.array([2.5, 0.5]), None),
     (BALL, FS3, 3.0 * NB3, None),
-], ids=["disk", "star", "ball", "disk-near", "ball-chord", "star-near",
-        "disk-far", "ball-far"])
+], ids=["disk", "star", "ball", "disk-near", "ball-chord", "ball-deep",
+        "star-near", "disk-far", "ball-far"])
 def test_potentials_match_drained_builders(domain, fs, x, build):
-    # the potentials stream the far (regular) rule a block at a time; the
-    # reference is that rule drained by cached_volume_rule, one array
+    # points within 0.1 radii of the ball take the flux rays, drained by
+    # exterior_chord_rule outside, deeper ones the polar rule of
+    # singular_volume_rule; the potentials stream the far (regular) rule a
+    # block at a time, and the reference is that rule drained by
+    # cached_volume_rule, one array
     N = 12 if domain.dim == 3 else 32
     vq = (build(domain, x, N) if build is not None
           else cached_volume_rule(domain, N))
@@ -197,10 +201,9 @@ def test_excised_sums_reject_non_interior_points():
                                       (40, 1e-5)],
                          ids=["20", "40", "20-1e-05", "40-1e-05"])
 def test_ball_near_boundary_memory_does_not_grow_with_N(N, delta):
-    # interior offset 1e-4: 720k nodes at N = 20 and 2.9M at N = 40, whose
-    # (nodes, 3) array alone would take 17 MB and 69 MB.  At 1e-5 the polar
-    # rule takes 1897 Gauss-Legendre angles, built cold here: their rule
-    # takes O(p) memory (numpy's leggauss took 28.9 MB for its eigen-solve)
+    # interior offsets 1e-4 and 1e-5 on the flux rays: 245k nodes at N =
+    # 20 and 971k at N = 40 at 1e-4, whose (nodes, 3) array alone would
+    # take 5.9 MB and 23 MB, with every Gauss-Legendre rule built cold
     x = (1.0 - delta) * NB3
     fs = helmholtz_fundamental(3, 1.0)
     f = get_preset("x1sq")
