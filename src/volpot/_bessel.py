@@ -1,6 +1,7 @@
-"""Modified Bessel functions K0 and K1, dependency-free.
+"""Modified Bessel functions K0 and K1, and the entire exponential
+integral Ein, dependency-free.
 
-Three branches, each accurate to ~1e-14 relative and agreeing at the seams
+K0 and K1 take three branches, each accurate to ~1e-14 relative and agreeing at the seams
 well below 1e-12:
 
 * x <= 2: the classical ascending series built on I0/I1 and harmonic numbers.
@@ -32,10 +33,26 @@ block, and fresh block-sized temporaries would be faulted in page by page
 on every call.  Inputs of any shape are flattened and summed a chunk at a
 time; every operation acts on one element at a time, so chunking changes
 no value.  The returned array is always fresh.
+
+Ein(x) = int_0^x (1 - e^-t) / t dt = E1(x) + log(x) + gamma (``ein``)
+takes two branches, each a fixed number of steps, so no loop waits on
+convergence:
+
+* x <= 4: its power series sum_j (-1)^(j+1) x^j / (j j!), 30 terms by
+  Horner's rule (``power_series``); the first one left out is below
+  1e-17 of Ein at x = 4;
+* x > 4: E1 from 24 steps of its even continued fraction
+  e^-x / (x + 1 - 1 / (x + 3 - 4 / (x + 5 - 9 / ...))), evaluated from
+  the tail; at x = 4 they leave E1 within 7e-18 of Ein (20 steps left
+  1.8e-16).
+
+Both agree with an exact reference to 4e-16 relative (see
+``tests/test_ray_primitives.py``).
 """
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -216,3 +233,39 @@ def k0(x):
 def k1(x):
     """Modified Bessel function of the second kind, order 1."""
     return _eval(x, _k1_series, _CHEB_K1, 1)
+
+
+_EIN_CUT = 4.0
+_EIN_TERMS = 30
+_E1_STEPS = 24
+# coefficients of x^0 .. x^29 of Ein(x) / x, each rounded once from its
+# exact value (a quotient of Python ints is correctly rounded)
+_EIN_SERIES = np.array([(-1) ** (j + 1) / (j * math.factorial(j))
+                        for j in range(1, _EIN_TERMS + 1)])
+
+
+def power_series(coeffs, x):
+    """sum_j coeffs[j] x^j by Horner's rule, in place on one fresh array
+    the shape of x."""
+    out = np.full(np.shape(x), coeffs[-1])
+    for a in coeffs[-2::-1]:
+        out *= x
+        out += a
+    return out
+
+
+def ein(x):
+    """The entire exponential integral Ein(x) = int_0^x (1 - e^-t) / t dt
+    for an array of x >= 0 (see the module docstring)."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    small = x <= _EIN_CUT
+    xs = x[small]
+    out[small] = xs * power_series(_EIN_SERIES, xs)
+    if not small.all():
+        xl = x[~small]
+        d = xl + (2 * _E1_STEPS + 1)
+        for j in range(_E1_STEPS, 0, -1):
+            d = xl + (2 * j - 1) - (j * j) / d
+        out[~small] = np.exp(-xl) / d + np.log(xl) + _EULER_GAMMA
+    return out

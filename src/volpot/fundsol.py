@@ -20,9 +20,25 @@ plus a remainder k2 = grad S - k1, zero unless kappa > 0.  Along a ray
 x = -r d (r > 0, d a unit vector) the kernels factor, so the potentials
 call them once per direction instead of once per node: k1(-r d) =
 -r^(1-n) k1(d), d_l k1_j(-r d) = r^(-n) d_l k1_j(d), and for the screened
-S = f(|x|), grad S(-r d) = -f'(r) d (``radial_gradient``).  For kappa = 0,
-S(r d) = k (log r + log q(d)) (n = 2) or a(d)/r (n = 3), so a sum on radii
-r = s t against a radial table needs two moments of it (``ray_value``).
+S = f(|x|), grad S(-r d) = -f'(r) d (``radial_gradient``).
+
+A ray from x of length l integrates a constant density in closed form
+wherever its radial integrals int_0^l h(r) r^(n-1) dr have one (the
+kernel's ``_radial_primitives``).  For kappa = 0, S(r d) = k (log r +
+log q(d)) (n = 2) or a(d)/r (n = 3), so a sum on radii r = s t against a
+radial table needs two moments of it (``ray_value``).  For the screened
+kernel in 3D, with U = kappa l and k = 1/(4 pi), r^2 times g, f', beta
+and alpha r^2 each integrate exactly: to -(k/kappa^2) (1 - e^-U (1 + U)),
+(k/kappa) (2 - e^-U (2 + U)), k (-Ein(U) - expm1(-U)) and
+k (3 Ein(U) - 4 + e^-U (4 + U)), with Ein(U) = int_0^U (1 - e^-t)/t dt
+(``_bessel.ein``): the radial integration method of X.-W. Gao (Eng.
+Anal. Bound. Elem. 26, 2002) with the radial integral done exactly
+(``ray_value``, ``_ray_gradient``, ``_ray_k2``).  Each is entire in U
+and cancels to O(U) or O(U^2) at 0, where kappa may be 1e-6, so below
+U = 2 it is summed from its Taylor series, whose terms then fall fast,
+and from the closed form above, where at most a factor 5 cancels.  The 2D screened
+kernel has none: its gradient's primitive int_0^U u K1(u) du needs the
+integral of K0, a Struve-function form, so it stays per node.
 
 Every second derivative is one term form (E, s, v, o): at point k, the
 matrix E s_k + o_k v_k v_k^t.  With U = x a2^{-1}, m = |T^{-1} x| and
@@ -38,6 +54,7 @@ real (n, m) @ (m, n) products; a part that is all zero costs nothing.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -275,17 +292,31 @@ class FundamentalSolution:
         out *= 1.0 / (2.0 * np.pi * self._sqrt_det)
         return out
 
+    @property
+    def _radial_primitives(self):
+        """Whether a ray from x sums a constant density in closed form,
+        one number per ray and no radius (``ray_value``): kappa = 0, or
+        the screened kernel in 3D."""
+        return self.kappa == 0 or self.dim == 3
+
     def ray_value(self, dirs, s, m1, ml):
         """sum_j S(r_ij d_i) r_ij^(n-1) wt_j along each ray i with the unit
         direction dirs[i] and the radii r_ij = s_i t_j, for a radial table
         (t, wt) with the moments m1 = sum t wt and ml = sum t log t wt.
-        For kappa = 0 only: with q = |T^{-1} d|, S(r d) = k (log r +
-        log q) in 2D, so the sum is k s ((log s + log q) m1 + ml),
+        For kappa = 0, with q = |T^{-1} d|, S(r d) = k (log r + log q) in
+        2D, so the sum is k s ((log s + log q) m1 + ml),
         k = 1/(2 pi sqrt(det a2)); S(r d) = -k / (q r) in 3D, so it is
-        -k s m1 / q, k = 1/(4 pi sqrt(det a2)).  One number per ray, no
-        radius."""
+        -k s m1 / q, k = 1/(4 pi sqrt(det a2)).  For the screened kernel
+        in 3D it is the integral the table approximates, (1/s) int_0^s
+        g(r) r^2 dr, exactly (see the module docstring), and the moments
+        go unused.  One number per ray, no radius; the 2D screened kernel
+        raises ValueError."""
         if self.kappa > 0:
-            raise ValueError("the screened kernel is not homogeneous")
+            if self.dim == 2:
+                raise ValueError("the 2D screened kernel is not homogeneous "
+                                 "and has no radial primitive")
+            return (-1.0 / (4.0 * np.pi * self.kappa)) * _primitives(
+                self.kappa * s, ("value",), _value_closed)[0]
         q = None if self._iso else self._ellip_radius(dirs)
         if self.dim == 3:
             out = s * (-m1 / (4.0 * np.pi * self._sqrt_det))
@@ -294,6 +325,73 @@ class FundamentalSolution:
         if q is not None:
             log_sq += np.log(q)
         return (log_sq * m1 + ml) * s * (1.0 / (2.0 * np.pi * self._sqrt_det))
+
+    def _ray_gradient(self, s):
+        """(1/s) int_0^s f'(r) r^2 dr of the screened 3D kernel for the
+        ray lengths s: the ray's gradient sum for f = 1 is minus this
+        times its direction."""
+        return _primitives(self.kappa * s, ("gradient",),
+                           _gradient_closed)[0] / (4.0 * np.pi)
+
+    def _ray_k2(self, s):
+        """(1/s) int_0^s (beta, alpha r^2) r^2 dr (``k2_radial``) of the
+        screened 3D kernel for the ray lengths s: the ray's k2 moment for
+        f = 1 is the first times I plus the second times d d^t."""
+        b, a = _primitives(self.kappa * s, ("beta", "alpha"), _k2_closed)
+        scale = self.kappa / (4.0 * np.pi)
+        return b * scale, a * scale
+
+
+def _taylor(coef):
+    """Coefficients p / (q j!), (p, q) = coef(j), for j = 1 .. 24, each
+    rounded once from its exact value (a quotient of Python ints is
+    correctly rounded)."""
+    out = []
+    for j in range(1, 25):
+        p, q = coef(j)
+        out.append(p / (q * math.factorial(j)))
+    return np.array(out)
+
+
+# The screened 3D primitives divided by U (see the module docstring):
+# coefficient j - 1 of each series is that of U^j in the primitive over
+# its constant factor.  Below U = 2 the first term left out is below
+# 1e-16 of the sum.
+_PRIMITIVE_CUT = 2.0
+_PRIMITIVE_SERIES = {
+    "value": _taylor(lambda j: ((-1) ** j * (j - 1), 1)),
+    "gradient": _taylor(lambda j: ((-1) ** j * (j - 2), 1)),
+    "beta": _taylor(lambda j: ((-1) ** (j + 1) * (j - 1), j)),
+    "alpha": _taylor(lambda j: ((-1) ** (j + 1) * (j - 1) * (j - 3), j))}
+
+
+def _value_closed(U):
+    return (1.0 - np.exp(-U) * (1.0 + U),)
+
+
+def _gradient_closed(U):
+    return (2.0 - np.exp(-U) * (2.0 + U),)
+
+
+def _k2_closed(U):
+    ein = _bessel.ein(U)
+    return (-ein - np.expm1(-U),
+            3.0 * ein - 4.0 + np.exp(-U) * (4.0 + U))
+
+
+def _primitives(U, names, closed):
+    """The primitives ``names`` over U at the values U: their series
+    below _PRIMITIVE_CUT, the forms closed(U) over U above it."""
+    outs = [np.empty_like(U) for _ in names]
+    small = U < _PRIMITIVE_CUT
+    u = U[small]
+    for out, name in zip(outs, names):
+        out[small] = _bessel.power_series(_PRIMITIVE_SERIES[name], u)
+    if not small.all():
+        u = U[~small]
+        for out, v in zip(outs, closed(u)):
+            out[~small] = v / u
+    return outs
 
 
 def _expand(n, m, terms):

@@ -287,7 +287,7 @@ class VolumeQuadrature:
     tuple of ray sets (see ``RaySet``)."""
 
     nodes: np.ndarray     # (m, n) interior points, C-contiguous (streamed
-                          # blocks are coordinate-major; ``_drain`` copies)
+                          # blocks are coordinate-major)
     weights: np.ndarray   # (m,) summing to |Omega|; signed on the flux rays
                           # (``_flux_rays``)
 
@@ -397,16 +397,30 @@ def rule_forms(rule, per_ray=False):
 def _drain(rule):
     """VolumeQuadrature of a tuple of ray sets, each built as one block,
     with C-contiguous nodes.  The one place where node weights are
-    multiplied out: (s wt) r^(n-1) wang for the spans s."""
-    nodes, weights = [], []
-    for rs in rule:
-        form = RayForm(rs, 0, len(rs.lo))
-        rw = form.span[:, None] * form.wt
-        nodes.append(form.nodes)
-        weights.append((rw * form.rn ** (rs.dirs.shape[1] - 1)
-                        * rs.wang[:, None]).reshape(-1))
-    return VolumeQuadrature(np.ascontiguousarray(np.concatenate(nodes)),
-                            np.concatenate(weights))
+    multiplied out: (s wt) r^(n-1) wang for the spans s.  The nodes
+    (``_ray_nodes``) and the weights are written in place into the arrays
+    it returns, the weights with the per-element operations of that
+    product, so the same bits; besides them only one set's radii are
+    alive, so the peak is about (n + 2) / (n + 1) times the rule."""
+    forms = [RayForm(rs, 0, len(rs.lo)) for rs in rule]
+    sizes = [len(form.span) * len(form.wt) for form in forms]
+    n = rule[0].dirs.shape[1]
+    nodes = np.empty((sum(sizes), n))
+    weights = np.empty(sum(sizes))
+    start = 0
+    for rs, form, m in zip(rule, forms, sizes):
+        rn = _graded_nodes(form._lo, form.span[:, None], form._t)
+        block = slice(start, start + m)
+        start += m
+        _ray_nodes(rs.center, rn, rs.dirs, nodes[block])
+        w = weights[block].reshape(rn.shape)
+        np.multiply(form.span[:, None], form.wt, out=w)
+        if n == 3:
+            np.multiply(rn, rn, out=rn)
+        w *= rn
+        del rn
+        w *= rs.wang[:, None]
+    return VolumeQuadrature(nodes, weights)
 
 
 # Gauss-Legendre rules take O(p) memory and O(p^2) time: no p x p matrix,
@@ -486,20 +500,22 @@ def _gl01(p):
     return u, wu
 
 
-def _ray_nodes(x, rn, dirs):
+def _ray_nodes(x, rn, dirs, out=None):
     """Nodes x + rn[i, j] dirs[i] of an (M, P) radius array on M rays, as
     an (M * P, n) array, ray-major: the transposed view of a C-contiguous
-    (n, M * P) buffer, one contiguous row per coordinate.
+    (n, M * P) buffer, one contiguous row per coordinate; or written into
+    ``out``, a C-contiguous (M * P, n) array, and returned (``_drain``).
 
-    Each row is written with the per-element operations of
+    Each coordinate is written with the per-element operations of
     ``x[None, None, :] + rn[:, :, None] * dirs[:, None, :]``, so bitwise
     equal to it."""
     n = dirs.shape[1]
-    out = np.empty((n,) + rn.shape)
+    buf = np.empty((n,) + rn.shape) if out is None else None
     for k in range(n):
-        np.multiply(rn, dirs[:, k, None], out=out[k])
-        out[k] += x[k]
-    return out.reshape(n, -1).T
+        col = buf[k] if out is None else out[:, k].reshape(rn.shape)
+        np.multiply(rn, dirs[:, k, None], out=col)
+        col += x[k]
+    return buf.reshape(n, -1).T if out is None else out
 
 
 def _cone_dirs(ca, sa, axis, e1, e2, phi):

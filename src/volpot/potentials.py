@@ -45,22 +45,29 @@ No per-node weight is built; a sum over a block is c @ ((v r^(n-1)) @
 wt), one BLAS matrix-vector product and one dot (``_ray_sums``), unless
 it needs no per-node value at all.  Three paths, picked per block:
 
-* per ray, from the table moments (``_per_ray``): a constant density
+* per ray, in closed form (``_per_ray``): a constant density
   (``DensityPreset.constant``, passed as the number itself, see
-  ``_density``), a homogeneous kernel (laplace, anisotropic-principal)
-  and rays that start at x, which all start at r = 0 (the polar rule
-  about an interior x and the flux rays; r = s t for the table t).  Along
-  such a ray S(r d) = k (log r + log q(d)) in 2D and a(d)/r in 3D, so the
-  value is sum_i c_i ``fs.ray_value``_i, from M1 = sum t wt and
-  ML = sum t log t wt, and the gradient is -f W sum_i c_i k1(d_i),
-  W = sum wt.  No radius, no node, no kernel call per node: O(rays) per
-  block.  These sums are formed
+  ``_density``), a kernel with radial primitives
+  (``fs._radial_primitives``) and rays that start at x, which all start
+  at r = 0 (the polar rule about an interior x and the flux rays; r = s t
+  for the table t).  For the homogeneous kernels (laplace,
+  anisotropic-principal) S(r d) = k (log r + log q(d)) in 2D and a(d)/r
+  in 3D along such a ray, so the value is sum_i c_i ``fs.ray_value``_i,
+  from the table moments M1 = sum t wt and ML = sum t log t wt, and the
+  gradient is -f W sum_i c_i k1(d_i), W = sum wt.  For the screened
+  kernel in 3D the ray's integrals (1/s) int_0^s h(r) r^2 dr are exact
+  (see :mod:`volpot.fundsol`): ``fs.ray_value`` for the value, -f sum_i
+  c_i ``fs._ray_gradient``_i d_i for the gradient, and the Hessian's k2
+  term f (I sum_i c_i B_i + sum_i c_i A_i d_i d_i^t) from
+  ``fs._ray_k2``.  No radius, no node, no kernel call per node: O(rays)
+  per block.  These sums are formed
   elementwise and reduced by numpy's pairwise np.sum (``_ray_total``):
   over blocks of thousands of rays a BLAS dot's rounding error grows
   with the length and depends on the BLAS kernel's block order, where
   the pairwise sum's grows with its logarithm.
 * per node in polar form, where the rays start at x otherwise (other
-  densities or kernels): x - y = -r d (see :mod:`volpot.fundsol`).
+  densities, the 2D screened kernel): x - y = -r d (see
+  :mod:`volpot.fundsol`).
   - value: v = S f with S(r d) from the radii alone
     (``fs.radial_value``, one log per node for the 2D log kernels);
   - grad: -sum_i c_i (sum_j f_ij wt_j) k1(d_i), the r^(n-1) cancelling
@@ -76,7 +83,8 @@ A block's radii are built only where a path reads them, and its nodes
 only for those offsets and for a density that is not constant: a
 constant density broadcasts as a number with the bits of a full array.
 The Hessian of a constant density skips its k1 moment, whose weights
-are all exactly 0.
+are all exactly 0, and with the screened 3D kernel reads its k2 term per
+ray.
 
 Blocks come in two sizes (``geometry.rule_forms``).  The rays from x
 that the per-ray path sums (``_per_ray_sets``) are cut by their per-ray
@@ -271,19 +279,21 @@ def _ray_sums(form, v, jacobian=True):
 
 def _per_ray(fs, z, f):
     """Whether a block with offsets z (None where its rays start at x) is
-    summed against the density values f from the radial table's moments,
-    one number per ray and nothing per node: f is a constant (see
-    ``_density``), the kernel homogeneous (kappa = 0) and the rays start
-    at x."""
-    return z is None and not isinstance(f, np.ndarray) and fs.kappa == 0
+    summed against the density values f in closed form, one number per
+    ray and nothing per node: f is a constant (see ``_density``), the
+    kernel has radial primitives (``fs._radial_primitives``: kappa = 0,
+    or the screened kernel in 3D) and the rays start at x."""
+    return (z is None and not isinstance(f, np.ndarray)
+            and fs._radial_primitives)
 
 
 def _per_ray_sets(fs, densities):
     """Whether ``_per_ray`` holds on the blocks of rays from x for all of
-    the densities: every density constant and kappa = 0.  Every rule
-    about x starts its rays at r = 0, so values and gradients alike."""
-    return fs.kappa == 0 and all(getattr(f, "constant", None) is not None
-                                 for f in densities)
+    the densities: every density constant and the kernel with radial
+    primitives.  Every rule about x starts its rays at r = 0, so values,
+    gradients and the Hessian's k2 term alike."""
+    return fs._radial_primitives and all(
+        getattr(f, "constant", None) is not None for f in densities)
 
 
 def _ray_total(c, v):
@@ -296,10 +306,17 @@ def _ray_total(c, v):
     return np.array([np.sum(c * v[:, j]) for j in range(v.shape[1])])
 
 
+def _outer_total(c, d):
+    """sum_i c_i d_i d_i^t over the rays of a block, row k the
+    ``_ray_total`` of c d[:, k] against d."""
+    return np.array([_ray_total(c * d[:, k], d) for k in range(d.shape[1])])
+
+
 def _value_sum(fs, form, z, f):
     """sum_m S(x - y_m) f_m w_m over one block: for a constant f on rays
     from x (``_per_ray``; they start at r = 0), the pairwise sum of c
-    times the per-ray sums of ``fs.ray_value`` (``_ray_total``); elsewhere
+    times the per-ray sums of ``fs.ray_value`` (``_ray_total``), from the
+    table's moments for kappa = 0 and exact for the screened 3D kernel; elsewhere
     S from the radii alone where the rays start at x (z None), else from
     the offsets z."""
     if _per_ray(fs, z, f):
@@ -319,9 +336,12 @@ def _gradient_sum(fs, form, z, f):
     Where the rays start at x (z None) each ray is reduced before any
     kernel call (``_ray_sums``): with s_i = c_i sum_j f_ij wt_j, the k1
     kinds give -sum_i s_i k1(d_i), for a constant f -f W sum_i c_i k1(d_i)
-    with the table's W = sum wt (``_per_ray``, ``_ray_total``); the screened kernel gives
-    -sum_i d_i c_i sum_j f_ij f'(r_ij) wt_j r_ij^(n-1).  Elsewhere fs.grad
-    runs on the offsets z, and each component is summed like a value."""
+    with the table's W = sum wt (``_per_ray``, ``_ray_total``); the
+    screened kernel gives -sum_i d_i c_i sum_j f_ij f'(r_ij) wt_j
+    r_ij^(n-1), for a constant f in 3D -f sum_i c_i P_i d_i with
+    P_i = (1/s_i) int_0^s_i f'(r) r^2 dr exactly (``fs._ray_gradient``),
+    no radius read.  Elsewhere fs.grad runs on the offsets z, and each
+    component is summed like a value."""
     dirs, c = form.dirs, form.c
     one = not isinstance(f, list)
     if z is not None:
@@ -331,18 +351,28 @@ def _gradient_sum(fs, form, z, f):
                          for j, fj in enumerate(f)])
     screened = fs.kappa > 0
     k = dirs if screened else fs.k1(dirs)
+    fl = [f] if one else f
+    per_ray = [_per_ray(fs, z, fj) for fj in fl]
     if screened:
-        g = fs.radial_gradient(form.rn).reshape(-1)
-        f = g * f if one else [g * fj for fj in f]
+        # f'(r) at the radii for the densities summed per node, the exact
+        # per-ray sums for those summed per ray
+        if not all(per_ray):
+            g = fs.radial_gradient(form.rn).reshape(-1)
+            fl = [fj if pr else g * fj for fj, pr in zip(fl, per_ray)]
+        if any(per_ray):
+            cg = c * fs._ray_gradient(form.span)
 
-    def ray_sum(fj, kj):
-        if _per_ray(fs, z, fj):
+    def ray_sum(fj, kj, pr):
+        if pr and screened:
+            return fj * _ray_total(cg, kj)
+        if pr:
             return fj * form.moments[0] * _ray_total(c, kj)
         return (c * _ray_sums(form, fj, screened)) @ kj
 
     if one:
-        return -ray_sum(f, k)
-    return -np.array([ray_sum(fj, k[:, j]) for j, fj in enumerate(f)])
+        return -ray_sum(fl[0], k, per_ray[0])
+    return -np.array([ray_sum(fj, k[:, j], pr)
+                      for j, (fj, pr) in enumerate(zip(fl, per_ray))])
 
 
 def volume_potential(fs: FundamentalSolution, domain: Domain, f, x,
@@ -494,7 +524,8 @@ def volume_potential_hessian(fs: FundamentalSolution, domain: Domain, f, x,
     after a reduction along each ray of the rule about x, polar or flux
     rays (see the module docstring): ``fs.k1_jacobian`` receives the
     block's directions with one weight per ray, and the screened k2 term
-    is formed from ``fs.k2_radial``, so no (nodes, n, n) array is formed.
+    is formed from ``fs.k2_radial``, so no (nodes, n, n) array is formed;
+    for a constant density in 3D from ``fs._ray_k2``, one pair per ray.
     K^+ is a boundary integral on the plan's boundary rule
     (``_boundary_integral``), all n^2 entries in one pass: the cached
     boundary rule far from the boundary, the graded rule within 0.1 radii
@@ -512,13 +543,21 @@ def volume_potential_hessian(fs: FundamentalSolution, domain: Domain, f, x,
 
     screened = fs.kappa > 0
     # a constant density makes every k1 weight (f - f(x)) / r exactly 0:
-    # no k1 moment, and no block at all without a k2 part
+    # no k1 moment, and no block at all without a k2 part; with radial
+    # primitives its k2 part is summed per ray, no radius read
     k1_part = getattr(f, "constant", None) is None
+    per_ray = _per_ray_sets(fs, (f,))
     H1 = H2 = 0.0
-    for form, _ in (_rule_blocks(x, *plan.volume(cls))
+    for form, _ in (_rule_blocks(x, *plan.volume(cls), per_ray)
                     if k1_part or screened else ()):
-        dirs, rn, c = form.dirs, form.rn, form.c
+        dirs, c = form.dirs, form.c
         fvals = _density(f, form)
+        if per_ray:
+            beta, alpha_r2 = fs._ray_k2(form.span)
+            H2 = H2 + fvals * (np.eye(n) * _ray_total(c, beta)
+                               + _outer_total(c * alpha_r2, dirs))
+            continue
+        rn = form.rn
         if isinstance(fvals, np.ndarray):
             fvals = fvals.reshape(rn.shape)
         # d k1(-r d) = r^-n d k1(d), and w r^-n = c wt / r
