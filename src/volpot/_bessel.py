@@ -238,10 +238,21 @@ def k1(x):
 _EIN_CUT = 4.0
 _EIN_TERMS = 30
 _E1_STEPS = 24
-# coefficients of x^0 .. x^29 of Ein(x) / x, each rounded once from its
-# exact value (a quotient of Python ints is correctly rounded)
-_EIN_SERIES = np.array([(-1) ** (j + 1) / (j * math.factorial(j))
-                        for j in range(1, _EIN_TERMS + 1)])
+
+
+def taylor_coefficients(coef, terms):
+    """The coefficients p / (q j!), (p, q) = coef(j), for j = 1 .. terms,
+    each rounded once from its exact value (a quotient of Python ints is
+    correctly rounded)."""
+    out = []
+    for j in range(1, terms + 1):
+        p, q = coef(j)
+        out.append(p / (q * math.factorial(j)))
+    return np.array(out)
+
+
+# coefficients of x^0 .. x^29 of Ein(x) / x
+_EIN_SERIES = taylor_coefficients(lambda j: ((-1) ** (j + 1), j), _EIN_TERMS)
 
 
 def power_series(coeffs, x):

@@ -54,7 +54,6 @@ real (n, m) @ (m, n) products; a part that is all zero costs nothing.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -316,7 +315,7 @@ class FundamentalSolution:
                 raise ValueError("the 2D screened kernel is not homogeneous "
                                  "and has no radial primitive")
             return (-1.0 / (4.0 * np.pi * self.kappa)) * _primitives(
-                self.kappa * s, ("value",), _value_closed)[0]
+                self.kappa * s, _VALUE)[0]
         q = None if self._iso else self._ellip_radius(dirs)
         if self.dim == 3:
             out = s * (-m1 / (4.0 * np.pi * self._sqrt_det))
@@ -330,39 +329,15 @@ class FundamentalSolution:
         """(1/s) int_0^s f'(r) r^2 dr of the screened 3D kernel for the
         ray lengths s: the ray's gradient sum for f = 1 is minus this
         times its direction."""
-        return _primitives(self.kappa * s, ("gradient",),
-                           _gradient_closed)[0] / (4.0 * np.pi)
+        return _primitives(self.kappa * s, _GRADIENT)[0] / (4.0 * np.pi)
 
     def _ray_k2(self, s):
         """(1/s) int_0^s (beta, alpha r^2) r^2 dr (``k2_radial``) of the
         screened 3D kernel for the ray lengths s: the ray's k2 moment for
         f = 1 is the first times I plus the second times d d^t."""
-        b, a = _primitives(self.kappa * s, ("beta", "alpha"), _k2_closed)
+        b, a = _primitives(self.kappa * s, _K2)
         scale = self.kappa / (4.0 * np.pi)
         return b * scale, a * scale
-
-
-def _taylor(coef):
-    """Coefficients p / (q j!), (p, q) = coef(j), for j = 1 .. 24, each
-    rounded once from its exact value (a quotient of Python ints is
-    correctly rounded)."""
-    out = []
-    for j in range(1, 25):
-        p, q = coef(j)
-        out.append(p / (q * math.factorial(j)))
-    return np.array(out)
-
-
-# The screened 3D primitives divided by U (see the module docstring):
-# coefficient j - 1 of each series is that of U^j in the primitive over
-# its constant factor.  Below U = 2 the first term left out is below
-# 1e-16 of the sum.
-_PRIMITIVE_CUT = 2.0
-_PRIMITIVE_SERIES = {
-    "value": _taylor(lambda j: ((-1) ** j * (j - 1), 1)),
-    "gradient": _taylor(lambda j: ((-1) ** j * (j - 2), 1)),
-    "beta": _taylor(lambda j: ((-1) ** (j + 1) * (j - 1), j)),
-    "alpha": _taylor(lambda j: ((-1) ** (j + 1) * (j - 1) * (j - 3), j))}
 
 
 def _value_closed(U):
@@ -379,14 +354,33 @@ def _k2_closed(U):
             3.0 * ein - 4.0 + np.exp(-U) * (4.0 + U))
 
 
-def _primitives(U, names, closed):
-    """The primitives ``names`` over U at the values U: their series
-    below _PRIMITIVE_CUT, the forms closed(U) over U above it."""
-    outs = [np.empty_like(U) for _ in names]
+def _series(coef):
+    return _bessel.taylor_coefficients(coef, 24)
+
+
+# The screened 3D primitives divided by U (see the module docstring), one
+# family per ray method: the Taylor series of each primitive over U (the
+# coefficient j - 1 of each is that of U^j in the primitive over its
+# constant factor) and the closed forms of them all.  Below U = 2 the
+# first term left out is below 1e-16 of the sum.
+_PRIMITIVE_CUT = 2.0
+_VALUE = ((_series(lambda j: ((-1) ** j * (j - 1), 1)),), _value_closed)
+_GRADIENT = ((_series(lambda j: ((-1) ** j * (j - 2), 1)),),
+             _gradient_closed)
+_K2 = ((_series(lambda j: ((-1) ** (j + 1) * (j - 1), j)),
+        _series(lambda j: ((-1) ** (j + 1) * (j - 1) * (j - 3), j))),
+       _k2_closed)
+
+
+def _primitives(U, family):
+    """The primitives of family = (series, closed) over U at the values
+    U: their series below _PRIMITIVE_CUT, closed(U) over U above it."""
+    series, closed = family
+    outs = [np.empty_like(U) for _ in series]
     small = U < _PRIMITIVE_CUT
     u = U[small]
-    for out, name in zip(outs, names):
-        out[small] = _bessel.power_series(_PRIMITIVE_SERIES[name], u)
+    for out, coeffs in zip(outs, series):
+        out[small] = _bessel.power_series(coeffs, u)
     if not small.all():
         u = U[~small]
         for out, v in zip(outs, closed(u)):

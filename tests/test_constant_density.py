@@ -90,11 +90,15 @@ def _resummed(fn, domain, gap, kname):
                 or fn is volume_potential_hessian)
 
 
-def _exactly_summed(domain, gap, kname):
+def _exactly_summed(dname, gap, kname):
     """Whether the preset one is summed per ray from the screened 3D
     kernel's exact radial primitives here: wherever the rays start at x,
     values, gradients and the Hessian's k2 term."""
-    return kname == "screened" and domain.dim == 3 and gap is not None
+    return kname == "screened" and DOMAINS[dname].dim == 3 and gap is not None
+
+
+EXACT_CASES = [c for c in CASES if _exactly_summed(c[0], c[2], c[3])]
+BITWISE_CASES = [c for c in CASES if not _exactly_summed(c[0], c[2], c[3])]
 
 
 def _resum_bound(fs, domain, x, N, gradient):
@@ -147,38 +151,57 @@ def _oracle_error(fn, fs, domain, f, x, N):
 ORACLE_ROUNDING = 4.0 * EPS
 
 
-@pytest.mark.parametrize("dname, label, gap, kname", CASES,
-                         ids=[" ".join((c[0], c[1], c[3])) for c in CASES])
+def _case_ids(cases):
+    return [" ".join((c[0], c[1], c[3])) for c in cases]
+
+
+def _fns(gap):
+    """The potentials compared at a point at gap: the Hessian inside."""
+    fns = [volume_potential, volume_potential_gradient]
+    if gap is not None and gap < 0:
+        fns.append(volume_potential_hessian)
+    return fns
+
+
+@pytest.mark.parametrize("dname, label, gap, kname", EXACT_CASES,
+                         ids=_case_ids(EXACT_CASES))
+def test_exactly_summed_preset_no_farther_from_closed_form(dname, label, gap,
+                                                           kname):
+    # the screened 3D kernel sums the preset one exactly per ray: no
+    # farther from the closed form than the plain callable
+    domain = DOMAINS[dname]
+    N = N_OF[domain.dim]
+    fs = _kernels(domain.dim)[kname]
+    x = _point(domain, gap)
+    for fn in _fns(gap):
+        err_new, err_old = (_oracle_error(fn, fs, domain, f, x, N)
+                            for f in (ONE, plain_one))
+        assert err_new <= err_old + ORACLE_ROUNDING, \
+            (fn.__name__, err_new, err_old)
+    # f0 takes the value's path, the f_j the same one either way: the two
+    # differ by the two values, up to a rounding of the total
+    rest = (X1, X1SQ, X1)
+    got, want = (volume_potential_negative(
+        fs, domain, NegativeExponentDensity((f0,) + rest, 1.0, 1.0), x,
+        N) - volume_potential(fs, domain, f0, x, N)
+        for f0 in (ONE, plain_one))
+    assert abs(got - want) <= 8.0 * EPS * abs(want)
+
+
+@pytest.mark.parametrize("dname, label, gap, kname", BITWISE_CASES,
+                         ids=_case_ids(BITWISE_CASES))
 def test_constant_preset_matches_plain_callable_bitwise(dname, label, gap,
                                                         kname):
     # bit for bit wherever the preset one takes the per-node path with a
     # broadcast constant (the 2D screened kernel, Hessians of the other
     # kernels, far rules); within the rounding of the re-summation where
-    # it is summed per ray from the table moments; no farther from the
-    # closed form where the screened 3D kernel sums it exactly
+    # it is summed per ray from the table moments
     domain = DOMAINS[dname]
     n = domain.dim
     N = N_OF[n]
     fs = _kernels(n)[kname]
     x = _point(domain, gap)
-    fns = [volume_potential, volume_potential_gradient]
-    if gap is not None and gap < 0:
-        fns.append(volume_potential_hessian)
-    if _exactly_summed(domain, gap, kname):
-        for fn in fns:
-            err_new, err_old = (_oracle_error(fn, fs, domain, f, x, N)
-                                for f in (ONE, plain_one))
-            assert err_new <= err_old + ORACLE_ROUNDING, \
-                (fn.__name__, err_new, err_old)
-        # f0 takes the value's path, the f_j the same one either way: the
-        # two differ by the two values, up to a rounding of the total
-        rest = (X1, X1SQ, X1)
-        got, want = (volume_potential_negative(
-            fs, domain, NegativeExponentDensity((f0,) + rest, 1.0, 1.0), x,
-            N) - volume_potential(fs, domain, f0, x, N)
-            for f0 in (ONE, plain_one))
-        assert abs(got - want) <= 8.0 * EPS * abs(want)
-        return
+    fns = _fns(gap)
     bounds = {fn: (_resum_bound(fs, domain, x, N,
                                 fn is volume_potential_gradient)
                    if _resummed(fn, domain, gap, kname) else None)

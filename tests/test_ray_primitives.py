@@ -159,14 +159,16 @@ def test_small_kappa_tends_to_the_laplace_ray_sums():
 
 def test_series_coefficients_are_correctly_rounded():
     # coefficient of U^(j-1): p / (q j!) rounded once, against Fraction
-    from volpot.fundsol import _PRIMITIVE_SERIES
-    forms = {"value": lambda j: Fraction((-1) ** j * (j - 1)),
-             "gradient": lambda j: Fraction((-1) ** j * (j - 2)),
-             "beta": lambda j: Fraction((-1) ** (j + 1) * (j - 1), j),
-             "alpha": lambda j: Fraction((-1) ** (j + 1) * (j - 1) * (j - 3),
-                                         j)}
-    for name, coef in forms.items():
-        c = _PRIMITIVE_SERIES[name]
+    from volpot.fundsol import _GRADIENT, _K2, _VALUE
+    forms = {"value": (lambda j: Fraction((-1) ** j * (j - 1)),
+                       _VALUE[0][0]),
+             "gradient": (lambda j: Fraction((-1) ** j * (j - 2)),
+                          _GRADIENT[0][0]),
+             "beta": (lambda j: Fraction((-1) ** (j + 1) * (j - 1), j),
+                      _K2[0][0]),
+             "alpha": (lambda j: Fraction((-1) ** (j + 1) * (j - 1)
+                                          * (j - 3), j), _K2[0][1])}
+    for name, (coef, c) in forms.items():
         assert [float(coef(j) / math.factorial(j))
                 for j in range(1, len(c) + 1)] == c.tolist(), name
     assert [float(Fraction((-1) ** (j + 1), j * math.factorial(j)))

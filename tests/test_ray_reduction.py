@@ -132,7 +132,7 @@ def _cartesian_hessian(fs, domain, f, x, N):
 def _cartesian_negative(fs, domain, nd, x, N, grad_one=None):
     """The negative-exponent potential node by node; with grad_one, the
     gradient of the f = 1 potential at x, each component that is the
-    preset one takes its volume term from it instead."""
+    preset one takes its volume term from grad_one instead."""
     comps, n = nd.components, domain.dim
     vq = _drained(domain, x, N)
     y, w = vq.nodes, vq.weights
@@ -194,19 +194,16 @@ def test_ray_reduction_matches_cartesian(domain, N, kname):
                 assert err <= bound, ("gradient", x, dname, err)
 
             # the preset one is a component of every f here: where it is
-            # summed exactly, so is its volume term in the reference
+            # summed exactly, the reference takes its volume term from the
+            # f = 1 gradient checked above, and the rest node by node
             nd = NegativeExponentDensity((F0[dname], f, ONE, f)[:n + 1],
                                          1.0, 0.0)
-            ref = _cartesian_negative(fs, domain, nd, x, N)
+            grad_one = None if exact is None else volume_potential_gradient(
+                fs, domain, ONE, x, N)
+            ref = _cartesian_negative(fs, domain, nd, x, N, grad_one)
             got = volume_potential_negative(fs, domain, nd, x, N)
-            bound = 1e-12 * max(scale, abs(ref))
-            if exact is not None:
-                want = _cartesian_negative(fs, domain, nd, x, N, exact[1])
-                assert abs(got - want) <= abs(ref - want) + bound, \
-                    ("negative", x, dname, abs(got - want))
-            else:
-                assert abs(got - ref) <= bound, \
-                    ("negative", x, dname, abs(got - ref))
+            assert abs(got - ref) <= 1e-12 * max(scale, abs(ref)), \
+                ("negative", x, dname, abs(got - ref))
 
             if interior:
                 ref = _cartesian_hessian(fs, domain, f, x, N)
