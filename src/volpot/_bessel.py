@@ -1,5 +1,5 @@
-"""Modified Bessel functions K0 and K1, and the entire exponential
-integral Ein, dependency-free.
+"""Modified Bessel functions K0 and K1, elementwise and factored along
+rays, and the entire exponential integral Ein, dependency-free.
 
 K0 and K1 take three branches, each accurate to ~1e-14 relative and agreeing at the seams
 well below 1e-12:
@@ -25,6 +25,24 @@ well below 1e-12:
   evaluated by the trapezoid rule, which converges exponentially here.
 * x > 40: the large-argument expansion of sqrt(pi/(2x)) e^{-x}; at x = 40
   its optimal truncation error is far below machine precision.
+
+On rays from a point, where every radius is r_ij = s_i t_j for one
+radial table t, ``ray_series`` sums the same two series factored: with
+a_i = (kappa s_i / 2)^2 and b_j = t_j^2, q = a_i b_j, so each sum is one
+small matrix product of the per-ray powers a_i^k and the per-table
+c_k b_j^k (cached with the table), and log(x / 2) = log(kappa s_i / 2) +
+log t_j is one outer sum.  gamma goes into the second K0 sum, as
+s - gamma i0 = sum (H_k - gamma) q^k / (k!)^2, and 1/x into the K1
+product as its own term (1 / (kappa s_i)) (1 / t_j): near x = 2, where
+the sums cancel, that keeps the error of the split logs within the
+elementwise series' own (``tests/test_ray_series.py``).  It runs to
+k = 12 for every argument: by the bound above every later term of the K0
+sums is below half an ulp at q <= 1, and so is every later term of the
+K1 sums against K1 itself (x K1(x) >= 2 K1(2) for x <= 2).  Arguments
+above 2, which lie only on rays with kappa s_i > 2, are the caller's
+(``fundsol``), through ``k0`` and ``k1``.  The product's bits follow the
+BLAS kernel; at the block sizes of ``potentials`` they are the same at
+one and two OpenBLAS threads.
 
 The series run on a per-thread workspace of five float buffers of
 ``_CHUNK`` elements (320 KiB), allocated on a thread's first call and
@@ -54,6 +72,7 @@ from __future__ import annotations
 
 import math
 import threading
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import chebyshev
@@ -235,6 +254,100 @@ def k1(x):
     return _eval(x, _k1_series, _CHEB_K1, 1)
 
 
+# terms k = 0 .. _RAY_TERMS of the factored series (``ray_series``): for
+# q <= 1 every later term is below half an ulp (see the module docstring;
+# tests derive it again)
+_RAY_TERMS = 12
+
+
+def _ray_coefficients(nu):
+    """The coefficients (c_k, d_k), k = 0 .. _RAY_TERMS, of the two sums
+    in q of the K_nu series, with gamma taken into d_k for nu = 0:
+    (1 / k!^2, (H_k - gamma) / k!^2) for nu = 0 and (1 / (k! (k+1)!),
+    (H_k + H_(k+1) - 2 gamma) / (k! (k+1)!)) for nu = 1.  The harmonic
+    numbers are exact quotients of Python ints, rounded once."""
+    c, d = [], []
+    num, den = 0, 1                          # H_k = num / den
+    for k in range(_RAY_TERMS + 1):
+        if k:
+            num, den = num * k + den, den * k
+        f = math.factorial(k) * math.factorial(k + nu)
+        c.append(1 / f)
+        if nu:
+            # H_k + H_(k+1) = (2 num (k + 1) + den) / (den (k + 1))
+            h = (2 * num * (k + 1) + den) / (den * (k + 1))
+            d.append((h - 2.0 * _EULER_GAMMA) / f)
+        else:
+            d.append((num / den - _EULER_GAMMA) / f)
+    return np.array(c), np.array(d)
+
+
+_RAY_COEFFICIENTS = (_ray_coefficients(0), _ray_coefficients(1))
+
+
+@lru_cache(maxsize=32)
+def _ray_tables(t_bytes, nu):
+    """The per-table factors of ``ray_series`` for the radial table t,
+    passed as its bytes (the cache key), b = t^2: the right factor,
+    (K + 1, 2 P) rows [-c_k b^k, d_k b^k] (nu = 0) or
+    [(t / 2) c_k b^k, -(t / 4) d_k b^k] and a last row [0, 1 / t]
+    (nu = 1); log t; and the least b."""
+    t = np.frombuffer(t_bytes)
+    c, d = _RAY_COEFFICIENTS[nu]
+    b = t * t
+    powers = np.empty((_RAY_TERMS + 1, len(t)))
+    powers[0] = 1.0 if nu == 0 else t
+    for k in range(1, _RAY_TERMS + 1):
+        np.multiply(powers[k - 1], b, out=powers[k])
+    if nu == 0:
+        B = np.hstack([-c[:, None] * powers, d[:, None] * powers])
+    else:
+        B = np.vstack([np.hstack([(0.5 * c)[:, None] * powers,
+                                  (-0.25 * d)[:, None] * powers]),
+                       np.append(np.zeros(len(t)), 1.0 / t)])
+    log_t = np.log(t)
+    B.setflags(write=False)
+    log_t.setflags(write=False)
+    return B, log_t, float(np.min(b))
+
+
+def ray_series(nu, ks, t, scale):
+    """scale K_nu(x_ij) for x_ij = ks_i t_j <= 2, the (m,) ks = kappa s
+    for the lengths s of rays from a point and the (P,) radial table t
+    (the radii r_ij = s_i t_j).  An (m, P) array; its entries where
+    x_ij > 2 are finite and meaningless, for the caller to replace
+    (``fundsol``, from ``k0`` and ``k1``).
+
+    With q = x^2 / 4 = a_i b_j, a = (ks / 2)^2 and b = t^2, the two sums
+    sum_k c_k q^k and sum_k d_k q^k (``_ray_coefficients``) are one
+    (m, K + 1) @ (K + 1, 2 P) product: the per-ray powers scale a_i^k
+    (times ks_i for nu = 1, with the row scale / ks_i for the 1/x term)
+    on the left, the cached per-table factors (``_ray_tables``) on the
+    right.  log(x / 2) = log(ks_i / 2) + log t_j is one outer sum:
+
+        K0 = -log(x / 2) i0 + (s - gamma i0),
+        K1 = log(x / 2) (x / 2) i1 + (1 / x - (x / 4) s)."""
+    B, log_t, b_min = _ray_tables(t.tobytes(), nu)
+    P = len(t)
+    a = 0.5 * ks
+    log_a = np.log(a)
+    a *= a
+    # a row with a b_min > 1 has no argument <= 2; the bound only keeps
+    # its powers finite
+    np.minimum(a, 1.0 / b_min, out=a)
+    A = np.empty((len(B), len(ks)))
+    A[0] = scale if nu == 0 else scale * ks
+    for k in range(1, _RAY_TERMS + 1):
+        np.multiply(A[k - 1], a, out=A[k])
+    if nu:
+        np.divide(scale, ks, out=A[-1])
+    M = A.T @ B
+    out = np.add.outer(log_a, log_t)
+    out *= M[:, :P]
+    out += M[:, P:]
+    return out
+
+
 _EIN_CUT = 4.0
 _EIN_TERMS = 30
 _E1_STEPS = 24
@@ -257,8 +370,9 @@ _EIN_SERIES = taylor_coefficients(lambda j: ((-1) ** (j + 1), j), _EIN_TERMS)
 
 def power_series(coeffs, x):
     """sum_j coeffs[j] x^j by Horner's rule, in place on one fresh array
-    the shape of x."""
-    out = np.full(np.shape(x), coeffs[-1])
+    the shape of x, of the result type of the coefficients and x (complex
+    for a complex x)."""
+    out = np.full(np.shape(x), coeffs[-1], np.result_type(coeffs, x))
     for a in coeffs[-2::-1]:
         out *= x
         out += a

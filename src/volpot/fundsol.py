@@ -38,7 +38,14 @@ and cancels to O(U) or O(U^2) at 0, where kappa may be 1e-6, so below
 U = 2 it is summed from its Taylor series, whose terms then fall fast,
 and from the closed form above, where at most a factor 5 cancels.  The 2D screened
 kernel has none: its gradient's primitive int_0^U u K1(u) du needs the
-integral of K0, a Struve-function form, so it stays per node.
+integral of K0, a Struve-function form, so it is summed per node.  On
+rays from x, though, r = s t for the ray length s and the radial table
+t, and every term of the K0 and K1 series below kappa r = 2 splits into
+a per-ray and a per-table factor, so its values and f' there take no
+per-node Bessel series: one small matrix product per block
+(``_ray_series``, ``_bessel.ray_series``).  The Hessian's k2 term
+(``k2_radial``), the offsets of the far rule and every ``eval`` keep the
+per-node ``_bessel.k0`` and ``k1``.
 
 Every second derivative is one term form (E, s, v, o): at point k, the
 matrix E s_k + o_k v_k v_k^t.  With U = x a2^{-1}, m = |T^{-1} x| and
@@ -248,9 +255,12 @@ class FundamentalSolution:
         e = np.exp(-kr)
         return e * (1.0 + kr) / (4.0 * np.pi * r ** 2), e, kr
 
-    def radial_gradient(self, r):
+    def radial_gradient(self, r, st=None):
         """f'(r) of the screened kernel S = f(|x|), whose gradient at
-        x = -r d, for a unit vector d, is -f'(r) d."""
+        x = -r d, for a unit vector d, is -f'(r) d.  With st = (s, t),
+        r = s t are the radii of rays from x, as in ``radial_value``."""
+        if st is not None and self.dim == 2:
+            return self._ray_series(1, r, st, self.radial_gradient)
         return self._fprime(r)[0]
 
     def _hess_radial(self, r):
@@ -267,7 +277,10 @@ class FundamentalSolution:
     def k2_radial(self, r):
         """(beta, alpha r^2) of the screened kernel at |x| = r, so that
         d_l k2_j(-r d) = beta I + alpha r^2 d d^t for a unit vector d; the
-        two singular parts cancel in each, point by point."""
+        two singular parts cancel in each, point by point.  Per node, with
+        the elementwise K0 and K1 in 2D, on rays from x too: unlike
+        ``radial_value`` and ``radial_gradient`` it takes no factored
+        radii."""
         n = self.dim
         fpr, a_r2 = self._hess_radial(r)
         c = 1.0 / (sphere_measure(n) * self._sqrt_det)
@@ -276,10 +289,15 @@ class FundamentalSolution:
 
     # -- the kernels along a ray -------------------------------------------
 
-    def radial_value(self, dirs, rn):
+    def radial_value(self, dirs, rn, st=None):
         """S(r d) at the (rays, P) radii rn on rays with the unit directions
         dirs, |T^{-1} d| taken once per direction: one log per node for
-        the 2D log kernels, plus one per direction for a2 != I."""
+        the 2D log kernels, plus one per direction for a2 != I.  With
+        st = (s, t), rn = s t are the radii of rays from x, for the ray
+        lengths s and the radial table t, and the 2D screened kernel sums
+        its K0 series factored along the rays (``_ray_series``)."""
+        if st is not None and self.kappa > 0 and self.dim == 2:
+            return self._ray_series(0, rn, st, self._g)
         q = None if self._iso else self._ellip_radius(dirs)[:, None]
         if self.kappa > 0 or self.dim == 3:
             # g(r) where a2 = I; in 3D with kappa = 0,
@@ -289,6 +307,25 @@ class FundamentalSolution:
         if q is not None:
             out += np.log(q)
         out *= 1.0 / (2.0 * np.pi * self._sqrt_det)
+        return out
+
+    def _ray_series(self, nu, rn, st, per_node):
+        """-K0(kappa r) / (2 pi) (nu = 0) or kappa K1(kappa r) / (2 pi)
+        (nu = 1) at the radii rn = s t of rays from x, st = (s, t): from
+        the series factored along the rays (``_bessel.ray_series``) where
+        kappa r <= 2, from ``per_node`` (the per-node profile, with its
+        bits) at the other radii, which lie on rays with kappa s > 2."""
+        s, t = st
+        ks = self.kappa * s
+        out = _bessel.ray_series(nu, ks, t, (self.kappa if nu else -1.0)
+                                 / (2.0 * np.pi))
+        rows = np.flatnonzero(ks > _bessel._SERIES_CUT)
+        if len(rows):
+            r = rn[rows]
+            far = self.kappa * r > _bessel._SERIES_CUT
+            sub = out[rows]
+            sub[far] = per_node(r[far])
+            out[rows] = sub
         return out
 
     @property

@@ -325,18 +325,18 @@ class RayForm:
     the spans s = hi - lo and wt the ``_radial_tables`` weights h w; no
     weight per node is built (``_drain`` multiplies them out).
 
-    ``dirs``, ``span``, ``c``, ``wt`` and the table's ``moments`` are per
-    ray or per table.  Everything per node is built on first read: the
-    (rays, P) distances ``rn`` = lo + s t of the nodes from the rays'
-    origin, for the table's t, and the nodes themselves (``nodes``).  A
+    ``dirs``, ``span``, ``c``, the table's nodes ``t``, ``wt`` and its
+    ``moments`` are per ray or per table.  Everything per node is built on
+    first read: the (rays, P) distances ``rn`` = lo + s t of the nodes
+    from the rays' origin, and the nodes themselves (``nodes``).  A
     reader that needs only per-ray numbers (a constant density summed
     from the table moments on rays from x, which start at r = 0, where
     rn = s t; see ``potentials``) builds neither, and reads blocks that
     ``rule_forms`` sizes by their per-ray arrays: their radii, had anyone
     built them, would take several times ``_BLOCK_BYTES``."""
 
-    __slots__ = ("_rs", "_lo", "_t", "_rn", "_nodes",
-                 "dirs", "span", "c", "wt", "moments")
+    __slots__ = ("_rs", "_lo", "_rn", "_nodes",
+                 "dirs", "span", "c", "t", "wt", "moments")
 
     def __init__(self, rs, i, j):
         self._rs = rs
@@ -344,7 +344,7 @@ class RayForm:
         self.dirs = rs.dirs[i:j]
         self.span = rs.hi[i:j] - self._lo
         self.c = self.span * rs.wang[i:j]
-        self._t, self.wt, self.moments = _radial_tables(rs.p, rs.n_panels)
+        self.t, self.wt, self.moments = _radial_tables(rs.p, rs.n_panels)
         self._rn = self._nodes = None
 
     # plain properties that fill a slot on first read: functools'
@@ -353,7 +353,7 @@ class RayForm:
     @property
     def rn(self):
         if self._rn is None:
-            self._rn = _graded_nodes(self._lo, self.span[:, None], self._t)
+            self._rn = _graded_nodes(self._lo, self.span[:, None], self.t)
         return self._rn
 
     @property
@@ -409,7 +409,7 @@ def _drain(rule):
     weights = np.empty(sum(sizes))
     start = 0
     for rs, form, m in zip(rule, forms, sizes):
-        rn = _graded_nodes(form._lo, form.span[:, None], form._t)
+        rn = _graded_nodes(form._lo, form.span[:, None], form.t)
         block = slice(start, start + m)
         start += m
         _ray_nodes(rs.center, rn, rs.dirs, nodes[block])

@@ -69,10 +69,13 @@ it needs no per-node value at all.  Three paths, picked per block:
   densities, the 2D screened kernel): x - y = -r d (see
   :mod:`volpot.fundsol`).
   - value: v = S f with S(r d) from the radii alone
-    (``fs.radial_value``, one log per node for the 2D log kernels);
+    (``fs.radial_value``, one log per node for the 2D log kernels), and
+    for the 2D screened kernel from the block's spans and table as well
+    (r = s t), its K0 series one small matrix product per block;
   - grad: -sum_i c_i (sum_j f_ij wt_j) k1(d_i), the r^(n-1) cancelling
     the singularity exactly; for the screened kernel v = f f'(r) and
-    -sum_i d_i c_i sum_j v_ij wt_j r_ij^(n-1);
+    -sum_i d_i c_i sum_j v_ij wt_j r_ij^(n-1), f' in 2D from the spans
+    and table (``fs.radial_gradient``) as the value is;
   - Hessian, k1 part: the weighted k1 moment on the directions with
     weights c_i sum_j wt_j (f_ij - f(x)) / r_ij; screened k2 part:
     I sum w f beta + sum_i d_i d_i^t sum_j w f alpha r^2.
@@ -317,14 +320,14 @@ def _value_sum(fs, form, z, f):
     from x (``_per_ray``; they start at r = 0), the pairwise sum of c
     times the per-ray sums of ``fs.ray_value`` (``_ray_total``), from the
     table's moments for kappa = 0 and exact for the screened 3D kernel; elsewhere
-    S from the radii alone where the rays start at x (z None), else from
-    the offsets z."""
+    S from the radii rn = s t, given with the spans s and the table t,
+    where the rays start at x (z None), else from the offsets z."""
     if _per_ray(fs, z, f):
         _, m1, ml = form.moments
         return f * _ray_total(form.c,
                               fs.ray_value(form.dirs, form.span, m1, ml))
-    s = (fs.radial_value(form.dirs, form.rn).reshape(-1)
-         if z is None else fs.eval(z))
+    s = (fs.radial_value(form.dirs, form.rn, (form.span, form.t))
+         .reshape(-1) if z is None else fs.eval(z))
     return form.c @ _ray_sums(form, s * f)
 
 
@@ -357,7 +360,8 @@ def _gradient_sum(fs, form, z, f):
         # f'(r) at the radii for the densities summed per node, the exact
         # per-ray sums for those summed per ray
         if not all(per_ray):
-            g = fs.radial_gradient(form.rn).reshape(-1)
+            g = fs.radial_gradient(form.rn,
+                                   (form.span, form.t)).reshape(-1)
             fl = [fj if pr else g * fj for fj, pr in zip(fl, per_ray)]
         if any(per_ray):
             cg = c * fs._ray_gradient(form.span)

@@ -155,3 +155,26 @@ def test_series_workspace_stays_one_chunk():
     for out in (first, second):
         assert not np.shares_memory(out, _bessel._workspace.bufs)
     assert np.array_equal(first, kept)
+
+
+def _horner(coeffs, x):
+    acc = coeffs[-1]
+    for a in coeffs[-2::-1]:
+        acc = acc * x + a
+    return acc
+
+
+def test_power_series_takes_a_complex_argument():
+    # the buffer takes the result type of the coefficients and x: a
+    # complex x gives a complex sum (it raised a casting error into a
+    # float buffer), and a real one keeps the bits of a plain Horner loop
+    coeffs = _bessel._EIN_SERIES
+    z = np.array([0.5 + 1.0j, -2.0 + 0.3j, 3.0j, 1e-3 - 4.0j])
+    got = _bessel.power_series(coeffs, z)
+    assert got.dtype == np.complex128
+    want = np.array([_horner(coeffs, complex(v)) for v in z])
+    assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * np.abs(want))
+    x = np.linspace(0.0, 4.0, 41)
+    got = _bessel.power_series(coeffs, x)
+    assert got.dtype == np.float64
+    assert got.tolist() == [_horner(coeffs.tolist(), float(v)) for v in x]
