@@ -33,9 +33,11 @@ small matrix product of the per-ray powers a_i^k and the per-table
 c_k b_j^k (cached with the table), and log(x / 2) = log(kappa s_i / 2) +
 log t_j is one outer sum.  gamma goes into the second K0 sum, as
 s - gamma i0 = sum (H_k - gamma) q^k / (k!)^2, and 1/x into the K1
-product as its own term (1 / (kappa s_i)) (1 / t_j): near x = 2, where
-the sums cancel, that keeps the error of the split logs within the
-elementwise series' own (``tests/test_ray_series.py``).  It runs to
+product as its own term (1 / (kappa s_i)) (1 / t_j).  Near x = 2, where
+the sums cancel, that keeps the factored K0 within the elementwise
+series' worst error; the factored K1 reaches about 1.5 times the
+elementwise one's there, 2.7e-15 relative (``tests/test_ray_series.py``,
+which fixes both bounds).  It runs to
 k = 12 for every argument: by the bound above every later term of the K0
 sums is below half an ulp at q <= 1, and so is every later term of the
 K1 sums against K1 itself (x K1(x) >= 2 K1(2) for x <= 2).  Arguments
