@@ -259,7 +259,7 @@ class FundamentalSolution:
         """f'(r) of the screened kernel S = f(|x|), whose gradient at
         x = -r d, for a unit vector d, is -f'(r) d.  With st = (s, t),
         r = s t are the radii of rays from x, as in ``radial_value``."""
-        if st is not None and self.dim == 2:
+        if st is not None and self.kappa > 0 and self.dim == 2:
             return self._ray_series(1, r, st, self.radial_gradient)
         return self._fprime(r)[0]
 

@@ -166,8 +166,8 @@ def _horner(coeffs, x):
 
 def test_power_series_takes_a_complex_argument():
     # the buffer takes the result type of the coefficients and x: a
-    # complex x gives a complex sum (it raised a casting error into a
-    # float buffer), and a real one keeps the bits of a plain Horner loop
+    # complex x gives a complex sum, and a real one keeps the bits of a
+    # plain Horner loop
     coeffs = _bessel._EIN_SERIES
     z = np.array([0.5 + 1.0j, -2.0 + 0.3j, 3.0j, 1e-3 - 4.0j])
     got = _bessel.power_series(coeffs, z)

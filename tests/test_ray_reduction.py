@@ -413,12 +413,11 @@ def test_ball_hessian_near_the_boundary_matches_oracle(kname, delta, N,
 # within 3.1e-16 relative of their Cartesian sums; at this N = 12 they
 # are 8.3e-9 and 6.3e-6 off the N = 64 values.  The two star values sum
 # the 2D screened kernel's K0 series factored along the rays, one small
-# matrix product per block (``_bessel.ray_series``); neither moved from
-# the per-node series.  By design these pins check the bits of one
-# platform: the 80-bit long double last step of ``geometry._leggauss``
-# and the BLAS kernels of the sums and of that product.  With the last
-# step in double, or another BLAS kernel, they may differ in the last
-# bits while the values stay as accurate.
+# matrix product per block (``_bessel.ray_series``).  By design these
+# pins check the bits of one platform: the 80-bit long double last step
+# of ``geometry._leggauss`` and the BLAS kernels of the sums and of that
+# product.  With the last step in double, or another BLAS kernel, they
+# may differ in the last bits while the values stay as accurate.
 STORED_VALUES = {
     "disk interior": "-0x1.1342719ee8f28p-3",
     "disk near exterior": "-0x1.529ace73a1dc6p-6",
