@@ -37,10 +37,9 @@ product as its own term (1 / (kappa s_i)) (1 / t_j).  Near x = 2, where
 the sums cancel, that keeps the factored K0 within the elementwise
 series' worst error; the factored K1 reaches about 1.5 times the
 elementwise one's there, 2.7e-15 relative (``tests/test_ray_series.py``,
-which fixes both bounds).  It runs to
-k = 12 for every argument: by the bound above every later term of the K0
-sums is below half an ulp at q <= 1, and so is every later term of the
-K1 sums against K1 itself (x K1(x) >= 2 K1(2) for x <= 2).  Arguments
+which fixes both bounds).  It runs to k = 12 for every argument: for
+x <= 2 every later term is below 2^-56 of K0 itself (K0(x) >= K0(2)),
+and of K1 (x K1(x) >= 2 K1(2)), so below half an ulp.  Arguments
 above 2, which lie only on rays with kappa s_i > 2, are the caller's
 (``fundsol``), through ``k0`` and ``k1``.  The product's bits follow the
 BLAS kernel; at the block sizes of ``potentials`` they are the same at
@@ -257,8 +256,8 @@ def k1(x):
 
 
 # terms k = 0 .. _RAY_TERMS of the factored series (``ray_series``): for
-# q <= 1 every later term is below half an ulp (see the module docstring;
-# tests derive it again)
+# x <= 2 every later term is below half an ulp of K0 and of K1 (see the
+# module docstring; tests derive it again)
 _RAY_TERMS = 12
 
 

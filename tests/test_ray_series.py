@@ -109,14 +109,16 @@ def test_kernel_on_rays_matches_the_per_node_profile(kappa):
 
 
 def _k0_tail_negligible(K):
-    """Every K0 term after the K-th is below 2^-56 of its sum at q <= 1
-    (the bound of the _bessel docstring, in exact arithmetic)."""
-    h = sum(Fraction(1, j) for j in range(1, K + 1))
+    """Every K0 term after the K-th is below 2^-56 of K0 at x <= 2: with
+    K0(x) >= K0(2), the term (H_j - gamma) q^j / j!^2 of the second sum
+    is at most H_j / (j!^2 K0(2)), and log(x / 2) q^j / j!^2 at most
+    1 / (2 e j j!^2 K0(2)), as |log q| q^j <= 1 / (e j)."""
+    m = special.k0(2.0)
     for j in range(K + 1, 40):
-        h += Fraction(1, j)
         f2 = math.factorial(j) ** 2
-        if not (Fraction(1, f2) < Fraction(1, 2 ** 56)
-                and h / f2 < Fraction(1, 2 ** 57)):
+        h = float(sum(Fraction(1, i) for i in range(1, j + 1)))
+        if not (h / (f2 * m) < 2.0 ** -56
+                and 1.0 / (2 * math.e * j * f2 * m) < 2.0 ** -56):
             return False
     return True
 
