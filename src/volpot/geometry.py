@@ -548,12 +548,17 @@ def _axis_frame(axis):
     return e1, _cross(a, e1.tolist())
 
 
+@lru_cache(maxsize=64)
 def _circle_grid(m):
     """Trapezoid rule on the unit circle: the angles 2 pi k / m, the
-    (m, 2) unit directions and the weights 2 pi / m."""
+    (m, 2) unit directions and the weights 2 pi / m; cached per m and
+    read-only."""
     theta = 2.0 * np.pi * np.arange(m) / m
     dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    return theta, dirs, np.full(m, 2.0 * np.pi / m)
+    grid = theta, dirs, np.full(m, 2.0 * np.pi / m)
+    for a in grid:
+        a.setflags(write=False)
+    return grid
 
 
 def _sphere_grid(ct, st, wt, nphi, toward=None):
@@ -706,22 +711,37 @@ def _graded_boundary_rule(domain, N, near):
     return BoundaryQuadrature(c[None, :] + R * dirs, wts * R ** 2, dirs)
 
 
+def _star_points(domain, t):
+    """The boundary points rho(t) e(t) of a star domain at the angles t
+    (no rho', no normal)."""
+    return domain.rho(t)[:, None] * np.stack([np.cos(t), np.sin(t)], axis=-1)
+
+
+@lru_cache(maxsize=64)
+def _star_samples(domain):
+    """The 1024 equispaced angles of ``_nearest_point``'s samples of a
+    star domain's boundary and the points there; cached per domain and
+    read-only."""
+    theta = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
+    points = _star_points(domain, theta)
+    theta.setflags(write=False)
+    points.setflags(write=False)
+    return theta, points
+
+
 def _nearest_point(domain, x):
     """(parameter, distance) of the boundary point nearest x: on a ball
     x - c, whose direction is the point's; on a star domain the angle, from
-    the best of 1024 samples (the branch near a concave lobe) and up to 60
-    secant steps on g = (gamma - x) . gamma', kept in the bracket of the
-    sample's neighbours by bisection, until a step is at rounding."""
+    the best of 1024 samples (``_star_samples``; the branch near a concave
+    lobe) and up to 60 secant steps on g = (gamma - x) . gamma', kept in
+    the bracket of the sample's neighbours by bisection, until a step is at
+    rounding."""
     if domain.kind == "ball":
         d = x - domain.center
-        return d, abs(domain.radius - float(np.linalg.norm(d)))
+        return d, abs(domain.radius - math.sqrt(d @ d))
 
-    def offsets(t):     # rho e - x, the points alone (no rho', no normal)
-        return (domain.rho(t)[:, None]
-                * np.stack([np.cos(t), np.sin(t)], axis=-1) - x)
-
-    theta = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
-    b = offsets(theta)
+    theta, points = _star_samples(domain)
+    b = points - x
     i = int(np.argmin(np.sum(b * b, axis=1)))
 
     def g(t):   # (r e - x) . (r' e + r e_perp) for e = (cos t, sin t)
@@ -741,7 +761,7 @@ def _nearest_point(domain, x):
         t0, g0, t = t, gt, u if a < u < z else 0.5 * (a + z)
         gt = g(t)
         a, z = (a, t) if gt >= 0.0 else (t, z)
-    b = offsets(np.array([t]))[0]
+    b = _star_points(domain, np.array([t]))[0] - x
     return float(t), float(np.sqrt(b @ b))
 
 

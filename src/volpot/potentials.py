@@ -15,16 +15,19 @@ odd homogeneous kernel) against densities on a domain or its boundary:
   components, which trades the distributional derivative for a boundary term
   plus differentiated volume terms.
 
-An evaluation makes its choices about its point x once, in its plan
-(``_Plan``): the nearest boundary point (one ``_nearest_point`` solve),
-near or far (``_far``), the graded boundary rule, its boundary rule and
-its volume rule.  Every volume rule near a point is rays from it (see
-:mod:`volpot.geometry`): the flux rays to the nodes of the graded
-boundary rule, for every point of a star domain and for points within the
-near/far switch of a disk or a 3D ball on either side; the polar rule
-about an interior point deeper in a disk or a ball.  Far exterior points
-take the regular rule about the centre.  Points within 1e-9 of the boundary are rejected; transmission is
-tested through one-sided limits (see :mod:`volpot.verify`).
+The choices about a point x are made once, in its plan (``_Plan``): the
+nearest boundary point (one ``_nearest_point`` solve), near or far
+(``_far``), the graded boundary rule, its boundary rule and its volume
+rule.  One plan per point: the calls at x that follow one another, value,
+gradient, Hessian and layer terms with any kernel, share it (``_plan``
+keeps each thread's last plan).  Every volume rule near a point is rays
+from it (see :mod:`volpot.geometry`): the flux rays to the nodes of the
+graded boundary rule, for every point of a star domain and for points
+within the near/far switch of a disk or a 3D ball on either side; the
+polar rule about an interior point deeper in a disk or a ball.  Far
+exterior points take the regular rule about the centre.  Points within
+1e-9 of the boundary are rejected; transmission is tested through
+one-sided limits (see :mod:`volpot.verify`).
 
 Every grid and rule comes from :mod:`volpot.geometry`.  Every integral
 over the boundary seen from a point, layer potentials, the boundary terms
@@ -98,14 +101,16 @@ per-ray path reads no radius, so a block of it never builds the node
 arrays that its size would not bound.
 
 Everything here is a pure function of immutable inputs: batch evaluation
-over point grids may run on several threads.  The blocks depend on the
-rule and on what is summed over it alone (their sizes are fixed by
-``geometry._BLOCK_BYTES``), so results are deterministic; at a BLAS
-thread count of one they repeat bit for bit (the golden-test mode).
+over point grids may run on several threads, each with its own last plan.
+The blocks depend on the rule and on what is summed over it alone (their
+sizes are fixed by ``geometry._BLOCK_BYTES``), so results are
+deterministic; at a BLAS thread count of one they repeat bit for bit (the
+golden-test mode).
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,17 +190,20 @@ def _density(f, form):
 
 
 class _Plan:
-    """An evaluation's choices about the point x, each made once: its
-    nearest boundary point ``near``, whether x is ``far`` from the
-    boundary, the graded boundary rule about ``near`` (``graded``, built
-    on first read, so at most once), the boundary rule of its layer
-    integrals (``boundary``) and its volume rule (``volume``)."""
+    """The choices about the point x, each made once and shared by every
+    call at x that follows (``_plan``): its nearest boundary point
+    ``near``, whether x is ``far`` from the boundary, the graded boundary
+    rule about ``near`` (``graded``), the boundary rule of its layer
+    integrals (``boundary``) and its volume rule of each class
+    (``volume``); the graded rule and the volume rules are built on first
+    read, so at most once."""
 
     def __init__(self, domain, x, N):
         self.domain, self.x, self.N = domain, x, N
         self.near = _nearest_point(domain, x)
         self.far = _far(domain, self.near[1])
         self._graded = None
+        self._volumes = {}
 
     @property
     def graded(self):
@@ -219,12 +227,37 @@ class _Plan:
         deep in a ball, the flux rays on the graded rule everywhere else.
         Far star points keep the flux rays: the plain rule just past the
         switch is under-resolved."""
-        domain, x, N = self.domain, self.x, self.N
-        if cls < 0 and self.far:
-            return _regular_rays(domain, N), False
-        if self.far and domain.kind == "ball":
-            return _excised_rays(domain, x, N, (0.0,), self.near)[0], True
-        return _flux_rays(x, N, self.graded)[0], True
+        if cls not in self._volumes:
+            domain, x, N = self.domain, self.x, self.N
+            if cls < 0 and self.far:
+                rule = _regular_rays(domain, N), False
+            elif self.far and domain.kind == "ball":
+                rule = _excised_rays(domain, x, N, (0.0,), self.near)[0], True
+            else:
+                rule = _flux_rays(x, N, self.graded)[0], True
+            self._volumes[cls] = rule
+        return self._volumes[cls]
+
+
+_last = threading.local()
+
+
+def _plan(domain, x, N):
+    """The plan (``_Plan``) of the float point x: the calling thread's
+    last plan where it was made for this domain (by identity, as
+    ``Domain`` compares), N and the bits of x, else a new one, which
+    replaces it.  A plan does not depend on the kernel, so the value,
+    gradient, Hessian and layer terms at one point share it.  The plan's
+    x is read-only and bit-equal to the caller's, and made from the key's
+    own bytes, so writing into the caller's array never reaches it.  One
+    plan per thread: a plan holds its graded rule and ray sets, and
+    keeping several raised the page faults of a pass more than their
+    reuse saved."""
+    key = (domain, N, x.tobytes())
+    if getattr(_last, "key", None) != key:
+        _last.plan = _Plan(domain, np.frombuffer(key[2]), N)
+        _last.key = key
+    return _last.plan
 
 
 def _volume_class(domain, x, N):
@@ -255,7 +288,7 @@ def _excised_rules(domain, x, N, radii):
         raise NearBoundaryError(
             "the excised polar rule requires a strictly interior point")
     return [((form, None) for form in rule_forms(rays)) for rays in
-            _excised_rays(domain, x, N, radii, _Plan(domain, x, N).near)]
+            _excised_rays(domain, x, N, radii, _plan(domain, x, N).near)]
 
 
 def _rule_sum(x, blocks, integrand):
@@ -384,7 +417,7 @@ def volume_potential(fs: FundamentalSolution, domain: Domain, f, x,
     """int_Omega S(x - y) f(y) dy for bounded f on the closure."""
     x = _check_dims(domain, fs, x)
     cls = _volume_class(domain, x, N)
-    blocks = _rule_blocks(x, *_Plan(domain, x, N).volume(cls),
+    blocks = _rule_blocks(x, *_plan(domain, x, N).volume(cls),
                           _per_ray_sets(fs, (f,)))
     return complex(sum(_value_sum(fs, form, z, _density(f, form))
                        for form, z in blocks))
@@ -395,7 +428,7 @@ def volume_potential_gradient(fs: FundamentalSolution, domain: Domain, f, x,
     """Gradient of the volume potential, int_Omega grad S(x - y) f(y) dy."""
     x = _check_dims(domain, fs, x)
     cls = _volume_class(domain, x, N)
-    blocks = _rule_blocks(x, *_Plan(domain, x, N).volume(cls),
+    blocks = _rule_blocks(x, *_plan(domain, x, N).volume(cls),
                           _per_ray_sets(fs, (f,)))
     return sum(_gradient_sum(fs, form, z, _density(f, form))
                for form, z in blocks)
@@ -454,7 +487,7 @@ def subtracted_integral_G(k, psi, l: int, domain: Domain, x, N: int = 64,
                    / (2.0 * h))
         return dkl * (psi(y) - psi_x)
 
-    blocks = _rule_blocks(x, *_Plan(domain, x, N).volume(cls))
+    blocks = _rule_blocks(x, *_plan(domain, x, N).volume(cls))
     return complex(_rule_sum(x, blocks, integrand))
 
 
@@ -481,7 +514,7 @@ def boundary_kernel_K(k, mu, domain: Domain, x, side: str = "interior",
     if _side_class(side) != _classify_or_raise(domain, x):
         raise DomainError(f"point is not on the {side} side")
     return _boundary_integral(
-        _Plan(domain, x, N),
+        _plan(domain, x, N),
         lambda y, nu: np.asarray(k(x[None, :] - y)) * mu(y))
 
 
@@ -496,7 +529,7 @@ def single_layer(fs: FundamentalSolution, domain: Domain, phi, x,
     well above 3.
     """
     x = _check_dims(domain, fs, x)
-    return _boundary_integral(_Plan(domain, x, N),
+    return _boundary_integral(_plan(domain, x, N),
                               lambda y, nu: fs.eval(x[None, :] - y) * phi(y))
 
 
@@ -541,7 +574,7 @@ def volume_potential_hessian(fs: FundamentalSolution, domain: Domain, f, x,
     cls = _volume_class(domain, x, N)
     if cls < 0:
         raise NearBoundaryError("Hessian evaluation requires an interior point")
-    plan = _Plan(domain, x, N)
+    plan = _plan(domain, x, N)
     n = domain.dim
     fx = np.asarray(f(x[None, :]))[0]
 
@@ -603,7 +636,7 @@ def volume_potential_negative(fs: FundamentalSolution, domain: Domain,
     n = domain.dim
     comps = nd.components
     cls = _volume_class(domain, x, N)
-    plan = _Plan(domain, x, N)
+    plan = _plan(domain, x, N)
     rule, at_x = plan.volume(cls)
     apart = at_x and _per_ray_sets(fs, comps[:1])
     value = grad = 0

@@ -26,7 +26,7 @@ from .operators import OperatorCoefficients, apply_operator_fd
 from .potentials import (single_layer, volume_potential,
                          volume_potential_gradient, volume_potential_hessian,
                          volume_potential_negative, _boundary_integral,
-                         _excised_rules, _Plan, _rule_sum, _side_class)
+                         _excised_rules, _plan, _rule_sum, _side_class)
 from .presets import get_preset
 from .schauder import Modulus
 
@@ -338,7 +338,7 @@ def check_integration_by_parts(k, dk, domain: Domain, phi, dphi, x, j: int,
     rhs = -_rule_sum(x, whole, lambda z, y:
                      np.asarray(k(z)) * np.asarray(dphi(y))[:, j])
     rhs += _boundary_integral(
-        _Plan(domain, x, N),
+        _plan(domain, x, N),
         lambda y, nu: np.asarray(k(x[None, :] - y)) * np.asarray(phi(y)) * nu[:, j])
     phix = complex(np.asarray(phi(x[None, :]))[0])
     rhs += phix * psi
@@ -420,7 +420,7 @@ def check_derivative_recursion(fs: FundamentalSolution, domain: Domain, phi,
         lhs = volume_potential_gradient(fs, domain, phi, x, N)
         # the single layers of all n moments nu_j phi, in one pass
         v = _boundary_integral(
-            _Plan(domain, x, N),
+            _plan(domain, x, N),
             lambda y, nu: fs.eval(x[None, :] - y) * nu.T * np.asarray(phi(y)))
         for j in range(domain.dim):
             pj = volume_potential(
@@ -512,7 +512,7 @@ def convergence_study(op_name: str, fs: FundamentalSolution, domain: Domain,
             return single_layer(fs, domain, density, x, NN)
         if op_name == "boundary_kernel":
             return _boundary_integral(
-                _Plan(domain, np.asarray(x, dtype=float), NN),
+                _plan(domain, np.asarray(x, dtype=float), NN),
                 lambda y, nu: fs.k1(np.asarray(x)[None, :] - y)[:, 0]
                 * np.asarray(density(y)))
         raise ValueError(f"unknown convergence target {op_name!r}")

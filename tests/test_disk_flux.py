@@ -253,10 +253,12 @@ def _count(monkeypatch, module, name, calls):
 
 @pytest.mark.parametrize("delta", [1e-2, 1e-4, -1e-4, -0.09])
 def test_near_disk_evaluations_take_the_flux_rays_once(delta, monkeypatch):
-    # a value, a gradient or a negative-density value within the switch
-    # solves for the nearest point once and builds the graded boundary
-    # rule once (the negative density's boundary term shares it), and
-    # casts no ray
+    # the first value, gradient or negative-density value at a point
+    # within the switch solves for the nearest point once and builds the
+    # graded boundary rule once (the negative density's boundary term
+    # shares it); every later call at the point, whatever its quantity or
+    # kernel, shares that plan (potentials._plan) and solves and builds
+    # nothing; no call casts a ray
     def cast(*args):
         raise AssertionError("a near disk evaluation cast a ray")
 
@@ -267,15 +269,20 @@ def test_near_disk_evaluations_take_the_flux_rays_once(delta, monkeypatch):
             _count(monkeypatch, module, name, calls)
     x = _on_circle(0.7, delta)
     nd = NegativeExponentDensity((BUMP, BUMP, ONE), 1.0, 0.0)
-    for fs in KERNELS.values():
-        for evaluate in (
-                lambda: volume_potential(fs, DISK, BUMP, x, 16),
-                lambda: volume_potential_gradient(fs, DISK, ONE, x, 16),
-                lambda: volume_potential_negative(fs, DISK, nd, x, 16)):
-            calls.clear()
+    evaluations = [
+        evaluate for fs in KERNELS.values() for evaluate in (
+            lambda fs=fs: volume_potential(fs, DISK, BUMP, x, 16),
+            lambda fs=fs: volume_potential_gradient(fs, DISK, ONE, x, 16),
+            lambda fs=fs: volume_potential_negative(fs, DISK, nd, x, 16))]
+    for first in evaluations:
+        monkeypatch.setattr(potentials, "_last", type(potentials._last)())
+        calls.clear()
+        first()
+        assert sorted(calls) == ["_graded_boundary_rule", "_nearest_point"]
+        calls.clear()
+        for evaluate in evaluations:
             evaluate()
-            assert sorted(calls) == ["_graded_boundary_rule",
-                                     "_nearest_point"], (fs.kind, calls)
+        assert calls == []
 
 
 def test_disk_excised_sums_keep_the_polar_rule(monkeypatch):

@@ -506,6 +506,29 @@ def test_nearest_point_matches_40_digit_references():
         assert doms[kind].distance_to_boundary(x) == d
 
 
+def test_shared_grids_are_cached_read_only_and_keep_their_bits():
+    # the circle grid per m and a star domain's 1024 boundary samples per
+    # domain are built once and shared, so no caller may write into them;
+    # they hold the bits of the written-out forms
+    m = 40
+    theta, dirs, w = geometry._circle_grid(m)
+    assert geometry._circle_grid(m)[1] is dirs
+    want = 2.0 * np.pi * np.arange(m) / m
+    assert np.array_equal(theta, want)
+    assert np.array_equal(dirs, np.stack([np.cos(want), np.sin(want)], 1))
+    assert np.array_equal(w, np.full(m, 2.0 * np.pi / m))
+    star = cosine_star([1, 0, 0, 0.2])
+    t, pts = geometry._star_samples(star)
+    assert geometry._star_samples(star)[1] is pts
+    want = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
+    assert np.array_equal(t, want)
+    assert np.array_equal(pts, star.rho(want)[:, None] * np.stack(
+        [np.cos(want), np.sin(want)], axis=-1))
+    for a in (theta, dirs, w, t, pts):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
 @pytest.mark.parametrize("dom, x", [
     (disk(1.5, (0.2, -0.1)), (0.9, 0.4)),
     (make_ball(3, (0.1, 0.0, -0.2), 2.0), (0.5, 2.5, 1.0))],

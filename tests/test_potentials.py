@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -108,12 +109,17 @@ STAR = cosine_star([1, 0, 0, 0.2])
          "ball-far"])
 def test_each_evaluation_solves_for_the_nearest_point_once(domain, x,
                                                            monkeypatch):
-    # every public evaluation makes its choices in one plan: one solve of
-    # geometry._nearest_point, at most one build of the graded boundary
-    # rule (which its flux rays and boundary terms share) and one
+    # the calls at a point share its plan (potentials._plan).  The first
+    # call solves geometry._nearest_point once and builds the graded
+    # boundary rule at most once (its flux rays and boundary terms share
+    # it; a far interior star point builds it for its flux rays alone).
+    # The calls that follow, whatever their quantity or kernel, solve
+    # nothing and build the graded rule at most once in all, where the
+    # first call did not need it; once every call has run, a second round
+    # solves and builds nothing.  A point one ulp away, a new N or another
+    # domain of the same shape solves again.  Every call makes one
     # integrand call per boundary integral, on the cached plain rule far
-    # from the boundary and the graded rule near it; a far interior star
-    # point builds the graded rule for its flux rays alone
+    # from the boundary and the graded rule near it
     n = domain.dim
     N = 16
     far = potentials._far(domain, domain.distance_to_boundary(x))
@@ -141,7 +147,6 @@ def test_each_evaluation_solves_for_the_nearest_point_once(domain, x,
     monkeypatch.setattr(geometry, "_graded_boundary_rule", counted_build)
     monkeypatch.setattr(potentials, "_graded_boundary_rule", counted_build)
     monkeypatch.setattr(potentials, "_boundary_integral", counted_integral)
-    fs = laplace_fundamental(n)
     nd = NegativeExponentDensity((X1, ONE, X1SQ, ONE)[:n + 1], 1.0, 0.0)
     side = "interior" if domain.classify(x) > 0 else "exterior"
 
@@ -149,34 +154,60 @@ def test_each_evaluation_solves_for_the_nearest_point_once(domain, x,
         z = np.asarray(z)
         return z[..., 0] / np.sum(z * z, axis=-1) ** (n / 2.0)
 
-    evaluations = {
-        "value": lambda: volume_potential(fs, domain, X1SQ, x, N),
-        "gradient": lambda: volume_potential_gradient(fs, domain, X1SQ, x,
-                                                      N),
-        "single layer": lambda: single_layer(fs, domain, ONE, x, N),
-        "negative": lambda: volume_potential_negative(fs, domain, nd, x, N),
-        "K": lambda: boundary_kernel_K(fs.eval, ONE, domain, x, side, N)}
-    if domain.classify(x) > 0:
-        evaluations["hessian"] = lambda: volume_potential_hessian(
-            fs, domain, X1SQ, x, N)
-    if np.linalg.norm(x) <= domain.bounding_radius:
-        evaluations["G"] = lambda: subtracted_integral_G(
-            k_odd, lambda y: np.asarray(y)[..., 0] ** 2, 0, domain, x, N)
+    def evaluations(fs, x=x, domain=domain, N=N):
+        out = {
+            "value": lambda: volume_potential(fs, domain, X1SQ, x, N),
+            "gradient": lambda: volume_potential_gradient(fs, domain, X1SQ,
+                                                          x, N),
+            "single layer": lambda: single_layer(fs, domain, ONE, x, N),
+            "negative": lambda: volume_potential_negative(fs, domain, nd, x,
+                                                          N),
+            "K": lambda: boundary_kernel_K(fs.eval, ONE, domain, x, side,
+                                           N)}
+        if domain.classify(x) > 0:
+            out["hessian"] = lambda: volume_potential_hessian(
+                fs, domain, X1SQ, x, N)
+        if np.linalg.norm(x) <= domain.bounding_radius:
+            out["G"] = lambda: subtracted_integral_G(
+                k_odd, lambda y: np.asarray(y)[..., 0] ** 2, 0, domain, x, N)
+        return out
+
+    kernels = (laplace_fundamental(n), helmholtz_fundamental(n, 1.0))
     layers = {"single layer", "negative", "K", "hessian"}
-    for name, evaluate in evaluations.items():
+    star_flux = domain.kind == "star2d" and far and side == "interior"
+    for name, evaluate in evaluations(kernels[0]).items():
+        monkeypatch.setattr(potentials, "_last", type(potentials._last)())
         for seen in (solves, builds, integrands, rules):
             seen.clear()
         evaluate()
         assert len(solves) == 1, name
+        if star_flux:
+            assert len(builds) == (name not in ("single layer", "K")), name
         assert len(builds) <= 1, name
         assert len(rules) == len(integrands) == (name in layers), name
         for rule in rules:
             assert (rule is plain) == far, name
-    if domain.kind == "star2d" and far and side == "interior":
-        for name in ("value", "gradient", "negative", "hessian", "G"):
-            builds.clear()
-            evaluations[name]()
-            assert len(builds) == 1, name
+        for fs in kernels:
+            for again in evaluations(fs).values():
+                integrands.clear()
+                rules.clear()
+                again()
+                assert len(rules) == len(integrands) <= 1, name
+        assert len(solves) == 1 and len(builds) <= 1, name
+    solves.clear()
+    builds.clear()
+    for fs in kernels:
+        for again in evaluations(fs).values():
+            again()
+    assert solves == builds == []
+
+    moved = x.copy()
+    moved[0] = np.nextafter(moved[0], np.inf)
+    for other in ({"x": moved}, {"N": N + 1},
+                  {"domain": dataclasses.replace(domain)}):
+        solves.clear()
+        evaluations(kernels[0], **other)["value"]()
+        assert len(solves) == 1, other
 
 
 def test_ball_volume_potential_center():
