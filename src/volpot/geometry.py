@@ -548,17 +548,12 @@ def _axis_frame(axis):
     return e1, _cross(a, e1.tolist())
 
 
-@lru_cache(maxsize=64)
 def _circle_grid(m):
     """Trapezoid rule on the unit circle: the angles 2 pi k / m, the
-    (m, 2) unit directions and the weights 2 pi / m; cached per m and
-    read-only."""
+    (m, 2) unit directions and the weights 2 pi / m."""
     theta = 2.0 * np.pi * np.arange(m) / m
     dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    grid = theta, dirs, np.full(m, 2.0 * np.pi / m)
-    for a in grid:
-        a.setflags(write=False)
-    return grid
+    return theta, dirs, np.full(m, 2.0 * np.pi / m)
 
 
 def _sphere_grid(ct, st, wt, nphi, toward=None):

@@ -22,6 +22,7 @@ ball.  Every case meets the bound, ``abs_x1`` too; three levels fewer
 than ``_cap_levels`` miss it in every case, by 1e-11 to 1e-6.
 """
 
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -64,8 +65,10 @@ def _graded(fs, domain, x, N, levels=None):
     and ``abs_x1`` (imaginary part) at x on the flux rays, the cap graded
     through ``levels`` levels: ``_cap_levels``' when None.  The flux rays
     serve every point here, also those that ``volume_potential`` hands to
-    the regular rule (0.1 radii out and beyond)."""
+    the regular rule (0.1 radii out and beyond).  The plan memo is emptied
+    first: a plan at x keeps its cap, whatever the levels now patched."""
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(potentials, "_last", threading.local())
         mp.setattr(potentials, "NEAR_FRACTION", np.inf)
         if levels is not None:
             mp.setattr(geometry, "_cap_levels", lambda R, dist: levels)
@@ -144,6 +147,7 @@ def test_far_exterior_points_keep_the_accuracy(n, N, dist):
                                   fs.grad(x - center)])
     graded = _graded(fs, ball, x, N).real
     full = _graded(fs, ball, x, N, _cap_levels(1.0, 0.0)).real
+    assert not np.array_equal(graded, full)
     assert np.max(np.abs(graded - exact)) <= (
         2.0 * np.max(np.abs(full - exact)) + 1e-15)
     rule = exterior_chord_rule(ball, x, N)
@@ -161,6 +165,20 @@ def _within_bound(part, case):
                     > 2.0 * np.max(np.abs(part(full[q]))) + 1e-15):
                 return False
     return True
+
+
+def test_each_level_count_sums_its_own_cap():
+    # the graded cap differs from the reference in every case, kernel and
+    # density; the full depth (33 levels) mostly keeps the reference's
+    # bits, its deeper panels being below rounding, but not everywhere: no
+    # level count reuses the cap of a plan at the point from an earlier one
+    for case in CASES:
+        for graded, full in _errors(*case):
+            for part in (np.real, np.imag):
+                assert np.any(part(graded) != 0.0), case
+                assert not np.array_equal(part(graded), part(full)), case
+    assert sum(np.count_nonzero(full) for case in CASES
+               for _, full in _errors(*case)) > 0
 
 
 @pytest.mark.parametrize("n, N, shift, dist_key", CASES)

@@ -30,6 +30,7 @@ or at 3 e1, with ``one`` and ``abs_x1``, whose kink crosses the centred
 disk, against the closed form or 4N.
 """
 
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -193,6 +194,7 @@ def _flux_everywhere(kname, N, shift, dist_key):
     disk)."""
     domain, x = _chord_point(shift, dist_key)
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(potentials, "_last", threading.local())
         mp.setattr(potentials, "NEAR_FRACTION", np.inf)
         return _value_and_gradient(KERNELS[kname], domain, _one_and_abs_x1,
                                    x, N)
@@ -230,6 +232,7 @@ def test_far_exterior_flux_rays_keep_the_closed_form(N, dist):
     exact = np.pi * np.concatenate([[fs.eval(x - center)],
                                     fs.grad(x - center)])
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(potentials, "_last", threading.local())
         mp.setattr(potentials, "NEAR_FRACTION", np.inf)
         got = _value_and_gradient(fs, domain, ONE, x, N).real
     assert np.max(np.abs(got - exact)) <= 1e-15
@@ -275,7 +278,7 @@ def test_near_disk_evaluations_take_the_flux_rays_once(delta, monkeypatch):
             lambda fs=fs: volume_potential_gradient(fs, DISK, ONE, x, 16),
             lambda fs=fs: volume_potential_negative(fs, DISK, nd, x, 16))]
     for first in evaluations:
-        monkeypatch.setattr(potentials, "_last", type(potentials._last)())
+        monkeypatch.setattr(potentials, "_last", threading.local())
         calls.clear()
         first()
         assert sorted(calls) == ["_graded_boundary_rule", "_nearest_point"]

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 from decimal import Decimal
 
@@ -506,17 +507,10 @@ def test_nearest_point_matches_40_digit_references():
         assert doms[kind].distance_to_boundary(x) == d
 
 
-def test_shared_grids_are_cached_read_only_and_keep_their_bits():
-    # the circle grid per m and a star domain's 1024 boundary samples per
-    # domain are built once and shared, so no caller may write into them;
-    # they hold the bits of the written-out forms
-    m = 40
-    theta, dirs, w = geometry._circle_grid(m)
-    assert geometry._circle_grid(m)[1] is dirs
-    want = 2.0 * np.pi * np.arange(m) / m
-    assert np.array_equal(theta, want)
-    assert np.array_equal(dirs, np.stack([np.cos(want), np.sin(want)], 1))
-    assert np.array_equal(w, np.full(m, 2.0 * np.pi / m))
+def test_star_samples_are_cached_read_only_and_keep_their_bits():
+    # a star domain's 1024 boundary samples are built once per domain and
+    # shared, so no caller may write into them; they hold the bits of the
+    # written-out form
     star = cosine_star([1, 0, 0, 0.2])
     t, pts = geometry._star_samples(star)
     assert geometry._star_samples(star)[1] is pts
@@ -524,7 +518,7 @@ def test_shared_grids_are_cached_read_only_and_keep_their_bits():
     assert np.array_equal(t, want)
     assert np.array_equal(pts, star.rho(want)[:, None] * np.stack(
         [np.cos(want), np.sin(want)], axis=-1))
-    for a in (theta, dirs, w, t, pts):
+    for a in (t, pts):
         with pytest.raises(ValueError):
             a[0] = 0.0
 
@@ -886,6 +880,7 @@ def test_sphere_graded_rule_matches_broadcast_bitwise(monkeypatch):
 
     points = [(1.0 + s * h) * nb for s in (-1, 1) for h in (1e-4, 1e-3)]
     with monkeypatch.context() as mp:
+        mp.setattr(potentials, "_last", threading.local())
         mp.setattr(geometry, "_cone_dirs", _cone_dirs_broadcast)
         refs = [potentials.single_layer(fs, dom, phi, x, 12) for x in points]
     for x, ref in zip(points, refs):

@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 import tracemalloc
 
 import numpy as np
@@ -176,7 +177,7 @@ def test_each_evaluation_solves_for_the_nearest_point_once(domain, x,
     layers = {"single layer", "negative", "K", "hessian"}
     star_flux = domain.kind == "star2d" and far and side == "interior"
     for name, evaluate in evaluations(kernels[0]).items():
-        monkeypatch.setattr(potentials, "_last", type(potentials._last)())
+        monkeypatch.setattr(potentials, "_last", threading.local())
         for seen in (solves, builds, integrands, rules):
             seen.clear()
         evaluate()

@@ -75,9 +75,8 @@ def _bits(value):
 
 
 def _cold(monkeypatch, call):
-    """The bits of call() with an emptied memo (a new one of the
-    module's own kind)."""
-    monkeypatch.setattr(potentials, "_last", type(potentials._last)())
+    """The bits of call() with an emptied memo."""
+    monkeypatch.setattr(potentials, "_last", threading.local())
     return _bits(call())
 
 
@@ -88,7 +87,7 @@ def test_any_call_order_keeps_the_bits_of_an_emptied_memo(case, monkeypatch):
     domain, N, points = CASES[case]
     calls = [_calls(domain, N, x) for x in points]
     cold = [[_cold(monkeypatch, c) for c in at_x] for at_x in calls]
-    monkeypatch.setattr(potentials, "_last", type(potentials._last)())
+    monkeypatch.setattr(potentials, "_last", threading.local())
     for at_x, want in zip(calls, cold):
         assert [_bits(c()) for c in at_x] == want
         assert [_bits(c()) for c in at_x[::-1]] == want[::-1]
