@@ -5,10 +5,10 @@ Subcommands: eval | verify | converge | modulus, each with --config,
 1 when any fails (the report is still written), 2 on configuration errors.
 Output is byte-deterministic for a fixed config in single-job mode.
 
-``verify`` runs the rows of the module-level check table ``CHECKS`` for the
-checks named in ``checks.list``, each row at ``checks.<key>_tol`` or its
-``verify.DEFAULT_TOLERANCES`` default.  Its convergence check and
-``converge`` build their reports in one function, ``_convergence_reports``.
+``verify`` runs the rows of the report table ``ROWS`` whose checks
+``checks.list`` names, each at ``checks.<key>_tol`` or its
+``verify.DEFAULT_TOLERANCES`` default; ``converge`` runs the table's
+``convergence`` rows over ``converge.N_list``.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -33,10 +33,14 @@ from .verify import DEFAULT_TOLERANCES, write_reports_csv
 
 
 def provenance_text() -> str:
-    lines = [f"volpot {__version__}",
-             "default check tolerances:"]
-    for key in sorted(DEFAULT_TOLERANCES):
-        lines.append(f"  {key} = {DEFAULT_TOLERANCES[key]:g}")
+    lines = [f"volpot {__version__}", "default check tolerances:"]
+    lines += [f"  {key} = {value:g}"
+              for key, value in sorted(DEFAULT_TOLERANCES.items())]
+    lines.append("verify report rows (check: verify function, tolerance):")
+    for row in ROWS:
+        key = f"checks.{row.key}_tol" if row.key else "fixed"
+        lines.append(f"  {row.check}: {row.call}, "
+                     f"{DEFAULT_TOLERANCES[row.default]:g} ({key})")
     return "\n".join(lines) + "\n"
 
 
@@ -45,7 +49,8 @@ def _build_parser():
         prog="volpot",
         description="Volume/layer potential evaluation and verification.")
     parser.add_argument("--version", action="store_true",
-                        help="print version and the default tolerance table")
+                        help="print version, the default tolerances and "
+                        "the verify report rows")
     sub = parser.add_subparsers(dest="command")
     for name, desc in [
             ("eval", "evaluate potentials at configured points"),
@@ -108,11 +113,10 @@ def _run_eval(args) -> int:
     return 0
 
 
-# -- verify: kernels and sample points of the check table ------------------
+# -- verify: the report table ----------------------------------------------
 
 def k_grad(z):
     """s_n-normalized gradient kernel z_1 / (s_n |z|^n); residue 1/n."""
-    z = np.asarray(z)
     n = z.shape[-1]
     r = np.linalg.norm(z, axis=-1)
     return z[..., 0] / (verify.sphere_measure(n) * r ** n)
@@ -120,7 +124,6 @@ def k_grad(z):
 
 def dk_grad(z):
     """z-gradient of k_grad."""
-    z = np.asarray(z)
     n = z.shape[-1]
     r = np.linalg.norm(z, axis=-1)
     out = -n * z * (z[..., 0] / r ** 2)[..., None]
@@ -130,171 +133,165 @@ def dk_grad(z):
 
 def k_even(z):
     """Even kernel (z_1^2 - z_2^2) / |z|^4 with zero sphere mean."""
-    z = np.asarray(z)
-    r2 = np.sum(z * z, axis=-1)
-    return (z[..., 0] ** 2 - z[..., 1] ** 2) / r2 ** 2
+    return (z[..., 0] ** 2 - z[..., 1] ** 2) / np.sum(z * z, axis=-1) ** 2
 
 
 def k_control(z):
     """Control kernel |z|^-n, whose truncated integrals grow like log."""
-    z = np.asarray(z)
     return 1.0 / np.sum(z * z, axis=-1) ** (z.shape[-1] / 2.0)
 
 
-def _interior_grid(domain, k=3):
-    inner = (domain.radius if domain.kind == "ball" else
-             float(np.min(domain.rho(np.linspace(0, 2 * np.pi, 256)))))
-    n = domain.dim
-    span = 0.45 * inner
-    axes = [np.linspace(-span, span, k)] * n
-    pts = domain.center + np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, n)
-    return pts[np.array([domain.classify(p) > 0 for p in pts])]
-
-
-def _exterior_grid(domain):
-    # about a ball's centre at 1.0000001 R (its bounding radius when it is
-    # centred at the origin), about the origin at a star's bounding radius
-    n = domain.dim
-    scale = (domain.radius * 1.0000001 if domain.kind == "ball"
-             else domain.bounding_radius)
-    return domain.center + scale * np.array(
-        [[2.1] + [1.8] * (n - 1), [-2.4] + [-1.7] * (n - 1)])
-
-
-def _maximal_grid(domain):
-    # the center and an off-center point (the growth row takes the latter)
-    return domain.center + np.pad([[0.0, 0.0], [0.4, 0.2]],
-                                  ((0, 0), (0, domain.dim - 2)))
-
-
+# probe set -> its parts: ("grid", k), the k^n grid over the middle 0.9 of
+# the ball inscribed about the domain's center (so inside it in 2D and 3D);
+# ("at", p) and ("out", p), the center plus the offsets p cut to the
+# dimension, times 1 and times the domain's outer radius
+_OUTSIDE = ("out", ((2.1, 1.8, 1.8), (-2.4, -1.7, -1.7)))
+PROBES = {"inside": (("grid", 3),), "outside": (_OUTSIDE,),
+          "both_sides": (("grid", 2), _OUTSIDE),
+          "maximal": (("at", ((0, 0, 0), (0.4, 0.2, 0))),),
+          "growth": (("at", ((0.4, 0.2, 0),)),),
+          "ibp_point": (("at", (0.2, 0, 0)),)}
 MAXIMAL_RHO = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5]
 
-# config key -> DEFAULT_TOLERANCES key, where the two names differ
-TOLERANCE_ALIASES = {"ibp_psi": "ibp_psi_gradient_kernel",
-                     "ibp_psi_weak": "ibp_psi_weak_kernel",
-                     "maximal_bound": "maximal_bound_variation",
-                     "maximal_growth": "maximal_growth_deficit"}
+Row = namedtuple("Row", "check key default call args kw needs",
+                 defaults=({}, None))
 
-# CHECKS maps each check name to its report rows, in the default order.  A
-# row is (tolerance key, call); the call maps (run, tolerance) to a report
-# or a list of reports, and a None key leaves the check its own default.
-# Calls look verify's checks up when they run, so a wrapper later installed
-# on those module attributes sees every call.
-CHECKS = {
-    "closed_form": [
-        ("closed_form", lambda r, tol: verify.check_closed_form_disk(
-            r.fs, r.domain, r.N, tol))],
-    "pde_identity": [
-        ("pde_identity", lambda r, tol: verify.check_pde_identity(
-            r.fs, r.op, r.domain, get_preset("bump"),
-            _interior_grid(r.domain), N=r.N, tol=tol)),
-        ("pde_identity_exterior", lambda r, tol: verify.check_pde_identity(
-            r.fs, r.op, r.domain, get_preset("bump"),
-            _exterior_grid(r.domain), h=1e-3, N=r.N, side="exterior",
-            tol=tol))],
-    "transmission": [
-        ("transmission", lambda r, tol: verify.check_transmission(
-            r.fs, r.domain, ("volume", r.density), N=r.N, tol=tol)),
-        ("transmission", lambda r, tol: verify.check_transmission(
-            r.fs, r.domain, ("single_layer", get_preset("one")), N=r.N,
-            tol=tol))],
-    "derivative_recursion": [
-        ("derivative_recursion",
-         lambda r, tol: verify.check_derivative_recursion(
-             r.fs, r.domain, get_preset("x1"), get_preset("x1").grad,
-             np.concatenate([_interior_grid(r.domain, 2),
-                             _exterior_grid(r.domain)]), N=r.N, tol=tol))],
-    "integration_by_parts": [
-        ("integration_by_parts",
-         lambda r, tol: verify.check_integration_by_parts(
-             k_grad, dk_grad, r.domain, get_preset("x1sq"),
-             get_preset("x1sq").grad,
-             r.domain.center + 0.2 * np.eye(r.domain.dim)[0], 0,
-             N=r.N, tol=tol)),
-        ("ibp_psi", lambda r, tol: verify.check_sphere_residue(
-            k_grad, 0, r.domain.dim, 1.0 / r.domain.dim, tol=tol)),
-        ("ibp_psi_weak", lambda r, tol: verify.check_sphere_residue(
-            r.fs.eval, 0, r.domain.dim, 0.0, tol=tol))],
-    "maximal_bound": [
-        ("maximal_bound", lambda r, tol: verify.check_maximal_bound(
-            k_even, r.domain, _maximal_grid(r.domain), MAXIMAL_RHO,
-            N=r.N, expect="bounded", tol=tol)),
-        ("maximal_growth", lambda r, tol: verify.check_maximal_bound(
-            k_control, r.domain, _maximal_grid(r.domain)[1:],
-            MAXIMAL_RHO, N=r.N, expect="log-growth", tol=tol))],
-    "convergence": [
-        (None, lambda r, tol: _convergence_reports(r.fs, r.domain))],
-}
+# The verify report's rows in report order: the check `checks.list` names,
+# the key of its `checks.<key>_tol` (None: fixed), its DEFAULT_TOLERANCES
+# key, the verify function it calls (looked up when it runs, so wrappers
+# installed on verify see every call), its positional and keyword arguments
+# and the flag of the run it needs.  A string argument, also in a tuple,
+# stands for the value of the run (_namespace, PROBES) so named, if any.
+ROWS = (
+    Row("closed_form", "closed_form", "closed_form", "check_closed_form_disk",
+        ("fs", "domain", "N"), needs="laplace_unit_disk"),
+    Row("pde_identity", "pde_identity", "pde_identity", "check_pde_identity",
+        ("fs", "op", "domain", "bump", "inside"), {"N": "N"}),
+    Row("pde_identity", "pde_identity_exterior", "pde_identity_exterior",
+        "check_pde_identity", ("fs", "op", "domain", "bump", "outside"),
+        {"h": 1e-3, "N": "N", "side": "exterior"}),
+    Row("transmission", "transmission", "transmission", "check_transmission",
+        ("fs", "domain", ("volume", "density")), {"N": "N"}),
+    Row("transmission", "transmission", "transmission", "check_transmission",
+        ("fs", "domain", ("single_layer", "one")), {"N": "N"}),
+    Row("derivative_recursion", "derivative_recursion",
+        "derivative_recursion", "check_derivative_recursion",
+        ("fs", "domain", "x1", "x1_grad", "both_sides"), {"N": "N"}),
+    Row("integration_by_parts", "integration_by_parts", "integration_by_parts",
+        "check_integration_by_parts",
+        (k_grad, dk_grad, "domain", "x1sq", "x1sq_grad", "ibp_point", 0),
+        {"N": "N"}),
+    Row("integration_by_parts", "ibp_psi", "ibp_psi_gradient_kernel",
+        "check_sphere_residue", (k_grad, 0, "dim", "grad_residue")),
+    Row("integration_by_parts", "ibp_psi_weak", "ibp_psi_weak_kernel",
+        "check_sphere_residue", ("kernel", 0, "dim", 0.0)),
+    Row("maximal_bound", "maximal_bound", "maximal_bound_variation",
+        "check_maximal_bound", (k_even, "domain", "maximal", MAXIMAL_RHO),
+        {"N": "N", "expect": "bounded"}),
+    Row("maximal_bound", "maximal_growth", "maximal_growth_deficit",
+        "check_maximal_bound", (k_control, "domain", "growth", MAXIMAL_RHO),
+        {"N": "N", "expect": "log-growth"}),
+    Row("convergence", None, "convergence_order_deficit", "convergence_study",
+        ("volume_potential", "fs", "domain", "one", "N_list", "center",
+         "center_exact")),
+    Row("convergence", None, "convergence_order_deficit", "convergence_study",
+        ("single_layer_onsurface", "fs", "domain", "one", "N_list",
+         "surface", "surface_exact"), needs="planar"),
+    Row("convergence", None, "convergence_order_deficit", "convergence_study",
+        ("boundary_kernel", "fs", "domain", "one", "N_list", "far")))
 
 
-def _laplace_unit_ball(fs, domain):
-    # where the f = 1 potential has a closed form
-    return (fs.kind == "laplace" and domain.kind == "ball"
+def _probes(domain, spec):
+    """The points of a PROBES spec, part after part."""
+    n = domain.dim
+    if domain.kind == "ball":
+        inner, outer = domain.radius, domain.radius * 1.0000001
+    else:
+        inner = float(np.min(domain.rho(np.linspace(0, 2 * np.pi, 256))))
+        outer = domain.bounding_radius
+    parts = []
+    for kind, arg in spec:
+        if kind == "grid":
+            axes = [np.linspace(-0.45 * inner, 0.45 * inner, arg)] * n
+            parts.append(np.stack(np.meshgrid(*axes), -1).reshape(-1, n))
+        else:
+            parts.append((outer if kind == "out" else 1.0)
+                         * np.asarray(arg, dtype=float)[..., :n])
+    return domain.center + np.concatenate(parts)
+
+
+def _namespace(op, fs, domain, N=None, density=None, N_list=(8, 16, 32, 64)):
+    """The values of one run that rows name.  The f = 1 potentials have
+    closed forms on Laplace unit balls (R log R = 0 for the single layer on
+    the unit circle)."""
+    n, planar = domain.dim, domain.dim == 2
+    unit = (fs.kind == "laplace" and domain.kind == "ball"
             and abs(domain.radius - 1.0) < 1e-14)
+    ns = {name: get_preset(name) for name in ("one", "bump", "x1", "x1sq")}
+    ns.update((name, _probes(domain, spec)) for name, spec in PROBES.items())
+    return dict(
+        ns, fs=fs, op=op, domain=domain, N=N, density=density, N_list=N_list,
+        dim=n, x1_grad=ns["x1"].grad, x1sq_grad=ns["x1sq"].grad,
+        kernel=fs.eval, grad_residue=1.0 / n, planar=planar,
+        laplace_unit_disk=unit and planar and not np.any(domain.center),
+        center=domain.center, far=3.0 * domain.bounding_radius * np.eye(n)[0],
+        center_exact={2: -0.25, 3: -0.5}[n] if unit else None,
+        surface=domain.boundary_point(0.3) if planar else None,
+        surface_exact=0.0 if unit else None)
 
 
-def _tolerance(checks_cfg, key):
-    tol = float(checks_cfg.get(
-        f"{key}_tol", DEFAULT_TOLERANCES[TOLERANCE_ALIASES.get(key, key)]))
+def _value(ns, arg):
+    if isinstance(arg, tuple):
+        return tuple(_value(ns, a) for a in arg)
+    return ns.get(arg, arg) if isinstance(arg, str) else arg
+
+
+def _rows(ns, check):
+    """The rows of a check that apply to the run."""
+    return [row for row in ROWS
+            if row.check == check and (row.needs is None or ns[row.needs])]
+
+
+def _tolerance(checks_cfg, row):
+    tol = float(checks_cfg.get(f"{row.key}_tol",
+                               DEFAULT_TOLERANCES[row.default]))
     if tol <= 0:
-        raise VolpotError(f"tolerance for {key} must be positive")
+        raise VolpotError(f"tolerance for {row.key} must be positive")
     return tol
 
 
-def _run_rows(run, rows):
-    reports = []
-    for tol, call in rows:
-        out = call(run, tol)
-        reports.extend(out if isinstance(out, list) else [out])
-    return reports
+def _run_rows(ns, rows):
+    return [getattr(verify, row.call)(
+        *_value(ns, row.args), tol=tol,
+        **{name: _value(ns, arg) for name, arg in row.kw.items()})
+        for row, tol in rows]
 
 
 def _verify_tasks(cfg, op, fs, domain):
     """One task per selected check, each returning its report list; every
-    name, N and tolerance is validated before any task runs."""
+    key, name, N and tolerance is validated before any task runs."""
     checks_cfg = cfg.get("checks", {})
+    valid = {"N", "list"} | {f"{row.key}_tol" for row in ROWS if row.key}
+    for key in checks_cfg:
+        if key not in valid:
+            raise ConfigError(f"unknown config key checks.{key}; valid "
+                              f"checks keys: {', '.join(sorted(valid))}")
     N = int(checks_cfg.get("N", 64))
-    closed_form_applies = (_laplace_unit_ball(fs, domain)
-                           and domain.dim == 2 and not np.any(domain.center))
-    names = checks_cfg.get("list", [
-        name for name in CHECKS
-        if closed_form_applies or name != "closed_form"])
-    density = build_density(cfg)
+    ns = _namespace(op, fs, domain, N, build_density(cfg))
+    checks = {row.check: _rows(ns, row.check) for row in ROWS}
+    names = checks_cfg.get("list", [name for name in checks if checks[name]])
     if N < 4:
         raise VolpotError("checks.N must be at least 4")
     for name in names:
-        if name not in CHECKS:
+        if name not in checks:
             raise VolpotError(f"unknown check {name!r}; "
-                              f"available: {sorted(CHECKS)}")
-    if "closed_form" in names and not closed_form_applies:
-        raise VolpotError("the closed_form check requires the Laplace "
-                          "kernel on the centered unit disk")
-    run = SimpleNamespace(fs=fs, op=op, domain=domain, density=density, N=N)
-    return [partial(_run_rows, run,
-                    [(key and _tolerance(checks_cfg, key), call)
-                     for key, call in CHECKS[name]])
+                              f"available: {sorted(checks)}")
+        if not checks[name]:
+            raise VolpotError(f"the {name} check needs " + " and ".join(
+                row.needs for row in ROWS if row.check == name))
+    return [partial(_run_rows, ns, [(row, _tolerance(checks_cfg, row))
+                                    for row in checks[name]])
             for name in names]
-
-
-def _convergence_reports(fs, domain, N_list=(8, 16, 32, 64)):
-    """Convergence of the f = 1 volume potential at the domain's center
-    and of the on-surface single layer (2D), against their closed forms on
-    Laplace unit balls (R log R = 0 for the single layer on the unit
-    circle), and of the boundary kernel at a far point."""
-    one = get_preset("one")
-    unit = _laplace_unit_ball(fs, domain)
-    exact = {2: -0.25, 3: -0.5}[domain.dim] if unit else None
-    reports = [verify.convergence_study(
-        "volume_potential", fs, domain, one, N_list=N_list,
-        x=domain.center, exact=exact)]
-    if domain.dim == 2:
-        reports.append(verify.convergence_study(
-            "single_layer_onsurface", fs, domain, one, N_list=N_list,
-            x=domain.boundary_point(0.3), exact=0.0 if unit else None))
-    reports.append(verify.convergence_study(
-        "boundary_kernel", fs, domain, one, N_list=N_list,
-        x=3.0 * domain.bounding_radius * np.eye(domain.dim)[0]))
-    return reports
 
 
 def _run_verify(args) -> int:
@@ -320,15 +317,16 @@ def _run_converge(args) -> int:
     cfg, op, fs, domain = _load(args)
     N_list = [int(v) for v in cfg.get("converge", {}).get(
         "N_list", [8, 16, 32, 64])]
-    reports = _convergence_reports(fs, domain, N_list)
+    ns = _namespace(op, fs, domain, N_list=N_list)
+    reports = _run_rows(ns, [(row, _tolerance({}, row))
+                             for row in _rows(ns, "convergence")])
     out = args.out / "converge.csv"
     write_reports_csv(reports, out)
-    ok = all(r.passed for r in reports)
     for rep in reports:
         print(f"{'pass' if rep.passed else 'FAIL'} {rep.name} "
               f"order={rep.parameters['observed_order']:.2f}")
     print(f"wrote {out}")
-    return 0 if ok else 1
+    return 0 if all(rep.passed for rep in reports) else 1
 
 
 def _run_modulus(args) -> int:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import re
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,7 +59,6 @@ class VerificationReport:
     observed: list
     tolerance: float
     passed: bool = field(init=False)
-    runtime: float = 0.0
 
     def __post_init__(self):
         self.passed = all(np.isfinite(v) and v <= self.tolerance
@@ -138,20 +136,10 @@ def _same_token(a, b, rtol, atol):
     return bool(np.isclose(fa, fb, rtol=rtol, atol=atol, equal_nan=True))
 
 
-def _timed(fn):
-    def wrapper(*args, **kwargs):
-        t0 = time.perf_counter()
-        rep = fn(*args, **kwargs)
-        rep.runtime = time.perf_counter() - t0
-        return rep
-    return wrapper
-
-
 # ---------------------------------------------------------------------------
 # PDE identity
 
 
-@_timed
 def check_pde_identity(fs: FundamentalSolution, op: OperatorCoefficients,
                        domain: Domain, f, grid, h: float = 8e-3, N: int = 64,
                        tol: float = None, side: str = "interior"):
@@ -224,7 +212,6 @@ def _extrapolate_to_zero(deltas, values):
     return tab[0]
 
 
-@_timed
 def check_transmission(fs: FundamentalSolution, domain: Domain, target,
                        n_samples: int = 32,
                        offsets=(1e-2, 1e-3, 1e-4), N: int = 64,
@@ -286,7 +273,6 @@ def sphere_residue(k, j: int, n: int, eps_seq=(1e-1, 1e-2, 1e-3, 1e-4)):
     return _extrapolate_to_zero(eps_seq, vals), vals
 
 
-@_timed
 def check_sphere_residue(k, j: int, n: int, expected: float,
                          eps_seq=(1e-1, 1e-2, 1e-3, 1e-4),
                          tol: float = None):
@@ -304,7 +290,6 @@ def check_sphere_residue(k, j: int, n: int, expected: float,
         [("psi_gap", abs(psi - expected))], tol)
 
 
-@_timed
 def check_integration_by_parts(k, dk, domain: Domain, phi, dphi, x, j: int,
                                eps_seq=(1e-1, 1e-2, 1e-3, 1e-4), N: int = 64,
                                tol: float = None):
@@ -355,7 +340,6 @@ def check_integration_by_parts(k, dk, domain: Domain, phi, dphi, x, j: int,
 # maximal function bound
 
 
-@_timed
 def check_maximal_bound(k, domain: Domain, x_grid, rho_grid, N: int = 64,
                         expect: str = "bounded", tol: float = None):
     """Truncated integrals int_{Omega \\ B(x, rho)} k(x - y) dy over a rho
@@ -403,7 +387,6 @@ def check_maximal_bound(k, domain: Domain, x_grid, rho_grid, N: int = 64,
 # derivative recursion
 
 
-@_timed
 def check_derivative_recursion(fs: FundamentalSolution, domain: Domain, phi,
                                dphi, grid, N: int = 64, tol: float = None):
     """For C^1 densities, each derivative of the volume potential equals the
@@ -436,7 +419,6 @@ def check_derivative_recursion(fs: FundamentalSolution, domain: Domain, phi,
 # modulus experiment
 
 
-@_timed
 def modulus_experiment(fs: FundamentalSolution, domain: Domain, f,
                        alpha: float, scales=(1e-1, 1e-2, 1e-3, 1e-4),
                        N: int = 64, seed: int = 0, tol: float = None):
@@ -493,7 +475,6 @@ def modulus_experiment(fs: FundamentalSolution, domain: Domain, f,
 # convergence studies
 
 
-@_timed
 def convergence_study(op_name: str, fs: FundamentalSolution, domain: Domain,
                       density, N_list=(8, 16, 32, 64), x=None,
                       exact=None, required_order: float = 3.0,
@@ -541,7 +522,6 @@ def convergence_study(op_name: str, fs: FundamentalSolution, domain: Domain,
 # closed-form probe (used by the CLI default suite)
 
 
-@_timed
 def check_closed_form_disk(fs: FundamentalSolution, domain: Domain,
                            N: int = 64, tol: float = None):
     """Laplace unit-disk potentials of f = 1 against (|x|^2 - 1)/4 inside

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import volpot
-from volpot.cli import _exterior_grid, main, provenance_text
+from volpot import cli
+from volpot.cli import PROBES, ROWS, Row, _probes, main, provenance_text
 from volpot.config import parse_config, build_operator
 from volpot.errors import ConfigError
 from volpot.verify import DEFAULT_TOLERANCES
@@ -63,6 +64,18 @@ def test_version_contains_tolerances(capsys):
     for name, value in DEFAULT_TOLERANCES.items():
         assert name in out
         assert f"{value:g}" in out
+
+
+def test_version_lists_the_report_rows(capsys):
+    assert main(["--version"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = lines[lines.index("verify report rows (check: verify function, "
+                             "tolerance):") + 1:]
+    assert len(rows) == len(ROWS)
+    for line, row in zip(rows, ROWS):
+        key = f"checks.{row.key}_tol" if row.key else "fixed"
+        assert line == (f"  {row.check}: {row.call}, "
+                        f"{DEFAULT_TOLERANCES[row.default]:g} ({key})")
 
 
 def test_version_bytes_stable_when_piped():
@@ -283,6 +296,20 @@ def test_nonpositive_tolerance_exits_2(tmp_path, capsys):
     assert not (tmp_path / "report.csv").exists()
 
 
+@pytest.mark.parametrize("key", ["transmision_tol", "convergence_tol", "foo"])
+def test_unknown_checks_key_exits_2(tmp_path, capsys, key):
+    # a misspelled or unknown checks key is not ignored: the run stops
+    # before any check, naming the key and listing the valid ones
+    code = _verify_exit(tmp_path, SMALL_CONFIG + f"checks.{key} = 1e-30\n")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"checks.{key}" in err
+    for valid in ("N", "list", "transmission_tol", "ibp_psi_weak_tol",
+                  "maximal_growth_tol"):
+        assert valid in err
+    assert not (tmp_path / "report.csv").exists()
+
+
 def test_closed_form_on_ellipse_exits_2(tmp_path, capsys):
     code = _verify_exit(tmp_path, "domain.kind = ellipse\n"
                         "checks.list = [closed_form]\nchecks.N = 16\n")
@@ -365,10 +392,73 @@ def test_exterior_points_move_with_an_off_origin_ball(dim):
     # distances from its boundary, and outside it
     centred = volpot.make_ball(dim, np.zeros(dim), 1.0)
     shifted = volpot.make_ball(dim, 3.0 * np.eye(dim)[0], 1.0)
-    offsets = _exterior_grid(shifted) - shifted.center
-    np.testing.assert_allclose(offsets, _exterior_grid(centred),
+    outside = PROBES["outside"]
+    offsets = _probes(shifted, outside) - shifted.center
+    np.testing.assert_allclose(offsets, _probes(centred, outside),
                                rtol=1e-15, atol=1e-15)
-    for x, y in zip(_exterior_grid(shifted), _exterior_grid(centred)):
+    for x, y in zip(_probes(shifted, outside), _probes(centred, outside)):
         gap = shifted.distance_to_boundary(x)
         assert gap > shifted.radius
         assert abs(gap - centred.distance_to_boundary(y)) <= 1e-15
+
+
+def test_a_record_added_to_the_table_reports_its_row(tmp_path, monkeypatch):
+    # one more pde_identity row, on the two maximal-bound probes, is one
+    # record: it reports after the check's other rows, at its tolerance
+    extra = Row("pde_identity", "pde_identity", "pde_identity",
+                "check_pde_identity", ("fs", "op", "domain", "bump",
+                                       "maximal"), {"N": "N"})
+    monkeypatch.setattr(cli, "ROWS", ROWS[:3] + (extra,) + ROWS[3:])
+    assert _verify_exit(tmp_path, "checks.list = [pde_identity]\n"
+                        "checks.N = 16\nchecks.pde_identity_tol = 2e-3\n") == 0
+    with open(tmp_path / "report.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["check"] for row in rows] == ["pde_identity"] * 3
+    assert [float(row["tolerance"]) for row in rows] == [2e-3, 1e-6, 2e-3]
+    assert [row["param"].split("points=")[1].split(";")[0]
+            for row in rows] == ["9", "2", "2"]
+    assert "side=interior" in rows[2]["param"]
+
+
+def test_readme_tolerance_table_lists_the_table_keys():
+    # README's checks.<key>_tol table: one line per configurable key of
+    # the report table, with its default and, where the names differ, its
+    # DEFAULT_TOLERANCES key
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    body = text.split("| `checks.<key>_tol` key |", 1)[1].split("\n\n")[0]
+    listed = {}
+    for line in body.splitlines()[2:]:
+        key, _, default = [cell.strip() for cell in line.strip("|").split("|")]
+        value, _, name = default.partition(" ")
+        listed[key.strip("`")] = (float(value),
+                                  name.strip("(`)") or key.strip("`"))
+    expected = {row.key: (DEFAULT_TOLERANCES[row.default], row.default)
+                for row in ROWS if row.key}
+    assert listed == expected
+
+
+def test_table_strings_are_run_values_or_known_literals():
+    # a string argument stands for the run's value of that name where the
+    # namespace has one: every other string in the table must be one of
+    # the verify functions' literal modes, so a misspelled name shows here
+    cfg = volpot.config.default_config()
+    op = volpot.config.build_operator(cfg)
+    ns = cli._namespace(op, volpot.config.build_fundsol(cfg, op),
+                        volpot.config.build_domain(cfg), 64,
+                        volpot.config.build_density(cfg))
+
+    def strings(args):
+        for arg in args:
+            if isinstance(arg, tuple):
+                yield from strings(arg)
+            elif isinstance(arg, str):
+                yield arg
+
+    literals = {arg for row in ROWS
+                for arg in strings(row.args + tuple(row.kw.values()))
+                if arg not in ns}
+    assert literals == {"volume", "single_layer", "exterior", "bounded",
+                        "log-growth", "volume_potential",
+                        "single_layer_onsurface", "boundary_kernel"}
+    assert all(row.needs is None or row.needs in ns for row in ROWS)
+    assert all(callable(getattr(volpot.verify, row.call)) for row in ROWS)
